@@ -12,13 +12,13 @@ Modules:
 from .field import Field, find_generator, index_of, trace
 from .cyclotomy import QuarticDecomposition, quartic_decomposition
 from .counting import count_M, count_N, count_small, oracle_count
-from .genfunc import gf_M, gf_N, series
+from .genfunc import gf_M, gf_N
 
 __all__ = [
     "Field", "find_generator", "index_of", "trace",
     "QuarticDecomposition", "quartic_decomposition",
     "count_M", "count_N", "count_small", "oracle_count",
-    "gf_M", "gf_N", "series",
+    "gf_M", "gf_N",
 ]
 
 __version__ = "0.1.0"

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: field, cyclotomic, count, series, verify, bench.
+`count` reads N_n(c) and M_n(y) from the generating-function series by
+default; `verify` checks that series against the oracle, the closed forms,
+the order-4 recurrence and the relation M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).
 Elements cross the boundary as canonical integer encodings; counts are
 serialized as decimal strings so JSON consumers never overflow.
-Exit codes: 0 pass, 1 verification/agreement failure, 2 usage error.
+Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .cyclotomy import (
     quartic_decomposition,
 )
 from .errors import DiagQuarticError
-from .field import Field, find_generator, index_of
+from .field import Field, find_generator
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
                          (29, 1), (7, 1), (11, 1)]
@@ -149,7 +152,7 @@ def cmd_count(args) -> int:
         payload["count"] = counts.pop() if len(counts) == 1 else None
         _emit(payload, args.json)
         return 0 if payload["agree"] else 1
-    method = args.method or ("series" if y is None else "relation")
+    method = args.method or "series"
     payload["method"] = method
     payload["count"] = str(_count_one(method, fld, gen, dec, c, y, args.n))
     _emit(payload, args.json)
@@ -186,7 +189,7 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
         hists.append(hist)
     ok = all(counting.count_N(fld.from_int(code), n, fld, gen, dec) == hists[n - 1][code]
              for code in range(q) for n in range(1, nmax + 1))
-    report.add(f"{tag} oracle-equivalence n<=8", ok, seconds=time.monotonic() - t0)
+    report.add(f"{tag} oracle-equivalence n<={nmax}", ok, seconds=time.monotonic() - t0)
 
     if dec is not None:
         t0 = time.monotonic()
@@ -198,13 +201,14 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
         report.add(f"{tag} cyclotomic closed=enum", ok, seconds=time.monotonic() - t0)
 
         t0 = time.monotonic()
+        nsmall = min(4, nmax)
         ok = True
         for code in range(1, q):
             c = fld.from_int(code)
-            for n in range(1, 5):
+            for n in range(1, nsmall + 1):
                 if counting.count_small(c, n, dec, fld, gen) != hists[n - 1][code]:
                     ok = False
-        report.add(f"{tag} closed-form n<=4", ok, seconds=time.monotonic() - t0)
+        report.add(f"{tag} closed-form n<={nsmall}", ok, seconds=time.monotonic() - t0)
 
         t0 = time.monotonic()
         ok = True
@@ -227,13 +231,15 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
 
     t0 = time.monotonic()
     ok = True
+    n0 = counting.count_N(fld.zero(), nmax - 1, fld, gen, dec)
     for code in range(1, q):
         y = fld.from_int(code)
         if genfunc.is_quartic(y, gen):
             continue
         twisted = counting.oracle_histogram(fld, [fld.one()] * (nmax - 1) + [y], 4)
-        # count_M internally asserts relation == series
-        ok = ok and counting.count_M(y, nmax, fld, gen, dec) == twisted[0]
+        # x_n = 0 gives N_{n-1}(0); each nonzero x_n gives N_{n-1}(-y x_n^4) = N_{n-1}(-y)
+        relation = n0 + (q - 1) * counting.count_N(-y, nmax - 1, fld, gen, dec)
+        ok = ok and counting.count_M(y, nmax, fld, gen, dec) == twisted[0] == relation
     report.add(f"{tag} twisted counts", ok, seconds=time.monotonic() - t0)
 
 
@@ -282,6 +288,16 @@ def _config(args) -> RunConfig:
                      modulus=args.modulus)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(sub, require_field: bool = True):
     sub.add_argument("--p", type=int, required=require_field,
                      help="field characteristic (odd prime)")
@@ -311,9 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = subs.add_parser("count", help="count zeros of the diagonal form")
     _add_common(p_count)
-    p_count.add_argument("--c", type=int, default=None, help="right-hand side encoding")
-    p_count.add_argument("--y", type=int, default=None, help="twist coefficient encoding")
-    p_count.add_argument("--n", type=int, required=True, help="number of variables")
+    rhs = p_count.add_mutually_exclusive_group(required=True)
+    rhs.add_argument("--c", type=int, default=None, help="right-hand side encoding")
+    rhs.add_argument("--y", type=int, default=None, help="twist coefficient encoding")
+    p_count.add_argument("--n", type=_int_at_least(1), required=True,
+                         help="number of variables")
     p_count.add_argument("--method", choices=["oracle", "closed", "cyclotomy",
                                               "expsum", "series"], default=None)
     p_count.add_argument("--all-methods", action="store_true",
@@ -324,12 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_series)
     p_series.add_argument("--c", type=int, default=None)
     p_series.add_argument("--y", type=int, default=None)
-    p_series.add_argument("--n", type=int, default=8, help="number of coefficients")
+    p_series.add_argument("--n", type=_int_at_least(1), default=8,
+                          help="number of coefficients")
     p_series.set_defaults(func=cmd_series)
 
     p_verify = subs.add_parser("verify", help="run the cross-validation suite")
     _add_common(p_verify, require_field=False)
-    p_verify.add_argument("--nmax", type=int, default=8)
+    p_verify.add_argument("--nmax", type=_int_at_least(2), default=8,
+                          help="largest n checked; the twisted counts need n >= 2")
     p_verify.add_argument("--expsums", action="store_true",
                           help="include exponential-sum checks")
     p_verify.add_argument("--break-t", action="store_true", help=argparse.SUPPRESS)
@@ -338,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = subs.add_parser("bench", help="compare method timings")
     _add_common(p_bench)
     p_bench.add_argument("--c", type=int, default=None)
-    p_bench.add_argument("--n", type=int, default=8, help="max variable count")
+    p_bench.add_argument("--n", type=_int_at_least(1), default=8,
+                         help="max variable count")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

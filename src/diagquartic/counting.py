@@ -16,7 +16,7 @@ import numpy as np
 
 from . import genfunc
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition, cyclo_dim_enum
-from .errors import TooLargeError, WrongResidueClassError, ZeroRHSError, QuarticYError
+from .errors import TooLargeError, WrongResidueClassError, ZeroRHSError
 from .field import Element, Field, GeneratorData, index_of
 
 ORACLE_COST_GUARD = 10**9
@@ -36,9 +36,6 @@ class PowerResidueProfile:
             counts[(x ** e).encode()] += 1
         self.counts = counts
 
-    def count(self, c: Element) -> int:
-        return self.counts[c.encode()]
-
 
 def power_profile(fld: Field, e: int) -> PowerResidueProfile:
     profile = PowerResidueProfile(fld, e)
@@ -47,13 +44,6 @@ def power_profile(fld: Field, e: int) -> PowerResidueProfile:
     assert all(c in (0, profile.d) for i, c in enumerate(profile.counts) if i != 0)
     assert sum(profile.counts) == fld.q
     return profile
-
-
-def quadratic_character(c: Element, gen: GeneratorData) -> int:
-    """eta(c): +1 on squares, -1 on non-squares, 0 at zero."""
-    if c.is_zero():
-        return 0
-    return 1 if index_of(c, gen) % 2 == 0 else -1
 
 
 def _addition_tables(fld: Field) -> np.ndarray:
@@ -152,9 +142,10 @@ def _eps(table, q: int, s: int, t: int, ind4: int) -> int:
 def count_small(c: Element, n: int, dec: QuarticDecomposition, fld: Field,
                 gen: GeneratorData) -> int:
     """Closed-form N_n(c) for 1 <= n <= 4, c != 0, q = 1 mod 4."""
-    q, s, t = fld.q, dec.s, dec.t
+    q = fld.q
     if q % 4 != 1:
         raise WrongResidueClassError(f"q = {q} is not 1 mod 4")
+    s, t = dec.s, dec.t
     if c.is_zero():
         raise ZeroRHSError("closed forms cover c != 0 only; use count_N for c = 0")
     i = index_of(c, gen) % 4
@@ -173,35 +164,10 @@ def count_small(c: Element, n: int, dec: QuarticDecomposition, fld: Field,
 
 def count_N(c: Element, n: int, fld: Field, gen: GeneratorData,
             dec: QuarticDecomposition | None = None) -> int:
-    """N_n(c), dispatched on the residue class of q.
-
-    q = 3 mod 4 uses the quadratic-form closed form (quartics coincide with
-    squares); q = 1 mod 4 expands the rational generating function.
-    """
+    """N_n(c), the coefficient of x^n in the generating function `gf_N`."""
     if n < 1:
         raise ValueError("n must be positive")
-    q = fld.q
-    if q % 4 == 3:
-        eta = lambda x: quadratic_character(x, gen)
-        minus_one = -fld.one()
-        if n % 2 == 0:
-            v = q - 1 if c.is_zero() else -1
-            return q ** (n - 1) + v * q ** ((n - 2) // 2) * eta(minus_one ** (n // 2))
-        return q ** (n - 1) + q ** ((n - 1) // 2) * eta((minus_one ** ((n - 1) // 2)) * c)
-    if dec is None:
-        dec = _dec_for(fld, gen)
     return genfunc.gf_N(fld, gen, dec, c).series(n)[n - 1]
-
-
-_DEC_CACHE: dict[tuple[Field, int], QuarticDecomposition] = {}
-
-
-def _dec_for(fld: Field, gen: GeneratorData) -> QuarticDecomposition:
-    from .cyclotomy import quartic_decomposition
-    key = (fld, gen.g.encode())
-    if key not in _DEC_CACHE:
-        _DEC_CACHE[key] = quartic_decomposition(fld, gen)
-    return _DEC_CACHE[key]
 
 
 def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
@@ -228,28 +194,7 @@ def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
 
 def count_M(y: Element, n: int, fld: Field, gen: GeneratorData,
             dec: QuarticDecomposition | None = None) -> int:
-    """M_n(y): zeros of x_1^4+...+x_{n-1}^4 + y*x_n^4 = 0, y non-quartic, n >= 2."""
+    """M_n(y) for y non-quartic and n >= 2: the coefficient of x^(n-1) in `gf_M`."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if genfunc.is_quartic(y, gen):
-        raise QuarticYError(f"y = {y!r} is zero or a fourth power")
-    q = fld.q
-    if q % 4 == 1 and dec is None:
-        dec = _dec_for(fld, gen)
-    if q % 4 == 1:
-        sign = fld.one() if (q - 1) // 4 % 2 == 0 else -fld.one()
-        value = (count_N(fld.zero(), n - 1, fld, gen, dec)
-                 + (q - 1) * count_N(sign * y, n - 1, fld, gen, dec))
-    else:
-        value = (count_N(fld.zero(), n - 1, fld, gen)
-                 + (q - 1) * count_N(fld.one(), n - 1, fld, gen))
-    from_series = genfunc.gf_M(fld, gen, dec, y).series(n - 1)[n - 2]
-    assert value == from_series, (
-        f"M_{n}({y!r}) mismatch: relation {value} vs series {from_series}")
-    return value
-
-
-def total_mass_check(fld: Field, gen: GeneratorData, n: int) -> bool:
-    """sum over c of N_n(c) must equal q^n."""
-    total = sum(count_N(fld.from_int(code), n, fld, gen) for code in range(fld.q))
-    return total == fld.q**n
+    return genfunc.gf_M(fld, gen, dec, y).series(n - 1)[n - 2]

@@ -298,13 +298,6 @@ class Element:
         return f"<{self.encode()} in F_{self.field.q}>"
 
 
-def element_arith(a: Element, b: Element, kind: str) -> Element:
-    """Dispatch helper used by the CLI: kind in {add, sub, mul, div}."""
-    ops = {"add": Element.__add__, "sub": Element.__sub__,
-           "mul": Element.__mul__, "div": Element.__truediv__}
-    return ops[kind](a, b)
-
-
 @dataclass
 class GeneratorData:
     """A generator of F_q^* with its order witness and optional index table."""

@@ -4,18 +4,19 @@ A generating function is stored as a sum of rational parts, each a pair of
 integer coefficient vectors (ascending powers, denominator constant term 1).
 Series expansion runs the denominator recurrence over exact integers, so a
 coefficient of index n costs O(n) big-int operations regardless of q.
+`gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomy import QuarticDecomposition
+from .cyclotomy import QuarticDecomposition, quartic_decomposition
 from .errors import BadDenominatorError, QuarticYError
 from .field import Element, Field, GeneratorData, index_of
 
 __all__ = [
-    "RationalPart", "RationalGF", "gf_N", "gf_M", "series",
+    "RationalPart", "RationalGF", "gf_N", "gf_M",
     "denominator_recurrence", "recurrence_check",
 ]
 
@@ -108,7 +109,8 @@ def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
             corr = RationalPart(num=(0, -1, 1), den=(1, 0, q))
         return RationalGF(parts=(_geometric(q), corr))
 
-    assert dec is not None, "q = 1 mod 4 requires the (s, t) decomposition"
+    if dec is None:
+        dec = quartic_decomposition(fld, gen)
     s, t = dec.s, dec.t
     den = _denominator(q, s)
     if c.is_zero():
@@ -136,28 +138,27 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
          y: Element) -> RationalGF:
     """Generating function of n -> M_{n+1}(y), zeros of x_1^4+...+x_n^4+y*x_{n+1}^4 = 0."""
     q = fld.q
-    if is_quartic(y, gen):
+    # One discrete log serves both the quartic test and the class of y;
+    # zero takes index 0 so that the test rejects it with the fourth powers.
+    ind = 0 if y.is_zero() else index_of(y, gen)
+    if ind % (4 if q % 4 == 1 else 2) == 0:
         raise QuarticYError(f"y = {y!r} is zero or a fourth power")
     if q % 4 == 3:
         return RationalGF(parts=(_geometric(q, scale=q),
                                  RationalPart(num=(0, q - 1), den=(1, 0, q))))
 
-    assert dec is not None
+    if dec is None:
+        dec = quartic_decomposition(fld, gen)
     s, t = dec.s, dec.t
     den = _denominator(q, s)
     if q % 8 == 1:
-        b1, b2, b3 = _correction_poly(q, s, t, index_of(y, gen) % 4)
+        b1, b2, b3 = _correction_poly(q, s, t, ind % 4)
         num = (0, (q - 1) * b1, (q - 1) * (3 + b2), (q - 1) * b3)
     else:
         # -1 = g^((q-1)/2) has index 2 mod 4 when q = 5 mod 8
-        b1, b2, b3 = _correction_poly(q, s, t, (index_of(y, gen) + 2) % 4)
+        b1, b2, b3 = _correction_poly(q, s, t, (ind + 2) % 4)
         num = (0, (q - 1) * b1, (q - 1) * (-1 + b2), (q - 1) * b3)
     return RationalGF(parts=(_geometric(q, scale=q), RationalPart(num=num, den=den)))
-
-
-def series(gf: RationalGF, count: int) -> list[int]:
-    """Coefficients c_1 .. c_count of the generating function's series."""
-    return gf.series(count)
 
 
 def denominator_recurrence(q: int, s: int) -> tuple[int, int, int, int]:

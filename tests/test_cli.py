@@ -82,6 +82,7 @@ class TestCountCommand:
         code, out = run(capsys, "count", "--p", "5", "--y", "2", "--n", "2", "--json")
         assert code == 0
         assert json.loads(out)["count"] == "1"
+        assert json.loads(out)["method"] == "series"
 
     def test_counts_are_decimal_strings(self, capsys):
         code, out = run(capsys, "count", "--p", "5", "--c", "0", "--n", "30", "--json")
@@ -89,6 +90,20 @@ class TestCountCommand:
         assert code == 0
         assert isinstance(payload["count"], str)
         assert int(payload["count"]) > 2**63  # needs arbitrary precision
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--p", "5", "--n", "3"],
+        ["count", "--p", "5", "--c", "1", "--y", "2", "--n", "3"],
+        ["count", "--p", "7", "--c", "1", "--n", "2", "--method", "closed"],
+        ["series", "--p", "5", "--n", "-3"],
+        ["bench", "--p", "5", "--n", "0"],
+        ["verify", "--p", "5", "--nmax", "1"],
+    ], ids=["count-no-rhs", "count-c-and-y", "closed-q7",
+            "series-n-neg", "bench-n0", "verify-nmax1"])
+    def test_exits_2(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 2
 
 
 class TestSeriesCommand:
@@ -111,6 +126,13 @@ class TestVerifyCommand:
                         "--nmax", "8", "--expsums", "--json")
         assert code == 0
         assert json.loads(out)["status"] == "pass"
+
+    def test_small_nmax(self, capsys):
+        code, out = run(capsys, "verify", "--p", "13", "--nmax", "3", "--json")
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert "q=13 oracle-equivalence n<=3" in names
+        assert "q=13 closed-form n<=3" in names
 
     def test_wrong_t_hook_fails(self, capsys):
         code, out = run(capsys, "verify", "--p", "13", "--m", "1", "--break-t",

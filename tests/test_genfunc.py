@@ -10,8 +10,8 @@ from diagquartic.genfunc import (
     denominator_recurrence,
     gf_M,
     gf_N,
+    is_quartic,
     recurrence_check,
-    series,
 )
 
 from conftest import field_data
@@ -63,13 +63,13 @@ class TestGfN:
         fd = any_field
         for code in range(fd.q):
             gf = gf_N(fd.field, fd.gen, fd.dec, fd.field.from_int(code))
-            got = series(gf, 8)
+            got = gf.series(8)
             assert got == [fd.oracle_N(code, n) for n in range(1, 9)], (fd.q, code)
 
     def test_q5_c0_series(self):
         fd = field_data(5, 1)
         gf = gf_N(fd.field, fd.gen, fd.dec, fd.field.zero())
-        assert series(gf, 5) == [1, 1, 1, 1, 1025]
+        assert gf.series(5) == [1, 1, 1, 1, 1025]
 
 
 class TestGfM:
@@ -79,14 +79,14 @@ class TestGfM:
         assert gf.parts[0] == RationalPart(num=(0, 5), den=(1, -5))
         assert gf.parts[1] == RationalPart(num=(0, -4, -24, 92),
                                            den=(1, 0, 10, 40, 205))
-        assert series(gf, 2) == [1, 1]
+        assert gf.series(2) == [1, 1]
 
     def test_q7_y3_parts(self):
         fd = field_data(7, 1)
         gf = gf_M(fd.field, fd.gen, None, fd.field.from_int(3))
         assert gf.parts[0] == RationalPart(num=(0, 7), den=(1, -7))
         assert gf.parts[1] == RationalPart(num=(0, 6), den=(1, 0, 7))
-        assert series(gf, 1) == [13]
+        assert gf.series(1) == [13]
 
     def test_series_equals_twisted_oracle(self, any_field):
         fd = any_field
@@ -95,7 +95,7 @@ class TestGfM:
             y = fd.field.from_int(code)
             if gfmod.is_quartic(y, fd.gen):
                 continue
-            got = series(gf_M(fd.field, fd.gen, fd.dec, y), 7)
+            got = gf_M(fd.field, fd.gen, fd.dec, y).series(7)
             expected = [fd.oracle_M(y, n + 1) for n in range(1, 8)]
             assert got == expected, (fd.q, code)
 
@@ -103,6 +103,18 @@ class TestGfM:
         fd = field_data(13, 1)
         with pytest.raises(QuarticYError):
             gf_M(fd.field, fd.gen, fd.dec, fd.field.from_int(3))  # 3 = g^4
+
+
+class TestMissingDecomposition:
+    def test_computed_when_omitted(self, field_1mod4):
+        fd = field_1mod4
+        for code in range(1, fd.q):
+            x = fd.field.from_int(code)
+            assert (gf_N(fd.field, fd.gen, None, x)
+                    == gf_N(fd.field, fd.gen, fd.dec, x))
+            if not is_quartic(x, fd.gen):
+                assert (gf_M(fd.field, fd.gen, None, x)
+                        == gf_M(fd.field, fd.gen, fd.dec, x))
 
 
 class TestCorrectionTables:
