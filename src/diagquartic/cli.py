@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: field, cyclotomic, count, series, verify, bench.
-`count` reads N_n(c) and M_n(y) from the generating-function series by
-default; `verify` checks that series against the oracle, the closed forms,
-the order-4 recurrence and the relation M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).
+`count` reads N_n(c) or M_n(y) by default as one coefficient of the
+generating function, in O(log n) polynomial products; `--method oracle` and
+`--all-methods` also work with `--y`.  `series` lists the first n
+coefficients.  `verify` checks the counts against the oracle, the closed
+forms, the order-4 recurrence and the relation
+M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).
 Elements cross the boundary as canonical integer encodings; counts are
 serialized as decimal strings so JSON consumers never overflow.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error.
@@ -27,7 +30,7 @@ from .cyclotomy import (
     cyclotomic_number_quartic,
     quartic_decomposition,
 )
-from .errors import DiagQuarticError
+from .errors import DiagQuarticError, MethodNotApplicableError, QuarticYError
 from .field import Field, find_generator
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
@@ -114,7 +117,17 @@ def cmd_cyclotomic(args) -> int:
 
 def _count_one(method: str, fld, gen, dec, c, y, n: int) -> int:
     if y is not None:
-        return counting.count_M(y, n, fld, gen, dec)
+        if method == "series":
+            return counting.count_M(y, n, fld, gen, dec)
+        if method != "oracle":
+            raise MethodNotApplicableError(
+                f"method {method} covers N_n(c) only; M_n(y) has oracle and series")
+        # the oracle counts any form; hold it to the domain of M_n(y) as count_M does
+        if n < 2:
+            raise ValueError("n must be at least 2")
+        if genfunc.is_quartic(y, gen):
+            raise QuarticYError(f"y = {y!r} is zero or a fourth power")
+        return counting.oracle_histogram(fld, [fld.one()] * (n - 1) + [y], 4)[0]
     if method == "oracle":
         return counting.oracle_count([fld.one()] * n, c, 4)
     if method == "closed":
@@ -129,6 +142,8 @@ def _count_one(method: str, fld, gen, dec, c, y, n: int) -> int:
 
 def _applicable_methods(fld, c, n: int) -> list[str]:
     methods = ["oracle", "series"]
+    if c is None:  # M_n(y)
+        return methods
     if fld.q % 4 == 1 and not c.is_zero() and 1 <= n <= 4:
         methods += ["closed", "cyclotomy"]
     if fld.q % 4 == 1 and not c.is_zero() and n <= expsums.RECONSTRUCT_MAX_N:
@@ -142,7 +157,7 @@ def cmd_count(args) -> int:
     y = fld.from_int(args.y) if args.y is not None else None
     payload = {"q": fld.q, "n": args.n}
     payload["c" if y is None else "y"] = args.c if y is None else args.y
-    if args.all_methods and y is None:
+    if args.all_methods:
         values = {}
         for method in _applicable_methods(fld, c, args.n):
             values[method] = str(_count_one(method, fld, gen, dec, c, y, args.n))
@@ -340,8 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = subs.add_parser("series", help="generating function and coefficients")
     _add_common(p_series)
-    p_series.add_argument("--c", type=int, default=None)
-    p_series.add_argument("--y", type=int, default=None)
+    rhs = p_series.add_mutually_exclusive_group()
+    rhs.add_argument("--c", type=int, default=None,
+                     help="right-hand side encoding (default 0)")
+    rhs.add_argument("--y", type=int, default=None, help="twist coefficient encoding")
     p_series.add_argument("--n", type=_int_at_least(1), default=8,
                           help="number of coefficients")
     p_series.set_defaults(func=cmd_series)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import genfunc
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition, cyclo_dim_enum
-from .errors import TooLargeError, WrongResidueClassError, ZeroRHSError
+from .errors import InvariantError, TooLargeError, WrongResidueClassError, ZeroRHSError
 from .field import Element, Field, GeneratorData, index_of
 
 ORACLE_COST_GUARD = 10**9
@@ -40,9 +40,13 @@ class PowerResidueProfile:
 def power_profile(fld: Field, e: int) -> PowerResidueProfile:
     profile = PowerResidueProfile(fld, e)
     # d-th power residue rule: w(0) = 1, w(c) in {0, d} for c != 0
-    assert profile.counts[0] == 1
-    assert all(c in (0, profile.d) for i, c in enumerate(profile.counts) if i != 0)
-    assert sum(profile.counts) == fld.q
+    counts = profile.counts
+    if counts[0] != 1:
+        raise InvariantError(f"x^{e} has {counts[0]} roots of 0 in F_{fld.q}")
+    if any(c not in (0, profile.d) for c in counts[1:]):
+        raise InvariantError(f"x^{e} breaks the {profile.d}-th power residue rule in F_{fld.q}")
+    if sum(counts) != fld.q:
+        raise InvariantError(f"x^{e} histogram sums to {sum(counts)}, not q = {fld.q}")
     return profile
 
 
@@ -73,6 +77,8 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
 
 def oracle_histogram(fld: Field, coeffs: list[Element], e: int) -> list[int]:
     """For each c (by encoding), the number of zeros of sum a_i x_i^e = c."""
+    if not coeffs:
+        raise ValueError("at least one variable required")
     if len(coeffs) * fld.q**2 > ORACLE_COST_GUARD:
         raise TooLargeError("oracle cost n*q^2 exceeds guard")
     base = power_profile(fld, e).counts
@@ -85,7 +91,6 @@ def oracle_histogram(fld: Field, coeffs: list[Element], e: int) -> list[int]:
             if cnt:
                 scaled[(a * fld.from_int(code)).encode()] += cnt
         hist = scaled if hist is None else _group_convolve(fld, hist, scaled)
-    assert hist is not None, "at least one variable required"
     return hist
 
 
@@ -167,7 +172,7 @@ def count_N(c: Element, n: int, fld: Field, gen: GeneratorData,
     """N_n(c), the coefficient of x^n in the generating function `gf_N`."""
     if n < 1:
         raise ValueError("n must be positive")
-    return genfunc.gf_N(fld, gen, dec, c).series(n)[n - 1]
+    return genfunc.gf_N(fld, gen, dec, c).coefficient(n)
 
 
 def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
@@ -197,4 +202,4 @@ def count_M(y: Element, n: int, fld: Field, gen: GeneratorData,
     """M_n(y) for y non-quartic and n >= 2: the coefficient of x^(n-1) in `gf_M`."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return genfunc.gf_M(fld, gen, dec, y).series(n - 1)[n - 2]
+    return genfunc.gf_M(fld, gen, dec, y).coefficient(n - 1)

@@ -16,6 +16,7 @@ from math import gcd, isqrt
 
 from .errors import (
     BadOrderError,
+    InvariantError,
     NonIntegralError,
     NotDivisibleError,
     TooLargeError,
@@ -77,7 +78,8 @@ def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecompositio
         s = (-p) ** (m // 2)
         return QuarticDecomposition(s=s, t=0)
     zeta = prime_subfield_residue(gen.g ** (3 * (q - 1) // 4))
-    assert (zeta * zeta + 1) % p == 0, "zeta must square to -1 mod p"
+    if (zeta * zeta + 1) % p != 0:
+        raise InvariantError(f"zeta = {zeta} does not square to -1 mod {p}")
     candidates = []
     for s in range(-isqrt(q), isqrt(q) + 1):
         if s % 4 != 1 or s % p == 0:
@@ -92,7 +94,7 @@ def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecompositio
             if (2 * t - s * zeta) % p == 0:
                 candidates.append(QuarticDecomposition(s=s, t=t))
     if len(candidates) != 1:
-        raise AssertionError(f"expected unique (s, t) for q = {q}, got {candidates}")
+        raise InvariantError(f"expected unique (s, t) for q = {q}, got {candidates}")
     return candidates[0]
 
 

@@ -14,6 +14,7 @@ from functools import reduce
 from .errors import (
     FieldMismatchError,
     FieldTooLargeError,
+    InvariantError,
     NotInPrimeSubfieldError,
     NotPrimeError,
     ZeroHasNoIndexError,
@@ -156,7 +157,7 @@ def minimal_irreducible(p: int, m: int) -> tuple[int, ...]:
         candidate = coeffs + [1]
         if is_irreducible(candidate, p):
             return tuple(candidate)
-    raise AssertionError(f"no irreducible of degree {m} over F_{p}")
+    raise InvariantError(f"no irreducible of degree {m} over F_{p}")
 
 
 class Field:
@@ -333,7 +334,8 @@ def find_generator(fld: Field, override: int | None = None) -> GeneratorData:
             if multiplicative_order_is_full(cand, factors):
                 g = cand
                 break
-        assert g is not None, "a generator always exists"
+        if g is None:
+            raise InvariantError(f"no generator of F_{fld.q}^* found")
     table = None
     if fld.q <= INDEX_TABLE_THRESHOLD:
         table = {}
@@ -374,7 +376,7 @@ def index_of(x: Element, gen: GeneratorData) -> int:
         if j is not None:
             return (i * mstep + j) % n
         gamma = gamma * giant_step
-    raise AssertionError("BSGS failed; generator invalid?")
+    raise InvariantError("BSGS failed; generator invalid?")
 
 
 def trace(x: Element) -> int:

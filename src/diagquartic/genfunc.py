@@ -2,8 +2,10 @@
 
 A generating function is stored as a sum of rational parts, each a pair of
 integer coefficient vectors (ascending powers, denominator constant term 1).
-Series expansion runs the denominator recurrence over exact integers, so a
-coefficient of index n costs O(n) big-int operations regardless of q.
+`coefficient(n)` reads one coefficient by Fiduccia's method, x^n modulo the
+reversed denominator, in O(log n) big-int polynomial products; `series(n)`
+runs the denominator recurrence and lists all n coefficients.  Both stay in
+exact integers.
 `gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None.
 """
 
@@ -42,12 +44,64 @@ class RationalPart:
             coeffs[n] = c
         return coeffs[1:]
 
+    def coefficient(self, n: int) -> int:
+        """Coefficient c_n of x^n, n >= 1, in O(log n) polynomial products.
+
+        Past the numerator the coefficients obey c_j = -sum_i den[i] c_(j-i).
+        With k = deg den, this holds for every j >= s + k, so c_n is the dot
+        product of c_s .. c_(s+k-1) with the remainder of x^(n-s) modulo the
+        monic reversed denominator (Fiduccia, SIAM J. Comput. 1985).  Taking
+        s >= 1 keeps every initial term inside `series`.
+        """
+        if n < 1:
+            raise ValueError(f"coefficient index must be at least 1, got {n}")
+        k = len(self.den) - 1
+        s = max(1, len(self.num) - k)
+        if n < s + k:
+            return self.series(n)[n - 1]
+        initial = self.series(s + k - 1)[s - 1:]
+        return sum(r * c for r, c in zip(_x_power_mod(n - s, self.den), initial))
+
+
+def _x_power_mod(e: int, den: tuple[int, ...]) -> list[int]:
+    """x^e modulo x^k + den[1] x^(k-1) + ... + den[k], as k ascending coefficients.
+
+    Left-to-right square-and-multiply; a product of degree < 2k is reduced
+    with x^i = -sum_j den[j] x^(i-j), from the top term down.
+    """
+    k = len(den) - 1
+
+    def reduced(poly: list[int]) -> list[int]:
+        for i in range(len(poly) - 1, k - 1, -1):
+            top = poly[i]
+            if top:
+                for j in range(1, k + 1):
+                    poly[i - j] -= top * den[j]
+        return poly[:k]
+
+    rem = reduced([1])  # x^0; empty when k = 0, as everything is 0 mod 1
+    for bit in bin(e)[2:]:
+        square = [0] * (2 * k - 1)
+        for i, a in enumerate(rem):
+            square[2 * i] += a * a
+            twice = 2 * a  # each cross term a_i a_j, i < j, is taken once
+            for j in range(i + 1, len(rem)):
+                square[i + j] += twice * rem[j]
+        rem = reduced(square)
+        if bit == "1":
+            rem = reduced([0] + rem)
+    return rem
+
 
 @dataclass(frozen=True)
 class RationalGF:
     """A sum of rational parts; its series is the elementwise sum of part series."""
 
     parts: tuple[RationalPart, ...]
+
+    def coefficient(self, n: int) -> int:
+        """Coefficient of x^n, n >= 1: the sum of the parts' coefficients."""
+        return sum(part.coefficient(n) for part in self.parts)
 
     def series(self, count: int) -> list[int]:
         total = [0] * count

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from diagquartic import counting
 from diagquartic.cli import main
 
 
@@ -84,6 +85,31 @@ class TestCountCommand:
         assert json.loads(out)["count"] == "1"
         assert json.loads(out)["method"] == "series"
 
+    def test_twisted_oracle_method(self, capsys, monkeypatch):
+        def series_must_not_run(*args):
+            raise AssertionError("count_M called for --method oracle")
+        monkeypatch.setattr(counting, "count_M", series_must_not_run)
+        code, out = run(capsys, "count", "--p", "7", "--y", "3", "--n", "3",
+                        "--method", "oracle", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["method"], payload["count"]) == ("oracle", "49")
+
+    def test_twisted_all_methods(self, capsys):
+        code, out = run(capsys, "count", "--p", "13", "--y", "2", "--n", "4",
+                        "--all-methods", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["methods"] == {"oracle": "2689", "series": "2689"}
+        assert (payload["agree"], payload["count"]) == (True, "2689")
+
+    def test_twisted_all_methods_disagreement_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "count_M", lambda *args: 0)
+        code, out = run(capsys, "count", "--p", "13", "--y", "2", "--n", "4",
+                        "--all-methods", "--json")
+        assert code == 1
+        assert json.loads(out)["agree"] is False
+
     def test_counts_are_decimal_strings(self, capsys):
         code, out = run(capsys, "count", "--p", "5", "--c", "0", "--n", "30", "--json")
         payload = json.loads(out)
@@ -100,8 +126,16 @@ class TestInputErrors:
         ["series", "--p", "5", "--n", "-3"],
         ["bench", "--p", "5", "--n", "0"],
         ["verify", "--p", "5", "--nmax", "1"],
+        ["count", "--p", "5", "--y", "2", "--n", "3", "--method", "closed"],
+        ["count", "--p", "5", "--y", "2", "--n", "3", "--method", "cyclotomy"],
+        ["count", "--p", "5", "--y", "2", "--n", "3", "--method", "expsum"],
+        ["series", "--p", "5", "--c", "1", "--y", "2", "--n", "3"],
+        ["count", "--p", "13", "--y", "3", "--n", "3", "--method", "oracle"],
+        ["count", "--p", "13", "--y", "2", "--n", "1", "--method", "oracle"],
     ], ids=["count-no-rhs", "count-c-and-y", "closed-q7",
-            "series-n-neg", "bench-n0", "verify-nmax1"])
+            "series-n-neg", "bench-n0", "verify-nmax1", "closed-y",
+            "cyclotomy-y", "expsum-y", "series-c-and-y", "oracle-quartic-y",
+            "oracle-y-n1"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 

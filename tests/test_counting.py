@@ -1,8 +1,12 @@
 """Solution counts: oracle, closed forms, cyclotomic assembly, twisted forms."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from diagquartic import genfunc
+from diagquartic import counting, genfunc
 from diagquartic.counting import (
     brute_force_count,
     count_M,
@@ -10,9 +14,15 @@ from diagquartic.counting import (
     count_small,
     count_via_cyclotomy,
     oracle_count,
+    oracle_histogram,
     power_profile,
 )
-from diagquartic.errors import QuarticYError, WrongResidueClassError, ZeroRHSError
+from diagquartic.errors import (
+    InvariantError,
+    QuarticYError,
+    WrongResidueClassError,
+    ZeroRHSError,
+)
 
 from conftest import field_data
 
@@ -39,6 +49,15 @@ class TestPowerProfile:
     def test_total_mass(self, any_field):
         prof = power_profile(any_field.field, 4)
         assert sum(prof.counts) == any_field.q
+
+    def test_broken_residue_rule_raises(self, monkeypatch):
+        class Broken(counting.PowerResidueProfile):
+            def __init__(self, fld, e):
+                super().__init__(fld, e)
+                self.counts[1] += 1
+        monkeypatch.setattr(counting, "PowerResidueProfile", Broken)
+        with pytest.raises(InvariantError):
+            power_profile(field_data(5, 1).field, 4)
 
     def test_quadratic_character(self, any_field):
         fd = any_field
@@ -76,6 +95,23 @@ class TestOracle:
         coeffs = [fd.field.from_int(2), fd.field.from_int(5), fd.field.from_int(7)]
         c = fd.field.from_int(3)
         assert oracle_count(coeffs, c, 4) == brute_force_count(coeffs, c, 4)
+
+    def test_no_variables_rejected(self):
+        with pytest.raises(ValueError):
+            oracle_histogram(field_data(5, 1).field, [], 4)
+
+    def test_no_variables_rejected_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        script = ("from diagquartic.counting import oracle_histogram\n"
+                  "from diagquartic.field import Field\n"
+                  "try:\n"
+                  "    oracle_histogram(Field(5, 1), [], 4)\n"
+                  "except ValueError:\n"
+                  "    print('ValueError')\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-O", "-c", script], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout.strip()) == (0, "ValueError"), done.stderr
 
     def test_quadratic_exponent(self):
         fd = field_data(7, 1)

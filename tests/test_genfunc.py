@@ -34,6 +34,47 @@ class TestRationalPart:
         assert combined.series(10) == expected
 
 
+class TestCoefficient:
+    def test_matches_series(self, any_field):
+        fd = any_field
+        k = 4 if fd.q % 4 == 1 else 2
+        reps = [fd.field.zero()] + [fd.gen.g ** i for i in range(k)]
+        for rep in reps:
+            gfs = [gf_N(fd.field, fd.gen, fd.dec, rep)]
+            if not is_quartic(rep, fd.gen):
+                gfs.append(gf_M(fd.field, fd.gen, fd.dec, rep))
+            for gf in gfs:
+                expected = gf.series(40)
+                assert [gf.coefficient(n) for n in range(1, 41)] == expected, (fd.q, rep)
+
+    @pytest.mark.parametrize("p", [13, 7], ids=["q=13", "q=7"])
+    def test_large_n(self, p):
+        fd = field_data(p, 1)
+        y = fd.gen.g
+        for gf in (gf_N(fd.field, fd.gen, fd.dec, fd.field.one()),
+                   gf_M(fd.field, fd.gen, fd.dec, y)):
+            assert gf.coefficient(2345) == gf.series(2345)[-1]
+
+    def test_geometric_part(self):
+        part = RationalPart(num=(0, 3), den=(1, -5))  # 3x / (1 - 5x)
+        assert [part.coefficient(n) for n in range(1, 30)] == [
+            3 * 5 ** (n - 1) for n in range(1, 30)]
+
+    def test_numerator_as_long_as_denominator(self):
+        # the q = 3 mod 4, c = 0 correction part of gf_N, q = 7
+        part = RationalPart(num=(0, 0, -6), den=(1, 0, 7))
+        assert [part.coefficient(n) for n in range(1, 30)] == part.series(29)
+
+    def test_before_the_recurrence_starts(self):
+        # s = 5, k = 2: indices below s + k come from the numerator directly
+        part = RationalPart(num=(0, 2, -1, 7, 4, 9, -3, 5), den=(1, 3, -2))
+        assert [part.coefficient(n) for n in range(1, 30)] == part.series(29)
+
+    def test_index_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            RationalPart(num=(0, 1), den=(1, -5)).coefficient(0)
+
+
 class TestGfN:
     def test_q5_c0_parts(self):
         fd = field_data(5, 1)
