@@ -1,7 +1,8 @@
 """Counting zeros of diagonal quartic forms x_1^4 + ... + x_n^4 = c over F_{p^m}.
 
 Modules:
-    field     -- F_{p^m} arithmetic, generators, discrete logs, traces
+    field     -- F_{p^m} arithmetic, generators, quartic classes by Euler's
+                 criterion, discrete logs, traces
     cyclotomy -- cyclotomic classes and numbers, the (s, t) decomposition
     counting  -- solution counts: oracle, closed forms, cyclotomic assembly
     genfunc   -- rational generating functions and their series expansion
@@ -9,13 +10,13 @@ Modules:
     cli       -- command-line front end
 """
 
-from .field import Field, find_generator, index_of, trace
+from .field import Field, find_generator, index_of, quartic_class, trace
 from .cyclotomy import QuarticDecomposition, quartic_decomposition
 from .counting import count_M, count_N, count_small, oracle_count
 from .genfunc import gf_M, gf_N
 
 __all__ = [
-    "Field", "find_generator", "index_of", "trace",
+    "Field", "find_generator", "index_of", "quartic_class", "trace",
     "QuarticDecomposition", "quartic_decomposition",
     "count_M", "count_N", "count_small", "oracle_count",
     "gf_M", "gf_N",

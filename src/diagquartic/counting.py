@@ -17,9 +17,11 @@ import numpy as np
 from . import genfunc
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition, cyclo_dim_enum
 from .errors import InvariantError, TooLargeError, WrongResidueClassError, ZeroRHSError
-from .field import Element, Field, GeneratorData, index_of
+from .field import Element, Field, GeneratorData, quartic_class
 
 ORACLE_COST_GUARD = 10**9
+# Bound on the bytes of the oracle's q x q addition table (q <= 5792).
+ORACLE_TABLE_BYTES_GUARD = 2**28
 
 
 class PowerResidueProfile:
@@ -51,9 +53,15 @@ def power_profile(fld: Field, e: int) -> PowerResidueProfile:
 
 
 def _addition_tables(fld: Field) -> np.ndarray:
-    """enc(a + b) for all encoding pairs, as a q x q int array."""
+    """enc(a + b) for all encoding pairs, as a q x q int array.
+
+    Filled row by row, so no q x q list of Python ints is held beside it.
+    """
     els = [fld.from_int(i) for i in range(fld.q)]
-    return np.array([[(a + b).encode() for b in els] for a in els], dtype=np.intp)
+    table = np.empty((fld.q, fld.q), dtype=np.intp)
+    for i, a in enumerate(els):
+        table[i] = [(a + b).encode() for b in els]
+    return table
 
 
 _ADD_TABLE_CACHE: dict[Field, np.ndarray] = {}
@@ -81,6 +89,10 @@ def oracle_histogram(fld: Field, coeffs: list[Element], e: int) -> list[int]:
         raise ValueError("at least one variable required")
     if len(coeffs) * fld.q**2 > ORACLE_COST_GUARD:
         raise TooLargeError("oracle cost n*q^2 exceeds guard")
+    table_bytes = fld.q**2 * np.dtype(np.intp).itemsize
+    if table_bytes > ORACLE_TABLE_BYTES_GUARD:
+        raise TooLargeError(f"oracle addition table of {table_bytes} bytes exceeds "
+                            f"guard {ORACLE_TABLE_BYTES_GUARD}")
     base = power_profile(fld, e).counts
     hist = None
     for a in coeffs:
@@ -153,7 +165,7 @@ def count_small(c: Element, n: int, dec: QuarticDecomposition, fld: Field,
     s, t = dec.s, dec.t
     if c.is_zero():
         raise ZeroRHSError("closed forms cover c != 0 only; use count_N for c = 0")
-    i = index_of(c, gen) % 4
+    i = quartic_class(c, gen)
     if n == 1:
         return 4 if i == 0 else 0
     if n == 2:
@@ -189,7 +201,7 @@ def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
     if not 1 <= n <= 4:
         raise ValueError("cyclotomic route covers n in 1..4")
     cls = classes or CyclotomicClasses(fld, gen, 4)
-    i = index_of(c, gen) % 4
+    i = quartic_class(c, gen)
     inv_index = (4 - i) % 4
     total = 0
     for j in range(1, n + 1):

@@ -23,7 +23,7 @@ from .errors import (
     WrongResidueClassError,
     ZeroCoefficientError,
 )
-from .field import Element, Field, GeneratorData, index_of, prime_subfield_residue
+from .field import Element, Field, GeneratorData, prime_subfield_residue
 
 ENUM_COST_GUARD = 10**8
 

@@ -3,6 +3,11 @@
 Elements are coefficient vectors over Z/p in the basis 1, x, ..., x^{m-1}.
 Every element has a canonical integer encoding sum(c_i * p^i), a bijection
 onto [0, q-1], used in all I/O.
+
+`quartic_class` gives the cyclotomic class ind_g(x) mod gcd(4, q-1) by
+Euler's criterion, one power of x and no discrete log; the counts need
+nothing more.  `index_of` is the full discrete log: a lookup in an index
+table built on its first call for q <= 2^16, baby-step/giant-step above.
 """
 
 from __future__ import annotations
@@ -286,6 +291,8 @@ class Element:
     def __pow__(self, e: int) -> Element:
         if e < 0:
             return self.inverse() ** (-e)
+        if self.field.m == 1:
+            return Element(self.field, (pow(self.coeffs[0], e, self.field.p),))
         result = self.field.one()
         base = self
         while e:
@@ -301,10 +308,17 @@ class Element:
 
 @dataclass
 class GeneratorData:
-    """A generator of F_q^* with its order witness and optional index table."""
+    """A generator g of F_q^* with its order witness and class roots.
+
+    `class_roots[i]` is the encoding of g^(i(q-1)/d), d = gcd(4, q-1): the
+    d-th roots of unity that `quartic_class` looks x^((q-1)/d) up in.
+    `index_table` maps encodings to discrete logs; `index_of` fills it on its
+    first call when q <= 2^16.
+    """
 
     g: Element
     order_factorization: dict[int, int]
+    class_roots: tuple[int, ...]
     index_table: dict[int, int] | None = dc_field(default=None, repr=False)
 
     @property
@@ -336,14 +350,10 @@ def find_generator(fld: Field, override: int | None = None) -> GeneratorData:
                 break
         if g is None:
             raise InvariantError(f"no generator of F_{fld.q}^* found")
-    table = None
-    if fld.q <= INDEX_TABLE_THRESHOLD:
-        table = {}
-        acc = fld.one()
-        for i in range(fld.q - 1):
-            table[acc.encode()] = i
-            acc = acc * g
-    return GeneratorData(g=g, order_factorization=factors, index_table=table)
+    d = math.gcd(4, fld.q - 1)
+    root = g ** ((fld.q - 1) // d)
+    return GeneratorData(g=g, order_factorization=factors,
+                         class_roots=tuple((root ** i).encode() for i in range(d)))
 
 
 def all_generators(fld: Field):
@@ -355,13 +365,35 @@ def all_generators(fld: Field):
             yield cand
 
 
-def index_of(x: Element, gen: GeneratorData) -> int:
-    """Discrete log base g, in [0, q-2].  Table lookup or baby-step/giant-step."""
+def quartic_class(x: Element, gen: GeneratorData) -> int:
+    """ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion.
+
+    x^((q-1)/d) is the d-th root of unity g^(i(q-1)/d) exactly when
+    ind_g(x) = i mod d (Lidl & Niederreiter, Finite Fields, ch. 9).
+    """
     if x.is_zero():
         raise ZeroHasNoIndexError("ind_g(0) is undefined")
-    if gen.index_table is not None:
-        return gen.index_table[x.encode()]
+    d = len(gen.class_roots)
+    return gen.class_roots.index((x ** ((x.field.q - 1) // d)).encode())
+
+
+def index_of(x: Element, gen: GeneratorData) -> int:
+    """Discrete log base g, in [0, q-2].  Table lookup or baby-step/giant-step.
+
+    For q <= 2^16 the first call builds the index table on `gen`.
+    """
+    if x.is_zero():
+        raise ZeroHasNoIndexError("ind_g(0) is undefined")
     fld = x.field
+    if fld.q <= INDEX_TABLE_THRESHOLD:
+        if gen.index_table is None:
+            table = {}
+            acc = fld.one()
+            for i in range(fld.q - 1):
+                table[acc.encode()] = i
+                acc = acc * gen.g
+            gen.index_table = table
+        return gen.index_table[x.encode()]
     n = fld.q - 1
     mstep = math.isqrt(n - 1) + 1
     baby: dict[int, int] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cyclotomy import QuarticDecomposition, quartic_decomposition
 from .errors import BadDenominatorError, QuarticYError
-from .field import Element, Field, GeneratorData, index_of
+from .field import Element, Field, GeneratorData, quartic_class
 
 __all__ = [
     "RationalPart", "RationalGF", "gf_N", "gf_M",
@@ -147,7 +147,7 @@ def correction_table(q: int, s: int, t: int) -> dict[int, tuple[int, int, int]]:
 
 
 def is_square(c: Element, gen: GeneratorData) -> bool:
-    return c.is_zero() or index_of(c, gen) % 2 == 0
+    return c.is_zero() or quartic_class(c, gen) % 2 == 0
 
 
 def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
@@ -174,7 +174,7 @@ def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
             num = (0, 0, -(q - 1), -6 * s * (q - 1), -(9 * q - 4 * s * s) * (q - 1))
         return RationalGF(parts=(_geometric(q), RationalPart(num=num, den=den)))
 
-    b1, b2, b3 = _correction_poly(q, s, t, index_of(c, gen) % 4)
+    b1, b2, b3 = _correction_poly(q, s, t, quartic_class(c, gen))
     lead = (q - 4 * s * s) if q % 8 == 1 else (9 * q - 4 * s * s)
     num = (0, b1, b2, 6 * s + b3, lead)
     return RationalGF(parts=(_geometric(q), RationalPart(num=num, den=den)))
@@ -182,20 +182,17 @@ def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
 
 def is_quartic(y: Element, gen: GeneratorData) -> bool:
     """Fourth-power test; for q = 3 mod 4 quartics coincide with squares."""
-    if y.is_zero():
-        return True
-    d = 4 if y.field.q % 4 == 1 else 2
-    return index_of(y, gen) % d == 0
+    return y.is_zero() or quartic_class(y, gen) == 0
 
 
 def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
          y: Element) -> RationalGF:
     """Generating function of n -> M_{n+1}(y), zeros of x_1^4+...+x_n^4+y*x_{n+1}^4 = 0."""
     q = fld.q
-    # One discrete log serves both the quartic test and the class of y;
-    # zero takes index 0 so that the test rejects it with the fourth powers.
-    ind = 0 if y.is_zero() else index_of(y, gen)
-    if ind % (4 if q % 4 == 1 else 2) == 0:
+    # One class serves both the quartic test and the correction row; zero
+    # takes class 0 so that the test rejects it with the fourth powers.
+    ind = 0 if y.is_zero() else quartic_class(y, gen)
+    if ind == 0:
         raise QuarticYError(f"y = {y!r} is zero or a fourth power")
     if q % 4 == 3:
         return RationalGF(parts=(_geometric(q, scale=q),
@@ -206,7 +203,7 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     s, t = dec.s, dec.t
     den = _denominator(q, s)
     if q % 8 == 1:
-        b1, b2, b3 = _correction_poly(q, s, t, ind % 4)
+        b1, b2, b3 = _correction_poly(q, s, t, ind)
         num = (0, (q - 1) * b1, (q - 1) * (3 + b2), (q - 1) * b3)
     else:
         # -1 = g^((q-1)/2) has index 2 mod 4 when q = 5 mod 8

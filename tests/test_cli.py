@@ -1,6 +1,10 @@
 """CLI subcommands: output schema, agreement checks, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,22 @@ class TestInputErrors:
             "oracle-y-n1"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv, code", [
+        (["field", "--p", "13", "--json"], 0),
+        (["count", "--p", "5", "--n", "3"], 2),
+    ], ids=["field-json", "usage-error"])
+    def test_python_m(self, argv, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "diagquartic", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert json.loads(done.stdout)["q"] == 13
 
 
 class TestSeriesCommand:

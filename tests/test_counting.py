@@ -20,9 +20,12 @@ from diagquartic.counting import (
 from diagquartic.errors import (
     InvariantError,
     QuarticYError,
+    TooLargeError,
     WrongResidueClassError,
     ZeroRHSError,
 )
+
+from diagquartic.field import Field
 
 from conftest import field_data
 
@@ -112,6 +115,13 @@ class TestOracle:
         done = subprocess.run([sys.executable, "-O", "-c", script], cwd=src,
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout.strip()) == (0, "ValueError"), done.stderr
+
+    def test_addition_table_memory_guard(self):
+        # 2 q^2 passes the cost guard, but the q x q table would take 3.7 GiB
+        fld = Field(22349, 1)
+        assert 2 * fld.q**2 <= counting.ORACLE_COST_GUARD
+        with pytest.raises(TooLargeError):
+            oracle_histogram(fld, [fld.one(), fld.one()], 4)
 
     def test_quadratic_exponent(self):
         fd = field_data(7, 1)

@@ -1,4 +1,6 @@
-"""Field construction, arithmetic, generators, indices and traces."""
+"""Field construction, arithmetic, generators, indices, classes and traces."""
+
+from math import gcd
 
 import pytest
 
@@ -16,6 +18,7 @@ from diagquartic.field import (
     is_irreducible,
     minimal_irreducible,
     prime_subfield_residue,
+    quartic_class,
     trace,
 )
 
@@ -94,6 +97,24 @@ class TestArithmetic:
         assert (f13.from_int(2) ** 9).encode() == 5
         assert (f13.from_int(7) ** 0) == f13.one()
 
+    @pytest.mark.parametrize("p", [5, 13, 65521])
+    def test_prime_field_pow_matches_repeated_multiplication(self, p):
+        fld = Field(p, 1)
+        one = fld.one()
+        for code in (0, 1, 2, p - 1, p // 3):
+            x = fld.from_int(code)
+            inv = fld.from_int(pow(code, -1, p)) if code else None
+            assert inv is None or x * inv == one
+            for e in range(-5, 12):
+                if e < 0 and inv is None:
+                    with pytest.raises(ZeroDivisionError):
+                        x ** e
+                    continue
+                expected = one
+                for _ in range(abs(e)):
+                    expected = expected * (x if e >= 0 else inv)
+                assert x ** e == expected, (code, e)
+
     def test_generator_lagrange(self, any_field):
         g = any_field.gen.g
         assert g ** (any_field.q - 1) == any_field.field.one()
@@ -153,6 +174,8 @@ class TestIndex:
         f5 = Field(5, 1)
         with pytest.raises(ZeroHasNoIndexError):
             index_of(f5.zero(), find_generator(f5))
+        with pytest.raises(ZeroHasNoIndexError):
+            quartic_class(f5.zero(), find_generator(f5))
 
     def test_index_inverts_pow(self, any_field):
         gen = any_field.gen
@@ -167,6 +190,40 @@ class TestIndex:
         assert gen.index_table is None
         for e in (0, 1, 12345, 65535):
             assert index_of(gen.g ** e, gen) == e
+
+
+    def test_index_table_built_on_first_call(self):
+        fld = Field(65521, 1)
+        gen = find_generator(fld)
+        assert gen.index_table is None
+        for e in (0, 1, 12345, 65519):
+            assert index_of(gen.g ** e, gen) == e
+        assert len(gen.index_table) == fld.q - 1
+
+
+class TestQuarticClass:
+    def test_matches_index_of(self, any_field):
+        fld = any_field.field
+        q = fld.q
+        d = gcd(4, q - 1)
+        # g^(q-2) = g^-1 generates too, and reverses every class
+        inverse_g = find_generator(fld, override=(any_field.gen.g ** (q - 2)).encode())
+        for gen in (any_field.gen, inverse_g):
+            assert len(gen.class_roots) == d
+            for code in range(1, q):
+                x = fld.from_int(code)
+                assert quartic_class(x, gen) == index_of(x, gen) % d, (gen.g, code)
+
+    @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12), (7, 7)])
+    def test_matches_bsgs(self, p, m):
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        d = gcd(4, fld.q - 1)
+        samples = [fld.from_int(code) for code in range(1, fld.q, fld.q // 5)]
+        samples += [gen.g ** e for e in (1, 2, 3, 12345)]
+        for x in samples:
+            assert quartic_class(x, gen) == index_of(x, gen) % d, x
+        assert gen.index_table is None
 
 
 class TestTrace:
