@@ -83,8 +83,9 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
     return out
 
 
-def oracle_histogram(fld: Field, coeffs: list[Element], e: int) -> list[int]:
-    """For each c (by encoding), the number of zeros of sum a_i x_i^e = c."""
+def oracle_histograms(fld: Field, coeffs: list[Element], e: int):
+    """After each a_k, yield the zero counts of a_1 x_1^e + ... + a_k x_k^e = c
+    for each c (by encoding); only the latest histogram is held."""
     if not coeffs:
         raise ValueError("at least one variable required")
     if len(coeffs) * fld.q**2 > ORACLE_COST_GUARD:
@@ -103,6 +104,13 @@ def oracle_histogram(fld: Field, coeffs: list[Element], e: int) -> list[int]:
             if cnt:
                 scaled[(a * fld.from_int(code)).encode()] += cnt
         hist = scaled if hist is None else _group_convolve(fld, hist, scaled)
+        yield hist
+
+
+def oracle_histogram(fld: Field, coeffs: list[Element], e: int) -> list[int]:
+    """For each c (by encoding), the number of zeros of sum a_i x_i^e = c."""
+    for hist in oracle_histograms(fld, coeffs, e):
+        pass
     return hist
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition
 from .errors import NotNearIntegerError, ResidualTooLargeError, WrongResidueClassError
 from .field import Element, Field, GeneratorData, trace
+from .genfunc import denominator
 
 ORTHOGONALITY_TOL = 1e-9
 POLY_RESIDUAL_TOL = 1e-6
@@ -55,17 +56,11 @@ def build_table(fld: Field, gen: GeneratorData) -> GaussSumTable:
     return GaussSumTable(field=fld, gen=gen, classes=classes, T=T)
 
 
-def gauss_sum_polynomial(q: int, s: int) -> tuple[int, int, int, int, int]:
-    """Monic quartic (coefficients of x^4..x^0) whose roots are the T_{g^l}."""
-    if q % 8 == 1:
-        return (1, 0, -6 * q, 8 * q * s, q * q - 4 * q * s * s)
-    return (1, 0, 2 * q, 8 * q * s, 9 * q * q - 4 * q * s * s)
-
-
 def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition, q: int,
                    tol: float = POLY_RESIDUAL_TOL) -> list[float]:
-    """Residual |P(T_{g^l})| for each l; raises if any exceeds tol * q^2."""
-    coeffs = gauss_sum_polynomial(q, dec.s)
+    """Residual |P(T_{g^l})| for each l, P = `denominator` read from x^4 down;
+    raises if any exceeds tol * q^2."""
+    coeffs = denominator(q, dec.s)
     residuals = []
     for T in table.T:
         val = 0j

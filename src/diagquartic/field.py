@@ -6,14 +6,14 @@ onto [0, q-1], used in all I/O.
 
 `quartic_class` gives the cyclotomic class ind_g(x) mod gcd(4, q-1) by
 Euler's criterion, one power of x and no discrete log; the counts need
-nothing more.  `index_of` is the full discrete log: a lookup in an index
-table built on its first call for q <= 2^16, baby-step/giant-step above.
+nothing more.  `index_of` is the full discrete log, by baby-step/giant-step
+for every q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
@@ -26,7 +26,6 @@ from .errors import (
 )
 
 DEFAULT_FIELD_BOUND = 2**20
-INDEX_TABLE_THRESHOLD = 2**16
 
 
 def is_prime(n: int) -> bool:
@@ -291,16 +290,11 @@ class Element:
     def __pow__(self, e: int) -> Element:
         if e < 0:
             return self.inverse() ** (-e)
-        if self.field.m == 1:
-            return Element(self.field, (pow(self.coeffs[0], e, self.field.p),))
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        f = self.field
+        if f.m == 1:
+            return Element(f, (pow(self.coeffs[0], e, f.p),))
+        power = _poly_powmod(list(self.coeffs), e, list(f.modulus), f.p)
+        return Element(f, tuple(power + [0] * (f.m - len(power))))
 
     def __repr__(self) -> str:
         return f"<{self.encode()} in F_{self.field.q}>"
@@ -312,14 +306,11 @@ class GeneratorData:
 
     `class_roots[i]` is the encoding of g^(i(q-1)/d), d = gcd(4, q-1): the
     d-th roots of unity that `quartic_class` looks x^((q-1)/d) up in.
-    `index_table` maps encodings to discrete logs; `index_of` fills it on its
-    first call when q <= 2^16.
     """
 
     g: Element
     order_factorization: dict[int, int]
     class_roots: tuple[int, ...]
-    index_table: dict[int, int] | None = dc_field(default=None, repr=False)
 
     @property
     def field(self) -> Field:
@@ -342,12 +333,7 @@ def find_generator(fld: Field, override: int | None = None) -> GeneratorData:
         if g.is_zero() or not multiplicative_order_is_full(g, factors):
             raise ValueError(f"element {override} does not generate F_{fld.q}^*")
     else:
-        g = None
-        for code in range(1, fld.q):
-            cand = fld.from_int(code)
-            if multiplicative_order_is_full(cand, factors):
-                g = cand
-                break
+        g = next(all_generators(fld), None)
         if g is None:
             raise InvariantError(f"no generator of F_{fld.q}^* found")
     d = math.gcd(4, fld.q - 1)
@@ -378,22 +364,10 @@ def quartic_class(x: Element, gen: GeneratorData) -> int:
 
 
 def index_of(x: Element, gen: GeneratorData) -> int:
-    """Discrete log base g, in [0, q-2].  Table lookup or baby-step/giant-step.
-
-    For q <= 2^16 the first call builds the index table on `gen`.
-    """
+    """Discrete log base g, in [0, q-2], by baby-step/giant-step; keeps no table."""
     if x.is_zero():
         raise ZeroHasNoIndexError("ind_g(0) is undefined")
     fld = x.field
-    if fld.q <= INDEX_TABLE_THRESHOLD:
-        if gen.index_table is None:
-            table = {}
-            acc = fld.one()
-            for i in range(fld.q - 1):
-                table[acc.encode()] = i
-                acc = acc * gen.g
-            gen.index_table = table
-        return gen.index_table[x.encode()]
     n = fld.q - 1
     mstep = math.isqrt(n - 1) + 1
     baby: dict[int, int] = {}

@@ -19,7 +19,7 @@ from .field import Element, Field, GeneratorData, quartic_class
 
 __all__ = [
     "RationalPart", "RationalGF", "gf_N", "gf_M",
-    "denominator_recurrence", "recurrence_check",
+    "denominator", "denominator_recurrence", "recurrence_check",
 ]
 
 
@@ -116,7 +116,9 @@ def _geometric(q: int, scale: int = 1) -> RationalPart:
     return RationalPart(num=(0, scale), den=(1, -q))
 
 
-def _denominator(q: int, s: int) -> tuple[int, ...]:
+def denominator(q: int, s: int) -> tuple[int, ...]:
+    """Denominator of `gf_N` and `gf_M` (coefficients of 1 .. x^4); read from
+    x^4 down, the monic quartic whose roots are the Gauss sums T_{g^l}."""
     if q % 8 == 1:
         return (1, 0, -6 * q, 8 * q * s, q * q - 4 * q * s * s)
     return (1, 0, 2 * q, 8 * q * s, 9 * q * q - 4 * q * s * s)
@@ -166,7 +168,7 @@ def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     if dec is None:
         dec = quartic_decomposition(fld, gen)
     s, t = dec.s, dec.t
-    den = _denominator(q, s)
+    den = denominator(q, s)
     if c.is_zero():
         if q % 8 == 1:
             num = (0, 0, 3 * (q - 1), -6 * s * (q - 1), -(q - 4 * s * s) * (q - 1))
@@ -201,7 +203,7 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     if dec is None:
         dec = quartic_decomposition(fld, gen)
     s, t = dec.s, dec.t
-    den = _denominator(q, s)
+    den = denominator(q, s)
     if q % 8 == 1:
         b1, b2, b3 = _correction_poly(q, s, t, ind)
         num = (0, (q - 1) * b1, (q - 1) * (3 + b2), (q - 1) * b3)
@@ -214,7 +216,7 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
 
 def denominator_recurrence(q: int, s: int) -> tuple[int, int, int, int]:
     """Recurrence coefficients (d_1..d_4) with D(n) = -sum d_i * D(n-i)."""
-    den = _denominator(q, s)
+    den = denominator(q, s)
     return (den[1], den[2], den[3], den[4])
 
 

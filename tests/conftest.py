@@ -2,7 +2,7 @@
 
 import pytest
 
-from diagquartic.counting import _group_convolve, oracle_histogram
+from diagquartic.counting import oracle_histograms
 from diagquartic.cyclotomy import CyclotomicClasses, quartic_decomposition
 from diagquartic.field import Field, find_generator
 
@@ -29,23 +29,26 @@ class FieldData:
             self.dec = None
             self.classes = None
         # histograms[n-1][enc(c)] = N(x_1^4 + ... + x_n^4 = c)
-        single = oracle_histogram(self.field, [self.field.one()], 4)
-        self.histograms = [single]
-        for _ in range(NMAX - 1):
-            self.histograms.append(
-                _group_convolve(self.field, self.histograms[-1], single))
+        self.histograms = list(oracle_histograms(self.field, [self.field.one()] * NMAX, 4))
 
     def oracle_N(self, code, n):
         return self.histograms[n - 1][code]
 
     def oracle_M(self, y, n):
-        """Zeros of x_1^4 + ... + x_{n-1}^4 + y x_n^4 = 0 from cached prefixes."""
-        scaled = [0] * self.q
-        single = self.histograms[0]
-        for code, cnt in enumerate(single):
-            if cnt:
-                scaled[(y * self.field.from_int(code)).encode()] += cnt
-        return _group_convolve(self.field, self.histograms[n - 2], scaled)[0]
+        return split_off_count(self.field, self.histograms, y, n)
+
+
+def split_off_count(fld, histograms, y, n):
+    """Zeros of x_1^4 + ... + x_{n-1}^4 + y x_n^4 = 0, by splitting off x_n.
+
+    `histograms[k-1]` is the oracle histogram of x_1^4 + ... + x_k^4.  The
+    count is the sum over x_n of N_{n-1}(-y x_n^4), with the x_n grouped by
+    the value u = x_n^4.
+    """
+    neg_y = -y
+    prefix = histograms[n - 2]
+    return sum(cnt * prefix[(neg_y * fld.from_int(u)).encode()]
+               for u, cnt in enumerate(histograms[0]) if cnt)
 
 
 _CACHE: dict[tuple[int, int], FieldData] = {}

@@ -188,7 +188,7 @@ def test_criterion_9_bench_sanity():
     c = fd.field.one()
     gf = genfunc.gf_N(fd.field, fd.gen, fd.dec, c)
 
-    # warm caches (addition table, index table)
+    # warm caches (addition table)
     counting.oracle_count([fd.field.one()] * 8, c, 4)
 
     t_oracle = min(

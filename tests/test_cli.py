@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from diagquartic import counting
+from diagquartic import cli, counting
 from diagquartic.cli import main
+from diagquartic.errors import InvariantError
 
 
 def run(capsys, *argv):
@@ -142,6 +143,22 @@ class TestInputErrors:
             "oracle-y-n1"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
+
+
+def _injected_defect(*args):
+    raise InvariantError("injected defect")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("command", ["field", "verify"])
+    def test_invariant_error_exits_3(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "quartic_decomposition", _injected_defect)
+        assert run(capsys, command, "--p", "13")[0] == 3
+
+    def test_invariant_error_in_verify_checks_exits_3(self, capsys, monkeypatch):
+        # raised inside a field's checks, it is not filed as an aborted check
+        monkeypatch.setattr(cli, "cyclotomic_number_quartic", _injected_defect)
+        assert run(capsys, "verify", "--p", "13", "--json")[0] == 3
 
 
 class TestModuleEntryPoint:

@@ -10,13 +10,13 @@ from diagquartic.errors import ResidualTooLargeError
 from diagquartic.expsums import (
     additive_character,
     build_table,
-    gauss_sum_polynomial,
     orthogonality_residuals,
     quartic_gauss_sum,
     reconstruct_N,
     verify_gauss_sum_roots,
 )
 from diagquartic.field import index_of
+from diagquartic.genfunc import denominator
 
 from conftest import field_data
 
@@ -65,7 +65,7 @@ class TestQuarticGaussSum:
 class TestGaussSumPolynomial:
     def test_q5_polynomial(self):
         fd = field_data(5, 1)
-        assert gauss_sum_polynomial(5, fd.dec.s) == (1, 0, 10, 40, 205)
+        assert denominator(5, fd.dec.s) == (1, 0, 10, 40, 205)
 
     def test_residuals_small(self, field_1mod4):
         fd = field_1mod4

@@ -3,10 +3,12 @@
 import pytest
 
 from diagquartic.errors import BadDenominatorError, QuarticYError
+from diagquartic.expsums import build_table
 from diagquartic.genfunc import (
     RationalGF,
     RationalPart,
     correction_table,
+    denominator,
     denominator_recurrence,
     gf_M,
     gf_N,
@@ -200,11 +202,11 @@ class TestRecurrence:
 
 class TestDenominatorBridge:
     def test_reversal_of_gauss_sum_polynomial(self, field_1mod4):
-        # denominator coefficients are the reversed Gauss-sum quartic
-        from diagquartic.expsums import gauss_sum_polynomial
-        from diagquartic.genfunc import _denominator
+        # den(x) = prod over l of (1 - T_{g^l} x), the reversal of the quartic
+        # whose roots are the numeric Gauss sums, counted with multiplicity
         fd = field_1mod4
-        poly = gauss_sum_polynomial(fd.q, fd.dec.s)  # coefficients of x^4 .. x^0
-        den = _denominator(fd.q, fd.dec.s)          # coefficients of 1 .. x^4
-        # den(x) = x^4 * poly(1/x): the two storage orders cancel out
-        assert poly == den
+        expanded = [1]
+        for T in build_table(fd.field, fd.gen).T:
+            expanded = [a - T * b for a, b in zip(expanded + [0], [0] + expanded)]
+        den = denominator(fd.q, fd.dec.s)
+        assert all(abs(a - b) < 1e-9 * fd.q * fd.q for a, b in zip(expanded, den))
