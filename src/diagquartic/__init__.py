@@ -2,7 +2,8 @@
 
 Modules:
     field     -- F_{p^m} arithmetic, generators, quartic classes by Euler's
-                 criterion, discrete logs, traces
+                 criterion, discrete logs, traces; the addition and trace
+                 tables and the additive convolution over them
     cyclotomy -- cyclotomic classes and numbers, the (s, t) decomposition
     counting  -- solution counts: oracle, closed forms, cyclotomic assembly
     genfunc   -- rational generating functions and their series expansion

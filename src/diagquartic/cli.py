@@ -26,12 +26,17 @@ from . import counting, expsums, genfunc
 from .cyclotomy import (
     CyclotomicClasses,
     QuarticDecomposition,
-    cyclo_dim_enum,
     cyclotomic_number_enum,
     cyclotomic_number_quartic,
     quartic_decomposition,
 )
-from .errors import DiagQuarticError, InvariantError, MethodNotApplicableError, QuarticYError
+from .errors import (
+    DiagQuarticError,
+    InvariantError,
+    MethodNotApplicableError,
+    NonIntegralError,
+    QuarticYError,
+)
 from .field import Field, find_generator
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
@@ -103,17 +108,25 @@ def cmd_cyclotomic(args) -> int:
     cls = CyclotomicClasses(fld, gen, 4)
     f_even = cls.f % 2 == 0
     entries = []
-    agree = True
+    first_failure = None
     for i in range(4):
         for j in range(4):
-            closed = cyclotomic_number_quartic(i, j, dec, fld.q, f_even)
             enum = cyclotomic_number_enum(i, j, 4, fld, gen, cls)
-            agree = agree and closed == enum
+            detail = ""
+            try:
+                closed = cyclotomic_number_quartic(i, j, dec, fld.q, f_even)
+            except NonIntegralError as exc:  # an inconsistent (s, t), not bad input
+                closed, detail = None, str(exc)
             entries.append({"i": i, "j": j, "closed": closed, "enumerated": enum})
+            if closed != enum and first_failure is None:
+                first_failure = {"i": i, "j": j, "s": dec.s, "t": dec.t, "closed": closed,
+                                 "enumerated": enum, "detail": detail}
     payload = {"q": fld.q, "g": gen.g.encode(), "s": dec.s, "t": dec.t,
                "f_parity": "even" if f_even else "odd", "entries": entries}
+    if first_failure is not None:
+        payload["first_failure"] = first_failure
     print(json.dumps(payload, indent=2) if args.json else json.dumps(payload))
-    return 0 if agree else 1
+    return 0 if first_failure is None else 1
 
 
 def _count_one(method: str, fld, gen, dec, c, y, n: int) -> int:

@@ -12,16 +12,24 @@ from __future__ import annotations
 import itertools
 from math import comb, gcd
 
-import numpy as np
-
 from . import genfunc
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition, cyclo_dim_enum
 from .errors import InvariantError, TooLargeError, WrongResidueClassError, ZeroRHSError
-from .field import Element, Field, GeneratorData, quartic_class
-
-ORACLE_COST_GUARD = 10**9
-# Bound on the bytes of the oracle's q x q addition table (q <= 5792).
-ORACLE_TABLE_BYTES_GUARD = 2**28
+# The convolution primitive and its guards live in `field`.  They keep their
+# names here: the benchmark tracer (perfbench/tracer.py) binds
+# counting._group_convolve and counting._addition_tables.
+from .field import (  # noqa: F401
+    _ADD_TABLE_CACHE,
+    ORACLE_COST_GUARD,
+    ORACLE_TABLE_BYTES_GUARD,
+    Element,
+    Field,
+    GeneratorData,
+    _addition_tables,
+    _group_convolve,
+    check_convolution_cost,
+    quartic_class,
+)
 
 
 class PowerResidueProfile:
@@ -52,48 +60,12 @@ def power_profile(fld: Field, e: int) -> PowerResidueProfile:
     return profile
 
 
-def _addition_tables(fld: Field) -> np.ndarray:
-    """enc(a + b) for all encoding pairs, as a q x q int array.
-
-    Filled row by row, so no q x q list of Python ints is held beside it.
-    """
-    els = [fld.from_int(i) for i in range(fld.q)]
-    table = np.empty((fld.q, fld.q), dtype=np.intp)
-    for i, a in enumerate(els):
-        table[i] = [(a + b).encode() for b in els]
-    return table
-
-
-_ADD_TABLE_CACHE: dict[Field, np.ndarray] = {}
-
-
-def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
-    """Additive convolution over (F_q, +): out[a+b] += h1[a] * h2[b]."""
-    table = _ADD_TABLE_CACHE.get(fld)
-    if table is None:
-        table = _addition_tables(fld)
-        _ADD_TABLE_CACHE[fld] = table
-    out = [0] * fld.q
-    for a, v in enumerate(h1):
-        if v:
-            row = table[a]
-            for b, w in enumerate(h2):
-                if w:
-                    out[row[b]] += v * w
-    return out
-
-
 def oracle_histograms(fld: Field, coeffs: list[Element], e: int):
     """After each a_k, yield the zero counts of a_1 x_1^e + ... + a_k x_k^e = c
     for each c (by encoding); only the latest histogram is held."""
     if not coeffs:
         raise ValueError("at least one variable required")
-    if len(coeffs) * fld.q**2 > ORACLE_COST_GUARD:
-        raise TooLargeError("oracle cost n*q^2 exceeds guard")
-    table_bytes = fld.q**2 * np.dtype(np.intp).itemsize
-    if table_bytes > ORACLE_TABLE_BYTES_GUARD:
-        raise TooLargeError(f"oracle addition table of {table_bytes} bytes exceeds "
-                            f"guard {ORACLE_TABLE_BYTES_GUARD}")
+    check_convolution_cost(fld, len(coeffs))
     base = power_profile(fld, e).counts
     hist = None
     for a in coeffs:

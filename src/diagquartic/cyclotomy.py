@@ -2,14 +2,14 @@
 
 Order-4 numbers come in two flavors: exact enumeration over the classes, and
 the classical closed-form A-E table driven by the decomposition q = s^2 + 4t^2.
-Dimension-n numbers [i_1, ..., i_n]_k are likewise available by enumeration,
-by reduction to ordinary cyclotomic numbers, and (for equal indices, k = 4)
-in closed form.
+Dimension-n numbers [i_1, ..., i_n]_k are likewise available exactly, as the
+value at 1 of the additive convolution of the class indicator vectors (the
+oracle's own primitive, `field._group_convolve`), by reduction to ordinary
+cyclotomic numbers, and (for equal indices, k = 4) in closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, isqrt
@@ -19,13 +19,17 @@ from .errors import (
     InvariantError,
     NonIntegralError,
     NotDivisibleError,
-    TooLargeError,
     WrongResidueClassError,
     ZeroCoefficientError,
 )
-from .field import Element, Field, GeneratorData, prime_subfield_residue
-
-ENUM_COST_GUARD = 10**8
+from .field import (
+    Element,
+    Field,
+    GeneratorData,
+    _group_convolve,
+    check_convolution_cost,
+    prime_subfield_residue,
+)
 
 
 def linear_congruence_count(a: list[int], b: int, r: int) -> int:
@@ -169,21 +173,22 @@ def cyclotomic_number_quartic(i: int, j: int, dec: QuarticDecomposition,
 
 def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData,
                    classes: CyclotomicClasses | None = None) -> int:
-    """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1."""
+    """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1.
+
+    The count is the value at 1 of 1_{C_{i_1}} * ... * 1_{C_{i_n}}, the
+    additive convolution of the class indicator vectors, in exact integers.
+    """
+    if not indices:
+        raise ValueError("at least one index required")
+    check_convolution_cost(fld, len(indices))
     cls = classes or CyclotomicClasses(fld, gen, k)
-    n = len(indices)
-    if cls.f**n > ENUM_COST_GUARD:
-        raise TooLargeError(f"f^n = {cls.f}^{n} exceeds the enumeration guard")
-    one = fld.one()
-    pools = [cls.classes[i % k] for i in indices]
-    count = 0
-    for combo in itertools.product(*pools):
-        total = combo[0]
-        for x in combo[1:]:
-            total = total + x
-        if total == one:
-            count += 1
-    return count
+    hist = None
+    for i in indices:
+        indicator = [0] * fld.q
+        for x in cls.classes[i % k]:
+            indicator[x.encode()] = 1
+        hist = indicator if hist is None else _group_convolve(fld, hist, indicator)
+    return hist[fld.one().encode()]
 
 
 def cyclo_dim2(i1: int, i2: int, k: int, fld: Field, gen: GeneratorData,

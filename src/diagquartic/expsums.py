@@ -4,6 +4,11 @@ Everything here is double-precision verification machinery: the exact counting
 paths never depend on it.  Tolerances scale with q (orthogonality sums), q^2
 (polynomial residuals) and q^(n/2) (reconstruction) because the sums grow with
 sqrt(q) per factor.
+
+`build_table` reads psi off `field.trace_table` and sums it once per class:
+the four Gauss periods eta_l = sum over w in C_l of psi(w) give both
+T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.  `additive_character`
+and `quartic_gauss_sum` stay as the literal sums the tests compare against.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition
 from .errors import NotNearIntegerError, ResidualTooLargeError, WrongResidueClassError
-from .field import Element, Field, GeneratorData, trace
+from .field import Element, Field, GeneratorData, quartic_class, trace, trace_table
 from .genfunc import denominator
 
 ORTHOGONALITY_TOL = 1e-9
@@ -36,24 +43,38 @@ def quartic_gauss_sum(u: Element) -> complex:
 
 @dataclass
 class GaussSumTable:
-    """The four class sums T_{g^l} and the lambda_l(c) class character sums."""
+    """The four class sums T_{g^l} and the Gauss periods they come from."""
 
     field: Field
     gen: GeneratorData
     classes: CyclotomicClasses
     T: tuple[complex, complex, complex, complex]
+    eta: tuple[complex, complex, complex, complex]
 
     def lambda_sum(self, l: int, c: Element) -> complex:
-        """lambda_l(c) = sum over x in C_l of psi(-x*c)."""
-        return sum(additive_character(-(x * c)) for x in self.classes.classes[l % 4])
+        """lambda_l(c) = sum over x in C_l of psi(-x*c).
+
+        For c != 0, x -> -x*c maps C_l onto C_{l + ind(-c)}, so the sum is
+        the Gauss period eta_{l + ind(-c)}; at c = 0 it is f = |C_l|.
+        """
+        if c.is_zero():
+            return complex(self.classes.f)
+        return self.eta[(l + quartic_class(-c, self.gen)) % 4]
 
 
 def build_table(fld: Field, gen: GeneratorData) -> GaussSumTable:
+    """Gauss periods eta_l from the trace table, and T_{g^l} = 1 + 4 eta_l.
+
+    v -> v^4 maps F_q^* 4-to-1 onto C_0, so T_{g^l} = psi(0) + 4 sum over
+    w in C_0 of psi(g^l w), and g^l C_0 = C_l.
+    """
     if fld.q % 4 != 1:
         raise WrongResidueClassError(f"q = {fld.q} is not 1 mod 4")
     classes = CyclotomicClasses(fld, gen, 4)
-    T = tuple(quartic_gauss_sum(gen.g ** l) for l in range(4))
-    return GaussSumTable(field=fld, gen=gen, classes=classes, T=T)
+    psi = np.exp(2j * np.pi * trace_table(fld) / fld.p)
+    eta = tuple(complex(psi[[x.encode() for x in cls]].sum()) for cls in classes.classes)
+    T = tuple(1 + 4 * e for e in eta)
+    return GaussSumTable(field=fld, gen=gen, classes=classes, T=T, eta=eta)
 
 
 def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition, q: int,

@@ -8,6 +8,12 @@ onto [0, q-1], used in all I/O.
 Euler's criterion, one power of x and no discrete log; the counts need
 nothing more.  `index_of` is the full discrete log, by baby-step/giant-step
 for every q.
+
+Jobs that touch every element read whole-field tables built from the q x m
+array of base-p digits of the encodings: `_group_convolve`, the one additive
+convolution over (F_q, +) that the oracle and the dimension-n cyclotomic
+numbers share, reads the addition table; `trace_table` holds Tr(x) mod p for
+every encoding.  Both caches are bounded in bytes.
 """
 
 from __future__ import annotations
@@ -16,16 +22,24 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 from .errors import (
     FieldMismatchError,
     FieldTooLargeError,
     InvariantError,
     NotInPrimeSubfieldError,
     NotPrimeError,
+    TooLargeError,
     ZeroHasNoIndexError,
 )
 
 DEFAULT_FIELD_BOUND = 2**20
+# Bound on n*q^2, the work of n convolutions over (F_q, +).
+ORACLE_COST_GUARD = 10**9
+# Bound on the bytes of the q x q addition table (q <= 5792), and on the
+# arrays each table cache holds together.
+ORACLE_TABLE_BYTES_GUARD = 2**28
 
 
 def is_prime(n: int) -> bool:
@@ -224,9 +238,6 @@ class Field:
     def one(self) -> Element:
         return Element(self, (1,) + (0,) * (self.m - 1))
 
-    def scalar(self, c: int) -> Element:
-        return Element(self, (c % self.p,) + (0,) * (self.m - 1))
-
     def elements(self):
         """All q elements, in encoding order."""
         return (self.from_int(i) for i in range(self.q))
@@ -398,3 +409,86 @@ def prime_subfield_residue(x: Element) -> int:
     if any(c != 0 for c in x.coeffs[1:]):
         raise NotInPrimeSubfieldError(f"{x!r} has nonzero higher coefficients")
     return x.coeffs[0]
+
+
+# ---------------------------------------------------------------------------
+# Whole-field tables over the canonical encodings.
+# ---------------------------------------------------------------------------
+
+def _digits(fld: Field) -> np.ndarray:
+    """The q x m array of base-p digits of every encoding, lowest first."""
+    codes = np.arange(fld.q, dtype=np.int64)
+    return np.stack([codes // fld.p**i % fld.p for i in range(fld.m)], axis=1)
+
+
+def _bounded_get(cache: dict, fld: Field, build) -> np.ndarray:
+    """cache[fld], built on a miss.  Once the arrays in the cache exceed
+    ORACLE_TABLE_BYTES_GUARD bytes together, the oldest entries go first."""
+    table = cache.get(fld)
+    if table is None:
+        table = build(fld)
+        table.setflags(write=False)
+        cache[fld] = table
+        while (len(cache) > 1
+               and sum(t.nbytes for t in cache.values()) > ORACLE_TABLE_BYTES_GUARD):
+            del cache[next(iter(cache))]
+    return table
+
+
+def check_convolution_cost(fld: Field, n: int) -> None:
+    """Raise TooLargeError unless n convolutions over F_q, and the q x q
+    addition table they read, fit the cost and byte guards."""
+    if n * fld.q**2 > ORACLE_COST_GUARD:
+        raise TooLargeError(f"convolution cost n*q^2 = {n}*{fld.q}^2 exceeds guard")
+    table_bytes = fld.q**2 * np.dtype(np.intp).itemsize
+    if table_bytes > ORACLE_TABLE_BYTES_GUARD:
+        raise TooLargeError(f"addition table of {table_bytes} bytes exceeds "
+                            f"guard {ORACLE_TABLE_BYTES_GUARD}")
+
+
+def _addition_tables(fld: Field) -> np.ndarray:
+    """enc(a + b) for all encoding pairs, as a q x q int array.
+
+    Addition is digitwise mod p, so row a is sum_i ((d_i(a) + d_i(b)) mod p) p^i
+    over all b, computed from the digit array one row at a time.
+    """
+    digits = _digits(fld)
+    weights = fld.p ** np.arange(fld.m, dtype=np.int64)
+    table = np.empty((fld.q, fld.q), dtype=np.intp)
+    for a in range(fld.q):
+        table[a] = ((digits[a] + digits) % fld.p) @ weights
+    return table
+
+
+_ADD_TABLE_CACHE: dict[Field, np.ndarray] = {}
+
+
+def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
+    """Additive convolution over (F_q, +): out[a+b] += h1[a] * h2[b]."""
+    table = _bounded_get(_ADD_TABLE_CACHE, fld, _addition_tables)
+    out = [0] * fld.q
+    for a, v in enumerate(h1):
+        if v:
+            row = table[a]
+            for b, w in enumerate(h2):
+                if w:
+                    out[row[b]] += v * w
+    return out
+
+
+_TRACE_TABLE_CACHE: dict[Field, np.ndarray] = {}
+
+
+def _trace_table(fld: Field) -> np.ndarray:
+    basis = np.array([trace(fld.element([0] * i + [1])) for i in range(fld.m)],
+                     dtype=np.int64)
+    return (_digits(fld) @ basis) % fld.p
+
+
+def trace_table(fld: Field) -> np.ndarray:
+    """Tr(x) mod p for every encoding x, as a read-only int64 array.
+
+    Tr is F_p-linear, so the table is digits @ (Tr(1), Tr(a), ..., Tr(a^(m-1)))
+    mod p, a the root of the modulus: m calls to `trace` per field.
+    """
+    return _bounded_get(_TRACE_TABLE_CACHE, fld, _trace_table)

@@ -19,7 +19,7 @@ from .field import Element, Field, GeneratorData, quartic_class
 
 __all__ = [
     "RationalPart", "RationalGF", "gf_N", "gf_M",
-    "denominator", "denominator_recurrence", "recurrence_check",
+    "denominator", "recurrence_check",
 ]
 
 
@@ -214,16 +214,13 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     return RationalGF(parts=(_geometric(q, scale=q), RationalPart(num=num, den=den)))
 
 
-def denominator_recurrence(q: int, s: int) -> tuple[int, int, int, int]:
-    """Recurrence coefficients (d_1..d_4) with D(n) = -sum d_i * D(n-i)."""
-    den = denominator(q, s)
-    return (den[1], den[2], den[3], den[4])
-
-
 def recurrence_check(fld: Field, gen: GeneratorData, dec: QuarticDecomposition,
                      c: Element, nmax: int, counts: list[int] | None = None
                      ) -> list[int]:
     """Residuals of the order-4 recurrence on D(n) = N_n(c) - q^(n-1), n = 5..nmax.
+
+    The recurrence is D(n) = -(d_1 D(n-1) + ... + d_4 D(n-4)), where
+    (1, d_1, ..., d_4) = `denominator(q, s)`.
 
     `counts` may supply precomputed N_1..N_nmax (e.g. from the oracle);
     otherwise the series expansion provides them.  All residuals must be zero.
@@ -236,7 +233,7 @@ def recurrence_check(fld: Field, gen: GeneratorData, dec: QuarticDecomposition,
     if counts is None:
         counts = gf_N(fld, gen, dec, c).series(nmax)
     dvals = [counts[n - 1] - q ** (n - 1) for n in range(1, nmax + 1)]
-    d1, d2, d3, d4 = denominator_recurrence(q, dec.s)
+    _, d1, d2, d3, d4 = denominator(q, dec.s)
     residuals = []
     for n in range(5, nmax + 1):
         i = n - 1

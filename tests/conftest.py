@@ -1,4 +1,6 @@
-"""Shared fixtures: test fields and cached oracle histograms."""
+"""Shared fixtures: test fields, cached oracle histograms and literal checks."""
+
+import itertools
 
 import pytest
 
@@ -49,6 +51,20 @@ def split_off_count(fld, histograms, y, n):
     prefix = histograms[n - 2]
     return sum(cnt * prefix[(neg_y * fld.from_int(u)).encode()]
                for u, cnt in enumerate(histograms[0]) if cnt)
+
+
+def literal_cyclo_dim(indices, k, fld, classes):
+    """[i_1, ..., i_n]_k by literal enumeration of C_{i_1} x ... x C_{i_n}:
+    f^n tuples of field elements, each summed and compared with 1."""
+    one = fld.one()
+    pools = [classes.classes[i % k] for i in indices]
+    count = 0
+    for combo in itertools.product(*pools):
+        total = combo[0]
+        for x in combo[1:]:
+            total = total + x
+        count += total == one
+    return count
 
 
 _CACHE: dict[tuple[int, int], FieldData] = {}

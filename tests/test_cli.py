@@ -67,6 +67,14 @@ class TestCyclotomicCommand:
     def test_q3_mod4_rejected(self, capsys):
         assert run(capsys, "cyclotomic", "--p", "7")[0] == 2
 
+    def test_wrong_t_exits_1_with_witness(self, capsys):
+        # q = 13 has (s, t) = (-3, -1); t + 1 makes (0, 1)_4 non-integral
+        code, out = run(capsys, "cyclotomic", "--p", "13", "--break-t", "--json")
+        assert code == 1
+        failure = json.loads(out)["first_failure"]
+        assert (failure["i"], failure["j"], failure["s"], failure["t"]) == (0, 1, -3, 0)
+        assert failure["closed"] is None and failure["enumerated"] == 1
+
 
 class TestCountCommand:
     def test_all_methods_agree(self, capsys):

@@ -25,7 +25,7 @@ from diagquartic.errors import (
     ZeroRHSError,
 )
 
-from diagquartic.field import Field
+from diagquartic.field import Field, quartic_class
 
 from conftest import field_data
 
@@ -122,6 +122,19 @@ class TestOracle:
         assert 2 * fld.q**2 <= counting.ORACLE_COST_GUARD
         with pytest.raises(TooLargeError):
             oracle_histogram(fld, [fld.one(), fld.one()], 4)
+
+    def test_exact_past_int64(self):
+        # N_25(c) on q = 13 is about 13^24 > 2^63: both routes stay exact
+        fd = field_data(13, 1)
+        one = fd.field.one()
+        reps = [0] + [next(code for code in range(1, 13)
+                           if quartic_class(fd.field.from_int(code), fd.gen) == i)
+                      for i in range(4)]
+        hist = oracle_histogram(fd.field, [one] * 25, 4)
+        for code in reps:
+            c = fd.field.from_int(code)
+            assert hist[code] > 2**63
+            assert count_N(c, 25, fd.field, fd.gen, fd.dec) == hist[code], code
 
     def test_quadratic_exponent(self):
         fd = field_data(7, 1)

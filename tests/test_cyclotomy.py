@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from diagquartic import field as field_module
 from diagquartic.cyclotomy import (
     CyclotomicClasses,
     QuarticDecomposition,
@@ -22,12 +23,13 @@ from diagquartic.errors import (
     BadOrderError,
     NonIntegralError,
     NotDivisibleError,
+    TooLargeError,
     WrongResidueClassError,
     ZeroCoefficientError,
 )
 from diagquartic.field import Field, find_generator
 
-from conftest import field_data
+from conftest import field_data, literal_cyclo_dim
 
 
 class TestCongruenceCounts:
@@ -170,6 +172,30 @@ class TestDimensionN:
         assert cyclo_dim_enum([0, 0], 4, fd.field, fd.gen, fd.classes) == 0
         assert cyclo_dim_enum([1, 1, 1], 4, fd.field, fd.gen, fd.classes) == 3
         assert cyclo_dim_enum([0, 0, 0, 0], 4, fd.field, fd.gen, fd.classes) == 12
+
+    @pytest.mark.parametrize("p, m, k", [(5, 1, 4), (3, 2, 4), (13, 1, 4), (13, 1, 2)],
+                             ids=["q=5", "q=9", "q=13", "q=13-k=2"])
+    def test_matches_literal_enumeration(self, p, m, k):
+        fd = field_data(p, m)
+        cls = fd.classes if k == 4 else CyclotomicClasses(fd.field, fd.gen, k)
+        for n in range(1, 5):
+            for idx in itertools.product(range(k), repeat=n):
+                assert (cyclo_dim_enum(list(idx), k, fd.field, fd.gen, cls)
+                        == literal_cyclo_dim(idx, k, fd.field, cls)), (fd.q, k, idx)
+
+    def test_guard_before_addition_table(self, monkeypatch):
+        # the q x q table of q = 5801 would take 269 MB, past the byte guard
+        def refuse(fld):
+            raise RuntimeError(f"addition table built for q = {fld.q}")
+        monkeypatch.setattr(field_module, "_addition_tables", refuse)
+        fld = Field(5801, 1)
+        with pytest.raises(TooLargeError):
+            cyclo_dim_enum([0, 1], 4, fld, find_generator(fld))
+
+    def test_no_indices_rejected(self):
+        fd = field_data(5, 1)
+        with pytest.raises(ValueError):
+            cyclo_dim_enum([], 4, fd.field, fd.gen, fd.classes)
 
     def test_q5_quadruple_empty(self):
         fd = field_data(5, 1)

@@ -103,6 +103,15 @@ class TestLambdaSums:
             total = sum(table.lambda_sum(l, c) for l in range(4))
             assert abs(total + 1) < 1e-9 * fd.q
 
+    def test_matches_literal_sum(self, field_1mod4):
+        # lambda_l(c) = sum over x in C_l of psi(-x*c), summed term by term
+        fd = field_1mod4
+        table = build_table(fd.field, fd.gen)
+        for c in fd.field.elements():
+            for l in range(4):
+                literal = sum(additive_character(-(x * c)) for x in fd.classes.classes[l])
+                assert abs(table.lambda_sum(l, c) - literal) < 1e-9 * fd.q, (fd.q, l, c)
+
     def test_q5_lambda0(self):
         fd = field_data(5, 1)
         table = build_table(fd.field, fd.gen)

@@ -2,8 +2,10 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 
+from diagquartic import field as field_module
 from diagquartic.errors import (
     FieldMismatchError,
     FieldTooLargeError,
@@ -20,6 +22,7 @@ from diagquartic.field import (
     prime_subfield_residue,
     quartic_class,
     trace,
+    trace_table,
 )
 
 
@@ -247,6 +250,46 @@ class TestTrace:
         fld = any_field.field
         for code in range(0, fld.q, max(1, fld.q // 11)):
             assert 0 <= trace(fld.from_int(code)) < fld.p
+
+
+    def test_trace_table_matches_trace(self, any_field):
+        fld = any_field.field
+        table = trace_table(fld)
+        assert [int(t) for t in table] == [trace(x) for x in fld.elements()]
+
+
+class TestAdditionTable:
+    def test_matches_element_addition(self, any_field):
+        fld = any_field.field
+        table = field_module._addition_tables(fld)
+        els = list(fld.elements())
+        assert all(table[a.encode(), b.encode()] == (a + b).encode()
+                   for a in els for b in els)
+
+    def test_cache_evicts_oldest_past_byte_guard(self, monkeypatch):
+        builds = []
+        build = field_module._addition_tables
+
+        def counted(fld):
+            builds.append(fld.q)
+            return build(fld)
+        f5, f7, f9 = Field(5, 1), Field(7, 1), Field(3, 2)
+        itemsize = np.dtype(np.intp).itemsize
+        monkeypatch.setattr(field_module, "_addition_tables", counted)
+        monkeypatch.setattr(field_module, "_ADD_TABLE_CACHE", {})
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD",
+                            (7**2 + 9**2) * itemsize)
+
+        def touch(fld):
+            delta = [1] + [0] * (fld.q - 1)
+            field_module._group_convolve(fld, delta, delta)
+            return list(field_module._ADD_TABLE_CACHE)
+        assert touch(f5) == [f5]
+        assert touch(f7) == [f5, f7]
+        assert touch(f9) == [f7, f9]
+        assert touch(f7) == [f7, f9]
+        assert touch(f5) == [f9, f5]
+        assert builds == [5, 7, 9, 5]
 
 
 class TestPrimeSubfieldResidue:

@@ -1,8 +1,10 @@
-"""Property tests: the production counts against the convolution oracle.
+"""Property tests: the counting routes against the convolution oracle.
 
 Each example draws an odd prime power q <= 49 of either residue class mod 4,
 a generator override and, when q = p^m with m > 1, a modulus override; then a
-right-hand side c, a variable count n <= 5 and a non-quartic twist y.
+right-hand side c, a variable count n <= 5 and a non-quartic twist y.  On
+q = 1 mod 4 and c != 0 the cyclotomic route (n <= 4) and the exponential-sum
+reconstruction are checked too.
 """
 
 import functools
@@ -12,10 +14,12 @@ from hypothesis import given, settings, strategies as st
 from diagquartic.counting import (
     count_M,
     count_N,
+    count_via_cyclotomy,
     oracle_count,
     oracle_histogram,
     oracle_histograms,
 )
+from diagquartic.expsums import build_table, reconstruct_N
 from diagquartic.field import Field, all_generators, find_generator, is_irreducible, is_prime
 from diagquartic.genfunc import is_quartic
 
@@ -54,7 +58,13 @@ def cases(draw):
 def test_counts_match_oracle(case):
     fld, gen, c, n, y = case
     one = fld.one()
-    assert count_N(c, n, fld, gen) == oracle_count([one] * n, c, 4)
+    expected = oracle_count([one] * n, c, 4)
+    assert count_N(c, n, fld, gen) == expected
+    if fld.q % 4 == 1 and not c.is_zero():
+        table = build_table(fld, gen)
+        assert reconstruct_N(n, c, table, fld) == expected
+        if n <= 4:
+            assert count_via_cyclotomy(c, n, fld, gen, table.classes) == expected
     if n >= 2:
         full = oracle_histogram(fld, [one] * (n - 1) + [y], 4)[0]
         assert count_M(y, n, fld, gen) == full
