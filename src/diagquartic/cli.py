@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Subcommands: field, cyclotomic, count, series, verify, bench.
+Subcommands: field, cyclotomic, count, series, verify.
 `count` reads N_n(c) or M_n(y) by default as one coefficient of the
 generating function, in O(log n) polynomial products; `--method oracle` and
-`--all-methods` also work with `--y`.  `series` lists the first n
-coefficients.  `verify` checks the counts against one oracle pass per field
-(M_n(y) by splitting off x_n), the closed forms, the order-4 recurrence and
-the relation M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).
+`--all-methods` also work with `--y`, and `--all-methods` reports each
+method's seconds.  `series` lists the first n coefficients.  `verify` checks
+the counts against one oracle pass per field (M_n(y) by splitting off x_n),
+the closed forms, the order-4 recurrence and the relation
+M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y); a failing check names its first
+failing input in its detail.
 Elements cross the boundary as canonical integer encodings; counts are
 serialized as decimal strings so JSON consumers never overflow.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field as dc_field
 
 from . import counting, expsums, genfunc
 from .cyclotomy import (
-    CyclotomicClasses,
     QuarticDecomposition,
     cyclotomic_number_enum,
     cyclotomic_number_quartic,
@@ -98,6 +99,27 @@ def cmd_field(args) -> int:
     return 0
 
 
+def _cyclotomic_table(fld, gen, dec) -> tuple[list[dict], dict | None]:
+    """Closed-form and enumerated (i, j)_4 for every i, j, and the first entry
+    where they differ (None if none does)."""
+    f_even = (fld.q - 1) // 4 % 2 == 0
+    entries = []
+    first_failure = None
+    for i in range(4):
+        for j in range(4):
+            enum = cyclotomic_number_enum(i, j, 4, fld, gen)
+            detail = ""
+            try:
+                closed = cyclotomic_number_quartic(i, j, dec, fld.q, f_even)
+            except NonIntegralError as exc:  # an inconsistent (s, t), not bad input
+                closed, detail = None, f"{type(exc).__name__}: {exc}"
+            entries.append({"i": i, "j": j, "closed": closed, "enumerated": enum})
+            if closed != enum and first_failure is None:
+                first_failure = {"i": i, "j": j, "s": dec.s, "t": dec.t, "closed": closed,
+                                 "enumerated": enum, "detail": detail}
+    return entries, first_failure
+
+
 def cmd_cyclotomic(args) -> int:
     fld, gen, dec = _config(args).build()
     if dec is None:
@@ -105,24 +127,9 @@ def cmd_cyclotomic(args) -> int:
         return 2
     if args.break_t:
         dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)
-    cls = CyclotomicClasses(fld, gen, 4)
-    f_even = cls.f % 2 == 0
-    entries = []
-    first_failure = None
-    for i in range(4):
-        for j in range(4):
-            enum = cyclotomic_number_enum(i, j, 4, fld, gen, cls)
-            detail = ""
-            try:
-                closed = cyclotomic_number_quartic(i, j, dec, fld.q, f_even)
-            except NonIntegralError as exc:  # an inconsistent (s, t), not bad input
-                closed, detail = None, str(exc)
-            entries.append({"i": i, "j": j, "closed": closed, "enumerated": enum})
-            if closed != enum and first_failure is None:
-                first_failure = {"i": i, "j": j, "s": dec.s, "t": dec.t, "closed": closed,
-                                 "enumerated": enum, "detail": detail}
+    entries, first_failure = _cyclotomic_table(fld, gen, dec)
     payload = {"q": fld.q, "g": gen.g.encode(), "s": dec.s, "t": dec.t,
-               "f_parity": "even" if f_even else "odd", "entries": entries}
+               "f_parity": _field_payload(fld, gen, dec)["f_parity"], "entries": entries}
     if first_failure is not None:
         payload["first_failure"] = first_failure
     print(json.dumps(payload, indent=2) if args.json else json.dumps(payload))
@@ -172,10 +179,13 @@ def cmd_count(args) -> int:
     payload = {"q": fld.q, "n": args.n}
     payload["c" if y is None else "y"] = args.c if y is None else args.y
     if args.all_methods:
-        values = {}
+        values, seconds = {}, {}
         for method in _applicable_methods(fld, c, args.n):
+            t0 = time.perf_counter()
             values[method] = str(_count_one(method, fld, gen, dec, c, y, args.n))
+            seconds[method] = round(time.perf_counter() - t0, 6)
         payload["methods"] = values
+        payload["seconds"] = seconds
         counts = set(values.values())
         payload["agree"] = len(counts) == 1
         payload["count"] = counts.pop() if len(counts) == 1 else None
@@ -204,6 +214,18 @@ def cmd_series(args) -> int:
     return 0
 
 
+def _first_oracle_mismatch(fld, gen, dec, hists: list[list[int]]) -> dict | None:
+    """The first (c, n) where the coefficient of `gf_N` differs from the oracle;
+    one generating function per c."""
+    for code in range(fld.q):
+        gf = genfunc.gf_N(fld, gen, dec, fld.from_int(code))
+        for n, hist in enumerate(hists, start=1):
+            value = gf.coefficient(n)
+            if value != hist[code]:
+                return {"c": code, "n": n, "series": str(value), "oracle": str(hist[code])}
+    return None
+
+
 def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
                   report: VerifyReport, with_expsums: bool) -> None:
     q = fld.q
@@ -211,35 +233,25 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
     t0 = time.monotonic()
 
     hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax, 4))
-    ok = all(counting.count_N(fld.from_int(code), n, fld, gen, dec) == hists[n - 1][code]
-             for code in range(q) for n in range(1, nmax + 1))
-    report.add(f"{tag} oracle-equivalence n<={nmax}", ok, seconds=time.monotonic() - t0)
+    failure = _first_oracle_mismatch(fld, gen, dec, hists)
+    report.add(f"{tag} oracle-equivalence n<={nmax}", failure is None,
+               detail=json.dumps(failure) if failure else "", seconds=time.monotonic() - t0)
 
     if dec is not None:
         t0 = time.monotonic()
-        cls = CyclotomicClasses(fld, gen, 4)
-        f_even = cls.f % 2 == 0
-        ok = all(cyclotomic_number_quartic(i, j, dec, q, f_even)
-                 == cyclotomic_number_enum(i, j, 4, fld, gen, cls)
-                 for i in range(4) for j in range(4))
-        report.add(f"{tag} cyclotomic closed=enum", ok, seconds=time.monotonic() - t0)
+        _, failure = _cyclotomic_table(fld, gen, dec)
+        report.add(f"{tag} cyclotomic closed=enum", failure is None,
+                   detail=json.dumps(failure) if failure else "", seconds=time.monotonic() - t0)
 
         t0 = time.monotonic()
         nsmall = min(4, nmax)
-        ok = True
-        for code in range(1, q):
-            c = fld.from_int(code)
-            for n in range(1, nsmall + 1):
-                if counting.count_small(c, n, dec, fld, gen) != hists[n - 1][code]:
-                    ok = False
+        ok = all(counting.count_small(fld.from_int(code), n, dec, fld, gen)
+                 == hists[n - 1][code] for code in range(1, q) for n in range(1, nsmall + 1))
         report.add(f"{tag} closed-form n<={nsmall}", ok, seconds=time.monotonic() - t0)
 
         t0 = time.monotonic()
-        ok = True
-        for code in range(1, q):
-            res = genfunc.recurrence_check(
-                fld, gen, dec, fld.from_int(code), nmax if nmax >= 5 else 5)
-            ok = ok and all(r == 0 for r in res)
+        ok = all(r == 0 for code in range(1, q) for r in genfunc.recurrence_check(
+            fld, gen, dec, fld.from_int(code), max(nmax, 5)))
         report.add(f"{tag} recurrence order 4", ok, seconds=time.monotonic() - t0)
 
         if with_expsums:
@@ -291,25 +303,6 @@ def cmd_verify(args) -> int:
                "checks": report.checks}
     print(json.dumps(payload, indent=2) if args.json else json.dumps(payload))
     return 0 if report.passed else 1
-
-
-def cmd_bench(args) -> int:
-    fld, gen, dec = _config(args).build()
-    rows = []
-    c = fld.from_int(args.c if args.c is not None else 1)
-    for n in range(1, args.n + 1):
-        t0 = time.perf_counter()
-        oracle = counting.oracle_count([fld.one()] * n, c, 4)
-        t_oracle = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        via_series = counting.count_N(c, n, fld, gen, dec)
-        t_series = time.perf_counter() - t0
-        rows.append({"q": fld.q, "n": n, "count": str(oracle),
-                     "oracle_seconds": t_oracle, "series_seconds": t_series,
-                     "agree": oracle == via_series})
-    payload = {"rows": rows, "all_agree": all(r["agree"] for r in rows)}
-    print(json.dumps(payload, indent=2) if args.json else json.dumps(payload))
-    return 0 if payload["all_agree"] else 1
 
 
 def _config(args) -> RunConfig:
@@ -386,12 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--break-t", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = subs.add_parser("bench", help="compare method timings")
-    _add_common(p_bench)
-    p_bench.add_argument("--c", type=int, default=None)
-    p_bench.add_argument("--n", type=_int_at_least(1), default=8,
-                         help="max variable count")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

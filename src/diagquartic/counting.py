@@ -13,7 +13,7 @@ import itertools
 from math import comb, gcd
 
 from . import genfunc
-from .cyclotomy import CyclotomicClasses, QuarticDecomposition, cyclo_dim_enum
+from .cyclotomy import QuarticDecomposition, cyclo_dim_enum
 from .errors import InvariantError, TooLargeError, WrongResidueClassError, ZeroRHSError
 # The convolution primitive and its guards live in `field`.  They keep their
 # names here: the benchmark tracer (perfbench/tracer.py) binds
@@ -167,8 +167,7 @@ def count_N(c: Element, n: int, fld: Field, gen: GeneratorData,
     return genfunc.gf_N(fld, gen, dec, c).coefficient(n)
 
 
-def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
-                        classes: CyclotomicClasses | None = None) -> int:
+def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData) -> int:
     """N_n(c) from dimension-j cyclotomic numbers, n <= 4, c != 0.
 
     Zeros with j nonzero coordinates contribute C(n, j) * 4^j * [4-i,...,4-i]_4
@@ -180,12 +179,11 @@ def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
         raise WrongResidueClassError(f"q = {fld.q} is not 1 mod 4")
     if not 1 <= n <= 4:
         raise ValueError("cyclotomic route covers n in 1..4")
-    cls = classes or CyclotomicClasses(fld, gen, 4)
     i = quartic_class(c, gen)
     inv_index = (4 - i) % 4
     total = 0
     for j in range(1, n + 1):
-        total += comb(n, j) * 4**j * cyclo_dim_enum([inv_index] * j, 4, fld, gen, cls)
+        total += comb(n, j) * 4**j * cyclo_dim_enum([inv_index] * j, 4, fld, gen)
     return total
 
 

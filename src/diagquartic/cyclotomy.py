@@ -1,4 +1,4 @@
-"""Cyclotomic classes and cyclotomic numbers of order k.
+"""Cyclotomic classes, a view of `field.log_table`, and cyclotomic numbers.
 
 Order-4 numbers come in two flavors: exact enumeration over the classes, and
 the classical closed-form A-E table driven by the decomposition q = s^2 + 4t^2.
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd, isqrt
 
+import numpy as np
+
 from .errors import (
     BadOrderError,
     InvariantError,
@@ -23,11 +25,11 @@ from .errors import (
     ZeroCoefficientError,
 )
 from .field import (
-    Element,
     Field,
     GeneratorData,
     _group_convolve,
     check_convolution_cost,
+    log_table,
     prime_subfield_residue,
 )
 
@@ -103,7 +105,9 @@ def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecompositio
 
 
 class CyclotomicClasses:
-    """The k cyclotomic classes C_i = {g^(i + k*u)} of F_q^* and lookups on them."""
+    """The k cyclotomic classes C_i = {g^(i + k*u)} of F_q^*, read off `log_table`:
+    `class_of[x]` is ind_g(x) mod k for every encoding x (-1 at 0), and
+    `classes[i]` holds the encodings of C_i in the order g^i, g^(i+k), ..."""
 
     def __init__(self, fld: Field, gen: GeneratorData, k: int):
         q = fld.q
@@ -113,25 +117,19 @@ class CyclotomicClasses:
         self.gen = gen
         self.k = k
         self.f = (q - 1) // k
-        classes: list[list[Element]] = [[] for _ in range(k)]
-        acc = fld.one()
-        for idx in range(q - 1):
-            classes[idx % k].append(acc)
-            acc = acc * gen.g
-        self.classes = classes
-        self.class_of = {x.encode(): i for i, cls in enumerate(classes) for x in cls}
+        log = log_table(fld, gen)
+        self.class_of = np.where(log < 0, -1, log % k)
+        antilog = np.empty(q - 1, dtype=np.int64)
+        antilog[log[1:]] = np.arange(1, q)
+        self.classes = [antilog[i::k] for i in range(k)]
 
 
-def cyclotomic_number_enum(i: int, j: int, k: int, fld: Field,
-                           gen: GeneratorData,
-                           classes: CyclotomicClasses | None = None) -> int:
+def cyclotomic_number_enum(i: int, j: int, k: int, fld: Field, gen: GeneratorData) -> int:
     """(i, j)_k = #{x in C_i : 1 + x in C_j}, by direct enumeration."""
-    cls = classes or CyclotomicClasses(fld, gen, k)
-    one = fld.one()
-    target = j % k
-    return sum(1 for x in cls.classes[i % k]
-               if not (one + x).is_zero()
-               and cls.class_of[(one + x).encode()] == target)
+    cls = CyclotomicClasses(fld, gen, k)
+    xs = cls.classes[i % k]
+    low = xs % fld.p  # adding 1 raises the lowest base-p digit by one mod p
+    return int(np.count_nonzero(cls.class_of[xs - low + (low + 1) % fld.p] == j % k))
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -171,63 +169,54 @@ def cyclotomic_number_quartic(i: int, j: int, dec: QuarticDecomposition,
     return _exact_div(num, 16, f"(i={i}, j={j})_4")
 
 
-def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData,
-                   classes: CyclotomicClasses | None = None) -> int:
+def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData) -> int:
     """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1.
 
-    The count is the value at 1 of 1_{C_{i_1}} * ... * 1_{C_{i_n}}, the
-    additive convolution of the class indicator vectors, in exact integers.
+    The count is the value at 1 (encoding 1) of 1_{C_{i_1}} * ... * 1_{C_{i_n}},
+    the additive convolution of the class indicator vectors, in exact integers.
     """
     if not indices:
         raise ValueError("at least one index required")
     check_convolution_cost(fld, len(indices))
-    cls = classes or CyclotomicClasses(fld, gen, k)
+    class_of = CyclotomicClasses(fld, gen, k).class_of
     hist = None
     for i in indices:
-        indicator = [0] * fld.q
-        for x in cls.classes[i % k]:
-            indicator[x.encode()] = 1
+        indicator = (class_of == i % k).astype(int).tolist()
         hist = indicator if hist is None else _group_convolve(fld, hist, indicator)
-    return hist[fld.one().encode()]
+    return hist[1]
 
 
-def cyclo_dim2(i1: int, i2: int, k: int, fld: Field, gen: GeneratorData,
-               classes: CyclotomicClasses | None = None) -> int:
+def cyclo_dim2(i1: int, i2: int, k: int, fld: Field, gen: GeneratorData) -> int:
     """[i_1, i_2]_k = (i_2 - i_1, -i_1)_k."""
-    return cyclotomic_number_enum(i2 - i1, -i1, k, fld, gen, classes)
+    return cyclotomic_number_enum(i2 - i1, -i1, k, fld, gen)
 
 
-def cyclo_dim3(i1: int, i2: int, i3: int, k: int, fld: Field,
-               gen: GeneratorData,
-               classes: CyclotomicClasses | None = None) -> int:
+def cyclo_dim3(i1: int, i2: int, i3: int, k: int, fld: Field, gen: GeneratorData) -> int:
     """Dimension-3 reduction: a boundary term plus a sum of products of pairs."""
-    cls = classes or CyclotomicClasses(fld, gen, k)
-    f, half = cls.f, (k * cls.f) // 2
+    f, half = (fld.q - 1) // k, (fld.q - 1) // 2
     alpha = f if (i1 - i2 - half) % k == 0 and i3 % k == 0 else 0
     total = sum(
-        cyclotomic_number_enum(v - i3, -i3, k, fld, gen, cls)
-        * cyclotomic_number_enum(i2 - i1, v - i1, k, fld, gen, cls)
+        cyclotomic_number_enum(v - i3, -i3, k, fld, gen)
+        * cyclotomic_number_enum(i2 - i1, v - i1, k, fld, gen)
         for v in range(k))
     return alpha + total
 
 
 def cyclo_dim4(i1: int, i2: int, i3: int, i4: int, k: int, fld: Field,
-               gen: GeneratorData,
-               classes: CyclotomicClasses | None = None) -> int:
+               gen: GeneratorData) -> int:
     """Dimension-4 reduction: boundary terms plus a double sum of triples."""
-    cls = classes or CyclotomicClasses(fld, gen, k)
-    f, half = cls.f, (k * cls.f) // 2
+    f, half = (fld.q - 1) // k, (fld.q - 1) // 2
     first_pair_neg = (i2 - i1 - half) % k == 0
     second_pair_neg = (i4 - i3 - half) % k == 0
     gamma = 0
     if second_pair_neg:
-        gamma += cyclotomic_number_enum(i2 - i1, -i1, k, fld, gen, cls) * f
+        gamma += cyclotomic_number_enum(i2 - i1, -i1, k, fld, gen) * f
     if first_pair_neg:
-        gamma += cyclotomic_number_enum(i4 - i3, -i3, k, fld, gen, cls) * f
+        gamma += cyclotomic_number_enum(i4 - i3, -i3, k, fld, gen) * f
     total = sum(
-        cyclotomic_number_enum(v2 - v1, -v1, k, fld, gen, cls)
-        * cyclotomic_number_enum(i2 - i1, v1 - i1, k, fld, gen, cls)
-        * cyclotomic_number_enum(i4 - i3, v2 - i3, k, fld, gen, cls)
+        cyclotomic_number_enum(v2 - v1, -v1, k, fld, gen)
+        * cyclotomic_number_enum(i2 - i1, v1 - i1, k, fld, gen)
+        * cyclotomic_number_enum(i4 - i3, v2 - i3, k, fld, gen)
         for v1 in range(k) for v2 in range(k))
     return gamma + total
 

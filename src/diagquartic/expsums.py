@@ -5,7 +5,8 @@ paths never depend on it.  Tolerances scale with q (orthogonality sums), q^2
 (polynomial residuals) and q^(n/2) (reconstruction) because the sums grow with
 sqrt(q) per factor.
 
-`build_table` reads psi off `field.trace_table` and sums it once per class:
+`build_table` reads psi off `field.trace_table` and sums it over the
+encodings of each class, which `CyclotomicClasses` reads off `field.log_table`:
 the four Gauss periods eta_l = sum over w in C_l of psi(w) give both
 T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.  `additive_character`
 and `quartic_gauss_sum` stay as the literal sums the tests compare against.
@@ -47,7 +48,6 @@ class GaussSumTable:
 
     field: Field
     gen: GeneratorData
-    classes: CyclotomicClasses
     T: tuple[complex, complex, complex, complex]
     eta: tuple[complex, complex, complex, complex]
 
@@ -58,7 +58,7 @@ class GaussSumTable:
         the Gauss period eta_{l + ind(-c)}; at c = 0 it is f = |C_l|.
         """
         if c.is_zero():
-            return complex(self.classes.f)
+            return complex((self.field.q - 1) // 4)
         return self.eta[(l + quartic_class(-c, self.gen)) % 4]
 
 
@@ -70,11 +70,10 @@ def build_table(fld: Field, gen: GeneratorData) -> GaussSumTable:
     """
     if fld.q % 4 != 1:
         raise WrongResidueClassError(f"q = {fld.q} is not 1 mod 4")
-    classes = CyclotomicClasses(fld, gen, 4)
     psi = np.exp(2j * np.pi * trace_table(fld) / fld.p)
-    eta = tuple(complex(psi[[x.encode() for x in cls]].sum()) for cls in classes.classes)
+    eta = tuple(complex(psi[cls].sum()) for cls in CyclotomicClasses(fld, gen, 4).classes)
     T = tuple(1 + 4 * e for e in eta)
-    return GaussSumTable(field=fld, gen=gen, classes=classes, T=T, eta=eta)
+    return GaussSumTable(field=fld, gen=gen, T=T, eta=eta)
 
 
 def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition, q: int,

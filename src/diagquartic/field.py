@@ -6,14 +6,14 @@ onto [0, q-1], used in all I/O.
 
 `quartic_class` gives the cyclotomic class ind_g(x) mod gcd(4, q-1) by
 Euler's criterion, one power of x and no discrete log; the counts need
-nothing more.  `index_of` is the full discrete log, by baby-step/giant-step
-for every q.
+nothing more, and neither it nor `find_generator` builds a table.
 
-Jobs that touch every element read whole-field tables built from the q x m
-array of base-p digits of the encodings: `_group_convolve`, the one additive
-convolution over (F_q, +) that the oracle and the dimension-n cyclotomic
-numbers share, reads the addition table; `trace_table` holds Tr(x) mod p for
-every encoding.  Both caches are bounded in bytes.
+Jobs that touch every element read whole-field tables over the encodings:
+`log_table` holds ind_g(x) for every x, built once per generator, and is
+what `index_of` and the cyclotomic classes read; `_group_convolve`, the one
+additive convolution over (F_q, +) that the oracle and the dimension-n
+cyclotomic numbers share, reads the addition table; `trace_table` holds
+Tr(x) mod p for every encoding.  The caches are bounded in bytes.
 """
 
 from __future__ import annotations
@@ -375,25 +375,10 @@ def quartic_class(x: Element, gen: GeneratorData) -> int:
 
 
 def index_of(x: Element, gen: GeneratorData) -> int:
-    """Discrete log base g, in [0, q-2], by baby-step/giant-step; keeps no table."""
+    """Discrete log base g, in [0, q-2], read from `log_table`."""
     if x.is_zero():
         raise ZeroHasNoIndexError("ind_g(0) is undefined")
-    fld = x.field
-    n = fld.q - 1
-    mstep = math.isqrt(n - 1) + 1
-    baby: dict[int, int] = {}
-    acc = fld.one()
-    for j in range(mstep):
-        baby.setdefault(acc.encode(), j)
-        acc = acc * gen.g
-    giant_step = gen.g.inverse() ** mstep
-    gamma = x
-    for i in range(mstep + 1):
-        j = baby.get(gamma.encode())
-        if j is not None:
-            return (i * mstep + j) % n
-        gamma = gamma * giant_step
-    raise InvariantError("BSGS failed; generator invalid?")
+    return int(log_table(x.field, gen)[x.encode()])
 
 
 def trace(x: Element) -> int:
@@ -421,14 +406,14 @@ def _digits(fld: Field) -> np.ndarray:
     return np.stack([codes // fld.p**i % fld.p for i in range(fld.m)], axis=1)
 
 
-def _bounded_get(cache: dict, fld: Field, build) -> np.ndarray:
-    """cache[fld], built on a miss.  Once the arrays in the cache exceed
-    ORACLE_TABLE_BYTES_GUARD bytes together, the oldest entries go first."""
-    table = cache.get(fld)
+def _bounded_get(cache: dict, key, build) -> np.ndarray:
+    """cache[key], built as build(key) on a miss.  Once the arrays in the cache
+    exceed ORACLE_TABLE_BYTES_GUARD bytes together, the oldest entries go first."""
+    table = cache.get(key)
     if table is None:
-        table = build(fld)
+        table = build(key)
         table.setflags(write=False)
-        cache[fld] = table
+        cache[key] = table
         while (len(cache) > 1
                and sum(t.nbytes for t in cache.values()) > ORACLE_TABLE_BYTES_GUARD):
             del cache[next(iter(cache))]
@@ -492,3 +477,40 @@ def trace_table(fld: Field) -> np.ndarray:
     mod p, a the root of the modulus: m calls to `trace` per field.
     """
     return _bounded_get(_TRACE_TABLE_CACHE, fld, _trace_table)
+
+
+_LOG_TABLE_CACHE: dict[Element, np.ndarray] = {}
+
+
+def _log_table(g: Element) -> np.ndarray:
+    fld = g.field
+    n = fld.q - 1
+    step = math.isqrt(n - 1) + 1  # step^2 >= n
+    weights = fld.p ** np.arange(fld.m, dtype=np.int64)
+    block = np.empty((step, fld.m), dtype=np.int64)
+    acc = fld.one()
+    for j in range(step):
+        block[j] = acc.coeffs
+        acc = acc * g
+    # acc = g^step; row i of its multiplication matrix holds the digits of a^i * g^step
+    giant = np.array([(fld.element([0] * i + [1]) * acc).coeffs for i in range(fld.m)],
+                     dtype=np.int64)
+    log = np.full(fld.q, -1, dtype=np.int64)
+    for start in range(0, n, step):
+        size = min(step, n - start)
+        log[block[:size] @ weights] = np.arange(start, start + size)
+        block = block @ giant % fld.p
+    if log[0] != -1 or (log[1:] < 0).any():
+        raise InvariantError(f"{g!r} does not generate F_{fld.q}^*")
+    return log
+
+
+def log_table(fld: Field, gen: GeneratorData) -> np.ndarray:
+    """ind_g(x) for every encoding x, and -1 at 0, as a read-only int64 array.
+
+    Built once per generator (Lidl & Niederreiter, Finite Fields, ch. 9): the
+    digit rows of g^0 .. g^(B-1), B = ceil(sqrt(q-1)), then each next block of
+    B powers as the last times the F_p-matrix of multiplication by g^B."""
+    if gen.field != fld:
+        raise FieldMismatchError("generator from a different field")
+    return _bounded_get(_LOG_TABLE_CACHE, gen.g, _log_table)

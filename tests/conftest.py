@@ -53,13 +53,19 @@ def split_off_count(fld, histograms, y, n):
                for u, cnt in enumerate(histograms[0]) if cnt)
 
 
-def literal_cyclo_dim(indices, k, fld, classes):
+def literal_cyclo_dim(indices, k, gen):
     """[i_1, ..., i_n]_k by literal enumeration of C_{i_1} x ... x C_{i_n}:
-    f^n tuples of field elements, each summed and compared with 1."""
+    each class C_i = {g^(i + k*u)} from powers of g, then f^n tuples of field
+    elements, each summed and compared with 1."""
+    fld = gen.field
     one = fld.one()
-    pools = [classes.classes[i % k] for i in indices]
+    classes = [[] for _ in range(k)]
+    acc = one
+    for e in range(fld.q - 1):
+        classes[e % k].append(acc)
+        acc = acc * gen.g
     count = 0
-    for combo in itertools.product(*pools):
+    for combo in itertools.product(*(classes[i % k] for i in indices)):
         total = combo[0]
         for x in combo[1:]:
             total = total + x

@@ -8,7 +8,6 @@ import time
 
 from diagquartic import counting, expsums, genfunc
 from diagquartic.cyclotomy import (
-    CyclotomicClasses,
     cyclo_diag_quartic,
     cyclo_dim2,
     cyclo_dim3,
@@ -55,9 +54,9 @@ def test_criterion_2_pinned_values():
         counting.count_N(fd5.field.zero(), 2, fd5.field, fd5.gen, fd5.dec) == 1,
         fd13.gen.g.encode() == 2,
         counting.count_N(one13, 2, fd13.field, fd13.gen, fd13.dec) == 8,
-        cyclotomic_number_enum(0, 0, 4, fd13.field, fd13.gen, fd13.classes) == 0,
-        cyclo_dim_enum([1, 1, 1], 4, fd13.field, fd13.gen, fd13.classes) == 3,
-        cyclo_dim_enum([0, 0, 0, 0], 4, fd13.field, fd13.gen, fd13.classes) == 12,
+        cyclotomic_number_enum(0, 0, 4, fd13.field, fd13.gen) == 0,
+        cyclo_dim_enum([1, 1, 1], 4, fd13.field, fd13.gen) == 3,
+        cyclo_dim_enum([0, 0, 0, 0], 4, fd13.field, fd13.gen) == 12,
         counting.count_N(fd7.field.one(), 2, fd7.field, fd7.gen) == 8,
         counting.count_M(fd7.field.from_int(3), 2, fd7.field, fd7.gen) == 13,
         counting.count_M(fd5.field.from_int(2), 2, fd5.field, fd5.gen, fd5.dec) == 1,
@@ -74,13 +73,12 @@ def test_criterion_3_cyclotomic_closed_forms():
         for i in range(4):
             for j in range(4):
                 if cyclotomic_number_quartic(i, j, fd.dec, fd.q, f_even) \
-                        != cyclotomic_number_enum(i, j, 4, fd.field, fd.gen,
-                                                  fd.classes):
+                        != cyclotomic_number_enum(i, j, 4, fd.field, fd.gen):
                     ok = False
         for n in (2, 3, 4):
             for i in range(4):
                 if cyclo_diag_quartic(n, i, fd.dec, fd.q) \
-                        != cyclo_dim_enum([i] * n, 4, fd.field, fd.gen, fd.classes):
+                        != cyclo_dim_enum([i] * n, 4, fd.field, fd.gen):
                     ok = False
     report("criterion 3: closed-form cyclotomic numbers = enumeration", ok)
 
@@ -92,18 +90,17 @@ def test_criterion_4_reduction_formulas():
         fd = field_data(p, m)
         for n, reducer in reducers.items():
             for idx in itertools.product(range(4), repeat=n):
-                if reducer(*idx, 4, fd.field, fd.gen, fd.classes) \
-                        != cyclo_dim_enum(list(idx), 4, fd.field, fd.gen, fd.classes):
+                if reducer(*idx, 4, fd.field, fd.gen) \
+                        != cyclo_dim_enum(list(idx), 4, fd.field, fd.gen):
                     ok = False
     # spot checks at other orders
     for p, m in [(13, 1), (17, 1), (5, 2), (41, 1)]:
         fd = field_data(p, m)
         for k in (2, (fd.q - 1) // 2):
-            cls = CyclotomicClasses(fd.field, fd.gen, k)
             for n, reducer in reducers.items():
                 for idx in [(0,) * n, (1,) + (0,) * (n - 1), (1,) * n]:
-                    if reducer(*idx, k, fd.field, fd.gen, cls) \
-                            != cyclo_dim_enum(list(idx), k, fd.field, fd.gen, cls):
+                    if reducer(*idx, k, fd.field, fd.gen) \
+                            != cyclo_dim_enum(list(idx), k, fd.field, fd.gen):
                         ok = False
     report("criterion 4: dimension-n reduction formulas = enumeration", ok)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from diagquartic import cli, counting
+from diagquartic import cli, counting, genfunc
 from diagquartic.cli import main
 from diagquartic.errors import InvariantError
 
@@ -87,6 +87,15 @@ class TestCountCommand:
         assert set(payload["methods"]) == {"oracle", "series", "closed",
                                            "cyclotomy", "expsum"}
 
+    @pytest.mark.parametrize("argv", [["--c", "2", "--n", "4"], ["--y", "2", "--n", "4"]],
+                             ids=["c", "y"])
+    def test_all_methods_timed(self, capsys, argv):
+        code, out = run(capsys, "count", "--p", "13", *argv, "--all-methods", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["seconds"]) == set(payload["methods"])
+        assert all(isinstance(s, float) and s >= 0 for s in payload["seconds"].values())
+
     def test_single_method(self, capsys):
         code, out = run(capsys, "count", "--p", "7", "--c", "1", "--n", "2", "--json")
         assert code == 0
@@ -137,7 +146,7 @@ class TestInputErrors:
         ["count", "--p", "5", "--c", "1", "--y", "2", "--n", "3"],
         ["count", "--p", "7", "--c", "1", "--n", "2", "--method", "closed"],
         ["series", "--p", "5", "--n", "-3"],
-        ["bench", "--p", "5", "--n", "0"],
+        ["count", "--p", "5", "--c", "1", "--n", "0"],
         ["verify", "--p", "5", "--nmax", "1"],
         ["count", "--p", "5", "--y", "2", "--n", "3", "--method", "closed"],
         ["count", "--p", "5", "--y", "2", "--n", "3", "--method", "cyclotomy"],
@@ -146,7 +155,7 @@ class TestInputErrors:
         ["count", "--p", "13", "--y", "3", "--n", "3", "--method", "oracle"],
         ["count", "--p", "13", "--y", "2", "--n", "1", "--method", "oracle"],
     ], ids=["count-no-rhs", "count-c-and-y", "closed-q7",
-            "series-n-neg", "bench-n0", "verify-nmax1", "closed-y",
+            "series-n-neg", "count-n0", "verify-nmax1", "closed-y",
             "cyclotomy-y", "expsum-y", "series-c-and-y", "oracle-quartic-y",
             "oracle-y-n1"])
     def test_exits_2(self, capsys, argv):
@@ -221,11 +230,37 @@ class TestVerifyCommand:
         assert payload["status"] == "FAIL"
         assert any("NonIntegral" in c.get("detail", "") for c in payload["checks"])
 
+    def test_wrong_t_runs_every_check_with_witnesses(self, capsys, monkeypatch):
+        # q = 13 has (s, t) = (-3, -1); t + 1 makes (0, 1)_4 non-integral
+        builds = []
+        gf_N = genfunc.gf_N
 
-class TestBenchCommand:
-    def test_counts_reported_and_agree(self, capsys):
-        code, out = run(capsys, "bench", "--p", "13", "--n", "4", "--json")
+        def counted(fld, gen, dec, c):
+            builds.append(c.encode())
+            return gf_N(fld, gen, dec, c)
+        monkeypatch.setattr(genfunc, "gf_N", counted)
+        code, out = run(capsys, "verify", "--p", "13", "--break-t", "--nmax", "5",
+                        "--json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert set(checks) == {"q=13 oracle-equivalence n<=5", "q=13 cyclotomic closed=enum",
+                               "q=13 closed-form n<=4", "q=13 recurrence order 4",
+                               "q=13 twisted counts"}
+        oracle = checks["q=13 oracle-equivalence n<=5"]
+        assert oracle["status"] == "FAIL"
+        # c = 0 and c = 1 agree; c = 2, a non-square, first differs, at n = 2
+        assert json.loads(oracle["detail"]) == {"c": 2, "n": 2, "series": "8",
+                                                "oracle": "16"}
+        assert builds[:3] == [0, 1, 2]  # one generating function per c
+        cyclo = checks["q=13 cyclotomic closed=enum"]
+        assert cyclo["status"] == "FAIL"
+        failure = json.loads(cyclo["detail"])
+        assert (failure["i"], failure["j"], failure["s"], failure["t"]) == (0, 1, -3, 0)
+        assert failure["closed"] is None and failure["enumerated"] == 1
+        assert "NonIntegralError" in failure["detail"]
+
+    def test_passing_checks_have_no_detail(self, capsys):
+        code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--json")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["all_agree"] is True
-        assert all("count" in row for row in payload["rows"])
+        assert all(c["detail"] == "" for c in json.loads(out)["checks"])
+

@@ -209,24 +209,23 @@ class TestCyclotomicRoute:
     def test_pinned(self):
         fd = field_data(13, 1)
         one = fd.field.one()
-        assert count_via_cyclotomy(one, 1, fd.field, fd.gen, fd.classes) == 4
-        assert count_via_cyclotomy(one, 2, fd.field, fd.gen, fd.classes) == 8
+        assert count_via_cyclotomy(one, 1, fd.field, fd.gen) == 4
+        assert count_via_cyclotomy(one, 2, fd.field, fd.gen) == 8
         fd5 = field_data(5, 1)
-        assert count_via_cyclotomy(fd5.field.one(), 4, fd5.field, fd5.gen,
-                                   fd5.classes) == 16
+        assert count_via_cyclotomy(fd5.field.one(), 4, fd5.field, fd5.gen) == 16
 
     def test_matches_oracle(self, field_1mod4):
         fd = field_1mod4
         for code in range(1, fd.q):
             c = fd.field.from_int(code)
             for n in range(1, 5):
-                assert (count_via_cyclotomy(c, n, fd.field, fd.gen, fd.classes)
+                assert (count_via_cyclotomy(c, n, fd.field, fd.gen)
                         == fd.oracle_N(code, n))
 
     def test_zero_rejected(self):
         fd = field_data(5, 1)
         with pytest.raises(ZeroRHSError):
-            count_via_cyclotomy(fd.field.zero(), 2, fd.field, fd.gen, fd.classes)
+            count_via_cyclotomy(fd.field.zero(), 2, fd.field, fd.gen)
 
 
 class TestCountM:

@@ -111,7 +111,7 @@ class TestCyclotomicNumbers:
         for i in range(4):
             for j in range(4):
                 closed = cyclotomic_number_quartic(i, j, fd.dec, fd.q, f_even)
-                enum = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen, fd.classes)
+                enum = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
                 assert closed == enum, (fd.q, i, j)
 
     def test_wrong_t_triggers_nonintegral(self):
@@ -126,36 +126,32 @@ class TestCyclotomicNumbers:
         fd = field_1mod4
         for i in range(4):
             for j in range(4):
-                base = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen, fd.classes)
-                assert cyclotomic_number_enum(i + 4, j, 4, fd.field, fd.gen,
-                                              fd.classes) == base
-                assert cyclotomic_number_enum(i, j - 8, 4, fd.field, fd.gen,
-                                              fd.classes) == base
+                base = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
+                assert cyclotomic_number_enum(i + 4, j, 4, fd.field, fd.gen) == base
+                assert cyclotomic_number_enum(i, j - 8, 4, fd.field, fd.gen) == base
 
     def test_reflection(self, field_1mod4):
         fd = field_1mod4
         for i in range(4):
             for j in range(4):
-                assert (cyclotomic_number_enum(i, j, 4, fd.field, fd.gen, fd.classes)
-                        == cyclotomic_number_enum(-i, j - i, 4, fd.field, fd.gen,
-                                                  fd.classes))
+                assert (cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
+                        == cyclotomic_number_enum(-i, j - i, 4, fd.field, fd.gen))
 
     def test_parity_swap(self, field_1mod4):
         fd = field_1mod4
         f_even = fd.classes.f % 2 == 0
         for i in range(4):
             for j in range(4):
-                lhs = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen, fd.classes)
+                lhs = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
                 if f_even:
-                    rhs = cyclotomic_number_enum(j, i, 4, fd.field, fd.gen, fd.classes)
+                    rhs = cyclotomic_number_enum(j, i, 4, fd.field, fd.gen)
                 else:
-                    rhs = cyclotomic_number_enum(j + 2, i + 2, 4, fd.field, fd.gen,
-                                                 fd.classes)
+                    rhs = cyclotomic_number_enum(j + 2, i + 2, 4, fd.field, fd.gen)
                 assert lhs == rhs
 
     def test_completeness(self, field_1mod4):
         fd = field_1mod4
-        total = sum(cyclotomic_number_enum(i, j, 4, fd.field, fd.gen, fd.classes)
+        total = sum(cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
                     for i in range(4) for j in range(4))
         assert total == fd.q - 2
 
@@ -163,25 +159,24 @@ class TestCyclotomicNumbers:
 class TestDimensionN:
     def test_dim1(self, field_1mod4):
         fd = field_1mod4
-        assert cyclo_dim_enum([0], 4, fd.field, fd.gen, fd.classes) == 1
+        assert cyclo_dim_enum([0], 4, fd.field, fd.gen) == 1
         for i in (1, 2, 3):
-            assert cyclo_dim_enum([i], 4, fd.field, fd.gen, fd.classes) == 0
+            assert cyclo_dim_enum([i], 4, fd.field, fd.gen) == 0
 
     def test_known_values(self):
         fd = field_data(13, 1)
-        assert cyclo_dim_enum([0, 0], 4, fd.field, fd.gen, fd.classes) == 0
-        assert cyclo_dim_enum([1, 1, 1], 4, fd.field, fd.gen, fd.classes) == 3
-        assert cyclo_dim_enum([0, 0, 0, 0], 4, fd.field, fd.gen, fd.classes) == 12
+        assert cyclo_dim_enum([0, 0], 4, fd.field, fd.gen) == 0
+        assert cyclo_dim_enum([1, 1, 1], 4, fd.field, fd.gen) == 3
+        assert cyclo_dim_enum([0, 0, 0, 0], 4, fd.field, fd.gen) == 12
 
     @pytest.mark.parametrize("p, m, k", [(5, 1, 4), (3, 2, 4), (13, 1, 4), (13, 1, 2)],
                              ids=["q=5", "q=9", "q=13", "q=13-k=2"])
     def test_matches_literal_enumeration(self, p, m, k):
         fd = field_data(p, m)
-        cls = fd.classes if k == 4 else CyclotomicClasses(fd.field, fd.gen, k)
         for n in range(1, 5):
             for idx in itertools.product(range(k), repeat=n):
-                assert (cyclo_dim_enum(list(idx), k, fd.field, fd.gen, cls)
-                        == literal_cyclo_dim(idx, k, fd.field, cls)), (fd.q, k, idx)
+                assert (cyclo_dim_enum(list(idx), k, fd.field, fd.gen)
+                        == literal_cyclo_dim(idx, k, fd.gen)), (fd.q, k, idx)
 
     def test_guard_before_addition_table(self, monkeypatch):
         # the q x q table of q = 5801 would take 269 MB, past the byte guard
@@ -195,45 +190,44 @@ class TestDimensionN:
     def test_no_indices_rejected(self):
         fd = field_data(5, 1)
         with pytest.raises(ValueError):
-            cyclo_dim_enum([], 4, fd.field, fd.gen, fd.classes)
+            cyclo_dim_enum([], 4, fd.field, fd.gen)
 
     def test_q5_quadruple_empty(self):
         fd = field_data(5, 1)
-        assert cyclo_dim_enum([0, 0, 0, 0], 4, fd.field, fd.gen, fd.classes) == 0
+        assert cyclo_dim_enum([0, 0, 0, 0], 4, fd.field, fd.gen) == 0
 
     def test_dim2_reduction(self, field_1mod4):
         fd = field_1mod4
         for i1, i2 in itertools.product(range(4), repeat=2):
-            assert (cyclo_dim2(i1, i2, 4, fd.field, fd.gen, fd.classes)
-                    == cyclo_dim_enum([i1, i2], 4, fd.field, fd.gen, fd.classes))
+            assert (cyclo_dim2(i1, i2, 4, fd.field, fd.gen)
+                    == cyclo_dim_enum([i1, i2], 4, fd.field, fd.gen))
 
     def test_dim3_reduction(self, field_1mod4):
         fd = field_1mod4
         for idx in itertools.product(range(4), repeat=3):
-            assert (cyclo_dim3(*idx, 4, fd.field, fd.gen, fd.classes)
-                    == cyclo_dim_enum(list(idx), 4, fd.field, fd.gen, fd.classes))
+            assert (cyclo_dim3(*idx, 4, fd.field, fd.gen)
+                    == cyclo_dim_enum(list(idx), 4, fd.field, fd.gen))
 
     def test_dim4_reduction(self, field_1mod4):
         fd = field_1mod4
         for idx in itertools.product(range(4), repeat=4):
-            assert (cyclo_dim4(*idx, 4, fd.field, fd.gen, fd.classes)
-                    == cyclo_dim_enum(list(idx), 4, fd.field, fd.gen, fd.classes))
+            assert (cyclo_dim4(*idx, 4, fd.field, fd.gen)
+                    == cyclo_dim_enum(list(idx), 4, fd.field, fd.gen))
 
     @pytest.mark.parametrize("p, m", [(13, 1), (17, 1), (5, 2)])
     def test_reductions_other_orders(self, p, m):
         # spot checks at k = 2 and k = (q - 1) / 2
         fd = field_data(p, m)
         for k in (2, (fd.q - 1) // 2):
-            cls = CyclotomicClasses(fd.field, fd.gen, k)
             for idx in [(0, 1), (1, 0), (1, 1)]:
-                assert (cyclo_dim2(*idx, k, fd.field, fd.gen, cls)
-                        == cyclo_dim_enum(list(idx), k, fd.field, fd.gen, cls))
+                assert (cyclo_dim2(*idx, k, fd.field, fd.gen)
+                        == cyclo_dim_enum(list(idx), k, fd.field, fd.gen))
             for idx in [(0, 0, 0), (0, 1, 1), (1, 0, 1)]:
-                assert (cyclo_dim3(*idx, k, fd.field, fd.gen, cls)
-                        == cyclo_dim_enum(list(idx), k, fd.field, fd.gen, cls))
+                assert (cyclo_dim3(*idx, k, fd.field, fd.gen)
+                        == cyclo_dim_enum(list(idx), k, fd.field, fd.gen))
             for idx in [(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 1)]:
-                assert (cyclo_dim4(*idx, k, fd.field, fd.gen, cls)
-                        == cyclo_dim_enum(list(idx), k, fd.field, fd.gen, cls))
+                assert (cyclo_dim4(*idx, k, fd.field, fd.gen)
+                        == cyclo_dim_enum(list(idx), k, fd.field, fd.gen))
 
 
 class TestDiagonalClosedForms:
@@ -242,7 +236,7 @@ class TestDiagonalClosedForms:
         for n in (2, 3, 4):
             for i in range(4):
                 closed = cyclo_diag_quartic(n, i, fd.dec, fd.q)
-                enum = cyclo_dim_enum([i] * n, 4, fd.field, fd.gen, fd.classes)
+                enum = cyclo_dim_enum([i] * n, 4, fd.field, fd.gen)
                 assert closed == enum, (fd.q, n, i)
 
     def test_known_values(self):

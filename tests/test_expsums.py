@@ -109,7 +109,8 @@ class TestLambdaSums:
         table = build_table(fd.field, fd.gen)
         for c in fd.field.elements():
             for l in range(4):
-                literal = sum(additive_character(-(x * c)) for x in fd.classes.classes[l])
+                literal = sum(additive_character(-(fd.field.from_int(int(x)) * c))
+                              for x in fd.classes.classes[l])
                 assert abs(table.lambda_sum(l, c) - literal) < 1e-9 * fd.q, (fd.q, l, c)
 
     def test_q5_lambda0(self):

@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 
 from diagquartic import field as field_module
+from diagquartic.cyclotomy import quartic_decomposition
+from diagquartic.counting import count_M, count_N
 from diagquartic.errors import (
     FieldMismatchError,
     FieldTooLargeError,
+    InvariantError,
     NotInPrimeSubfieldError,
     NotPrimeError,
     ZeroHasNoIndexError,
 )
 from diagquartic.field import (
     Field,
+    GeneratorData,
     find_generator,
     index_of,
     is_irreducible,
+    log_table,
     minimal_irreducible,
     prime_subfield_residue,
     quartic_class,
@@ -230,6 +235,74 @@ class TestQuarticClass:
         samples += [gen.g ** e for e in (1, 2, 3, 12345)]
         for x in samples:
             assert quartic_class(x, gen) == index_of(x, gen) % d, x
+
+
+class TestLogTable:
+    def test_matches_powers(self, any_field):
+        fld = any_field.field
+        inverse_g = find_generator(fld, override=(any_field.gen.g ** (fld.q - 2)).encode())
+        for gen in (any_field.gen, inverse_g):
+            log = log_table(fld, gen)
+            acc = fld.one()
+            for e in range(fld.q - 1):
+                assert log[acc.encode()] == e, (gen.g, e)
+                acc = acc * gen.g
+
+    def test_zero_and_read_only(self, any_field):
+        log = log_table(any_field.field, any_field.gen)
+        assert log.dtype == np.int64 and log.shape == (any_field.q,)
+        assert log[0] == -1
+        with pytest.raises(ValueError):
+            log[1] = 0
+
+    def test_non_generator_raises(self):
+        f13 = Field(13, 1)
+        gen = find_generator(f13)
+        fake = GeneratorData(g=f13.from_int(3), order_factorization=gen.order_factorization,
+                             class_roots=gen.class_roots)  # 3 has order 3
+        with pytest.raises(InvariantError):
+            log_table(f13, fake)
+
+    def test_other_field_rejected(self):
+        with pytest.raises(FieldMismatchError):
+            log_table(Field(7, 1), find_generator(Field(5, 1)))
+
+    def test_cache_evicts_oldest_past_byte_guard(self, monkeypatch):
+        builds = []
+        build = field_module._log_table
+
+        def counted(g):
+            builds.append(g.field.q)
+            return build(g)
+        f5, f7, f9 = Field(5, 1), Field(7, 1), Field(3, 2)
+        gens = {fld: find_generator(fld) for fld in (f5, f7, f9)}
+        monkeypatch.setattr(field_module, "_log_table", counted)
+        monkeypatch.setattr(field_module, "_LOG_TABLE_CACHE", {})
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", (7 + 9) * 8)
+
+        def touch(fld):
+            log_table(fld, gens[fld])
+            return [g.field for g in field_module._LOG_TABLE_CACHE]
+        assert touch(f5) == [f5]
+        assert touch(f7) == [f5, f7]
+        assert touch(f9) == [f7, f9]
+        assert touch(f7) == [f7, f9]
+        assert touch(f5) == [f9, f5]
+        assert builds == [5, 7, 9, 5]
+
+    @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12)])
+    def test_count_path_builds_no_table(self, monkeypatch, p, m):
+        def refuse(g):
+            raise RuntimeError(f"log table built for q = {g.field.q}")
+        monkeypatch.setattr(field_module, "_log_table", refuse)
+        monkeypatch.setattr(field_module, "_LOG_TABLE_CACHE", {})
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        dec = quartic_decomposition(fld, gen)
+        c = fld.from_int(fld.q // 3)
+        y = gen.g * c ** 4  # class 1: not a fourth power
+        assert count_N(c, 7, fld, gen, dec) == count_N(c, 7, fld, gen)
+        assert count_M(y, 7, fld, gen, dec) > 0
 
 
 class TestTrace:
