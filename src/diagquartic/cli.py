@@ -6,9 +6,11 @@ generating function, in O(log n) polynomial products; `--method oracle` and
 `--all-methods` also work with `--y`, and `--all-methods` reports each
 method's seconds.  `series` lists the first n coefficients.  `verify` checks
 the counts against one oracle pass per field (M_n(y) by splitting off x_n),
-the closed forms, the order-4 recurrence and the relation
-M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y); a failing check names its first
-failing input in its detail.
+the closed forms, the order-4 recurrence on the oracle's counts and the
+relation M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).  Each check is a stream of
+rows, its inputs and each method's value there, and one runner times it and
+files the first row where the values differ, as JSON, in its detail; with
+the `fields` it lists (p, m, q, modulus, g, s, t), that row reproduces.
 Elements cross the boundary as canonical integer encodings; counts are
 serialized as decimal strings so JSON consumers never overflow.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
@@ -22,12 +24,12 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import counting, expsums, genfunc
 from .cyclotomy import (
     QuarticDecomposition,
-    cyclotomic_number_enum,
+    cyclotomic_matrix,
     cyclotomic_number_quartic,
     quartic_decomposition,
 )
@@ -36,7 +38,9 @@ from .errors import (
     InvariantError,
     MethodNotApplicableError,
     NonIntegralError,
+    NotNearIntegerError,
     QuarticYError,
+    ResidualTooLargeError,
 )
 from .field import Field, find_generator
 
@@ -57,21 +61,6 @@ class RunConfig:
         gen = find_generator(fld, override=self.generator)
         dec = quartic_decomposition(fld, gen) if fld.q % 4 == 1 else None
         return fld, gen, dec
-
-
-@dataclass
-class VerifyReport:
-    checks: list[dict] = dc_field(default_factory=list)
-
-    def add(self, name: str, ok: bool, detail: str = "", residual: float = 0.0,
-            seconds: float = 0.0):
-        self.checks.append({"name": name, "status": "pass" if ok else "FAIL",
-                            "detail": detail, "max_residual": residual,
-                            "seconds": round(seconds, 3)})
-
-    @property
-    def passed(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -99,25 +88,20 @@ def cmd_field(args) -> int:
     return 0
 
 
-def _cyclotomic_table(fld, gen, dec) -> tuple[list[dict], dict | None]:
-    """Closed-form and enumerated (i, j)_4 for every i, j, and the first entry
-    where they differ (None if none does)."""
+def _cyclotomic_rows(fld, gen, dec):
+    """Closed-form and enumerated (i, j)_4 for every i, j, with the (s, t) used;
+    a closed form that is not an integer is None, with the error in `detail`."""
     f_even = (fld.q - 1) // 4 % 2 == 0
-    entries = []
-    first_failure = None
+    enum = cyclotomic_matrix(4, fld, gen).tolist()
     for i in range(4):
         for j in range(4):
-            enum = cyclotomic_number_enum(i, j, 4, fld, gen)
-            detail = ""
+            row = {"i": i, "j": j, "s": dec.s, "t": dec.t, "closed": None,
+                   "enumerated": enum[i][j], "detail": ""}
             try:
-                closed = cyclotomic_number_quartic(i, j, dec, fld.q, f_even)
+                row["closed"] = cyclotomic_number_quartic(i, j, dec, fld.q, f_even)
             except NonIntegralError as exc:  # an inconsistent (s, t), not bad input
-                closed, detail = None, f"{type(exc).__name__}: {exc}"
-            entries.append({"i": i, "j": j, "closed": closed, "enumerated": enum})
-            if closed != enum and first_failure is None:
-                first_failure = {"i": i, "j": j, "s": dec.s, "t": dec.t, "closed": closed,
-                                 "enumerated": enum, "detail": detail}
-    return entries, first_failure
+                row["detail"] = f"{type(exc).__name__}: {exc}"
+            yield row
 
 
 def cmd_cyclotomic(args) -> int:
@@ -127,7 +111,9 @@ def cmd_cyclotomic(args) -> int:
         return 2
     if args.break_t:
         dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)
-    entries, first_failure = _cyclotomic_table(fld, gen, dec)
+    rows = list(_cyclotomic_rows(fld, gen, dec))
+    entries = [{key: row[key] for key in ("i", "j", "closed", "enumerated")} for row in rows]
+    first_failure = next((row for row in rows if row["closed"] != row["enumerated"]), None)
     payload = {"q": fld.q, "g": gen.g.encode(), "s": dec.s, "t": dec.t,
                "f_parity": _field_payload(fld, gen, dec)["f_parity"], "entries": entries}
     if first_failure is not None:
@@ -214,95 +200,104 @@ def cmd_series(args) -> int:
     return 0
 
 
-def _first_oracle_mismatch(fld, gen, dec, hists: list[list[int]]) -> dict | None:
-    """The first (c, n) where the coefficient of `gf_N` differs from the oracle;
-    one generating function per c."""
-    for code in range(fld.q):
-        gf = genfunc.gf_N(fld, gen, dec, fld.from_int(code))
-        for n, hist in enumerate(hists, start=1):
-            value = gf.coefficient(n)
-            if value != hist[code]:
-                return {"c": code, "n": n, "series": str(value), "oracle": str(hist[code])}
-    return None
-
-
-def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
-                  report: VerifyReport, with_expsums: bool) -> None:
-    q = fld.q
-    tag = f"q={q}"
+def _run_check(checks: list[dict], name: str, methods: tuple[str, ...], rows) -> None:
+    """Time one check, a lazy stream of rows that each hold the check's inputs
+    and each method's value there (and may carry the check's `max_residual`);
+    file the first row where the values differ, or the error of a closed form
+    or a floating-point route, as its detail."""
     t0 = time.monotonic()
+    detail, residual = "", 0.0
+    try:
+        for row in rows:
+            residual = max(residual, row.get("max_residual", 0.0))
+            if len({row[m] for m in methods}) > 1:
+                detail = json.dumps(row)
+                break
+    except (NonIntegralError, NotNearIntegerError, ResidualTooLargeError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+    checks.append({"name": name, "status": "FAIL" if detail else "pass", "detail": detail,
+                   "max_residual": residual, "seconds": round(time.monotonic() - t0, 3)})
 
-    hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax, 4))
-    failure = _first_oracle_mismatch(fld, gen, dec, hists)
-    report.add(f"{tag} oracle-equivalence n<={nmax}", failure is None,
-               detail=json.dumps(failure) if failure else "", seconds=time.monotonic() - t0)
 
-    if dec is not None:
-        t0 = time.monotonic()
-        _, failure = _cyclotomic_table(fld, gen, dec)
-        report.add(f"{tag} cyclotomic closed=enum", failure is None,
-                   detail=json.dumps(failure) if failure else "", seconds=time.monotonic() - t0)
+def _expsum_rows(fld, gen, dec, hists: list[list[int]], codes: list[int]):
+    """N_n(c), n <= 6, from the Gauss sums, each row with their largest residual
+    as roots of `denominator`."""
+    table = expsums.build_table(fld, gen)
+    residual = max(expsums.verify_gauss_sum_roots(table, dec, fld.q))
+    for code in codes:
+        for n in range(1, min(len(hists), 6) + 1):
+            yield {"c": code, "n": n,
+                   "expsum": str(expsums.reconstruct_N(n, fld.from_int(code), table, fld)),
+                   "oracle": str(hists[n - 1][code]), "max_residual": residual}
 
-        t0 = time.monotonic()
-        nsmall = min(4, nmax)
-        ok = all(counting.count_small(fld.from_int(code), n, dec, fld, gen)
-                 == hists[n - 1][code] for code in range(1, q) for n in range(1, nsmall + 1))
-        report.add(f"{tag} closed-form n<={nsmall}", ok, seconds=time.monotonic() - t0)
 
-        t0 = time.monotonic()
-        ok = all(r == 0 for code in range(1, q) for r in genfunc.recurrence_check(
-            fld, gen, dec, fld.from_int(code), max(nmax, 5)))
-        report.add(f"{tag} recurrence order 4", ok, seconds=time.monotonic() - t0)
-
-        if with_expsums:
-            t0 = time.monotonic()
-            table = expsums.build_table(fld, gen)
-            residuals = expsums.verify_gauss_sum_roots(table, dec, q)
-            sample = rng.sample(range(1, q), min(5, q - 1))
-            ok = all(expsums.reconstruct_N(n, fld.from_int(code), table, fld)
-                     == hists[n - 1][code]
-                     for code in sample for n in range(1, min(nmax, 6) + 1))
-            report.add(f"{tag} exponential sums", ok,
-                       residual=max(residuals), seconds=time.monotonic() - t0)
-
-    t0 = time.monotonic()
-    ok = True
-    n0 = counting.count_N(fld.zero(), nmax - 1, fld, gen, dec)
+def _twisted_rows(fld, gen, dec, hists: list[list[int]]):
+    """M_n(y) for non-quartic y from `gf_M`, the oracle by splitting off x_n,
+    and the relation M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y)."""
+    q, n = fld.q, len(hists)
+    n0 = counting.count_N(fld.zero(), n - 1, fld, gen, dec)
     for code in range(1, q):
         y = fld.from_int(code)
         if genfunc.is_quartic(y, gen):
             continue
         # split off x_n: sum N_{n-1}(-y x_n^4) over x_n, grouped by u = x_n^4
         neg_y = -y
-        twisted = sum(cnt * hists[nmax - 2][(neg_y * fld.from_int(u)).encode()]
+        twisted = sum(cnt * hists[n - 2][(neg_y * fld.from_int(u)).encode()]
                       for u, cnt in enumerate(hists[0]) if cnt)
         # x_n = 0 gives N_{n-1}(0); each nonzero x_n gives N_{n-1}(-y x_n^4) = N_{n-1}(-y)
-        relation = n0 + (q - 1) * counting.count_N(neg_y, nmax - 1, fld, gen, dec)
-        ok = ok and counting.count_M(y, nmax, fld, gen, dec) == twisted == relation
-    report.add(f"{tag} twisted counts", ok, seconds=time.monotonic() - t0)
+        relation = n0 + (q - 1) * counting.count_N(neg_y, n - 1, fld, gen, dec)
+        yield {"y": code, "n": n, "series": str(counting.count_M(y, n, fld, gen, dec)),
+               "oracle": str(twisted), "relation": str(relation)}
+
+
+def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
+                  checks: list[dict], with_expsums: bool) -> None:
+    q = fld.q
+    tag = f"q={q}"
+    hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax, 4))
+    _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"), (
+        {"c": code, "n": n, "series": str(gf.coefficient(n)), "oracle": str(hist[code])}
+        for code in range(q) for gf in [genfunc.gf_N(fld, gen, dec, fld.from_int(code))]
+        for n, hist in enumerate(hists, start=1)))  # one generating function per c
+    if dec is not None:
+        _run_check(checks, f"{tag} cyclotomic closed=enum", ("closed", "enumerated"),
+                   _cyclotomic_rows(fld, gen, dec))
+        nsmall = min(4, nmax)
+        _run_check(checks, f"{tag} closed-form n<={nsmall}", ("closed", "oracle"), (
+            {"c": code, "n": n,
+             "closed": str(counting.count_small(fld.from_int(code), n, dec, fld, gen)),
+             "oracle": str(hists[n - 1][code])}
+            for code in range(1, q) for n in range(1, nsmall + 1)))
+        if nmax >= 5:
+            # N_n(c) as the recurrence predicts it from the oracle's N_(n-4..n-1)(c)
+            _run_check(checks, f"{tag} recurrence order 4", ("recurrence", "oracle"), (
+                {"c": code, "n": n, "recurrence": str(hists[n - 1][code] - residual),
+                 "oracle": str(hists[n - 1][code])}
+                for code in range(1, q) for n, residual in enumerate(genfunc.recurrence_check(
+                    fld, dec, fld.from_int(code), [hist[code] for hist in hists]), start=5)))
+        if with_expsums:
+            codes = rng.sample(range(1, q), min(5, q - 1))
+            _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
+                       _expsum_rows(fld, gen, dec, hists, codes))
+    _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
+               _twisted_rows(fld, gen, dec, hists))
 
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
-    report = VerifyReport()
-    fields = [(args.p, args.m)] if args.p else DEFAULT_VERIFY_FIELDS
-    for p, m in fields:
+    fields, checks = [], []
+    for p, m in [(args.p, args.m)] if args.p else DEFAULT_VERIFY_FIELDS:
         cfg = RunConfig(p=p, m=m, generator=args.generator if args.p else None,
                         modulus=args.modulus if args.p else None)
         fld, gen, dec = cfg.build()
         if args.break_t and dec is not None:
             dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)
-        try:
-            _verify_field(fld, gen, dec, args.nmax, rng, report,
-                          with_expsums=args.expsums)
-        except InvariantError:
-            raise
-        except DiagQuarticError as exc:
-            report.add(f"q={fld.q} aborted", False, detail=f"{type(exc).__name__}: {exc}")
-    payload = {"status": "pass" if report.passed else "FAIL",
-               "checks": report.checks}
+        fields.append(_field_payload(fld, gen, dec))
+        _verify_field(fld, gen, dec, args.nmax, rng, checks, with_expsums=args.expsums)
+    passed = all(c["status"] == "pass" for c in checks)
+    payload = {"status": "pass" if passed else "FAIL", "fields": fields, "checks": checks}
     print(json.dumps(payload, indent=2) if args.json else json.dumps(payload))
-    return 0 if report.passed else 1
+    return 0 if passed else 1
 
 
 def _config(args) -> RunConfig:

@@ -1,7 +1,8 @@
 """Cyclotomic classes, a view of `field.log_table`, and cyclotomic numbers.
 
-Order-4 numbers come in two flavors: exact enumeration over the classes, and
-the classical closed-form A-E table driven by the decomposition q = s^2 + 4t^2.
+Order-4 numbers come in two flavors: exact enumeration over the classes (all
+k^2 numbers (i, j)_k at once, `cyclotomic_matrix`), and the classical
+closed-form A-E table driven by the decomposition q = s^2 + 4t^2.
 Dimension-n numbers [i_1, ..., i_n]_k are likewise available exactly, as the
 value at 1 of the additive convolution of the class indicator vectors (the
 oracle's own primitive, `field._group_convolve`), by reduction to ordinary
@@ -70,10 +71,6 @@ class QuarticDecomposition:
     s: int
     t: int
 
-    @property
-    def f(self) -> int:
-        return (self.s * self.s + 4 * self.t * self.t - 1) // 4
-
 
 def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecomposition:
     q, p, m = fld.q, fld.p, fld.m
@@ -124,12 +121,20 @@ class CyclotomicClasses:
         self.classes = [antilog[i::k] for i in range(k)]
 
 
+def cyclotomic_matrix(k: int, fld: Field, gen: GeneratorData) -> np.ndarray:
+    """All (i, j)_k = #{x in C_i : 1 + x in C_j} as a k x k int array, by one
+    count over the pairs (x, 1 + x)."""
+    class_of = CyclotomicClasses(fld, gen, k).class_of
+    xs = np.arange(1, fld.q)
+    low = xs % fld.p  # adding 1 raises the lowest base-p digit by one mod p
+    i, j = class_of[xs], class_of[xs - low + (low + 1) % fld.p]
+    keep = j >= 0  # 1 + x = 0 lies in no class
+    return np.bincount(i[keep] * k + j[keep], minlength=k * k).reshape(k, k)
+
+
 def cyclotomic_number_enum(i: int, j: int, k: int, fld: Field, gen: GeneratorData) -> int:
     """(i, j)_k = #{x in C_i : 1 + x in C_j}, by direct enumeration."""
-    cls = CyclotomicClasses(fld, gen, k)
-    xs = cls.classes[i % k]
-    low = xs % fld.p  # adding 1 raises the lowest base-p digit by one mod p
-    return int(np.count_nonzero(cls.class_of[xs - low + (low + 1) % fld.p] == j % k))
+    return int(cyclotomic_matrix(k, fld, gen)[i % k, j % k])
 
 
 def _exact_div(num: int, den: int, what: str) -> int:
@@ -194,11 +199,10 @@ def cyclo_dim2(i1: int, i2: int, k: int, fld: Field, gen: GeneratorData) -> int:
 def cyclo_dim3(i1: int, i2: int, i3: int, k: int, fld: Field, gen: GeneratorData) -> int:
     """Dimension-3 reduction: a boundary term plus a sum of products of pairs."""
     f, half = (fld.q - 1) // k, (fld.q - 1) // 2
+    a = cyclotomic_matrix(k, fld, gen).tolist()  # Python ints: the sums stay exact
     alpha = f if (i1 - i2 - half) % k == 0 and i3 % k == 0 else 0
-    total = sum(
-        cyclotomic_number_enum(v - i3, -i3, k, fld, gen)
-        * cyclotomic_number_enum(i2 - i1, v - i1, k, fld, gen)
-        for v in range(k))
+    total = sum(a[(v - i3) % k][-i3 % k] * a[(i2 - i1) % k][(v - i1) % k]
+                for v in range(k))
     return alpha + total
 
 
@@ -206,17 +210,18 @@ def cyclo_dim4(i1: int, i2: int, i3: int, i4: int, k: int, fld: Field,
                gen: GeneratorData) -> int:
     """Dimension-4 reduction: boundary terms plus a double sum of triples."""
     f, half = (fld.q - 1) // k, (fld.q - 1) // 2
+    a = cyclotomic_matrix(k, fld, gen).tolist()  # Python ints: the sums stay exact
     first_pair_neg = (i2 - i1 - half) % k == 0
     second_pair_neg = (i4 - i3 - half) % k == 0
     gamma = 0
     if second_pair_neg:
-        gamma += cyclotomic_number_enum(i2 - i1, -i1, k, fld, gen) * f
+        gamma += a[(i2 - i1) % k][-i1 % k] * f
     if first_pair_neg:
-        gamma += cyclotomic_number_enum(i4 - i3, -i3, k, fld, gen) * f
+        gamma += a[(i4 - i3) % k][-i3 % k] * f
     total = sum(
-        cyclotomic_number_enum(v2 - v1, -v1, k, fld, gen)
-        * cyclotomic_number_enum(i2 - i1, v1 - i1, k, fld, gen)
-        * cyclotomic_number_enum(i4 - i3, v2 - i3, k, fld, gen)
+        a[(v2 - v1) % k][-v1 % k]
+        * a[(i2 - i1) % k][(v1 - i1) % k]
+        * a[(i4 - i3) % k][(v2 - i3) % k]
         for v1 in range(k) for v2 in range(k))
     return gamma + total
 

@@ -24,7 +24,6 @@ from .errors import NotNearIntegerError, ResidualTooLargeError, WrongResidueClas
 from .field import Element, Field, GeneratorData, quartic_class, trace, trace_table
 from .genfunc import denominator
 
-ORTHOGONALITY_TOL = 1e-9
 POLY_RESIDUAL_TOL = 1e-6
 RECONSTRUCT_MAX_N = 60
 

@@ -214,29 +214,25 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     return RationalGF(parts=(_geometric(q, scale=q), RationalPart(num=num, den=den)))
 
 
-def recurrence_check(fld: Field, gen: GeneratorData, dec: QuarticDecomposition,
-                     c: Element, nmax: int, counts: list[int] | None = None
-                     ) -> list[int]:
-    """Residuals of the order-4 recurrence on D(n) = N_n(c) - q^(n-1), n = 5..nmax.
+def recurrence_check(fld: Field, dec: QuarticDecomposition, c: Element,
+                     counts: list[int]) -> list[int]:
+    """Residuals of the order-4 recurrence on D(n) = N_n(c) - q^(n-1), n = 5..len(counts).
 
     The recurrence is D(n) = -(d_1 D(n-1) + ... + d_4 D(n-4)), where
-    (1, d_1, ..., d_4) = `denominator(q, s)`.
-
-    `counts` may supply precomputed N_1..N_nmax (e.g. from the oracle);
-    otherwise the series expansion provides them.  All residuals must be zero.
+    (1, d_1, ..., d_4) = `denominator(q, s)`.  `counts` holds N_1(c) ..
+    N_nmax(c) from a route other than the generating function, such as the
+    oracle: the series of `gf_N` obeys its own denominator by construction.
+    All residuals must be zero.
     """
     if c.is_zero():
         raise ValueError("recurrence check is stated for c != 0")
-    if nmax < 5:
-        raise ValueError("nmax must be at least 5")
+    if len(counts) < 5:
+        raise ValueError("the recurrence needs N_1 .. N_5 at least")
     q = fld.q
-    if counts is None:
-        counts = gf_N(fld, gen, dec, c).series(nmax)
-    dvals = [counts[n - 1] - q ** (n - 1) for n in range(1, nmax + 1)]
+    dvals = [count - q ** n for n, count in enumerate(counts)]
     _, d1, d2, d3, d4 = denominator(q, dec.s)
     residuals = []
-    for n in range(5, nmax + 1):
-        i = n - 1
+    for i in range(4, len(counts)):
         residuals.append(dvals[i] + d1 * dvals[i - 1] + d2 * dvals[i - 2]
                          + d3 * dvals[i - 3] + d4 * dvals[i - 4])
     return residuals

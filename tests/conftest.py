@@ -53,17 +53,22 @@ def split_off_count(fld, histograms, y, n):
                for u, cnt in enumerate(histograms[0]) if cnt)
 
 
-def literal_cyclo_dim(indices, k, gen):
-    """[i_1, ..., i_n]_k by literal enumeration of C_{i_1} x ... x C_{i_n}:
-    each class C_i = {g^(i + k*u)} from powers of g, then f^n tuples of field
-    elements, each summed and compared with 1."""
-    fld = gen.field
-    one = fld.one()
+def literal_classes(k, gen):
+    """The classes C_i = {g^(i + k*u)} as lists of field elements, from powers of g."""
     classes = [[] for _ in range(k)]
-    acc = one
-    for e in range(fld.q - 1):
+    acc = gen.field.one()
+    for e in range(gen.field.q - 1):
         classes[e % k].append(acc)
         acc = acc * gen.g
+    return classes
+
+
+def literal_cyclo_dim(indices, k, gen):
+    """[i_1, ..., i_n]_k by literal enumeration of C_{i_1} x ... x C_{i_n}:
+    each class from `literal_classes`, then f^n tuples of field elements, each
+    summed and compared with 1."""
+    one = gen.field.one()
+    classes = literal_classes(k, gen)
     count = 0
     for combo in itertools.product(*(classes[i % k] for i in indices)):
         total = combo[0]

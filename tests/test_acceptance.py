@@ -127,9 +127,8 @@ def test_criterion_6_recurrence():
         fd = field_data(p, m)
         for code in range(1, fd.q):
             counts = [fd.oracle_N(code, n) for n in range(1, 9)]
-            res = genfunc.recurrence_check(fd.field, fd.gen, fd.dec,
-                                           fd.field.from_int(code), 8,
-                                           counts=counts)
+            res = genfunc.recurrence_check(fd.field, fd.dec, fd.field.from_int(code),
+                                           counts)
             if any(r != 0 for r in res):
                 ok = False
     report("criterion 6: order-4 recurrence on D(n), n in [5, 8]", ok)

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from diagquartic import cli, counting, genfunc
+from diagquartic import cli, counting, expsums, genfunc
 from diagquartic.cli import main
-from diagquartic.errors import InvariantError
+from diagquartic.errors import InvariantError, NotNearIntegerError
 
 
 def run(capsys, *argv):
@@ -154,10 +154,11 @@ class TestInputErrors:
         ["series", "--p", "5", "--c", "1", "--y", "2", "--n", "3"],
         ["count", "--p", "13", "--y", "3", "--n", "3", "--method", "oracle"],
         ["count", "--p", "13", "--y", "2", "--n", "1", "--method", "oracle"],
+        ["verify", "--p", "6007", "--nmax", "2"],
     ], ids=["count-no-rhs", "count-c-and-y", "closed-q7",
             "series-n-neg", "count-n0", "verify-nmax1", "closed-y",
             "cyclotomy-y", "expsum-y", "series-c-and-y", "oracle-quartic-y",
-            "oracle-y-n1"])
+            "oracle-y-n1", "verify-past-oracle-guard"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 
@@ -264,3 +265,71 @@ class TestVerifyCommand:
         assert code == 0
         assert all(c["detail"] == "" for c in json.loads(out)["checks"])
 
+
+    def test_every_failing_check_has_a_json_witness(self, capsys):
+        # q = 13 has (s, t) = (-3, -1); the checks run with t + 1
+        code, out = run(capsys, "verify", "--p", "13", "--break-t", "--nmax", "5",
+                        "--json")
+        assert code == 1
+        payload = json.loads(out)
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert json.loads(checks["q=13 closed-form n<=4"]["detail"]) == {
+            "c": 2, "n": 2, "closed": "8", "oracle": "16"}
+        # the series and the relation both read the wrong t; the oracle does not
+        assert json.loads(checks["q=13 twisted counts"]["detail"]) == {
+            "y": 2, "n": 5, "series": "26689", "oracle": "29185", "relation": "26689"}
+        assert all(json.loads(c["detail"]) for c in checks.values() if c["status"] == "FAIL")
+        # the field the witnesses reproduce on, with the t the checks used
+        assert payload["fields"] == [{"p": 13, "m": 1, "q": 13, "modulus": [0, 1], "g": 2,
+                                      "s": -3, "t": 0, "f_parity": "odd"}]
+
+    def test_recurrence_checks_the_denominator_against_the_oracle(self, capsys,
+                                                                   monkeypatch):
+        denominator = genfunc.denominator
+
+        def last_coefficient_off_by_q(q, s):
+            *head, last = denominator(q, s)
+            return (*head, last + q)
+        monkeypatch.setattr(genfunc, "denominator", last_coefficient_off_by_q)
+        code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--json")
+        assert code == 1
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["q=13 recurrence order 4"]
+        assert check["status"] == "FAIL"
+        witness = json.loads(check["detail"])
+        assert (witness["c"], witness["n"]) == (1, 5)
+        assert witness["recurrence"] != witness["oracle"]
+
+    def test_recurrence_needs_n_5(self, capsys):
+        code, out = run(capsys, "verify", "--p", "13", "--nmax", "4", "--json")
+        assert code == 0
+        assert not any("recurrence" in c["name"] for c in json.loads(out)["checks"])
+
+    def test_wrong_gauss_sums_give_an_expsum_witness(self, capsys, monkeypatch):
+        build_table = expsums.build_table
+
+        def rotated(fld, gen):
+            # the same four roots of the denominator, each on the wrong class
+            table = build_table(fld, gen)
+            table.T = table.T[1:] + table.T[:1]
+            return table
+        monkeypatch.setattr(expsums, "build_table", rotated)
+        code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--expsums", "--json")
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
+        assert [c["name"] for c in failed] == ["q=13 exponential sums"]
+        witness = json.loads(failed[0]["detail"])
+        assert set(witness) == {"c", "n", "expsum", "oracle", "max_residual"}
+        assert witness["expsum"] != witness["oracle"]
+        assert witness["max_residual"] == failed[0]["max_residual"] < 1e-6
+
+    def test_error_in_one_check_fails_that_check_only(self, capsys, monkeypatch):
+        def not_near_integer(*args):
+            raise NotNearIntegerError("injected drift")
+        monkeypatch.setattr(expsums, "reconstruct_N", not_near_integer)
+        code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--expsums", "--json")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 6
+        failed = [c for c in checks if c["status"] == "FAIL"]
+        assert [c["name"] for c in failed] == ["q=13 exponential sums"]
+        assert failed[0]["detail"] == "NotNearIntegerError: injected drift"

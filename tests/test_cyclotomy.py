@@ -13,6 +13,7 @@ from diagquartic.cyclotomy import (
     cyclo_dim3,
     cyclo_dim4,
     cyclo_dim_enum,
+    cyclotomic_matrix,
     cyclotomic_number_enum,
     cyclotomic_number_quartic,
     linear_congruence_count,
@@ -29,7 +30,7 @@ from diagquartic.errors import (
 )
 from diagquartic.field import Field, find_generator
 
-from conftest import field_data, literal_cyclo_dim
+from conftest import field_data, literal_classes, literal_cyclo_dim
 
 
 class TestCongruenceCounts:
@@ -250,3 +251,22 @@ class TestDiagonalClosedForms:
     def test_wrong_residue_class(self):
         with pytest.raises(WrongResidueClassError):
             cyclo_diag_quartic(2, 0, QuarticDecomposition(1, 1), 7)
+
+
+class TestCyclotomicMatrix:
+    @pytest.mark.parametrize("p, m", [(5, 1), (3, 2), (13, 1), (7, 2)],
+                             ids=["q=5", "q=9", "q=13", "q=49"])
+    def test_matches_literal_count(self, p, m):
+        # (i, j)_k = #{x in C_i : 1 + x in C_j}, by Element additions over
+        # classes from a power loop of g, for every order k dividing q - 1
+        fd = field_data(p, m)
+        one = fd.field.one()
+        for k in [k for k in range(1, fd.q) if (fd.q - 1) % k == 0]:
+            classes = literal_classes(k, fd.gen)
+            class_of = {x: i for i, members in enumerate(classes) for x in members}
+            literal = [[0] * k for _ in range(k)]
+            for i, members in enumerate(classes):
+                for x in members:
+                    if one + x in class_of:
+                        literal[i][class_of[one + x]] += 1
+            assert cyclotomic_matrix(k, fd.field, fd.gen).tolist() == literal, (fd.q, k)

@@ -189,14 +189,14 @@ class TestRecurrence:
         fd = field_1mod4
         for code in range(1, fd.q):
             counts = [fd.oracle_N(code, n) for n in range(1, 9)]
-            res = recurrence_check(fd.field, fd.gen, fd.dec,
-                                   fd.field.from_int(code), 8, counts=counts)
+            res = recurrence_check(fd.field, fd.dec, fd.field.from_int(code), counts)
             assert res == [0, 0, 0, 0], (fd.q, code)
 
     def test_rejects_zero_c(self):
         fd = field_data(5, 1)
         with pytest.raises(ValueError):
-            recurrence_check(fd.field, fd.gen, fd.dec, fd.field.zero(), 8)
+            recurrence_check(fd.field, fd.dec, fd.field.zero(),
+                             [fd.oracle_N(0, n) for n in range(1, 9)])
 
 
 class TestDenominatorBridge:
