@@ -1,10 +1,14 @@
 """Solution counts for diagonal forms over F_q.
 
-Three independent routes are provided and cross-checked in the tests:
+Four independent routes are provided and cross-checked in the tests:
 
+* `count_N` / `count_M`, one series coefficient of the rational generating
+  functions (the production path),
 * an oracle based on additive convolution of power histograms (exact, O(n q^2)),
-* closed forms for n <= 4 assembled from the epsilon tables,
-* series coefficients of the rational generating functions.
+* closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
+* dimension-j cyclotomic numbers for n <= 4 (`count_via_cyclotomy`).
+
+The fifth, exponential sums, is `expsums.reconstruct_N`.
 """
 
 from __future__ import annotations

@@ -4,6 +4,11 @@ Elements are coefficient vectors over Z/p in the basis 1, x, ..., x^{m-1}.
 Every element has a canonical integer encoding sum(c_i * p^i), a bijection
 onto [0, q-1], used in all I/O.
 
+One kernel does the arithmetic: `_mulmod`, the product of two length-m
+coefficient tuples mod the monic modulus f, and its square-and-multiply
+`_powmod`.  `Element` products and powers call it, and so does
+`is_irreducible`, which runs Rabin's test in the ring F_p[x]/(f) itself.
+
 `quartic_class` gives the cyclotomic class ind_g(x) mod gcd(4, q-1) by
 Euler's criterion, one power of x and no discrete log; the counts need
 nothing more, and neither it nor `find_generator` builds a table.
@@ -37,24 +42,14 @@ from .errors import (
 DEFAULT_FIELD_BOUND = 2**20
 # Bound on n*q^2, the work of n convolutions over (F_q, +).
 ORACLE_COST_GUARD = 10**9
-# Bound on the bytes of the q x q addition table (q <= 5792), and on the
-# arrays each table cache holds together.
+# Bound on the bytes of the q x q addition table (q <= 5792), on the n
+# histograms of n convolutions, and on the arrays each table cache holds
+# together.
 ORACLE_TABLE_BYTES_GUARD = 2**28
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -72,88 +67,61 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over Z/p.  Coefficient lists, constant term first,
-# trailing zeros trimmed.
+# The field kernel: products in F_p[x]/(f) on length-m coefficient tuples,
+# constant term first, f monic of degree m.
 # ---------------------------------------------------------------------------
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a: list[int], modulus: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(modulus) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mc in enumerate(modulus):
-                a[shift + i] = (a[shift + i] - lead * mc) % p
-        _trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _mulmod(a: tuple[int, ...], b: tuple[int, ...], f: tuple[int, ...],
+            p: int) -> tuple[int, ...]:
+    """a*b mod (f, p): the schoolbook product, reduced from the top term down."""
+    m = len(a)
+    prod = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, modulus, p)
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):
+        lead = prod[k] % p
+        if lead:
+            for j, fc in enumerate(f[:m], k - m):
+                prod[j] -= lead * fc
+    return tuple([c % p for c in prod[:m]])
 
 
-def _poly_powmod(a: list[int], e: int, modulus: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_mod(list(a), modulus, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
+def _powmod(a: tuple[int, ...], e: int, f: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a^e mod (f, p) by square-and-multiply from the top bit of e, e >= 0."""
+    if e == 0:
+        return (1,) + (0,) * (len(a) - 1)
+    result = a
+    for bit in bin(e)[3:]:
+        result = _mulmod(result, result, f, p)
+        if bit == "1":
+            result = _mulmod(result, a, f, p)
     return result
 
 
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _trim(out)
+def is_irreducible(modulus: tuple[int, ...] | list[int], p: int) -> bool:
+    """Test a monic degree-m polynomial f over Z/p for irreducibility.
 
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        monic_b = [(c * inv) % p for c in b]
-        a, b = b, _poly_mod(a, monic_b, p)
-    return a
-
-
-def is_irreducible(modulus: list[int], p: int) -> bool:
-    """Test a monic degree-m polynomial over Z/p for irreducibility.
-
-    Uses the standard criterion: x^(p^m) = x mod f, and for every prime l | m
-    the polynomial x^(p^(m/l)) - x is coprime to f.
+    Rabin's test (SIAM J. Comput. 9, 1980), run in R = F_p[x]/(f): if
+    x^(p^m) = x in R, then R is a product of fields F_(p^d) with d | m, and
+    it is one field exactly when, for every prime l | m, h = x^(p^(m/l)) - x
+    is a unit of R, that is h^(p^m - 1) = 1.
     """
     m = len(modulus) - 1
     if m < 1 or modulus[-1] != 1:
         return False
     if m == 1:
         return True
-    x = [0, 1]
-    xq = _poly_powmod(x, p**m, modulus, p)
-    if _poly_sub(xq, x, p):
+    f = tuple(c % p for c in modulus)
+    x = (0, 1) + (0,) * (m - 2)
+    one = (1,) + (0,) * (m - 1)
+    if _powmod(x, p**m, f, p) != x:
         return False
     for ell in factorize(m):
-        xsub = _poly_powmod(x, p ** (m // ell), modulus, p)
-        d = _poly_sub(xsub, x, p)
-        if len(_poly_gcd(list(modulus), d, p)) - 1 != 0:
+        h = _powmod(x, p ** (m // ell), f, p)
+        h = tuple([(c - xc) % p for c, xc in zip(h, x)])
+        if _powmod(h, p**m - 1, f, p) != one:
             return False
     return True
 
@@ -167,12 +135,7 @@ def minimal_irreducible(p: int, m: int) -> tuple[int, ...]:
     if m == 1:
         return (0, 1)
     for code in range(p**m):
-        coeffs = []
-        v = code
-        for _ in range(m):
-            coeffs.append(v % p)
-            v //= p
-        candidate = coeffs + [1]
+        candidate = [code // p**i % p for i in range(m)] + [1]
         if is_irreducible(candidate, p):
             return tuple(candidate)
     raise InvariantError(f"no irreducible of degree {m} over F_{p}")
@@ -199,7 +162,7 @@ class Field:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-            if not is_irreducible(list(modulus), p):
+            if not is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
 
@@ -282,10 +245,7 @@ class Element:
     def __mul__(self, other: Element) -> Element:
         self._check(other)
         f = self.field
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs),
-                            list(f.modulus), f.p)
-        prod += [0] * (f.m - len(prod))
-        return Element(f, tuple(prod))
+        return Element(f, _mulmod(self.coeffs, other.coeffs, f.modulus, f.p))
 
     def __truediv__(self, other: Element) -> Element:
         self._check(other)
@@ -304,8 +264,7 @@ class Element:
         f = self.field
         if f.m == 1:
             return Element(f, (pow(self.coeffs[0], e, f.p),))
-        power = _poly_powmod(list(self.coeffs), e, list(f.modulus), f.p)
-        return Element(f, tuple(power + [0] * (f.m - len(power))))
+        return Element(f, _powmod(self.coeffs, e, f.modulus, f.p))
 
     def __repr__(self) -> str:
         return f"<{self.encode()} in F_{self.field.q}>"
@@ -368,6 +327,8 @@ def quartic_class(x: Element, gen: GeneratorData) -> int:
     x^((q-1)/d) is the d-th root of unity g^(i(q-1)/d) exactly when
     ind_g(x) = i mod d (Lidl & Niederreiter, Finite Fields, ch. 9).
     """
+    if gen.field != x.field:
+        raise FieldMismatchError("generator from a different field")
     if x.is_zero():
         raise ZeroHasNoIndexError("ind_g(0) is undefined")
     d = len(gen.class_roots)
@@ -421,10 +382,15 @@ def _bounded_get(cache: dict, key, build) -> np.ndarray:
 
 
 def check_convolution_cost(fld: Field, n: int) -> None:
-    """Raise TooLargeError unless n convolutions over F_q, and the q x q
-    addition table they read, fit the cost and byte guards."""
+    """Raise TooLargeError unless n convolutions over F_q, the q x q addition
+    table they read and the n histograms they yield fit the cost and byte
+    guards.  A histogram holds q counts below q^n, of n*bits(q) bits each."""
     if n * fld.q**2 > ORACLE_COST_GUARD:
         raise TooLargeError(f"convolution cost n*q^2 = {n}*{fld.q}^2 exceeds guard")
+    hist_bytes = n * fld.q * n * fld.q.bit_length() // 8
+    if hist_bytes > ORACLE_TABLE_BYTES_GUARD:
+        raise TooLargeError(f"{n} histograms of counts below {fld.q}^{n} take about "
+                            f"{hist_bytes} bytes, past guard {ORACLE_TABLE_BYTES_GUARD}")
     table_bytes = fld.q**2 * np.dtype(np.intp).itemsize
     if table_bytes > ORACLE_TABLE_BYTES_GUARD:
         raise TooLargeError(f"addition table of {table_bytes} bytes exceeds "

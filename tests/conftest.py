@@ -78,6 +78,28 @@ def literal_cyclo_dim(indices, k, gen):
     return count
 
 
+def literal_remainder(poly, modulus, p):
+    """poly mod (modulus, p) by long division by the monic modulus, one leading
+    term at a time; coefficient sequences, constant term first."""
+    rem = list(poly)
+    m = len(modulus) - 1
+    while len(rem) > m:
+        lead = rem.pop()
+        for i in range(m):
+            rem[len(rem) - m + i] -= lead * modulus[i]
+    return tuple(c % p for c in rem)
+
+
+def literal_product(a, b, modulus, p):
+    """a*b in F_p[x]/(modulus): the full schoolbook product, then its
+    `literal_remainder`."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return literal_remainder(prod, modulus, p)
+
+
 _CACHE: dict[tuple[int, int], FieldData] = {}
 
 

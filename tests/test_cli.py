@@ -163,6 +163,14 @@ class TestInputErrors:
         assert run(capsys, *argv)[0] == 2
 
 
+    def test_verify_bounds_the_bits_of_the_counts(self, capsys, monkeypatch):
+        # n*q^2 = 2.5e6 passes the cost guard, but the counts reach 5^n: the
+        # histograms would take about 7 GB.  The guard fires before any convolution.
+        monkeypatch.setattr(counting, "_group_convolve", _injected_defect)
+        assert main(["verify", "--p", "5", "--nmax", "100000"]) == 2
+        assert "TooLargeError" in capsys.readouterr().err
+
+
 def _injected_defect(*args):
     raise InvariantError("injected defect")
 
