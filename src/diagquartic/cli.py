@@ -12,7 +12,8 @@ rows, its inputs and each method's value there, and one runner times it and
 files the first row where the values differ, as JSON, in its detail; with
 the `fields` it lists (p, m, q, modulus, g, s, t), that row reproduces.
 Elements cross the boundary as canonical integer encodings; counts are
-serialized as decimal strings so JSON consumers never overflow.
+serialized as decimal strings so JSON consumers never overflow; `count` and
+`series` refuse counts that may pass MAX_COUNT_DIGITS digits up front.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
 3 internal error (`InvariantError`).
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -41,11 +43,16 @@ from .errors import (
     NotNearIntegerError,
     QuarticYError,
     ResidualTooLargeError,
+    TooLargeError,
+    WrongResidueClassError,
 )
 from .field import Field, find_generator
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
                          (29, 1), (7, 1), (11, 1)]
+# Bound on the digits of a count below q^n, in place of the interpreter's int-to-str
+# limit: decimal conversion is quadratic (48,164 digits 0.04 s, 1,113,944 23 s).
+MAX_COUNT_DIGITS = 100_000
 
 
 @dataclass
@@ -78,7 +85,7 @@ def _field_payload(fld, gen, dec) -> dict:
     }
     if dec is not None:
         payload.update({"s": dec.s, "t": dec.t,
-                        "f_parity": "even" if (fld.q - 1) // 4 % 2 == 0 else "odd"})
+                        "f_parity": "even" if fld.q % 8 == 1 else "odd"})
     return payload
 
 
@@ -91,14 +98,13 @@ def cmd_field(args) -> int:
 def _cyclotomic_rows(fld, gen, dec):
     """Closed-form and enumerated (i, j)_4 for every i, j, with the (s, t) used;
     a closed form that is not an integer is None, with the error in `detail`."""
-    f_even = (fld.q - 1) // 4 % 2 == 0
     enum = cyclotomic_matrix(4, fld, gen).tolist()
     for i in range(4):
         for j in range(4):
             row = {"i": i, "j": j, "s": dec.s, "t": dec.t, "closed": None,
                    "enumerated": enum[i][j], "detail": ""}
             try:
-                row["closed"] = cyclotomic_number_quartic(i, j, dec, fld.q, f_even)
+                row["closed"] = cyclotomic_number_quartic(i, j, dec, fld.q)
             except NonIntegralError as exc:  # an inconsistent (s, t), not bad input
                 row["detail"] = f"{type(exc).__name__}: {exc}"
             yield row
@@ -107,8 +113,7 @@ def _cyclotomic_rows(fld, gen, dec):
 def cmd_cyclotomic(args) -> int:
     fld, gen, dec = _config(args).build()
     if dec is None:
-        print("cyclotomic table of order 4 requires q = 1 mod 4", file=sys.stderr)
-        return 2
+        raise WrongResidueClassError(f"q = {fld.q} is not 1 mod 4")
     if args.break_t:
         dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)
     rows = list(_cyclotomic_rows(fld, gen, dec))
@@ -143,7 +148,7 @@ def _count_one(method: str, fld, gen, dec, c, y, n: int) -> int:
         return counting.count_via_cyclotomy(c, n, fld, gen)
     if method == "expsum":
         table = expsums.build_table(fld, gen)
-        return expsums.reconstruct_N(n, c, table, fld)
+        return expsums.reconstruct_N(n, c, table)
     return counting.count_N(c, n, fld, gen, dec)
 
 
@@ -158,8 +163,14 @@ def _applicable_methods(fld, c, n: int) -> list[str]:
     return methods
 
 
+def _check_digits(q: int, n: int) -> None:
+    if n * math.log10(q) > MAX_COUNT_DIGITS:
+        raise TooLargeError(f"counts below {q}^{n} may pass {MAX_COUNT_DIGITS} digits")
+
+
 def cmd_count(args) -> int:
     fld, gen, dec = _config(args).build()
+    _check_digits(fld.q, args.n)
     c = fld.from_int(args.c) if args.c is not None else None
     y = fld.from_int(args.y) if args.y is not None else None
     payload = {"q": fld.q, "n": args.n}
@@ -186,6 +197,7 @@ def cmd_count(args) -> int:
 
 def cmd_series(args) -> int:
     fld, gen, dec = _config(args).build()
+    _check_digits(fld.q, args.n)
     if args.y is not None:
         gf = genfunc.gf_M(fld, gen, dec, fld.from_int(args.y))
         label = {"y": args.y}
@@ -223,11 +235,11 @@ def _expsum_rows(fld, gen, dec, hists: list[list[int]], codes: list[int]):
     """N_n(c), n <= 6, from the Gauss sums, each row with their largest residual
     as roots of `denominator`."""
     table = expsums.build_table(fld, gen)
-    residual = max(expsums.verify_gauss_sum_roots(table, dec, fld.q))
+    residual = max(expsums.verify_gauss_sum_roots(table, dec))
     for code in codes:
         for n in range(1, min(len(hists), 6) + 1):
             yield {"c": code, "n": n,
-                   "expsum": str(expsums.reconstruct_N(n, fld.from_int(code), table, fld)),
+                   "expsum": str(expsums.reconstruct_N(n, fld.from_int(code), table)),
                    "oracle": str(hists[n - 1][code]), "max_residual": residual}
 
 
@@ -274,7 +286,7 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
                 {"c": code, "n": n, "recurrence": str(hists[n - 1][code] - residual),
                  "oracle": str(hists[n - 1][code])}
                 for code in range(1, q) for n, residual in enumerate(genfunc.recurrence_check(
-                    fld, dec, fld.from_int(code), [hist[code] for hist in hists]), start=5)))
+                    dec, fld.from_int(code), [hist[code] for hist in hists]), start=5)))
         if with_expsums:
             codes = rng.sample(range(1, q), min(5, q - 1))
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
@@ -286,9 +298,7 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     fields, checks = [], []
-    for p, m in [(args.p, args.m)] if args.p else DEFAULT_VERIFY_FIELDS:
-        cfg = RunConfig(p=p, m=m, generator=args.generator if args.p else None,
-                        modulus=args.modulus if args.p else None)
+    for cfg in [_config(args)] if args.p else [RunConfig(*pm) for pm in DEFAULT_VERIFY_FIELDS]:
         fld, gen, dec = cfg.build()
         if args.break_t and dec is not None:
             dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)
@@ -324,7 +334,6 @@ def _add_common(sub, require_field: bool = True):
     sub.add_argument("--modulus", type=lambda s: [int(x) for x in s.split(",")],
                      default=None, help="override modulus, comma-separated, constant first")
     sub.add_argument("--json", action="store_true", help="pretty JSON output")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="largest n checked; the twisted counts need n >= 2")
     p_verify.add_argument("--expsums", action="store_true",
                           help="include exponential-sum checks")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p_verify.add_argument("--break-t", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -383,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except InvariantError as exc:
@@ -391,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DiagQuarticError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -23,9 +23,7 @@ from .errors import InvariantError, TooLargeError, WrongResidueClassError, ZeroR
 # names here: the benchmark tracer (perfbench/tracer.py) binds
 # counting._group_convolve and counting._addition_tables.
 from .field import (  # noqa: F401
-    _ADD_TABLE_CACHE,
     ORACLE_COST_GUARD,
-    ORACLE_TABLE_BYTES_GUARD,
     Element,
     Field,
     GeneratorData,
@@ -42,8 +40,6 @@ class PowerResidueProfile:
     def __init__(self, fld: Field, e: int):
         if e < 1:
             raise ValueError("exponent must be positive")
-        self.field = fld
-        self.e = e
         self.d = gcd(e, fld.q - 1)
         counts = [0] * fld.q
         for x in fld.elements():

@@ -110,9 +110,6 @@ class CyclotomicClasses:
         q = fld.q
         if (q - 1) % k != 0:
             raise BadOrderError(f"k = {k} does not divide q - 1 = {q - 1}")
-        self.field = fld
-        self.gen = gen
-        self.k = k
         self.f = (q - 1) // k
         log = log_table(fld, gen)
         self.class_of = np.where(log < 0, -1, log % k)
@@ -163,12 +160,12 @@ _QUARTIC_TABLE_F_ODD = {
 }
 
 
-def cyclotomic_number_quartic(i: int, j: int, dec: QuarticDecomposition,
-                              q: int, f_even: bool) -> int:
-    """Closed-form (i, j)_4 from the A-E table for the given f parity."""
+def cyclotomic_number_quartic(i: int, j: int, dec: QuarticDecomposition, q: int) -> int:
+    """Closed-form (i, j)_4 from the A-E table for the parity of f = (q-1)/4,
+    which is even exactly when q = 1 mod 8."""
     if q % 4 != 1:
         raise WrongResidueClassError(f"q = {q} is not 1 mod 4")
-    table = _QUARTIC_TABLE_F_EVEN if f_even else _QUARTIC_TABLE_F_ODD
+    table = _QUARTIC_TABLE_F_EVEN if q % 8 == 1 else _QUARTIC_TABLE_F_ODD
     const, cs, ct = table[(i % 4, j % 4)]
     num = q + const + cs * dec.s + ct * dec.t
     return _exact_div(num, 16, f"(i={i}, j={j})_4")

@@ -10,7 +10,7 @@ class NotPrimeError(DiagQuarticError):
 
 
 class FieldTooLargeError(DiagQuarticError):
-    """p^m exceeds the configured field-size bound."""
+    """p^m exceeds the field-size bound, field.DEFAULT_FIELD_BOUND."""
 
 
 class FieldMismatchError(DiagQuarticError):

@@ -10,6 +10,7 @@ encodings of each class, which `CyclotomicClasses` reads off `field.log_table`:
 the four Gauss periods eta_l = sum over w in C_l of psi(w) give both
 T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.  `additive_character`
 and `quartic_gauss_sum` stay as the literal sums the tests compare against.
+`verify_gauss_sum_roots` and `reconstruct_N` read q from `table.field`.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def build_table(fld: Field, gen: GeneratorData) -> GaussSumTable:
     return GaussSumTable(field=fld, gen=gen, T=T, eta=eta)
 
 
-def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition, q: int,
-                   tol: float = POLY_RESIDUAL_TOL) -> list[float]:
+def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition) -> list[float]:
     """Residual |P(T_{g^l})| for each l, P = `denominator` read from x^4 down;
-    raises if any exceeds tol * q^2."""
+    raises if any exceeds POLY_RESIDUAL_TOL * q^2."""
+    q = table.field.q
     coeffs = denominator(q, dec.s)
     residuals = []
     for T in table.T:
@@ -86,15 +87,14 @@ def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition, q: i
         for c in coeffs:
             val = val * T + c
         residuals.append(abs(val))
-    bound = tol * q * q
+    bound = POLY_RESIDUAL_TOL * q * q
     if any(r > bound for r in residuals):
         raise ResidualTooLargeError(
             f"residuals {residuals} exceed {bound}; wrong (s, t) or broken sums")
     return residuals
 
 
-def reconstruct_N(n: int, c: Element, table: GaussSumTable,
-                  fld: Field) -> int:
+def reconstruct_N(n: int, c: Element, table: GaussSumTable) -> int:
     """N_n(c) = q^(n-1) + (1/q) sum T_{g^l}^n lambda_l(c), rounded to integer.
 
     Advisory only: raises if the value is not convincingly near an integer.
@@ -103,7 +103,7 @@ def reconstruct_N(n: int, c: Element, table: GaussSumTable,
         raise ValueError("reconstruction is stated for c != 0")
     if not 1 <= n <= RECONSTRUCT_MAX_N:
         raise ValueError(f"n = {n} outside the double-precision guard")
-    q = fld.q
+    q = table.field.q
     r = sum(table.T[l] ** n * table.lambda_sum(l, c) for l in range(4))
     value = q ** (n - 1) + r.real / q
     nearest = round(value)

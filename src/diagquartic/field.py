@@ -18,7 +18,8 @@ Jobs that touch every element read whole-field tables over the encodings:
 what `index_of` and the cyclotomic classes read; `_group_convolve`, the one
 additive convolution over (F_q, +) that the oracle and the dimension-n
 cyclotomic numbers share, reads the addition table; `trace_table` holds
-Tr(x) mod p for every encoding.  The caches are bounded in bytes.
+Tr(x) mod p for every encoding.  All three kinds share one store (`_stored`)
+under one byte guard, and the oldest tables leave it first, whatever their kind.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ DEFAULT_FIELD_BOUND = 2**20
 # Bound on n*q^2, the work of n convolutions over (F_q, +).
 ORACLE_COST_GUARD = 10**9
 # Bound on the bytes of the q x q addition table (q <= 5792), on the n
-# histograms of n convolutions, and on the arrays each table cache holds
+# histograms of n convolutions, and on the arrays the table store holds
 # together.
 ORACLE_TABLE_BYTES_GUARD = 2**28
 
@@ -144,15 +145,14 @@ def minimal_irreducible(p: int, m: int) -> tuple[int, ...]:
 class Field:
     """F_{p^m} with an explicit monic modulus polynomial."""
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None,
-                 bound: int = DEFAULT_FIELD_BOUND):
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
         if not is_prime(p) or p == 2:
             raise NotPrimeError(f"p = {p} is not an odd prime")
         if m < 1:
             raise ValueError(f"m = {m} must be positive")
         q = p**m
-        if q > bound:
-            raise FieldTooLargeError(f"q = {q} exceeds bound {bound}")
+        if q > DEFAULT_FIELD_BOUND:
+            raise FieldTooLargeError(f"q = {q} exceeds bound {DEFAULT_FIELD_BOUND}")
         self.p = p
         self.m = m
         self.q = q
@@ -272,14 +272,13 @@ class Element:
 
 @dataclass
 class GeneratorData:
-    """A generator g of F_q^* with its order witness and class roots.
+    """A generator g of F_q^* with its class roots.
 
     `class_roots[i]` is the encoding of g^(i(q-1)/d), d = gcd(4, q-1): the
     d-th roots of unity that `quartic_class` looks x^((q-1)/d) up in.
     """
 
     g: Element
-    order_factorization: dict[int, int]
     class_roots: tuple[int, ...]
 
     @property
@@ -297,10 +296,9 @@ def multiplicative_order_is_full(x: Element, factors: dict[int, int]) -> bool:
 
 def find_generator(fld: Field, override: int | None = None) -> GeneratorData:
     """The generator with smallest canonical encoding (or a validated override)."""
-    factors = factorize(fld.q - 1)
     if override is not None:
         g = fld.from_int(override)
-        if g.is_zero() or not multiplicative_order_is_full(g, factors):
+        if not multiplicative_order_is_full(g, factorize(fld.q - 1)):
             raise ValueError(f"element {override} does not generate F_{fld.q}^*")
     else:
         g = next(all_generators(fld), None)
@@ -308,8 +306,7 @@ def find_generator(fld: Field, override: int | None = None) -> GeneratorData:
             raise InvariantError(f"no generator of F_{fld.q}^* found")
     d = math.gcd(4, fld.q - 1)
     root = g ** ((fld.q - 1) // d)
-    return GeneratorData(g=g, order_factorization=factors,
-                         class_roots=tuple((root ** i).encode() for i in range(d)))
+    return GeneratorData(g=g, class_roots=tuple((root ** i).encode() for i in range(d)))
 
 
 def all_generators(fld: Field):
@@ -367,17 +364,21 @@ def _digits(fld: Field) -> np.ndarray:
     return np.stack([codes // fld.p**i % fld.p for i in range(fld.m)], axis=1)
 
 
-def _bounded_get(cache: dict, key, build) -> np.ndarray:
-    """cache[key], built as build(key) on a miss.  Once the arrays in the cache
-    exceed ORACLE_TABLE_BYTES_GUARD bytes together, the oldest entries go first."""
-    table = cache.get(key)
+_TABLES: dict[tuple, np.ndarray] = {}  # ("add" | "trace", fld) or ("log", g), oldest first
+
+
+def _stored(key: tuple, build) -> np.ndarray:
+    """_TABLES[key], built as build() on a miss and made read-only.  Once the
+    stored arrays exceed ORACLE_TABLE_BYTES_GUARD bytes together, the oldest
+    tables go first, whatever their kind."""
+    table = _TABLES.get(key)
     if table is None:
-        table = build(key)
+        table = build()
         table.setflags(write=False)
-        cache[key] = table
-        while (len(cache) > 1
-               and sum(t.nbytes for t in cache.values()) > ORACLE_TABLE_BYTES_GUARD):
-            del cache[next(iter(cache))]
+        _TABLES[key] = table
+        while (len(_TABLES) > 1
+               and sum(t.nbytes for t in _TABLES.values()) > ORACLE_TABLE_BYTES_GUARD):
+            del _TABLES[next(iter(_TABLES))]
     return table
 
 
@@ -411,12 +412,9 @@ def _addition_tables(fld: Field) -> np.ndarray:
     return table
 
 
-_ADD_TABLE_CACHE: dict[Field, np.ndarray] = {}
-
-
 def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
     """Additive convolution over (F_q, +): out[a+b] += h1[a] * h2[b]."""
-    table = _bounded_get(_ADD_TABLE_CACHE, fld, _addition_tables)
+    table = _stored(("add", fld), lambda: _addition_tables(fld))
     out = [0] * fld.q
     for a, v in enumerate(h1):
         if v:
@@ -425,9 +423,6 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
                 if w:
                     out[row[b]] += v * w
     return out
-
-
-_TRACE_TABLE_CACHE: dict[Field, np.ndarray] = {}
 
 
 def _trace_table(fld: Field) -> np.ndarray:
@@ -442,10 +437,7 @@ def trace_table(fld: Field) -> np.ndarray:
     Tr is F_p-linear, so the table is digits @ (Tr(1), Tr(a), ..., Tr(a^(m-1)))
     mod p, a the root of the modulus: m calls to `trace` per field.
     """
-    return _bounded_get(_TRACE_TABLE_CACHE, fld, _trace_table)
-
-
-_LOG_TABLE_CACHE: dict[Element, np.ndarray] = {}
+    return _stored(("trace", fld), lambda: _trace_table(fld))
 
 
 def _log_table(g: Element) -> np.ndarray:
@@ -479,4 +471,4 @@ def log_table(fld: Field, gen: GeneratorData) -> np.ndarray:
     B powers as the last times the F_p-matrix of multiplication by g^B."""
     if gen.field != fld:
         raise FieldMismatchError("generator from a different field")
-    return _bounded_get(_LOG_TABLE_CACHE, gen.g, _log_table)
+    return _stored(("log", gen.g), lambda: _log_table(gen.g))

@@ -7,6 +7,7 @@ reversed denominator, in O(log n) big-int polynomial products; `series(n)`
 runs the denominator recurrence and lists all n coefficients.  Both stay in
 exact integers.
 `gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None.
+`recurrence_check(dec, c, counts)` reads q from `c.field`.
 """
 
 from __future__ import annotations
@@ -148,10 +149,6 @@ def correction_table(q: int, s: int, t: int) -> dict[int, tuple[int, int, int]]:
     return {i: _correction_poly(q, s, t, i) for i in range(4)}
 
 
-def is_square(c: Element, gen: GeneratorData) -> bool:
-    return c.is_zero() or quartic_class(c, gen) % 2 == 0
-
-
 def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
          c: Element) -> RationalGF:
     """Generating function of n -> N_n(c), the zero count of x_1^4+...+x_n^4 = c."""
@@ -159,7 +156,7 @@ def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     if q % 4 == 3:
         if c.is_zero():
             corr = RationalPart(num=(0, 0, 1 - q), den=(1, 0, q))
-        elif is_square(c, gen):
+        elif quartic_class(c, gen) == 0:  # ind_g(c) mod 2: c a square
             corr = RationalPart(num=(0, 1, 1), den=(1, 0, q))
         else:
             corr = RationalPart(num=(0, -1, 1), den=(1, 0, q))
@@ -214,8 +211,7 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     return RationalGF(parts=(_geometric(q, scale=q), RationalPart(num=num, den=den)))
 
 
-def recurrence_check(fld: Field, dec: QuarticDecomposition, c: Element,
-                     counts: list[int]) -> list[int]:
+def recurrence_check(dec: QuarticDecomposition, c: Element, counts: list[int]) -> list[int]:
     """Residuals of the order-4 recurrence on D(n) = N_n(c) - q^(n-1), n = 5..len(counts).
 
     The recurrence is D(n) = -(d_1 D(n-1) + ... + d_4 D(n-4)), where
@@ -228,7 +224,7 @@ def recurrence_check(fld: Field, dec: QuarticDecomposition, c: Element,
         raise ValueError("recurrence check is stated for c != 0")
     if len(counts) < 5:
         raise ValueError("the recurrence needs N_1 .. N_5 at least")
-    q = fld.q
+    q = c.field.q
     dvals = [count - q ** n for n, count in enumerate(counts)]
     _, d1, d2, d3, d4 = denominator(q, dec.s)
     residuals = []

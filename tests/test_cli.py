@@ -1,16 +1,20 @@
 """CLI subcommands: output schema, agreement checks, exit codes."""
 
+import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from diagquartic import cli, counting, expsums, genfunc
-from diagquartic.cli import main
+from diagquartic.cli import build_parser, main
 from diagquartic.errors import InvariantError, NotNearIntegerError
+from diagquartic.field import Field, find_generator
 
 
 def run(capsys, *argv):
@@ -65,7 +69,10 @@ class TestCyclotomicCommand:
         assert all(e["closed"] == e["enumerated"] for e in payload["entries"])
 
     def test_q3_mod4_rejected(self, capsys):
-        assert run(capsys, "cyclotomic", "--p", "7")[0] == 2
+        assert main(["cyclotomic", "--p", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: WrongResidueClassError: ")
 
     def test_wrong_t_exits_1_with_witness(self, capsys):
         # q = 13 has (s, t) = (-3, -1); t + 1 makes (0, 1)_4 non-integral
@@ -173,6 +180,85 @@ class TestInputErrors:
 
 def _injected_defect(*args):
     raise InvariantError("injected defect")
+
+
+@contextlib.contextmanager
+def _digit_limit(digits: int):
+    """The interpreter's int-to-str digit limit set to `digits` (0: none)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit to lift")
+class TestLargeCounts:
+    """Counts past the interpreter's default 4,300-digit int-to-str limit print
+    in full, and `main` leaves the limit as it found it; past MAX_COUNT_DIGITS
+    counts are refused before any work."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        with _digit_limit(4300):
+            yield
+
+    @pytest.mark.parametrize("p, c, n", [(65521, 1, 10000), (5, 0, 7000)],
+                             ids=["q65521-n10000", "q5-c0-n7000"])
+    def test_count_prints_in_full(self, capsys, p, c, n):
+        code, out = run(capsys, "count", "--p", str(p), "--c", str(c), "--n", str(n),
+                        "--json")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300
+        fld = Field(p, 1)
+        expected = counting.count_N(fld.from_int(c), n, fld, find_generator(fld))
+        with _digit_limit(0):
+            assert json.loads(out)["count"] == str(expected)
+            assert len(str(expected)) > 4300
+
+    def test_series_prints_in_full(self, capsys):
+        code, out = run(capsys, "series", "--p", "5", "--n", "7000", "--json")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300
+        fld = Field(5, 1)
+        expected = genfunc.gf_N(fld, find_generator(fld), None, fld.zero()).series(7000)
+        with _digit_limit(0):
+            assert json.loads(out)["coefficients"] == [str(v) for v in expected]
+            assert len(str(expected[-1])) == 4893
+
+    @pytest.mark.parametrize("command", [["count", "--c", "1"], ["series"]],
+                             ids=["count", "series"])
+    def test_past_the_digit_bound_exits_2_at_once(self, capsys, monkeypatch, command):
+        # 13^1000000 has 1,113,944 digits; converting it alone would take 23 s,
+        # and the series would hold about 5e11 digits.  The bound fires before
+        # any coefficient is computed (else the patches make the exit code 3).
+        monkeypatch.setattr(genfunc.RationalGF, "coefficient", _injected_defect)
+        monkeypatch.setattr(genfunc.RationalGF, "series", _injected_defect)
+        t0 = time.perf_counter()
+        assert main([*command, "--p", "13", "--n", "1000000"]) == 2
+        assert time.perf_counter() - t0 < 1
+        assert "TooLargeError" in capsys.readouterr().err
+        assert sys.get_int_max_str_digits() == 4300
+
+
+class TestParser:
+    COMMON = {"-h", "--help", "--p", "--m", "--generator", "--modulus", "--json"}
+
+    def test_option_sets(self):
+        subs = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        options = {name: {opt for action in sub._actions for opt in action.option_strings}
+                   for name, sub in subs.choices.items()}
+        assert all(self.COMMON <= opts for opts in options.values())
+        assert {name: opts - self.COMMON for name, opts in options.items()} == {
+            "field": set(),
+            "cyclotomic": {"--break-t"},
+            "count": {"--c", "--y", "--n", "--method", "--all-methods"},
+            "series": {"--c", "--y", "--n"},
+            "verify": {"--nmax", "--expsums", "--seed", "--break-t"},
+        }
 
 
 class TestInternalErrors:

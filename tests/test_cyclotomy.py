@@ -108,10 +108,9 @@ class TestCyclotomicNumbers:
 
     def test_closed_form_matches_enumeration(self, field_1mod4):
         fd = field_1mod4
-        f_even = fd.classes.f % 2 == 0
         for i in range(4):
             for j in range(4):
-                closed = cyclotomic_number_quartic(i, j, fd.dec, fd.q, f_even)
+                closed = cyclotomic_number_quartic(i, j, fd.dec, fd.q)
                 enum = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
                 assert closed == enum, (fd.q, i, j)
 
@@ -121,7 +120,7 @@ class TestCyclotomicNumbers:
         with pytest.raises(NonIntegralError):
             for i in range(4):
                 for j in range(4):
-                    cyclotomic_number_quartic(i, j, broken, 13, False)
+                    cyclotomic_number_quartic(i, j, broken, 13)
 
     def test_shift_invariance(self, field_1mod4):
         fd = field_1mod4

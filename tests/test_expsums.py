@@ -70,7 +70,7 @@ class TestGaussSumPolynomial:
     def test_residuals_small(self, field_1mod4):
         fd = field_1mod4
         table = build_table(fd.field, fd.gen)
-        residuals = verify_gauss_sum_roots(table, fd.dec, fd.q)
+        residuals = verify_gauss_sum_roots(table, fd.dec)
         assert max(residuals) < 1e-8 * fd.q * fd.q
 
     def test_vieta_sum_of_roots(self, field_1mod4):
@@ -83,8 +83,7 @@ class TestGaussSumPolynomial:
         fd = field_data(13, 1)
         table = build_table(fd.field, fd.gen)
         with pytest.raises(ResidualTooLargeError):
-            verify_gauss_sum_roots(table, QuarticDecomposition(s=fd.dec.s + 4, t=fd.dec.t),
-                           fd.q)
+            verify_gauss_sum_roots(table, QuarticDecomposition(s=fd.dec.s + 4, t=fd.dec.t))
 
 
 class TestLambdaSums:
@@ -125,11 +124,11 @@ class TestReconstruction:
         fd5 = field_data(5, 1)
         t5 = build_table(fd5.field, fd5.gen)
         one = fd5.field.one()
-        assert reconstruct_N(3, one, t5, fd5.field) == 12
-        assert reconstruct_N(4, one, t5, fd5.field) == 16
+        assert reconstruct_N(3, one, t5) == 12
+        assert reconstruct_N(4, one, t5) == 16
         fd13 = field_data(13, 1)
         t13 = build_table(fd13.field, fd13.gen)
-        assert reconstruct_N(2, fd13.field.one(), t13, fd13.field) == 8
+        assert reconstruct_N(2, fd13.field.one(), t13) == 8
 
     def test_equals_oracle(self, field_1mod4):
         fd = field_1mod4
@@ -137,10 +136,10 @@ class TestReconstruction:
         for code in range(1, fd.q):
             c = fd.field.from_int(code)
             for n in range(1, 7):
-                assert reconstruct_N(n, c, table, fd.field) == fd.oracle_N(code, n)
+                assert reconstruct_N(n, c, table) == fd.oracle_N(code, n)
 
     def test_zero_c_rejected(self):
         fd = field_data(5, 1)
         table = build_table(fd.field, fd.gen)
         with pytest.raises(ValueError):
-            reconstruct_N(2, fd.field.zero(), table, fd.field)
+            reconstruct_N(2, fd.field.zero(), table)

@@ -19,6 +19,7 @@ from diagquartic.errors import (
 from diagquartic.field import (
     Field,
     GeneratorData,
+    factorize,
     find_generator,
     index_of,
     is_irreducible,
@@ -229,7 +230,8 @@ class TestGenerator:
             find_generator(f13, override=3)  # order 3
 
     def test_order_witness(self, any_field):
-        factors = any_field.gen.order_factorization
+        # the primes l whose (q-1)/l-th powers `multiplicative_order_is_full` tests
+        factors = factorize(any_field.q - 1)
         total = 1
         for prime, mult in factors.items():
             total *= prime**mult
@@ -321,8 +323,7 @@ class TestLogTable:
     def test_non_generator_raises(self):
         f13 = Field(13, 1)
         gen = find_generator(f13)
-        fake = GeneratorData(g=f13.from_int(3), order_factorization=gen.order_factorization,
-                             class_roots=gen.class_roots)  # 3 has order 3
+        fake = GeneratorData(g=f13.from_int(3), class_roots=gen.class_roots)  # 3 has order 3
         with pytest.raises(InvariantError):
             log_table(f13, fake)
 
@@ -330,35 +331,12 @@ class TestLogTable:
         with pytest.raises(FieldMismatchError):
             log_table(Field(7, 1), find_generator(Field(5, 1)))
 
-    def test_cache_evicts_oldest_past_byte_guard(self, monkeypatch):
-        builds = []
-        build = field_module._log_table
-
-        def counted(g):
-            builds.append(g.field.q)
-            return build(g)
-        f5, f7, f9 = Field(5, 1), Field(7, 1), Field(3, 2)
-        gens = {fld: find_generator(fld) for fld in (f5, f7, f9)}
-        monkeypatch.setattr(field_module, "_log_table", counted)
-        monkeypatch.setattr(field_module, "_LOG_TABLE_CACHE", {})
-        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", (7 + 9) * 8)
-
-        def touch(fld):
-            log_table(fld, gens[fld])
-            return [g.field for g in field_module._LOG_TABLE_CACHE]
-        assert touch(f5) == [f5]
-        assert touch(f7) == [f5, f7]
-        assert touch(f9) == [f7, f9]
-        assert touch(f7) == [f7, f9]
-        assert touch(f5) == [f9, f5]
-        assert builds == [5, 7, 9, 5]
-
     @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12)])
     def test_count_path_builds_no_table(self, monkeypatch, p, m):
-        def refuse(g):
-            raise RuntimeError(f"log table built for q = {g.field.q}")
-        monkeypatch.setattr(field_module, "_log_table", refuse)
-        monkeypatch.setattr(field_module, "_LOG_TABLE_CACHE", {})
+        def refuse(key, build):
+            raise RuntimeError(f"{key[0]} table read on the count path")
+        monkeypatch.setattr(field_module, "_stored", refuse)
+        monkeypatch.setattr(field_module, "_TABLES", {})
         fld = Field(p, m)
         gen = find_generator(fld)
         dec = quartic_decomposition(fld, gen)
@@ -402,30 +380,61 @@ class TestAdditionTable:
         assert all(table[a.encode(), b.encode()] == (a + b).encode()
                    for a in els for b in els)
 
-    def test_cache_evicts_oldest_past_byte_guard(self, monkeypatch):
+
+
+class TestTableStore:
+    def test_one_budget_evicts_oldest_across_kinds(self, monkeypatch):
+        # 8-byte entries: an addition table holds q^2 of them, a log or trace
+        # table q.  All ten tables take 1,136 bytes; the budget is 700.
+        assert np.dtype(np.intp).itemsize == 8
+        fields = {q: Field(p, m) for q, (p, m) in {5: (5, 1), 7: (7, 1), 9: (3, 2),
+                                                 13: (13, 1)}.items()}
+        gens = {q: find_generator(fld) for q, fld in fields.items()}
         builds = []
-        build = field_module._addition_tables
 
-        def counted(fld):
-            builds.append(fld.q)
-            return build(fld)
-        f5, f7, f9 = Field(5, 1), Field(7, 1), Field(3, 2)
-        itemsize = np.dtype(np.intp).itemsize
-        monkeypatch.setattr(field_module, "_addition_tables", counted)
-        monkeypatch.setattr(field_module, "_ADD_TABLE_CACHE", {})
-        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD",
-                            (7**2 + 9**2) * itemsize)
+        def counted(kind, build, field_of):
+            def wrapper(arg):
+                builds.append((kind, field_of(arg).q))
+                return build(arg)
+            return wrapper
+        for kind, name, field_of in [("add", "_addition_tables", lambda f: f),
+                                     ("log", "_log_table", lambda g: g.field),
+                                     ("trace", "_trace_table", lambda f: f)]:
+            monkeypatch.setattr(field_module, name,
+                                counted(kind, getattr(field_module, name), field_of))
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 700)
 
-        def touch(fld):
-            delta = [1] + [0] * (fld.q - 1)
-            field_module._group_convolve(fld, delta, delta)
-            return list(field_module._ADD_TABLE_CACHE)
-        assert touch(f5) == [f5]
-        assert touch(f7) == [f5, f7]
-        assert touch(f9) == [f7, f9]
-        assert touch(f7) == [f7, f9]
-        assert touch(f5) == [f9, f5]
-        assert builds == [5, 7, 9, 5]
+        def touch(kind, q):
+            fld = fields[q]
+            if kind == "add":
+                delta = [1] + [0] * (q - 1)
+                field_module._group_convolve(fld, delta, delta)
+            elif kind == "log":
+                log_table(fld, gens[q])
+            else:
+                trace_table(fld)
+            store = field_module._TABLES
+            assert sum(t.nbytes for t in store.values()) <= 700
+            return [(k, (obj.field if k == "log" else obj).q) for k, obj in store]
+        for step in [("add", 5), ("add", 7), ("log", 5), ("trace", 5)]:
+            touch(*step)
+        # 672 bytes; the next 56 evict the oldest table, an addition table
+        assert touch("log", 7) == [("add", 7), ("log", 5), ("trace", 5), ("log", 7)]
+        for step in [("trace", 7), ("log", 9)]:
+            touch(*step)
+        assert touch("trace", 9) == [("log", 5), ("trace", 5), ("log", 7),
+                                     ("trace", 7), ("log", 9), ("trace", 9)]
+        touch("log", 13)
+        assert touch("trace", 13)[-2:] == [("log", 13), ("trace", 13)]
+        # a hit neither builds nor moves its table; a rebuilt table evicts two
+        assert touch("log", 5)[0] == ("log", 5)
+        assert touch("add", 5) == [("log", 7), ("trace", 7), ("log", 9), ("trace", 9),
+                                   ("log", 13), ("trace", 13), ("add", 5)]
+        assert builds == [("add", 5), ("add", 7), ("log", 5), ("trace", 5), ("log", 7),
+                          ("trace", 7), ("log", 9), ("trace", 9), ("log", 13),
+                          ("trace", 13), ("add", 5)]
+        assert all(not t.flags.writeable for t in field_module._TABLES.values())
 
 
 class TestPrimeSubfieldResidue:
