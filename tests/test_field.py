@@ -331,6 +331,29 @@ class TestLogTable:
         with pytest.raises(FieldMismatchError):
             log_table(Field(7, 1), find_generator(Field(5, 1)))
 
+    def test_cache_evicts_oldest_past_byte_guard(self, monkeypatch):
+        builds = []
+        build = field_module._log_table
+
+        def counted(g):
+            builds.append(g.field.q)
+            return build(g)
+        f5, f7, f9 = Field(5, 1), Field(7, 1), Field(3, 2)
+        gens = {fld: find_generator(fld) for fld in (f5, f7, f9)}
+        monkeypatch.setattr(field_module, "_log_table", counted)
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", (7 + 9) * 8)
+
+        def touch(fld):
+            log_table(fld, gens[fld])
+            return [g.field for _, g in field_module._TABLES]
+        assert touch(f5) == [f5]
+        assert touch(f7) == [f5, f7]
+        assert touch(f9) == [f7, f9]
+        assert touch(f7) == [f7, f9]
+        assert touch(f5) == [f9, f5]
+        assert builds == [5, 7, 9, 5]
+
     @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12)])
     def test_count_path_builds_no_table(self, monkeypatch, p, m):
         def refuse(key, build):
@@ -380,6 +403,30 @@ class TestAdditionTable:
         assert all(table[a.encode(), b.encode()] == (a + b).encode()
                    for a in els for b in els)
 
+    def test_cache_evicts_oldest_past_byte_guard(self, monkeypatch):
+        builds = []
+        build = field_module._addition_tables
+
+        def counted(fld):
+            builds.append(fld.q)
+            return build(fld)
+        f5, f7, f9 = Field(5, 1), Field(7, 1), Field(3, 2)
+        itemsize = np.dtype(np.intp).itemsize
+        monkeypatch.setattr(field_module, "_addition_tables", counted)
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD",
+                            (7**2 + 9**2) * itemsize)
+
+        def touch(fld):
+            delta = [1] + [0] * (fld.q - 1)
+            field_module._group_convolve(fld, delta, delta)
+            return [f for _, f in field_module._TABLES]
+        assert touch(f5) == [f5]
+        assert touch(f7) == [f5, f7]
+        assert touch(f9) == [f7, f9]
+        assert touch(f7) == [f7, f9]
+        assert touch(f5) == [f9, f5]
+        assert builds == [5, 7, 9, 5]
 
 
 class TestTableStore:
