@@ -12,8 +12,8 @@ rows, its inputs and each method's value there, and one runner times it and
 files the first row where the values differ, as JSON, in its detail; with
 the `fields` it lists (p, m, q, modulus, g, s, t), that row reproduces.
 Elements cross the boundary as canonical integer encodings; counts are
-serialized as decimal strings so JSON consumers never overflow; `count` and
-`series` refuse counts that may pass MAX_COUNT_DIGITS digits up front.
+serialized as decimal strings so JSON consumers never overflow; counts that may
+pass MAX_COUNT_DIGITS digits, or a series MAX_SERIES_DIGITS, are refused up front.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
 3 internal error (`InvariantError`).
 """
@@ -53,6 +53,8 @@ DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
 # Bound on the digits of a count below q^n, in place of the interpreter's int-to-str
 # limit: decimal conversion is quadratic (48,164 digits 0.04 s, 1,113,944 23 s).
 MAX_COUNT_DIGITS = 100_000
+# Bound on the digits of n counts, about n^2 log10(q) / 2: 17.1 M at q = 5, n = 7,000.
+MAX_SERIES_DIGITS = 20_000_000
 
 
 @dataclass
@@ -198,6 +200,8 @@ def cmd_count(args) -> int:
 def cmd_series(args) -> int:
     fld, gen, dec = _config(args).build()
     _check_digits(fld.q, args.n)
+    if args.n * (args.n + 1) // 2 * math.log10(fld.q) > MAX_SERIES_DIGITS:
+        raise TooLargeError(f"{args.n} counts may pass {MAX_SERIES_DIGITS} digits together")
     if args.y is not None:
         gf = genfunc.gf_M(fld, gen, dec, fld.from_int(args.y))
         label = {"y": args.y}
@@ -268,9 +272,9 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
     tag = f"q={q}"
     hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax, 4))
     _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"), (
-        {"c": code, "n": n, "series": str(gf.coefficient(n)), "oracle": str(hist[code])}
-        for code in range(q) for gf in [genfunc.gf_N(fld, gen, dec, fld.from_int(code))]
-        for n, hist in enumerate(hists, start=1)))  # one generating function per c
+        {"c": code, "n": n, "series": str(value), "oracle": str(hist[code])}
+        for code in range(q) for n, (value, hist) in enumerate(zip(
+            genfunc.gf_N(fld, gen, dec, fld.from_int(code)).series(nmax), hists), start=1)))
     if dec is not None:
         _run_check(checks, f"{tag} cyclotomic closed=enum", ("closed", "enumerated"),
                    _cyclotomic_rows(fld, gen, dec))

@@ -9,9 +9,11 @@ coefficient tuples mod the monic modulus f, and its square-and-multiply
 `_powmod`.  `Element` products and powers call it, and so does
 `is_irreducible`, which runs Rabin's test in the ring F_p[x]/(f) itself.
 
-`quartic_class` gives the cyclotomic class ind_g(x) mod gcd(4, q-1) by
-Euler's criterion, one power of x and no discrete log; the counts need
-nothing more, and neither it nor `find_generator` builds a table.
+`quartic_class` gives ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion through
+the norm N_e to F_(p^e), e = 1 if d | p-1 and 2 otherwise: x^((q-1)/d) =
+N_e(x)^((p^e-1)/d) (Lidl & Niederreiter, Finite Fields, ch. 2), by the doubling chain
+of Itoh & Tsujii (Inform. and Comput. 78, 1988) over the F_p-linear Frobenius map,
+whose matrices, not tables, a Field builds on first use; `trace` sums its conjugates.
 
 Jobs that touch every element read whole-field tables over the encodings:
 `log_table` holds ind_g(x) for every x, built once per generator, and is
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -165,6 +167,17 @@ class Field:
             if not is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
+        self._frobenius_columns: dict[int, list[tuple[int, ...]]] = {}
+
+    def _frobenius(self, s: int, a: tuple[int, ...]) -> tuple[int, ...]:
+        """a^(p^s), m >= 2: a times the F_p-matrix whose row i holds (x^i)^(p^s)
+        mod f, built on the first call for s and kept as its m columns."""
+        columns = self._frobenius_columns.get(s)
+        if columns is None:
+            x_s = _powmod((0, 1) + (0,) * (self.m - 2), self.p**s, self.modulus, self.p)
+            columns = self._frobenius_columns[s] = list(zip(*[
+                _powmod(x_s, i, self.modulus, self.p) for i in range(self.m)]))
+        return tuple([sum(map(mul, a, column)) % self.p for column in columns])
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, m={self.m})"
@@ -319,17 +332,29 @@ def all_generators(fld: Field):
 
 
 def quartic_class(x: Element, gen: GeneratorData) -> int:
-    """ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion.
+    """ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion through the norm.
 
-    x^((q-1)/d) is the d-th root of unity g^(i(q-1)/d) exactly when
-    ind_g(x) = i mod d (Lidl & Niederreiter, Finite Fields, ch. 9).
+    x^((q-1)/d) = g^(i(q-1)/d) exactly when ind_g(x) = i mod d (Lidl & Niederreiter,
+    Finite Fields, ch. 9), and x^((q-1)/d) = N_e(x)^((p^e-1)/d), N_e(x) = prod_{i<k}
+    x^(p^(ei)), k = m/e, e = 1 if d | p-1 and 2 otherwise (ibid., ch. 2).  Itoh &
+    Tsujii's chain (Inform. and Comput. 78, 1988) walks the bits of k from N_1 = x
+    by N_2j = N_j * Phi^(ej)(N_j) and N_(j+1) = x * Phi^e(N_j).
     """
-    if gen.field != x.field:
+    fld = x.field
+    if gen.field != fld:
         raise FieldMismatchError("generator from a different field")
     if x.is_zero():
         raise ZeroHasNoIndexError("ind_g(0) is undefined")
-    d = len(gen.class_roots)
-    return gen.class_roots.index((x ** ((x.field.q - 1) // d)).encode())
+    p, f, d = fld.p, fld.modulus, len(gen.class_roots)
+    e = 1 if (p - 1) % d == 0 else 2
+    norm, j = x.coeffs, 1
+    for bit in bin(fld.m // e)[3:]:
+        norm, j = _mulmod(norm, fld._frobenius(e * j, norm), f, p), 2 * j
+        if bit == "1":
+            norm, j = _mulmod(x.coeffs, fld._frobenius(e, norm), f, p), j + 1
+    if e == 1:  # the norm is a residue mod p
+        return gen.class_roots.index(pow(norm[0], (p - 1) // d, p))
+    return gen.class_roots.index(Element(fld, _powmod(norm, (p * p - 1) // d, f, p)).encode())
 
 
 def index_of(x: Element, gen: GeneratorData) -> int:
@@ -340,10 +365,11 @@ def index_of(x: Element, gen: GeneratorData) -> int:
 
 
 def trace(x: Element) -> int:
-    """Tr(x) = x + x^p + ... + x^(p^(m-1)), returned as a residue mod p."""
-    fld = x.field
-    total = reduce(lambda a, b: a + b,
-                   (x ** (fld.p**i) for i in range(fld.m)))
+    """Tr(x) = x + x^p + ... + x^(p^(m-1)), as a residue mod p, by conjugates."""
+    conjugate, total = x.coeffs, x
+    for _ in range(x.field.m - 1):
+        conjugate = x.field._frobenius(1, conjugate)
+        total = total + Element(x.field, conjugate)
     return prime_subfield_residue(total)
 
 

@@ -100,6 +100,18 @@ def literal_product(a, b, modulus, p):
     return literal_remainder(prod, modulus, p)
 
 
+def literal_trace(x):
+    """Tr(x) = x + x^p + ... + x^(p^(m-1)), each conjugate a power of x through
+    `Element.__pow__`, as a residue mod p."""
+    fld = x.field
+    total = fld.zero()
+    for i in range(fld.m):
+        total = total + x ** (fld.p**i)
+    if any(total.coeffs[1:]):
+        raise AssertionError(f"Tr({x!r}) = {total!r} is not in F_{fld.p}")
+    return total.coeffs[0]
+
+
 _CACHE: dict[tuple[int, int], FieldData] = {}
 
 

@@ -242,6 +242,17 @@ class TestLargeCounts:
         assert "TooLargeError" in capsys.readouterr().err
         assert sys.get_int_max_str_digits() == 4300
 
+    def test_series_past_the_total_digit_bound_exits_2_at_once(self, capsys, monkeypatch):
+        # each count below 5^143067 has at most 100,000 digits, but the 143,067
+        # counts together would have about 7.2e9
+        monkeypatch.setattr(genfunc.RationalGF, "series", _injected_defect)
+        t0 = time.perf_counter()
+        assert main(["series", "--p", "5", "--n", "143067"]) == 2
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert "TooLargeError" in err and f"{cli.MAX_SERIES_DIGITS} digits together" in err
+        assert sys.get_int_max_str_digits() == 4300
+
 
 class TestParser:
     COMMON = {"-h", "--help", "--p", "--m", "--generator", "--modulus", "--json"}

@@ -1,6 +1,6 @@
 """Field construction, arithmetic, generators, indices, classes and traces."""
 
-from math import gcd
+from math import ceil, gcd, log2
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from diagquartic.field import (
     trace_table,
 )
 
-from conftest import literal_product, literal_remainder
+from conftest import literal_product, literal_remainder, literal_trace
 
 
 def _monic(p, m):
@@ -266,28 +266,69 @@ class TestIndex:
             assert index_of(gen.g ** e, gen) == e
 
 
+def _both_generators(fld, gen=None):
+    """The smallest generator g and g^(q-2) = g^-1, which generates too and
+    reverses every class."""
+    gen = gen or find_generator(fld)
+    return gen, find_generator(fld, override=(gen.g ** (fld.q - 2)).encode())
+
+
 class TestQuarticClass:
     def test_matches_index_of(self, any_field):
         fld = any_field.field
         q = fld.q
         d = gcd(4, q - 1)
-        # g^(q-2) = g^-1 generates too, and reverses every class
-        inverse_g = find_generator(fld, override=(any_field.gen.g ** (q - 2)).encode())
-        for gen in (any_field.gen, inverse_g):
+        for gen in _both_generators(fld, any_field.gen):
             assert len(gen.class_roots) == d
             for code in range(1, q):
                 x = fld.from_int(code)
                 assert quartic_class(x, gen) == index_of(x, gen) % d, (gen.g, code)
 
-    @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12), (7, 7)])
+    # the norm to F_(p^e) over k = m/e conjugates: e = 1, k = 2; e = 1, k odd;
+    # e = 2, k = 2 (twice); e = 2, k odd; d = 2
+    @pytest.mark.parametrize("p, m", [(13, 2), (5, 3), (3, 4), (7, 4), (3, 6), (3, 5)])
+    def test_norm_chain_on_every_element(self, p, m):
+        fld = Field(p, m)
+        d = gcd(4, fld.q - 1)
+        for gen in _both_generators(fld):
+            log = log_table(fld, gen)
+            assert [quartic_class(fld.from_int(code), gen) for code in range(1, fld.q)] \
+                == [int(ind) % d for ind in log[1:]], gen.g
+
+    @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12), (7, 7), (5, 8), (1021, 2),
+                                      (29, 4)])
     def test_matches_bsgs(self, p, m):
+        fld = Field(p, m)
+        d = gcd(4, fld.q - 1)
+        for gen in _both_generators(fld):
+            samples = [fld.from_int(code) for code in range(1, fld.q, fld.q // 5)]
+            samples += [gen.g ** e for e in (1, 2, 3, 12345)]
+            for x in samples:
+                assert quartic_class(x, gen) == index_of(x, gen) % d, (gen.g, x)
+
+    @pytest.mark.parametrize("p, m", [(5, 8), (3, 12), (7, 7)])
+    def test_products_per_call(self, monkeypatch, p, m):
+        # the chain takes at most 2 ceil(log2 k) + 2 products, and for e = 2 one
+        # power by (p^2 - 1)/d; Euler's criterion takes 25 to 27 on these fields
         fld = Field(p, m)
         gen = find_generator(fld)
         d = gcd(4, fld.q - 1)
-        samples = [fld.from_int(code) for code in range(1, fld.q, fld.q // 5)]
-        samples += [gen.g ** e for e in (1, 2, 3, 12345)]
-        for x in samples:
-            assert quartic_class(x, gen) == index_of(x, gen) % d, x
+        e = 1 if (p - 1) % d == 0 else 2
+        final_power = 2 * (((p * p - 1) // d).bit_length() - 1) if e == 2 else 0
+        bound = 2 * ceil(log2(m // e)) + 2 + final_power
+        assert fld._frobenius_columns == {}  # built on first use, not by Field()
+        quartic_class(fld.from_int(fld.q // 7), gen)
+        products = []
+        mulmod = field_module._mulmod
+
+        def counted(*args):
+            products.append(1)
+            return mulmod(*args)
+        monkeypatch.setattr(field_module, "_mulmod", counted)
+        for code in (1, 2, fld.q // 3, fld.q - 1):
+            products.clear()
+            quartic_class(fld.from_int(code), gen)
+            assert len(products) <= bound, (code, len(products))
 
 
     def test_generator_from_other_field(self):
@@ -354,7 +395,7 @@ class TestLogTable:
         assert touch(f5) == [f9, f5]
         assert builds == [5, 7, 9, 5]
 
-    @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12)])
+    @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12), (5, 8)])
     def test_count_path_builds_no_table(self, monkeypatch, p, m):
         def refuse(key, build):
             raise RuntimeError(f"{key[0]} table read on the count path")
@@ -388,6 +429,17 @@ class TestTrace:
         for code in range(0, fld.q, max(1, fld.q // 11)):
             assert 0 <= trace(fld.from_int(code)) < fld.p
 
+
+    def test_matches_literal_trace(self, any_field):
+        fld = any_field.field
+        assert [trace(x) for x in fld.elements()] == [literal_trace(x)
+                                                      for x in fld.elements()]
+
+    def test_matches_literal_trace_on_3_12(self):
+        fld = Field(3, 12)
+        for code in range(0, fld.q, fld.q // 40):
+            x = fld.from_int(code)
+            assert trace(x) == literal_trace(x), code
 
     def test_trace_table_matches_trace(self, any_field):
         fld = any_field.field
