@@ -141,9 +141,9 @@ def _count_one(method: str, fld, gen, dec, c, y, n: int) -> int:
             raise ValueError("n must be at least 2")
         if genfunc.is_quartic(y, gen):
             raise QuarticYError(f"y = {y!r} is zero or a fourth power")
-        return counting.oracle_histogram(fld, [fld.one()] * (n - 1) + [y], 4)[0]
+        return counting.oracle_histogram(fld, [fld.one()] * (n - 1) + [y])[0]
     if method == "oracle":
-        return counting.oracle_count([fld.one()] * n, c, 4)
+        return counting.oracle_count([fld.one()] * n, c)
     if method == "closed":
         return counting.count_small(c, n, dec, fld, gen)
     if method == "cyclotomy":
@@ -218,16 +218,17 @@ def cmd_series(args) -> int:
 
 def _run_check(checks: list[dict], name: str, methods: tuple[str, ...], rows) -> None:
     """Time one check, a lazy stream of rows that each hold the check's inputs
-    and each method's value there (and may carry the check's `max_residual`);
-    file the first row where the values differ, or the error of a closed form
-    or a floating-point route, as its detail."""
+    and each method's int value there (and may carry the check's `max_residual`);
+    file the first row where the values differ, its values as decimal strings,
+    or the error of a closed form or a floating-point route, as its detail."""
     t0 = time.monotonic()
     detail, residual = "", 0.0
     try:
         for row in rows:
             residual = max(residual, row.get("max_residual", 0.0))
             if len({row[m] for m in methods}) > 1:
-                detail = json.dumps(row)
+                detail = json.dumps({key: str(value) if key in methods and value is not None
+                                     else value for key, value in row.items()})
                 break
     except (NonIntegralError, NotNearIntegerError, ResidualTooLargeError) as exc:
         detail = f"{type(exc).__name__}: {exc}"
@@ -243,8 +244,8 @@ def _expsum_rows(fld, gen, dec, hists: list[list[int]], codes: list[int]):
     for code in codes:
         for n in range(1, min(len(hists), 6) + 1):
             yield {"c": code, "n": n,
-                   "expsum": str(expsums.reconstruct_N(n, fld.from_int(code), table)),
-                   "oracle": str(hists[n - 1][code]), "max_residual": residual}
+                   "expsum": expsums.reconstruct_N(n, fld.from_int(code), table),
+                   "oracle": hists[n - 1][code], "max_residual": residual}
 
 
 def _twisted_rows(fld, gen, dec, hists: list[list[int]]):
@@ -262,17 +263,17 @@ def _twisted_rows(fld, gen, dec, hists: list[list[int]]):
                       for u, cnt in enumerate(hists[0]) if cnt)
         # x_n = 0 gives N_{n-1}(0); each nonzero x_n gives N_{n-1}(-y x_n^4) = N_{n-1}(-y)
         relation = n0 + (q - 1) * counting.count_N(neg_y, n - 1, fld, gen, dec)
-        yield {"y": code, "n": n, "series": str(counting.count_M(y, n, fld, gen, dec)),
-               "oracle": str(twisted), "relation": str(relation)}
+        yield {"y": code, "n": n, "series": counting.count_M(y, n, fld, gen, dec),
+               "oracle": twisted, "relation": relation}
 
 
 def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
                   checks: list[dict], with_expsums: bool) -> None:
     q = fld.q
     tag = f"q={q}"
-    hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax, 4))
+    hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax))
     _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"), (
-        {"c": code, "n": n, "series": str(value), "oracle": str(hist[code])}
+        {"c": code, "n": n, "series": value, "oracle": hist[code]}
         for code in range(q) for n, (value, hist) in enumerate(zip(
             genfunc.gf_N(fld, gen, dec, fld.from_int(code)).series(nmax), hists), start=1)))
     if dec is not None:
@@ -281,14 +282,14 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
         nsmall = min(4, nmax)
         _run_check(checks, f"{tag} closed-form n<={nsmall}", ("closed", "oracle"), (
             {"c": code, "n": n,
-             "closed": str(counting.count_small(fld.from_int(code), n, dec, fld, gen)),
-             "oracle": str(hists[n - 1][code])}
+             "closed": counting.count_small(fld.from_int(code), n, dec, fld, gen),
+             "oracle": hists[n - 1][code]}
             for code in range(1, q) for n in range(1, nsmall + 1)))
         if nmax >= 5:
             # N_n(c) as the recurrence predicts it from the oracle's N_(n-4..n-1)(c)
             _run_check(checks, f"{tag} recurrence order 4", ("recurrence", "oracle"), (
-                {"c": code, "n": n, "recurrence": str(hists[n - 1][code] - residual),
-                 "oracle": str(hists[n - 1][code])}
+                {"c": code, "n": n, "recurrence": hists[n - 1][code] - residual,
+                 "oracle": hists[n - 1][code]}
                 for code in range(1, q) for n, residual in enumerate(genfunc.recurrence_check(
                     dec, fld.from_int(code), [hist[code] for hist in hists]), start=5)))
         if with_expsums:

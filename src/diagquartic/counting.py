@@ -1,72 +1,64 @@
-"""Solution counts for diagonal forms over F_q.
+"""Solution counts for diagonal quartic forms over F_q.
 
-Four independent routes are provided and cross-checked in the tests:
+Four of the five routes, cross-checked by `verify` and the tests:
 
 * `count_N` / `count_M`, one series coefficient of the rational generating
   functions (the production path),
-* an oracle based on additive convolution of power histograms (exact, O(n q^2)),
+* an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution
+  of fourth-power histograms (exact, O(n q^2)),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
 * dimension-j cyclotomic numbers for n <= 4 (`count_via_cyclotomy`).
 
-The fifth, exponential sums, is `expsums.reconstruct_N`.
+The fifth, exponential sums, is `expsums.reconstruct_N`.  The tests hold the
+oracle to a literal q^n enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import comb, gcd
 
 from . import genfunc
 from .cyclotomy import QuarticDecomposition, cyclo_dim_enum
-from .errors import InvariantError, TooLargeError, WrongResidueClassError, ZeroRHSError
+from .errors import InvariantError, WrongResidueClassError, ZeroRHSError
 # The convolution primitive and its guards live in `field`.  They keep their
 # names here: the benchmark tracer (perfbench/tracer.py) binds
 # counting._group_convolve and counting._addition_tables.
 from .field import (  # noqa: F401
-    ORACLE_COST_GUARD,
     Element,
     Field,
     GeneratorData,
     _addition_tables,
     _group_convolve,
     check_convolution_cost,
+    check_field,
     quartic_class,
 )
 
 
-class PowerResidueProfile:
-    """Histogram of x -> x^e over F_q, indexed by canonical encoding."""
-
-    def __init__(self, fld: Field, e: int):
-        if e < 1:
-            raise ValueError("exponent must be positive")
-        self.d = gcd(e, fld.q - 1)
-        counts = [0] * fld.q
-        for x in fld.elements():
-            counts[(x ** e).encode()] += 1
-        self.counts = counts
-
-
-def power_profile(fld: Field, e: int) -> PowerResidueProfile:
-    profile = PowerResidueProfile(fld, e)
-    # d-th power residue rule: w(0) = 1, w(c) in {0, d} for c != 0
-    counts = profile.counts
+def power_profile(fld: Field) -> list[int]:
+    """Histogram of x -> x^4 over F_q, indexed by canonical encoding, checked
+    against the d-th power residue rule, d = gcd(4, q - 1)."""
+    d = gcd(4, fld.q - 1)
+    counts = [0] * fld.q
+    for x in fld.elements():
+        counts[(x ** 4).encode()] += 1
+    # w(0) = 1, w(c) in {0, d} for c != 0
     if counts[0] != 1:
-        raise InvariantError(f"x^{e} has {counts[0]} roots of 0 in F_{fld.q}")
-    if any(c not in (0, profile.d) for c in counts[1:]):
-        raise InvariantError(f"x^{e} breaks the {profile.d}-th power residue rule in F_{fld.q}")
+        raise InvariantError(f"x^4 has {counts[0]} roots of 0 in F_{fld.q}")
+    if any(c not in (0, d) for c in counts[1:]):
+        raise InvariantError(f"x^4 breaks the {d}-th power residue rule in F_{fld.q}")
     if sum(counts) != fld.q:
-        raise InvariantError(f"x^{e} histogram sums to {sum(counts)}, not q = {fld.q}")
-    return profile
+        raise InvariantError(f"x^4 histogram sums to {sum(counts)}, not q = {fld.q}")
+    return counts
 
 
-def oracle_histograms(fld: Field, coeffs: list[Element], e: int):
-    """After each a_k, yield the zero counts of a_1 x_1^e + ... + a_k x_k^e = c
+def oracle_histograms(fld: Field, coeffs: list[Element]):
+    """After each a_k, yield the zero counts of a_1 x_1^4 + ... + a_k x_k^4 = c
     for each c (by encoding); only the latest histogram is held."""
     if not coeffs:
         raise ValueError("at least one variable required")
     check_convolution_cost(fld, len(coeffs))
-    base = power_profile(fld, e).counts
+    base = power_profile(fld)
     hist = None
     for a in coeffs:
         if a.is_zero():
@@ -79,33 +71,16 @@ def oracle_histograms(fld: Field, coeffs: list[Element], e: int):
         yield hist
 
 
-def oracle_histogram(fld: Field, coeffs: list[Element], e: int) -> list[int]:
-    """For each c (by encoding), the number of zeros of sum a_i x_i^e = c."""
-    for hist in oracle_histograms(fld, coeffs, e):
+def oracle_histogram(fld: Field, coeffs: list[Element]) -> list[int]:
+    """For each c (by encoding), the number of zeros of sum a_i x_i^4 = c."""
+    for hist in oracle_histograms(fld, coeffs):
         pass
     return hist
 
 
-def oracle_count(coeffs: list[Element], c: Element, e: int) -> int:
-    """Exact zero count of a_1 x_1^e + ... + a_n x_n^e = c by convolution."""
-    fld = c.field
-    return oracle_histogram(fld, coeffs, e)[c.encode()]
-
-
-def brute_force_count(coeffs: list[Element], c: Element, e: int) -> int:
-    """Literal q^n enumeration; defense-in-depth check on the convolution oracle."""
-    fld = c.field
-    n = len(coeffs)
-    if fld.q**n > ORACLE_COST_GUARD // 10:
-        raise TooLargeError("q^n too large for literal enumeration")
-    count = 0
-    for xs in itertools.product(list(fld.elements()), repeat=n):
-        total = fld.zero()
-        for a, x in zip(coeffs, xs):
-            total = total + a * (x ** e)
-        if total == c:
-            count += 1
-    return count
+def oracle_count(coeffs: list[Element], c: Element) -> int:
+    """Exact zero count of a_1 x_1^4 + ... + a_n x_n^4 = c by convolution."""
+    return oracle_histogram(c.field, coeffs)[c.encode()]
 
 
 # epsilon tables: residue-class corrections as coefficient rows over
@@ -139,6 +114,7 @@ def _eps(table, q: int, s: int, t: int, ind4: int) -> int:
 def count_small(c: Element, n: int, dec: QuarticDecomposition, fld: Field,
                 gen: GeneratorData) -> int:
     """Closed-form N_n(c) for 1 <= n <= 4, c != 0, q = 1 mod 4."""
+    check_field(fld, gen.g, c)
     q = fld.q
     if q % 4 != 1:
         raise WrongResidueClassError(f"q = {q} is not 1 mod 4")

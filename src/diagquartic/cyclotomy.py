@@ -12,50 +12,20 @@ cyclotomic numbers, and (for equal indices, k = 4) in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
-from .errors import (
-    BadOrderError,
-    InvariantError,
-    NonIntegralError,
-    NotDivisibleError,
-    WrongResidueClassError,
-    ZeroCoefficientError,
-)
+from .errors import BadOrderError, InvariantError, NonIntegralError, WrongResidueClassError
 from .field import (
     Field,
     GeneratorData,
     _group_convolve,
     check_convolution_cost,
+    check_field,
     log_table,
     prime_subfield_residue,
 )
-
-
-def linear_congruence_count(a: list[int], b: int, r: int) -> int:
-    """Solutions mod r of a_1 x_1 + ... + a_n x_n = b: d*r^(n-1) if d | b else 0."""
-    if r < 2:
-        raise ValueError(f"modulus r = {r} must be >= 2")
-    if any(ai == 0 for ai in a):
-        raise ZeroCoefficientError("all coefficients must be nonzero")
-    d = reduce(gcd, [abs(ai) for ai in a] + [r])
-    if b % d != 0:
-        return 0
-    return d * r ** (len(a) - 1)
-
-
-def restricted_congruence_count(a: list[int], b: int, k: int, f: int) -> int:
-    """Solutions with each x_i in [0, kf/d - 1]: (kf/d)^(n-1), requiring d | b."""
-    if any(ai == 0 for ai in a):
-        raise ZeroCoefficientError("all coefficients must be nonzero")
-    kf = k * f
-    d = reduce(gcd, [abs(ai) for ai in a] + [kf])
-    if b % d != 0:
-        raise NotDivisibleError(f"gcd {d} does not divide {b}")
-    return (kf // d) ** (len(a) - 1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +43,7 @@ class QuarticDecomposition:
 
 
 def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecomposition:
+    check_field(fld, gen.g)
     q, p, m = fld.q, fld.p, fld.m
     if q % 4 != 1:
         raise WrongResidueClassError(f"q = {q} is not 1 mod 4")

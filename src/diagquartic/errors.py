@@ -25,14 +25,6 @@ class NotInPrimeSubfieldError(DiagQuarticError):
     """Element is not of the form c*1 for a prime-field residue c."""
 
 
-class ZeroCoefficientError(DiagQuarticError):
-    """A linear congruence coefficient is zero."""
-
-
-class NotDivisibleError(DiagQuarticError):
-    """gcd(a_1, ..., a_n, kf) does not divide the right-hand side."""
-
-
 class BadOrderError(DiagQuarticError):
     """Cyclotomic order k does not divide q - 1."""
 

@@ -1,45 +1,29 @@
-"""Additive characters, quartic Gauss-type sums and reconstruction of counts.
+"""Quartic Gauss-type sums and the floating-point reconstruction of counts.
 
 Everything here is double-precision verification machinery: the exact counting
-paths never depend on it.  Tolerances scale with q (orthogonality sums), q^2
-(polynomial residuals) and q^(n/2) (reconstruction) because the sums grow with
-sqrt(q) per factor.
+paths never depend on it.  Tolerances scale with q^2 (polynomial residuals)
+and q^(n/2) (reconstruction) because the sums grow with sqrt(q) per factor.
 
-`build_table` reads psi off `field.trace_table` and sums it over the
-encodings of each class, which `CyclotomicClasses` reads off `field.log_table`:
-the four Gauss periods eta_l = sum over w in C_l of psi(w) give both
-T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.  `additive_character`
-and `quartic_gauss_sum` stay as the literal sums the tests compare against.
+`build_table` reads psi(x) = exp(2 pi i Tr(x)/p) off `field.trace_table` and
+sums it over the encodings of each class, which `CyclotomicClasses` reads off
+`field.log_table`: the four Gauss periods eta_l = sum over w in C_l of psi(w)
+give both T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.
 `verify_gauss_sum_roots` and `reconstruct_N` read q from `table.field`.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition
 from .errors import NotNearIntegerError, ResidualTooLargeError, WrongResidueClassError
-from .field import Element, Field, GeneratorData, quartic_class, trace, trace_table
+from .field import Element, Field, GeneratorData, quartic_class, trace_table
 from .genfunc import denominator
 
 POLY_RESIDUAL_TOL = 1e-6
 RECONSTRUCT_MAX_N = 60
-
-
-def additive_character(x: Element) -> complex:
-    """psi(x) = exp(2*pi*i*Tr(x)/p)."""
-    return cmath.exp(2j * cmath.pi * trace(x) / x.field.p)
-
-
-def quartic_gauss_sum(u: Element) -> complex:
-    """T_u = sum over v of psi(u * v^4), by direct O(q) summation."""
-    if u.is_zero():
-        raise ValueError("T_u is defined for u != 0")
-    fld = u.field
-    return sum(additive_character(u * v**4) for v in fld.elements())
 
 
 @dataclass
@@ -113,12 +97,3 @@ def reconstruct_N(n: int, c: Element, table: GaussSumTable) -> int:
         raise NotNearIntegerError(f"value {value} is {drift} from integer (tol {tol})")
     return nearest
 
-
-def orthogonality_residuals(fld: Field) -> list[float]:
-    """|sum_x psi(x*y)| for each y != 0, plus |sum - q| at y = 0 (all should be ~0)."""
-    residuals = []
-    for y in fld.elements():
-        total = sum(additive_character(x * y) for x in fld.elements())
-        expect = fld.q if y.is_zero() else 0
-        residuals.append(abs(total - expect))
-    return residuals

@@ -91,12 +91,12 @@ def _mulmod(a: tuple[int, ...], b: tuple[int, ...], f: tuple[int, ...],
     return tuple([c % p for c in prod[:m]])
 
 
-def _powmod(a: tuple[int, ...], e: int, f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """a^e mod (f, p) by square-and-multiply from the top bit of e, e >= 0."""
-    if e == 0:
+def _powmod(a: tuple[int, ...], n: int, f: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a^n mod (f, p) by square-and-multiply from the top bit of n, n >= 0."""
+    if n == 0:
         return (1,) + (0,) * (len(a) - 1)
     result = a
-    for bit in bin(e)[3:]:
+    for bit in bin(n)[3:]:
         result = _mulmod(result, result, f, p)
         if bit == "1":
             result = _mulmod(result, a, f, p)
@@ -271,13 +271,13 @@ class Element:
             raise ZeroDivisionError("zero has no inverse")
         return self ** (self.field.q - 2)
 
-    def __pow__(self, e: int) -> Element:
-        if e < 0:
-            return self.inverse() ** (-e)
+    def __pow__(self, n: int) -> Element:
+        if n < 0:
+            return self.inverse() ** (-n)
         f = self.field
         if f.m == 1:
-            return Element(f, (pow(self.coeffs[0], e, f.p),))
-        return Element(f, _powmod(self.coeffs, e, f.modulus, f.p))
+            return Element(f, (pow(self.coeffs[0], n, f.p),))
+        return Element(f, _powmod(self.coeffs, n, f.modulus, f.p))
 
     def __repr__(self) -> str:
         return f"<{self.encode()} in F_{self.field.q}>"
@@ -355,6 +355,13 @@ def quartic_class(x: Element, gen: GeneratorData) -> int:
     if e == 1:  # the norm is a residue mod p
         return gen.class_roots.index(pow(norm[0], (p - 1) // d, p))
     return gen.class_roots.index(Element(fld, _powmod(norm, (p * p - 1) // d, f, p)).encode())
+
+
+def check_field(fld: Field, *xs: Element) -> None:
+    """FieldMismatchError unless every x is an element of fld."""
+    for x in xs:
+        if x.field != fld:
+            raise FieldMismatchError(f"{x!r} is not an element of {fld!r}")
 
 
 def index_of(x: Element, gen: GeneratorData) -> int:
@@ -495,6 +502,5 @@ def log_table(fld: Field, gen: GeneratorData) -> np.ndarray:
     Built once per generator (Lidl & Niederreiter, Finite Fields, ch. 9): the
     digit rows of g^0 .. g^(B-1), B = ceil(sqrt(q-1)), then each next block of
     B powers as the last times the F_p-matrix of multiplication by g^B."""
-    if gen.field != fld:
-        raise FieldMismatchError("generator from a different field")
+    check_field(fld, gen.g)
     return _stored(("log", gen.g), lambda: _log_table(gen.g))

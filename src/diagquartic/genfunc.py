@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .cyclotomy import QuarticDecomposition, quartic_decomposition
 from .errors import BadDenominatorError, QuarticYError
-from .field import Element, Field, GeneratorData, quartic_class
+from .field import Element, Field, GeneratorData, check_field, quartic_class
 
 __all__ = [
     "RationalPart", "RationalGF", "gf_N", "gf_M",
@@ -64,8 +64,8 @@ class RationalPart:
         return sum(r * c for r, c in zip(_x_power_mod(n - s, self.den), initial))
 
 
-def _x_power_mod(e: int, den: tuple[int, ...]) -> list[int]:
-    """x^e modulo x^k + den[1] x^(k-1) + ... + den[k], as k ascending coefficients.
+def _x_power_mod(n: int, den: tuple[int, ...]) -> list[int]:
+    """x^n modulo x^k + den[1] x^(k-1) + ... + den[k], as k ascending coefficients.
 
     Left-to-right square-and-multiply; a product of degree < 2k is reduced
     with x^i = -sum_j den[j] x^(i-j), from the top term down.
@@ -81,7 +81,7 @@ def _x_power_mod(e: int, den: tuple[int, ...]) -> list[int]:
         return poly[:k]
 
     rem = reduced([1])  # x^0; empty when k = 0, as everything is 0 mod 1
-    for bit in bin(e)[2:]:
+    for bit in bin(n)[2:]:
         square = [0] * (2 * k - 1)
         for i, a in enumerate(rem):
             square[2 * i] += a * a
@@ -144,14 +144,10 @@ def _correction_poly(q: int, s: int, t: int, ind_mod4: int) -> tuple[int, int, i
     return table[ind_mod4]
 
 
-def correction_table(q: int, s: int, t: int) -> dict[int, tuple[int, int, int]]:
-    """All four residue-class polynomials, for printing and audit."""
-    return {i: _correction_poly(q, s, t, i) for i in range(4)}
-
-
 def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
          c: Element) -> RationalGF:
     """Generating function of n -> N_n(c), the zero count of x_1^4+...+x_n^4 = c."""
+    check_field(fld, gen.g, c)
     q = fld.q
     if q % 4 == 3:
         if c.is_zero():
@@ -187,6 +183,7 @@ def is_quartic(y: Element, gen: GeneratorData) -> bool:
 def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
          y: Element) -> RationalGF:
     """Generating function of n -> M_{n+1}(y), zeros of x_1^4+...+x_n^4+y*x_{n+1}^4 = 0."""
+    check_field(fld, gen.g, y)
     q = fld.q
     # One class serves both the quartic test and the correction row; zero
     # takes class 0 so that the test rejects it with the fourth powers.

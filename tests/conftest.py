@@ -1,12 +1,13 @@
 """Shared fixtures: test fields, cached oracle histograms and literal checks."""
 
+import cmath
 import itertools
 
 import pytest
 
 from diagquartic.counting import oracle_histograms
 from diagquartic.cyclotomy import CyclotomicClasses, quartic_decomposition
-from diagquartic.field import Field, find_generator
+from diagquartic.field import Field, find_generator, trace
 
 # q = 1 mod 4 and q = 3 mod 4 desk-scale test fields
 FIELDS_1MOD4 = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
@@ -31,7 +32,7 @@ class FieldData:
             self.dec = None
             self.classes = None
         # histograms[n-1][enc(c)] = N(x_1^4 + ... + x_n^4 = c)
-        self.histograms = list(oracle_histograms(self.field, [self.field.one()] * NMAX, 4))
+        self.histograms = list(oracle_histograms(self.field, [self.field.one()] * NMAX))
 
     def oracle_N(self, code, n):
         return self.histograms[n - 1][code]
@@ -110,6 +111,42 @@ def literal_trace(x):
     if any(total.coeffs[1:]):
         raise AssertionError(f"Tr({x!r}) = {total!r} is not in F_{fld.p}")
     return total.coeffs[0]
+
+
+def literal_histogram(coeffs):
+    """For each c (by encoding), the zeros of a_1 x_1^4 + ... + a_n x_n^4 = c, by
+    literal enumeration of the q^n points, each form summed term by term."""
+    fld = coeffs[0].field
+    terms = [[a * x**4 for x in fld.elements()] for a in coeffs]
+    hist = [0] * fld.q
+    for point in itertools.product(*terms):
+        total = fld.zero()
+        for term in point:
+            total = total + term
+        hist[total.encode()] += 1
+    return hist
+
+
+def literal_character(x):
+    """psi(x) = exp(2*pi*i*Tr(x)/p), with Tr from `field.trace`."""
+    return cmath.exp(2j * cmath.pi * trace(x) / x.field.p)
+
+
+def literal_gauss_sum(u):
+    """T_u = sum over v of psi(u * v^4), by direct O(q) summation."""
+    if u.is_zero():
+        raise ValueError("T_u is defined for u != 0")
+    return sum(literal_character(u * v**4) for v in u.field.elements())
+
+
+def literal_orthogonality_residuals(fld):
+    """|sum_x psi(x*y)| for each y != 0, plus |sum - q| at y = 0 (all should be ~0)."""
+    residuals = []
+    for y in fld.elements():
+        total = sum(literal_character(x * y) for x in fld.elements())
+        expect = fld.q if y.is_zero() else 0
+        residuals.append(abs(total - expect))
+    return residuals
 
 
 _CACHE: dict[tuple[int, int], FieldData] = {}

@@ -362,7 +362,7 @@ class TestVerifyCommand:
         assert cyclo["status"] == "FAIL"
         failure = json.loads(cyclo["detail"])
         assert (failure["i"], failure["j"], failure["s"], failure["t"]) == (0, 1, -3, 0)
-        assert failure["closed"] is None and failure["enumerated"] == 1
+        assert failure["closed"] is None and failure["enumerated"] == "1"
         assert "NonIntegralError" in failure["detail"]
 
     def test_passing_checks_have_no_detail(self, capsys):

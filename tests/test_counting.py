@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from diagquartic import counting, genfunc
+from diagquartic import genfunc
 from diagquartic.counting import (
-    brute_force_count,
     count_M,
     count_N,
     count_small,
@@ -17,7 +16,9 @@ from diagquartic.counting import (
     oracle_histogram,
     power_profile,
 )
+from diagquartic.cyclotomy import quartic_decomposition
 from diagquartic.errors import (
+    FieldMismatchError,
     InvariantError,
     QuarticYError,
     TooLargeError,
@@ -25,42 +26,38 @@ from diagquartic.errors import (
     ZeroRHSError,
 )
 
-from diagquartic.field import Field, quartic_class
+from diagquartic.field import ORACLE_COST_GUARD, Field, quartic_class
 
-from conftest import field_data
+from conftest import field_data, literal_histogram
 
 
 class TestPowerProfile:
     def test_q5_quartics(self):
         fd = field_data(5, 1)
-        prof = power_profile(fd.field, 4)
-        assert prof.counts == [1, 4, 0, 0, 0]
+        assert power_profile(fd.field) == [1, 4, 0, 0, 0]
 
     def test_q13_quartics(self):
         fd = field_data(13, 1)
-        prof = power_profile(fd.field, 4)
-        quartics = {i for i in range(1, 13) if prof.counts[i] == 4}
+        counts = power_profile(fd.field)
+        quartics = {i for i in range(1, 13) if counts[i] == 4}
         assert quartics == {1, 3, 9}
-        assert prof.counts[0] == 1
+        assert counts[0] == 1
 
     def test_q7_degenerates_to_squares(self):
         fd = field_data(7, 1)
-        prof = power_profile(fd.field, 4)
-        assert prof.d == 2
-        assert {i for i in range(1, 7) if prof.counts[i] == 2} == {1, 2, 4}
+        counts = power_profile(fd.field)
+        assert set(counts[1:]) == {0, 2}
+        assert {i for i in range(1, 7) if counts[i] == 2} == {1, 2, 4}
 
     def test_total_mass(self, any_field):
-        prof = power_profile(any_field.field, 4)
-        assert sum(prof.counts) == any_field.q
+        assert sum(power_profile(any_field.field)) == any_field.q
 
     def test_broken_residue_rule_raises(self, monkeypatch):
-        class Broken(counting.PowerResidueProfile):
-            def __init__(self, fld, e):
-                super().__init__(fld, e)
-                self.counts[1] += 1
-        monkeypatch.setattr(counting, "PowerResidueProfile", Broken)
+        # one element enumerated twice puts 5 fourth roots on 1 in F_5
+        fld = Field(5, 1)
+        monkeypatch.setattr(fld, "elements", lambda: [*Field.elements(fld), fld.one()])
         with pytest.raises(InvariantError):
-            power_profile(field_data(5, 1).field, 4)
+            power_profile(fld)
 
     def test_quadratic_character(self, any_field):
         # ind_g(c) is even exactly on the squares; for q = 3 mod 4 the class is
@@ -77,41 +74,41 @@ class TestOracle:
     def test_q5_pairs(self):
         fd = field_data(5, 1)
         one = fd.field.one()
-        assert oracle_count([one, one], fd.field.zero(), 4) == 1
-        assert oracle_count([one, fd.field.from_int(2)], fd.field.zero(), 4) == 1
+        assert oracle_count([one, one], fd.field.zero()) == 1
+        assert oracle_count([one, fd.field.from_int(2)], fd.field.zero()) == 1
 
     def test_q5_triple(self):
         fd = field_data(5, 1)
         one = fd.field.one()
-        assert oracle_count([one] * 3, one, 4) == 12
+        assert oracle_count([one] * 3, one) == 12
 
     @pytest.mark.parametrize("p, m, n", [(5, 1, 1), (5, 1, 2), (5, 1, 3),
                                          (13, 1, 2), (3, 2, 2), (7, 1, 3),
                                          (7, 2, 2)])
     def test_convolution_matches_literal_enumeration(self, p, m, n):
         fd = field_data(p, m)
-        one = fd.field.one()
-        coeffs = [one] * n
-        for code in (0, 1, fd.q - 1):
-            c = fd.field.from_int(code)
-            assert oracle_count(coeffs, c, 4) == brute_force_count(coeffs, c, 4)
+        coeffs = [fd.field.one()] * n
+        assert oracle_histogram(fd.field, coeffs) == literal_histogram(coeffs)
 
     def test_general_coefficients(self):
-        fd = field_data(13, 1)
-        coeffs = [fd.field.from_int(2), fd.field.from_int(5), fd.field.from_int(7)]
-        c = fd.field.from_int(3)
-        assert oracle_count(coeffs, c, 4) == brute_force_count(coeffs, c, 4)
+        # the k-th coefficient from class d - 1 - k, so that each form mixes classes
+        for p, m, n in [(13, 1, 3), (3, 2, 3), (7, 1, 2), (7, 2, 2)]:
+            fd = field_data(p, m)
+            d = 4 if fd.q % 4 == 1 else 2
+            by_class = {quartic_class(x, fd.gen): x for x in list(fd.field.elements())[1:]}
+            coeffs = [by_class[d - 1 - k] for k in range(n)]
+            assert oracle_histogram(fd.field, coeffs) == literal_histogram(coeffs), (fd.q, n)
 
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError):
-            oracle_histogram(field_data(5, 1).field, [], 4)
+            oracle_histogram(field_data(5, 1).field, [])
 
     def test_no_variables_rejected_under_optimize(self):
         # python -O strips assert statements; the check must survive it
         script = ("from diagquartic.counting import oracle_histogram\n"
                   "from diagquartic.field import Field\n"
                   "try:\n"
-                  "    oracle_histogram(Field(5, 1), [], 4)\n"
+                  "    oracle_histogram(Field(5, 1), [])\n"
                   "except ValueError:\n"
                   "    print('ValueError')\n")
         src = Path(__file__).resolve().parents[1] / "src"
@@ -122,9 +119,9 @@ class TestOracle:
     def test_addition_table_memory_guard(self):
         # 2 q^2 passes the cost guard, but the q x q table would take 3.7 GiB
         fld = Field(22349, 1)
-        assert 2 * fld.q**2 <= counting.ORACLE_COST_GUARD
+        assert 2 * fld.q**2 <= ORACLE_COST_GUARD
         with pytest.raises(TooLargeError):
-            oracle_histogram(fld, [fld.one(), fld.one()], 4)
+            oracle_histogram(fld, [fld.one(), fld.one()])
 
     def test_exact_past_int64(self):
         # N_25(c) on q = 13 is about 13^24 > 2^63: both routes stay exact
@@ -133,16 +130,11 @@ class TestOracle:
         reps = [0] + [next(code for code in range(1, 13)
                            if quartic_class(fd.field.from_int(code), fd.gen) == i)
                       for i in range(4)]
-        hist = oracle_histogram(fd.field, [one] * 25, 4)
+        hist = oracle_histogram(fd.field, [one] * 25)
         for code in reps:
             c = fd.field.from_int(code)
             assert hist[code] > 2**63
             assert count_N(c, 25, fd.field, fd.gen, fd.dec) == hist[code], code
-
-    def test_quadratic_exponent(self):
-        fd = field_data(7, 1)
-        one = fd.field.one()
-        assert oracle_count([one, one], one, 2) == 8
 
 
 class TestClosedForms:
@@ -269,3 +261,27 @@ class TestCountM:
                 expected = (count_N(fd.field.zero(), n - 1, fd.field, fd.gen, fd.dec)
                             + (q - 1) * count_N(-y, n - 1, fd.field, fd.gen, fd.dec))
                 assert count_M(y, n, fd.field, fd.gen, fd.dec) == expected
+
+
+
+class TestFieldMismatch:
+    def test_generator_element_and_field_must_agree(self):
+        # counts read q from the Field argument, so F_13 with F_17's generator
+        # gave 256 for N_3(3) (true 160) and 385 for M_3(3) (true 577)
+        fd = field_data(17, 1)
+        other = Field(13, 1)
+        x, x13 = fd.field.from_int(3), other.from_int(3)
+        calls = [lambda: count_small(x, 3, fd.dec, other, fd.gen),
+                 lambda: count_small(x13, 3, fd.dec, fd.field, fd.gen),
+                 lambda: quartic_decomposition(other, fd.gen),
+                 lambda: genfunc.gf_N(other, fd.gen, fd.dec, x),
+                 lambda: genfunc.gf_M(other, fd.gen, fd.dec, x)]
+        for dec in (fd.dec, None):
+            calls += [lambda dec=dec: count_N(x, 3, other, fd.gen, dec),
+                      lambda dec=dec: count_M(x, 3, other, fd.gen, dec),
+                      lambda dec=dec: count_M(x13, 3, fd.field, fd.gen, dec)]
+        for call in calls:
+            with pytest.raises(FieldMismatchError):
+                call()
+        assert count_N(x, 3, fd.field, fd.gen, fd.dec) == 160
+        assert count_M(x, 3, fd.field, fd.gen, fd.dec) == 577

@@ -1,4 +1,4 @@
-"""Cyclotomic numbers: congruence counts, (s, t), closed forms vs enumeration."""
+"""Cyclotomic numbers: (s, t), closed forms vs enumeration."""
 
 import itertools
 
@@ -16,57 +16,12 @@ from diagquartic.cyclotomy import (
     cyclotomic_matrix,
     cyclotomic_number_enum,
     cyclotomic_number_quartic,
-    linear_congruence_count,
     quartic_decomposition,
-    restricted_congruence_count,
 )
-from diagquartic.errors import (
-    BadOrderError,
-    NonIntegralError,
-    NotDivisibleError,
-    TooLargeError,
-    WrongResidueClassError,
-    ZeroCoefficientError,
-)
+from diagquartic.errors import BadOrderError, NonIntegralError, TooLargeError, WrongResidueClassError
 from diagquartic.field import Field, find_generator
 
 from conftest import field_data, literal_classes, literal_cyclo_dim
-
-
-class TestCongruenceCounts:
-    def test_single_variable(self):
-        assert linear_congruence_count([2], 2, 4) == 2  # x in {1, 3}
-        assert linear_congruence_count([2], 1, 4) == 0  # gcd 2 does not divide 1
-
-    def test_two_variables_vs_enumeration(self):
-        got = linear_congruence_count([3, 6], 3, 12)
-        brute = sum(1 for x in range(12) for y in range(12)
-                    if (3 * x + 6 * y) % 12 == 3)
-        assert got == brute == 36
-
-    def test_random_cases_vs_enumeration(self):
-        cases = [([1, 2], 0, 6), ([4, 2], 2, 8), ([5], 3, 7), ([2, 3, 4], 1, 5)]
-        for a, b, r in cases:
-            brute = sum(1 for xs in itertools.product(range(r), repeat=len(a))
-                        if sum(ai * x for ai, x in zip(a, xs)) % r == b % r)
-            assert linear_congruence_count(a, b, r) == brute
-
-    def test_zero_coefficient_rejected(self):
-        with pytest.raises(ZeroCoefficientError):
-            linear_congruence_count([0, 1], 0, 4)
-
-    def test_restricted_single(self):
-        assert restricted_congruence_count([4], 8, 4, 3) == 1  # x = 2 in [0, 2]
-
-    def test_restricted_not_divisible(self):
-        with pytest.raises(NotDivisibleError):
-            restricted_congruence_count([4], 2, 4, 3)
-
-    def test_restricted_pair_vs_enumeration(self):
-        # d = gcd(4, 4, 12) = 4, range [0, 2]
-        brute = sum(1 for x in range(3) for y in range(3)
-                    if (4 * x + 4 * y) % 12 == 4)
-        assert restricted_congruence_count([4, 4], 4, 4, 3) == brute == 3
 
 
 class TestQuarticDecomposition:

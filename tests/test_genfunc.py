@@ -7,7 +7,7 @@ from diagquartic.expsums import build_table
 from diagquartic.genfunc import (
     RationalGF,
     RationalPart,
-    correction_table,
+    _correction_poly,
     denominator,
     gf_M,
     gf_N,
@@ -162,16 +162,15 @@ class TestMissingDecomposition:
 class TestCorrectionTables:
     def test_sixteen_rows_printable(self, field_1mod4):
         fd = field_1mod4
-        table = correction_table(fd.q, fd.dec.s, fd.dec.t)
-        assert set(table) == {0, 1, 2, 3}
-        assert all(len(row) == 3 for row in table.values())
+        rows = [_correction_poly(fd.q, fd.dec.s, fd.dec.t, i) for i in range(4)]
+        assert all(len(row) == 3 for row in rows)
 
     def test_first_coefficient_sign(self, field_1mod4):
         # class 0 carries +3x, the others -x
         fd = field_1mod4
-        table = correction_table(fd.q, fd.dec.s, fd.dec.t)
-        assert table[0][0] == 3
-        assert all(table[i][0] == -1 for i in (1, 2, 3))
+        rows = [_correction_poly(fd.q, fd.dec.s, fd.dec.t, i) for i in range(4)]
+        assert rows[0][0] == 3
+        assert all(rows[i][0] == -1 for i in (1, 2, 3))
 
 
 class TestRecurrence:

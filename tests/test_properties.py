@@ -58,7 +58,7 @@ def cases(draw):
 def test_counts_match_oracle(case):
     fld, gen, c, n, y = case
     one = fld.one()
-    expected = oracle_count([one] * n, c, 4)
+    expected = oracle_count([one] * n, c)
     assert count_N(c, n, fld, gen) == expected
     if fld.q % 4 == 1 and not c.is_zero():
         table = build_table(fld, gen)
@@ -66,7 +66,7 @@ def test_counts_match_oracle(case):
         if n <= 4:
             assert count_via_cyclotomy(c, n, fld, gen) == expected
     if n >= 2:
-        full = oracle_histogram(fld, [one] * (n - 1) + [y], 4)[0]
+        full = oracle_histogram(fld, [one] * (n - 1) + [y])[0]
         assert count_M(y, n, fld, gen) == full
-        hists = list(oracle_histograms(fld, [one] * n, 4))
+        hists = list(oracle_histograms(fld, [one] * n))
         assert split_off_count(fld, hists, y, n) == full
