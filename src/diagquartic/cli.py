@@ -11,9 +11,10 @@ relation M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).  Each check is a stream of
 rows, its inputs and each method's value there, and one runner times it and
 files the first row where the values differ, as JSON, in its detail; with
 the `fields` it lists (p, m, q, modulus, g, s, t), that row reproduces.
-Elements cross the boundary as canonical integer encodings; counts are
-serialized as decimal strings so JSON consumers never overflow; counts that may
-pass MAX_COUNT_DIGITS digits, or a series MAX_SERIES_DIGITS, are refused up front.
+Each subcommand prints one JSON payload, indented with `--json`: elements as
+canonical integer encodings, counts as decimal strings so JSON consumers never
+overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
+MAX_SERIES_DIGITS, are refused up front.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
 3 internal error (`InvariantError`).
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 import time
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ from .errors import (
     TooLargeError,
     WrongResidueClassError,
 )
-from .field import Field, find_generator
+from .field import Field, check_convolution_cost, find_generator
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
                          (29, 1), (7, 1), (11, 1)]
@@ -72,14 +72,6 @@ class RunConfig:
         return fld, gen, dec
 
 
-def _emit(payload: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-
-
 def _field_payload(fld, gen, dec) -> dict:
     payload = {
         "p": fld.p, "m": fld.m, "q": fld.q,
@@ -91,10 +83,9 @@ def _field_payload(fld, gen, dec) -> dict:
     return payload
 
 
-def cmd_field(args) -> int:
+def cmd_field(args) -> tuple[dict, int]:
     fld, gen, dec = _config(args).build()
-    _emit(_field_payload(fld, gen, dec), args.json)
-    return 0
+    return _field_payload(fld, gen, dec), 0
 
 
 def _cyclotomic_rows(fld, gen, dec):
@@ -112,7 +103,7 @@ def _cyclotomic_rows(fld, gen, dec):
             yield row
 
 
-def cmd_cyclotomic(args) -> int:
+def cmd_cyclotomic(args) -> tuple[dict, int]:
     fld, gen, dec = _config(args).build()
     if dec is None:
         raise WrongResidueClassError(f"q = {fld.q} is not 1 mod 4")
@@ -125,8 +116,7 @@ def cmd_cyclotomic(args) -> int:
                "f_parity": _field_payload(fld, gen, dec)["f_parity"], "entries": entries}
     if first_failure is not None:
         payload["first_failure"] = first_failure
-    print(json.dumps(payload, indent=2) if args.json else json.dumps(payload))
-    return 0 if first_failure is None else 1
+    return payload, 0 if first_failure is None else 1
 
 
 def _count_one(method: str, fld, gen, dec, c, y, n: int) -> int:
@@ -155,12 +145,18 @@ def _count_one(method: str, fld, gen, dec, c, y, n: int) -> int:
 
 
 def _applicable_methods(fld, c, n: int) -> list[str]:
-    methods = ["oracle", "series"]
-    if c is None:  # M_n(y)
+    """The methods that cover the count; the convolution routes (oracle, cyclotomy)
+    only where their cost guard admits n, the float route up to its bound."""
+    try:
+        check_convolution_cost(fld, n)
+        methods = ["oracle", "series"]
+    except TooLargeError:
+        methods = ["series"]
+    if c is None or fld.q % 4 != 1 or c.is_zero():  # M_n(y), or no closed form
         return methods
-    if fld.q % 4 == 1 and not c.is_zero() and 1 <= n <= 4:
-        methods += ["closed", "cyclotomy"]
-    if fld.q % 4 == 1 and not c.is_zero() and n <= expsums.RECONSTRUCT_MAX_N:
+    if n <= 4:
+        methods += ["closed", "cyclotomy"] if "oracle" in methods else ["closed"]
+    if n <= expsums.reconstruct_max_n(fld.q):
         methods.append("expsum")
     return methods
 
@@ -170,7 +166,7 @@ def _check_digits(q: int, n: int) -> None:
         raise TooLargeError(f"counts below {q}^{n} may pass {MAX_COUNT_DIGITS} digits")
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[dict, int]:
     fld, gen, dec = _config(args).build()
     _check_digits(fld.q, args.n)
     c = fld.from_int(args.c) if args.c is not None else None
@@ -188,16 +184,13 @@ def cmd_count(args) -> int:
         counts = set(values.values())
         payload["agree"] = len(counts) == 1
         payload["count"] = counts.pop() if len(counts) == 1 else None
-        _emit(payload, args.json)
-        return 0 if payload["agree"] else 1
-    method = args.method or "series"
-    payload["method"] = method
-    payload["count"] = str(_count_one(method, fld, gen, dec, c, y, args.n))
-    _emit(payload, args.json)
-    return 0
+        return payload, 0 if payload["agree"] else 1
+    payload["method"] = args.method
+    payload["count"] = str(_count_one(args.method, fld, gen, dec, c, y, args.n))
+    return payload, 0
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> tuple[dict, int]:
     fld, gen, dec = _config(args).build()
     _check_digits(fld.q, args.n)
     if args.n * (args.n + 1) // 2 * math.log10(fld.q) > MAX_SERIES_DIGITS:
@@ -212,8 +205,7 @@ def cmd_series(args) -> int:
     payload = {"q": fld.q, **label,
                "parts": [{"num": list(p.num), "den": list(p.den)} for p in gf.parts],
                "coefficients": [str(c) for c in coeffs]}
-    print(json.dumps(payload, indent=2) if args.json else json.dumps(payload))
-    return 0
+    return payload, 0
 
 
 def _run_check(checks: list[dict], name: str, methods: tuple[str, ...], rows) -> None:
@@ -236,16 +228,16 @@ def _run_check(checks: list[dict], name: str, methods: tuple[str, ...], rows) ->
                    "max_residual": residual, "seconds": round(time.monotonic() - t0, 3)})
 
 
-def _expsum_rows(fld, gen, dec, hists: list[list[int]], codes: list[int]):
-    """N_n(c), n <= 6, from the Gauss sums, each row with their largest residual
-    as roots of `denominator`."""
+def _expsum_rows(fld, gen, dec, hists: list[list[int]]):
+    """N_n(c) from the Gauss sums, up to the float route's bound, at c = g^0..g^3,
+    one c per class; -1 lies in C_0 or C_2, so -c meets every class too.  Each
+    row carries the sums' largest residual as roots of `denominator`."""
     table = expsums.build_table(fld, gen)
     residual = max(expsums.verify_gauss_sum_roots(table, dec))
-    for code in codes:
-        for n in range(1, min(len(hists), 6) + 1):
-            yield {"c": code, "n": n,
-                   "expsum": expsums.reconstruct_N(n, fld.from_int(code), table),
-                   "oracle": hists[n - 1][code], "max_residual": residual}
+    for c in (gen.g ** l for l in range(4)):
+        for n in range(1, min(len(hists), expsums.reconstruct_max_n(fld.q)) + 1):
+            yield {"c": c.encode(), "n": n, "expsum": expsums.reconstruct_N(n, c, table),
+                   "oracle": hists[n - 1][c.encode()], "max_residual": residual}
 
 
 def _twisted_rows(fld, gen, dec, hists: list[list[int]]):
@@ -267,8 +259,7 @@ def _twisted_rows(fld, gen, dec, hists: list[list[int]]):
                "oracle": twisted, "relation": relation}
 
 
-def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
-                  checks: list[dict], with_expsums: bool) -> None:
+def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bool) -> None:
     q = fld.q
     tag = f"q={q}"
     hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax))
@@ -293,26 +284,23 @@ def _verify_field(fld, gen, dec, nmax: int, rng: random.Random,
                 for code in range(1, q) for n, residual in enumerate(genfunc.recurrence_check(
                     dec, fld.from_int(code), [hist[code] for hist in hists]), start=5)))
         if with_expsums:
-            codes = rng.sample(range(1, q), min(5, q - 1))
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
-                       _expsum_rows(fld, gen, dec, hists, codes))
+                       _expsum_rows(fld, gen, dec, hists))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
                _twisted_rows(fld, gen, dec, hists))
 
 
-def cmd_verify(args) -> int:
-    rng = random.Random(args.seed)
+def cmd_verify(args) -> tuple[dict, int]:
     fields, checks = [], []
     for cfg in [_config(args)] if args.p else [RunConfig(*pm) for pm in DEFAULT_VERIFY_FIELDS]:
         fld, gen, dec = cfg.build()
         if args.break_t and dec is not None:
             dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)
         fields.append(_field_payload(fld, gen, dec))
-        _verify_field(fld, gen, dec, args.nmax, rng, checks, with_expsums=args.expsums)
+        _verify_field(fld, gen, dec, args.nmax, checks, with_expsums=args.expsums)
     passed = all(c["status"] == "pass" for c in checks)
     payload = {"status": "pass" if passed else "FAIL", "fields": fields, "checks": checks}
-    print(json.dumps(payload, indent=2) if args.json else json.dumps(payload))
-    return 0 if passed else 1
+    return payload, 0 if passed else 1
 
 
 def _config(args) -> RunConfig:
@@ -338,7 +326,7 @@ def _add_common(sub, require_field: bool = True):
                      help="override generator, by canonical encoding")
     sub.add_argument("--modulus", type=lambda s: [int(x) for x in s.split(",")],
                      default=None, help="override modulus, comma-separated, constant first")
-    sub.add_argument("--json", action="store_true", help="pretty JSON output")
+    sub.add_argument("--json", action="store_true", help="indent the JSON output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=_int_at_least(1), required=True,
                          help="number of variables")
     p_count.add_argument("--method", choices=["oracle", "closed", "cyclotomy",
-                                              "expsum", "series"], default=None)
+                                              "expsum", "series"], default="series")
     p_count.add_argument("--all-methods", action="store_true",
                          help="run every applicable method and compare")
     p_count.set_defaults(func=cmd_count)
@@ -385,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="largest n checked; the twisted counts need n >= 2")
     p_verify.add_argument("--expsums", action="store_true",
                           help="include exponential-sum checks")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p_verify.add_argument("--break-t", action="store_true", help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -402,7 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        print(json.dumps(payload, indent=2 if args.json else None))
+        return code
     except InvariantError as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -81,7 +81,6 @@ class CyclotomicClasses:
         q = fld.q
         if (q - 1) % k != 0:
             raise BadOrderError(f"k = {k} does not divide q - 1 = {q - 1}")
-        self.f = (q - 1) // k
         log = log_table(fld, gen)
         self.class_of = np.where(log < 0, -1, log % k)
         antilog = np.empty(q - 1, dtype=np.int64)

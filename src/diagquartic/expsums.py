@@ -8,7 +8,6 @@ and q^(n/2) (reconstruction) because the sums grow with sqrt(q) per factor.
 sums it over the encodings of each class, which `CyclotomicClasses` reads off
 `field.log_table`: the four Gauss periods eta_l = sum over w in C_l of psi(w)
 give both T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.
-`verify_gauss_sum_roots` and `reconstruct_N` read q from `table.field`.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .field import Element, Field, GeneratorData, quartic_class, trace_table
 from .genfunc import denominator
 
 POLY_RESIDUAL_TOL = 1e-6
-RECONSTRUCT_MAX_N = 60
 
 
 @dataclass
@@ -78,6 +76,20 @@ def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition) -> l
     return residuals
 
 
+def reconstruct_max_n(q: int) -> int:
+    """The largest n with q^(n-1) < 2^50, the last n `reconstruct_N` admits.
+
+    N_n(c) is near q^(n-1), where doubles lie q^(n-1) / 2^52 apart, and the
+    sum over the T^n adds its own rounding.  Over c = g^0..g^3 on 15 fields,
+    5 <= q <= 65537, |float - exact| was at most 0.0625 up to this bound
+    (q = 5, n = 22; q = 9, n = 16), and one n past it up to 2 (q = 17, 29, 41).
+    """
+    n = 1
+    while q ** n < 2 ** 50:
+        n += 1
+    return n
+
+
 def reconstruct_N(n: int, c: Element, table: GaussSumTable) -> int:
     """N_n(c) = q^(n-1) + (1/q) sum T_{g^l}^n lambda_l(c), rounded to integer.
 
@@ -85,9 +97,11 @@ def reconstruct_N(n: int, c: Element, table: GaussSumTable) -> int:
     """
     if c.is_zero():
         raise ValueError("reconstruction is stated for c != 0")
-    if not 1 <= n <= RECONSTRUCT_MAX_N:
-        raise ValueError(f"n = {n} outside the double-precision guard")
     q = table.field.q
+    nmax = reconstruct_max_n(q)
+    if not 1 <= n <= nmax:
+        raise ValueError(f"n = {n} outside 1..{nmax}; past {nmax}, q^(n-1) >= 2^50 "
+                         f"and the double no longer rounds to N_n(c)")
     r = sum(table.T[l] ** n * table.lambda_sum(l, c) for l in range(4))
     value = q ** (n - 1) + r.real / q
     nearest = round(value)

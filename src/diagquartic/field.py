@@ -245,12 +245,6 @@ class Element:
         return Element(self.field, tuple((a + b) % p
                                          for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: Element) -> Element:
-        self._check(other)
-        p = self.field.p
-        return Element(self.field, tuple((a - b) % p
-                                         for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> Element:
         p = self.field.p
         return Element(self.field, tuple((-a) % p for a in self.coeffs))

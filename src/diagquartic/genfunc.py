@@ -7,7 +7,6 @@ reversed denominator, in O(log n) big-int polynomial products; `series(n)`
 runs the denominator recurrence and lists all n coefficients.  Both stay in
 exact integers.
 `gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None.
-`recurrence_check(dec, c, counts)` reads q from `c.field`.
 """
 
 from __future__ import annotations

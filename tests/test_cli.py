@@ -14,7 +14,7 @@ import pytest
 from diagquartic import cli, counting, expsums, genfunc
 from diagquartic.cli import build_parser, main
 from diagquartic.errors import InvariantError, NotNearIntegerError
-from diagquartic.field import Field, find_generator
+from diagquartic.field import Field, find_generator, quartic_class
 
 
 def run(capsys, *argv):
@@ -139,6 +139,25 @@ class TestCountCommand:
         assert code == 1
         assert json.loads(out)["agree"] is False
 
+    def test_all_methods_past_the_convolution_guard(self, capsys):
+        # 4 * 65537^2 is past the cost guard of 10^9, so oracle and cyclotomy sit out
+        code, out = run(capsys, "count", "--p", "65537", "--c", "3", "--n", "4",
+                        "--all-methods", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["methods"] == dict.fromkeys(["series", "closed", "expsum"],
+                                                   "281488264665088")
+        assert payload["agree"] is True
+
+    def test_all_methods_leave_out_expsum_past_its_precision_bound(self, capsys):
+        # 13^16 > 2^50: the double rounded N_17(1) to 665532564937218688
+        code, out = run(capsys, "count", "--p", "13", "--c", "1", "--n", "17",
+                        "--all-methods", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["methods"]) == {"oracle", "series"}
+        assert (payload["agree"], payload["count"]) == (True, "665532564937218628")
+
     def test_counts_are_decimal_strings(self, capsys):
         code, out = run(capsys, "count", "--p", "5", "--c", "0", "--n", "30", "--json")
         payload = json.loads(out)
@@ -162,13 +181,21 @@ class TestInputErrors:
         ["count", "--p", "13", "--y", "3", "--n", "3", "--method", "oracle"],
         ["count", "--p", "13", "--y", "2", "--n", "1", "--method", "oracle"],
         ["verify", "--p", "6007", "--nmax", "2"],
+        ["count", "--p", "13", "--c", "1", "--n", "17", "--method", "expsum"],
     ], ids=["count-no-rhs", "count-c-and-y", "closed-q7",
             "series-n-neg", "count-n0", "verify-nmax1", "closed-y",
             "cyclotomy-y", "expsum-y", "series-c-and-y", "oracle-quartic-y",
-            "oracle-y-n1", "verify-past-oracle-guard"])
+            "oracle-y-n1", "verify-past-oracle-guard", "expsum-past-float-bound"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 
+
+    def test_oracle_past_the_cost_guard_exits_2_before_any_convolution(self, capsys,
+                                                                       monkeypatch):
+        # n*q^2 = 30 * 5791^2 is just past the guard of 10^9
+        monkeypatch.setattr(counting, "_group_convolve", _injected_defect)
+        assert main(["count", "--p", "5791", "--c", "1", "--n", "30", "--method", "oracle"]) == 2
+        assert "convolution cost" in capsys.readouterr().err
 
     def test_verify_bounds_the_bits_of_the_counts(self, capsys, monkeypatch):
         # n*q^2 = 2.5e6 passes the cost guard, but the counts reach 5^n: the
@@ -254,6 +281,21 @@ class TestLargeCounts:
         assert sys.get_int_max_str_digits() == 4300
 
 
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ["field", "--p", "13"],
+        ["cyclotomic", "--p", "13"],
+        ["count", "--p", "13", "--c", "2", "--n", "3"],
+        ["series", "--p", "13", "--n", "4"],
+    ], ids=["field", "cyclotomic", "count", "series"])
+    def test_json_on_one_line_and_indented_with_json(self, capsys, argv):
+        code, compact = run(capsys, *argv)
+        assert code == 0
+        assert compact.count("\n") == 1
+        indented = json.dumps(json.loads(compact), indent=2) + "\n"
+        assert run(capsys, *argv, "--json") == (0, indented)
+
+
 class TestParser:
     COMMON = {"-h", "--help", "--p", "--m", "--generator", "--modulus", "--json"}
 
@@ -268,7 +310,7 @@ class TestParser:
             "cyclotomic": {"--break-t"},
             "count": {"--c", "--y", "--n", "--method", "--all-methods"},
             "series": {"--c", "--y", "--n"},
-            "verify": {"--nmax", "--expsums", "--seed", "--break-t"},
+            "verify": {"--nmax", "--expsums", "--break-t"},
         }
 
 
@@ -307,6 +349,16 @@ class TestSeriesCommand:
         payload = json.loads(out)
         assert payload["coefficients"] == ["1", "1", "1", "1", "1025"]
         assert payload["parts"][0] == {"num": [0, 1], "den": [1, -5]}
+
+    def test_twisted(self, capsys):
+        code, out = run(capsys, "series", "--p", "13", "--y", "2", "--n", "6", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        fld = Field(13, 1)
+        gen = find_generator(fld)
+        assert payload["y"] == 2
+        assert payload["coefficients"] == [str(counting.count_M(fld.from_int(2), n, fld, gen))
+                                           for n in range(2, 8)]
 
     def test_roundtrip_schema(self, capsys):
         _, out = run(capsys, "series", "--p", "13", "--c", "1", "--n", "4", "--json")
@@ -426,6 +478,19 @@ class TestVerifyCommand:
         assert set(witness) == {"c", "n", "expsum", "oracle", "max_residual"}
         assert witness["expsum"] != witness["oracle"]
         assert witness["max_residual"] == failed[0]["max_residual"] < 1e-6
+
+    @pytest.mark.parametrize("l", range(4))
+    def test_expsums_meet_every_class_of_minus_c(self, capsys, monkeypatch, l):
+        # reconstruct_N reads c through the class of -c only
+        reconstruct_N = expsums.reconstruct_N
+
+        def off_by_one_on_class(n, c, table):
+            return reconstruct_N(n, c, table) + (quartic_class(-c, table.gen) == l)
+        monkeypatch.setattr(expsums, "reconstruct_N", off_by_one_on_class)
+        code, out = run(capsys, "verify", "--p", "29", "--nmax", "5", "--expsums", "--json")
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
+        assert failed == ["q=29 exponential sums"]
 
     def test_error_in_one_check_fails_that_check_only(self, capsys, monkeypatch):
         def not_near_integer(*args):

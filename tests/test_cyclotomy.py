@@ -94,7 +94,7 @@ class TestCyclotomicNumbers:
 
     def test_parity_swap(self, field_1mod4):
         fd = field_1mod4
-        f_even = fd.classes.f % 2 == 0
+        f_even = (fd.q - 1) // 4 % 2 == 0
         for i in range(4):
             for j in range(4):
                 lhs = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)

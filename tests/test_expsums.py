@@ -1,14 +1,21 @@
 """Additive characters, Gauss-type sums and count reconstruction."""
 
 import cmath
+import dataclasses
 import random
 
 import pytest
 
 from diagquartic.cyclotomy import QuarticDecomposition
 from diagquartic.errors import ResidualTooLargeError
-from diagquartic.expsums import build_table, reconstruct_N, verify_gauss_sum_roots
-from diagquartic.field import index_of
+from diagquartic.counting import count_N
+from diagquartic.expsums import (
+    build_table,
+    reconstruct_max_n,
+    reconstruct_N,
+    verify_gauss_sum_roots,
+)
+from diagquartic.field import Field, find_generator, index_of
 from diagquartic.genfunc import denominator
 
 from conftest import (
@@ -135,6 +142,24 @@ class TestReconstruction:
             c = fd.field.from_int(code)
             for n in range(1, 7):
                 assert reconstruct_N(n, c, table) == fd.oracle_N(code, n)
+
+    @pytest.mark.parametrize("p, m", [(5, 1), (13, 1), (29, 1), (7, 2), (11, 2), (65537, 1)],
+                             ids=["q=5", "q=13", "q=29", "q=49", "q=121", "q=65537"])
+    def test_exact_up_to_the_precision_bound(self, p, m):
+        # one c per class; past the bound the double rounds to wrong counts
+        # (13^16 > 2^50: N_17(1) over F_13 came out 60 too large)
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        table = build_table(fld, gen)
+        nmax = reconstruct_max_n(fld.q)
+        assert fld.q ** (nmax - 1) < 2**50 <= fld.q ** nmax
+        for c in (gen.g ** l for l in range(4)):
+            for n in range(1, nmax + 1):
+                assert reconstruct_N(n, c, table) == count_N(c, n, fld, gen)
+        # refused before any work: a table without sums would fail otherwise
+        empty = dataclasses.replace(table, T=None, eta=None)
+        with pytest.raises(ValueError, match="2\\^50"):
+            reconstruct_N(nmax + 1, fld.one(), empty)
 
     def test_zero_c_rejected(self):
         fd = field_data(5, 1)
