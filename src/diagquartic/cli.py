@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands: field, cyclotomic, count, series, verify.
-`count` reads N_n(c) or M_n(y) by default as one coefficient of the
-generating function, in O(log n) polynomial products; `--method oracle` and
-`--all-methods` also work with `--y`, and `--all-methods` reports each
-method's seconds.  `series` lists the first n coefficients.  `verify` checks
-the counts against one oracle pass per field (M_n(y) by splitting off x_n),
-the closed forms, the order-4 recurrence on the oracle's counts and the
+`count` prints N_n(c) or M_n(y) as one coefficient of the generating function,
+in O(log n) polynomial products; `--all-methods` also runs every checking
+route that covers the count, reports each route's value and seconds, and exits
+1 unless they agree.  `series` lists the first n coefficients.  `verify`
+checks the counts against one oracle pass per field (M_n(y) by splitting off
+x_n), the closed forms, the order-4 recurrence on the oracle's counts and the
 relation M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).  Each check is a stream of
 rows, its inputs and each method's value there, and one runner times it and
-files the first row where the values differ, as JSON, in its detail; with
-the `fields` it lists (p, m, q, modulus, g, s, t), that row reproduces.
+files the first row where the values differ, as JSON, in its detail; with the
+`fields` it lists (p, m, q, modulus, g, s, t), that row reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -38,10 +38,8 @@ from .cyclotomy import (
 from .errors import (
     DiagQuarticError,
     InvariantError,
-    MethodNotApplicableError,
     NonIntegralError,
     NotNearIntegerError,
-    QuarticYError,
     ResidualTooLargeError,
     TooLargeError,
     WrongResidueClassError,
@@ -107,8 +105,6 @@ def cmd_cyclotomic(args) -> tuple[dict, int]:
     fld, gen, dec = _config(args).build()
     if dec is None:
         raise WrongResidueClassError(f"q = {fld.q} is not 1 mod 4")
-    if args.break_t:
-        dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)
     rows = list(_cyclotomic_rows(fld, gen, dec))
     entries = [{key: row[key] for key in ("i", "j", "closed", "enumerated")} for row in rows]
     first_failure = next((row for row in rows if row["closed"] != row["enumerated"]), None)
@@ -119,46 +115,31 @@ def cmd_cyclotomic(args) -> tuple[dict, int]:
     return payload, 0 if first_failure is None else 1
 
 
-def _count_one(method: str, fld, gen, dec, c, y, n: int) -> int:
+def _routes(fld, gen, dec, c, y, n: int) -> dict:
+    """Route name -> thunk for every route that covers the count: the production
+    series first, then the oracle, and for N_n(c) with q = 1 mod 4 and c != 0
+    the closed forms and cyclotomy (n <= 4) and expsum (up to its float bound).
+    The convolution routes (oracle, cyclotomy) sit out past their cost guard."""
     if y is not None:
-        if method == "series":
-            return counting.count_M(y, n, fld, gen, dec)
-        if method != "oracle":
-            raise MethodNotApplicableError(
-                f"method {method} covers N_n(c) only; M_n(y) has oracle and series")
-        # the oracle counts any form; hold it to the domain of M_n(y) as count_M does
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        if genfunc.is_quartic(y, gen):
-            raise QuarticYError(f"y = {y!r} is zero or a fourth power")
-        return counting.oracle_histogram(fld, [fld.one()] * (n - 1) + [y])[0]
-    if method == "oracle":
-        return counting.oracle_count([fld.one()] * n, c)
-    if method == "closed":
-        return counting.count_small(c, n, dec, fld, gen)
-    if method == "cyclotomy":
-        return counting.count_via_cyclotomy(c, n, fld, gen)
-    if method == "expsum":
-        table = expsums.build_table(fld, gen)
-        return expsums.reconstruct_N(n, c, table)
-    return counting.count_N(c, n, fld, gen, dec)
-
-
-def _applicable_methods(fld, c, n: int) -> list[str]:
-    """The methods that cover the count; the convolution routes (oracle, cyclotomy)
-    only where their cost guard admits n, the float route up to its bound."""
+        routes = {"series": lambda: counting.count_M(y, n, fld, gen, dec),
+                  "oracle": lambda: counting.oracle_count([fld.one()] * (n - 1) + [y],
+                                                          fld.zero())}
+    else:
+        routes = {"series": lambda: counting.count_N(c, n, fld, gen, dec),
+                  "oracle": lambda: counting.oracle_count([fld.one()] * n, c)}
+        if fld.q % 4 == 1 and not c.is_zero():
+            if n <= 4:
+                routes["closed"] = lambda: counting.count_small(c, n, dec, fld, gen)
+                routes["cyclotomy"] = lambda: counting.count_via_cyclotomy(c, n, fld, gen)
+            if n <= expsums.reconstruct_max_n(fld.q):
+                routes["expsum"] = lambda: expsums.reconstruct_N(
+                    n, c, expsums.build_table(fld, gen))
     try:
         check_convolution_cost(fld, n)
-        methods = ["oracle", "series"]
     except TooLargeError:
-        methods = ["series"]
-    if c is None or fld.q % 4 != 1 or c.is_zero():  # M_n(y), or no closed form
-        return methods
-    if n <= 4:
-        methods += ["closed", "cyclotomy"] if "oracle" in methods else ["closed"]
-    if n <= expsums.reconstruct_max_n(fld.q):
-        methods.append("expsum")
-    return methods
+        del routes["oracle"]
+        routes.pop("cyclotomy", None)
+    return routes
 
 
 def _check_digits(q: int, n: int) -> None:
@@ -173,21 +154,21 @@ def cmd_count(args) -> tuple[dict, int]:
     y = fld.from_int(args.y) if args.y is not None else None
     payload = {"q": fld.q, "n": args.n}
     payload["c" if y is None else "y"] = args.c if y is None else args.y
-    if args.all_methods:
-        values, seconds = {}, {}
-        for method in _applicable_methods(fld, c, args.n):
-            t0 = time.perf_counter()
-            values[method] = str(_count_one(method, fld, gen, dec, c, y, args.n))
-            seconds[method] = round(time.perf_counter() - t0, 6)
-        payload["methods"] = values
-        payload["seconds"] = seconds
-        counts = set(values.values())
-        payload["agree"] = len(counts) == 1
-        payload["count"] = counts.pop() if len(counts) == 1 else None
-        return payload, 0 if payload["agree"] else 1
-    payload["method"] = args.method
-    payload["count"] = str(_count_one(args.method, fld, gen, dec, c, y, args.n))
-    return payload, 0
+    routes = _routes(fld, gen, dec, c, y, args.n)
+    if not args.all_methods:
+        payload["count"] = str(routes["series"]())
+        return payload, 0
+    values, seconds = {}, {}
+    for name, route in routes.items():
+        t0 = time.perf_counter()
+        values[name] = str(route())
+        seconds[name] = round(time.perf_counter() - t0, 6)
+    payload["methods"] = values
+    payload["seconds"] = seconds
+    counts = set(values.values())
+    payload["agree"] = len(counts) == 1
+    payload["count"] = counts.pop() if len(counts) == 1 else None
+    return payload, 0 if payload["agree"] else 1
 
 
 def cmd_series(args) -> tuple[dict, int]:
@@ -337,12 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_field = subs.add_parser("field", help="field, generator and (s, t) summary")
     _add_common(p_field)
-    p_field.set_defaults(func=cmd_field)
 
     p_cyc = subs.add_parser("cyclotomic", help="order-4 cyclotomic number table")
     _add_common(p_cyc)
-    p_cyc.add_argument("--break-t", action="store_true", help=argparse.SUPPRESS)
-    p_cyc.set_defaults(func=cmd_cyclotomic)
 
     p_count = subs.add_parser("count", help="count zeros of the diagonal form")
     _add_common(p_count)
@@ -351,11 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     rhs.add_argument("--y", type=int, default=None, help="twist coefficient encoding")
     p_count.add_argument("--n", type=_int_at_least(1), required=True,
                          help="number of variables")
-    p_count.add_argument("--method", choices=["oracle", "closed", "cyclotomy",
-                                              "expsum", "series"], default="series")
     p_count.add_argument("--all-methods", action="store_true",
-                         help="run every applicable method and compare")
-    p_count.set_defaults(func=cmd_count)
+                         help="also run every checking route that covers the count, "
+                              "and compare")
 
     p_series = subs.add_parser("series", help="generating function and coefficients")
     _add_common(p_series)
@@ -365,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     rhs.add_argument("--y", type=int, default=None, help="twist coefficient encoding")
     p_series.add_argument("--n", type=_int_at_least(1), default=8,
                           help="number of coefficients")
-    p_series.set_defaults(func=cmd_series)
 
     p_verify = subs.add_parser("verify", help="run the cross-validation suite")
     _add_common(p_verify, require_field=False)
@@ -374,22 +349,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--expsums", action="store_true",
                           help="include exponential-sum checks")
     p_verify.add_argument("--break-t", action="store_true", help=argparse.SUPPRESS)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit:
         sys.set_int_max_str_digits(0)
+    # looked up on each call, so a handler rebound on the module (as a tracer does) runs
+    handlers = {"field": cmd_field, "cyclotomic": cmd_cyclotomic, "count": cmd_count,
+                "series": cmd_series, "verify": cmd_verify}
     try:
-        payload, code = args.func(args)
+        payload, code = handlers[args.command](args)
         print(json.dumps(payload, indent=2 if args.json else None))
         return code
     except InvariantError as exc:

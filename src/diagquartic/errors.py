@@ -61,9 +61,5 @@ class BadDenominatorError(DiagQuarticError):
     """Rational part denominator does not have constant term 1."""
 
 
-class MethodNotApplicableError(DiagQuarticError):
-    """The requested counting route does not cover this count."""
-
-
 class InvariantError(DiagQuarticError):
     """An internal invariant failed: a defect in the library, not bad input."""

@@ -13,6 +13,7 @@ import pytest
 
 from diagquartic import cli, counting, expsums, genfunc
 from diagquartic.cli import build_parser, main
+from diagquartic.cyclotomy import QuarticDecomposition
 from diagquartic.errors import InvariantError, NotNearIntegerError
 from diagquartic.field import Field, find_generator, quartic_class
 
@@ -74,9 +75,15 @@ class TestCyclotomicCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: WrongResidueClassError: ")
 
-    def test_wrong_t_exits_1_with_witness(self, capsys):
+    def test_wrong_t_exits_1_with_witness(self, capsys, monkeypatch):
         # q = 13 has (s, t) = (-3, -1); t + 1 makes (0, 1)_4 non-integral
-        code, out = run(capsys, "cyclotomic", "--p", "13", "--break-t", "--json")
+        quartic_decomposition = cli.quartic_decomposition
+
+        def wrong_t(fld, gen):
+            dec = quartic_decomposition(fld, gen)
+            return QuarticDecomposition(s=dec.s, t=dec.t + 1)
+        monkeypatch.setattr(cli, "quartic_decomposition", wrong_t)
+        code, out = run(capsys, "cyclotomic", "--p", "13", "--json")
         assert code == 1
         failure = json.loads(out)["first_failure"]
         assert (failure["i"], failure["j"], failure["s"], failure["t"]) == (0, 1, -3, 0)
@@ -112,17 +119,12 @@ class TestCountCommand:
         code, out = run(capsys, "count", "--p", "5", "--y", "2", "--n", "2", "--json")
         assert code == 0
         assert json.loads(out)["count"] == "1"
-        assert json.loads(out)["method"] == "series"
 
     def test_twisted_oracle_method(self, capsys, monkeypatch):
-        def series_must_not_run(*args):
-            raise AssertionError("count_M called for --method oracle")
-        monkeypatch.setattr(counting, "count_M", series_must_not_run)
-        code, out = run(capsys, "count", "--p", "7", "--y", "3", "--n", "3",
-                        "--method", "oracle", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert (payload["method"], payload["count"]) == ("oracle", "49")
+        # 3 = 2^4 in F_13: the series rejects y before the oracle route runs
+        monkeypatch.setattr(counting, "_group_convolve", _injected_defect)
+        assert main(["count", "--p", "13", "--y", "3", "--n", "3", "--all-methods"]) == 2
+        assert "QuarticYError" in capsys.readouterr().err
 
     def test_twisted_all_methods(self, capsys):
         code, out = run(capsys, "count", "--p", "13", "--y", "2", "--n", "4",
@@ -149,6 +151,14 @@ class TestCountCommand:
                                                    "281488264665088")
         assert payload["agree"] is True
 
+    def test_oracle_sits_out_past_the_cost_guard(self, capsys, monkeypatch):
+        # n*q^2 = 30 * 5791^2 is just past the guard of 10^9
+        monkeypatch.setattr(counting, "_group_convolve", _injected_defect)
+        code, out = run(capsys, "count", "--p", "5791", "--c", "1", "--n", "30",
+                        "--all-methods")
+        assert code == 0
+        assert set(json.loads(out)["methods"]) == {"series"}
+
     def test_all_methods_leave_out_expsum_past_its_precision_bound(self, capsys):
         # 13^16 > 2^50: the double rounded N_17(1) to 665532564937218688
         code, out = run(capsys, "count", "--p", "13", "--c", "1", "--n", "17",
@@ -170,32 +180,17 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         ["count", "--p", "5", "--n", "3"],
         ["count", "--p", "5", "--c", "1", "--y", "2", "--n", "3"],
-        ["count", "--p", "7", "--c", "1", "--n", "2", "--method", "closed"],
         ["series", "--p", "5", "--n", "-3"],
         ["count", "--p", "5", "--c", "1", "--n", "0"],
         ["verify", "--p", "5", "--nmax", "1"],
-        ["count", "--p", "5", "--y", "2", "--n", "3", "--method", "closed"],
-        ["count", "--p", "5", "--y", "2", "--n", "3", "--method", "cyclotomy"],
-        ["count", "--p", "5", "--y", "2", "--n", "3", "--method", "expsum"],
         ["series", "--p", "5", "--c", "1", "--y", "2", "--n", "3"],
-        ["count", "--p", "13", "--y", "3", "--n", "3", "--method", "oracle"],
-        ["count", "--p", "13", "--y", "2", "--n", "1", "--method", "oracle"],
+        ["count", "--p", "13", "--y", "3", "--n", "3", "--all-methods"],
+        ["count", "--p", "13", "--y", "2", "--n", "1", "--all-methods"],
         ["verify", "--p", "6007", "--nmax", "2"],
-        ["count", "--p", "13", "--c", "1", "--n", "17", "--method", "expsum"],
-    ], ids=["count-no-rhs", "count-c-and-y", "closed-q7",
-            "series-n-neg", "count-n0", "verify-nmax1", "closed-y",
-            "cyclotomy-y", "expsum-y", "series-c-and-y", "oracle-quartic-y",
-            "oracle-y-n1", "verify-past-oracle-guard", "expsum-past-float-bound"])
+    ], ids=["count-no-rhs", "count-c-and-y", "series-n-neg", "count-n0", "verify-nmax1",
+            "series-c-and-y", "oracle-quartic-y", "oracle-y-n1", "verify-past-oracle-guard"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
-
-
-    def test_oracle_past_the_cost_guard_exits_2_before_any_convolution(self, capsys,
-                                                                       monkeypatch):
-        # n*q^2 = 30 * 5791^2 is just past the guard of 10^9
-        monkeypatch.setattr(counting, "_group_convolve", _injected_defect)
-        assert main(["count", "--p", "5791", "--c", "1", "--n", "30", "--method", "oracle"]) == 2
-        assert "convolution cost" in capsys.readouterr().err
 
     def test_verify_bounds_the_bits_of_the_counts(self, capsys, monkeypatch):
         # n*q^2 = 2.5e6 passes the cost guard, but the counts reach 5^n: the
@@ -307,11 +302,29 @@ class TestParser:
         assert all(self.COMMON <= opts for opts in options.values())
         assert {name: opts - self.COMMON for name, opts in options.items()} == {
             "field": set(),
-            "cyclotomic": {"--break-t"},
-            "count": {"--c", "--y", "--n", "--method", "--all-methods"},
+            "cyclotomic": set(),
+            "count": {"--c", "--y", "--n", "--all-methods"},
             "series": {"--c", "--y", "--n"},
             "verify": {"--nmax", "--expsums", "--break-t"},
         }
+
+
+class TestDispatch:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_parser", _injected_defect)
+        assert run(capsys, "field", "--p", "13")[0] == 0
+
+    def test_handler_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        # the benchmark tracer rebinds cli.cmd_count and cli.cmd_verify after import
+        calls = []
+        cmd_count = cli.cmd_count
+
+        def wrapped(args):
+            calls.append(args.n)
+            return cmd_count(args)
+        monkeypatch.setattr(cli, "cmd_count", wrapped)
+        code, out = run(capsys, "count", "--p", "13", "--c", "1", "--n", "2")
+        assert (code, json.loads(out)["count"], calls) == (0, "8", [2])
 
 
 class TestInternalErrors:

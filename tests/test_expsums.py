@@ -7,7 +7,7 @@ import random
 import pytest
 
 from diagquartic.cyclotomy import QuarticDecomposition
-from diagquartic.errors import ResidualTooLargeError
+from diagquartic.errors import NotNearIntegerError, ResidualTooLargeError
 from diagquartic.counting import count_N
 from diagquartic.expsums import (
     build_table,
@@ -160,6 +160,18 @@ class TestReconstruction:
         empty = dataclasses.replace(table, T=None, eta=None)
         with pytest.raises(ValueError, match="2\\^50"):
             reconstruct_N(nmax + 1, fld.one(), empty)
+
+    @pytest.mark.parametrize("p, n, factor", [(13, 13, 1 + 1e-5), (5, 22, cmath.exp(1e-12j))],
+                             ids=["q=13-scaled", "q=5-rotated"])
+    def test_perturbed_sums_are_not_near_an_integer(self, p, n, factor):
+        # scaled, N_13(1) lands 0.36 off an integer; rotated, N_22(1) keeps its
+        # real part 0.0625 off, but |Im r| = 6232 is past 2^-40 sum |terms| = 278
+        fld = Field(p, 1)
+        gen = find_generator(fld)
+        table = build_table(fld, gen)
+        table.T = tuple(T * factor for T in table.T)
+        with pytest.raises(NotNearIntegerError):
+            reconstruct_N(n, fld.one(), table)
 
     def test_zero_c_rejected(self):
         fd = field_data(5, 1)
