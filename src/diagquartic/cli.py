@@ -5,12 +5,13 @@ Subcommands: field, cyclotomic, count, series, verify.
 in O(log n) polynomial products; `--all-methods` also runs every checking
 route that covers the count, reports each route's value and seconds, and exits
 1 unless they agree.  `series` lists the first n coefficients.  `verify`
-checks the counts against one oracle pass per field (M_n(y) by splitting off
-x_n), the closed forms, the order-4 recurrence on the oracle's counts and the
-relation M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).  Each check is a stream of
-rows, its inputs and each method's value there, and one runner times it and
-files the first row where the values differ, as JSON, in its detail; with the
-`fields` it lists (p, m, q, modulus, g, s, t), that row reproduces.
+builds one series and closed form per class of ind_g mod 4, and checks them at
+every c and y against one oracle pass per field (M_n(y) by splitting off x_n,
+one sum per coset -y C_0), with the order-4 recurrence on the oracle's counts
+and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).  Each check is a stream of rows,
+its inputs and each method's value there; one runner times it and files the
+first row where the values differ, as JSON, in its detail, and with the
+`fields` it lists (p, m, q, modulus, g, s, t) that row reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 from . import counting, expsums, genfunc
 from .cyclotomy import (
+    CyclotomicClasses,
     QuarticDecomposition,
     cyclotomic_matrix,
     cyclotomic_number_quartic,
@@ -44,7 +46,7 @@ from .errors import (
     TooLargeError,
     WrongResidueClassError,
 )
-from .field import Field, check_convolution_cost, find_generator
+from .field import Field, check_convolution_cost, find_generator, quartic_class
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
                          (29, 1), (7, 1), (11, 1)]
@@ -221,40 +223,45 @@ def _expsum_rows(fld, gen, dec, hists: list[list[int]]):
                    "oracle": hists[n - 1][c.encode()], "max_residual": residual}
 
 
-def _twisted_rows(fld, gen, dec, hists: list[list[int]]):
-    """M_n(y) for non-quartic y from `gf_M`, the oracle by splitting off x_n,
-    and the relation M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y)."""
-    q, n = fld.q, len(hists)
-    n0 = counting.count_N(fld.zero(), n - 1, fld, gen, dec)
-    for code in range(1, q):
-        y = fld.from_int(code)
-        if genfunc.is_quartic(y, gen):
-            continue
-        # split off x_n: sum N_{n-1}(-y x_n^4) over x_n, grouped by u = x_n^4
-        neg_y = -y
-        twisted = sum(cnt * hists[n - 2][(neg_y * fld.from_int(u)).encode()]
-                      for u, cnt in enumerate(hists[0]) if cnt)
-        # x_n = 0 gives N_{n-1}(0); each nonzero x_n gives N_{n-1}(-y x_n^4) = N_{n-1}(-y)
-        relation = n0 + (q - 1) * counting.count_N(neg_y, n - 1, fld, gen, dec)
-        yield {"y": code, "n": n, "series": counting.count_M(y, n, fld, gen, dec),
-               "oracle": twisted, "relation": relation}
+def _twisted_rows(fld, gen, dec, cls: list[int], series: list[list[int]],
+                  hists: list[list[int]]):
+    """M_n(y) for non-quartic y from `gf_M`, one per class, the oracle by splitting
+    off x_n, and the relation M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y).  The nonzero
+    x_n^4 run d times over C_0, so the split-off sum of N_(n-1)(-y x_n^4) is N_(n-1)(0)
+    + d * (sum of N_(n-1) over C_j), j the class of -y among the log table's classes."""
+    q, n, d = fld.q, len(hists), len(gen.class_roots)
+    h, cyc = hists[n - 2], CyclotomicClasses(fld, gen, d)
+    split = [h[0] + d * sum(h[v] for v in coset.tolist()) for coset in cyc.classes]
+    twisted = [None] + [genfunc.gf_M(fld, gen, dec, gen.g ** l).coefficient(n - 1)
+                        for l in range(1, d)]
+    for code in (code for code in range(1, q) if cls[code] != 0):  # y not a fourth power
+        neg_y = (-fld.from_int(code)).encode()
+        yield {"y": code, "n": n, "series": twisted[cls[code]],
+               "oracle": split[cyc.class_of[neg_y]],
+               "relation": series[0][n - 2] + (q - 1) * series[1 + cls[neg_y]][n - 2]}
 
 
 def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bool) -> None:
     q = fld.q
     tag = f"q={q}"
     hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax))
+    # N_n(c) reads c only through ind_g(c) mod d: the class of each c from `quartic_class`
+    # (-1 at 0), and one series per class, series[1 + l] at c = g^l, series[0] at c = 0
+    cls = [-1] + [quartic_class(fld.from_int(code), gen) for code in range(1, q)]
+    series = [genfunc.gf_N(fld, gen, dec, c).series(nmax)
+              for c in [fld.zero()] + [gen.g ** l for l in range(len(gen.class_roots))]]
     _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"), (
         {"c": code, "n": n, "series": value, "oracle": hist[code]}
-        for code in range(q) for n, (value, hist) in enumerate(zip(
-            genfunc.gf_N(fld, gen, dec, fld.from_int(code)).series(nmax), hists), start=1)))
+        for code in range(q)
+        for n, (value, hist) in enumerate(zip(series[1 + cls[code]], hists), start=1)))
     if dec is not None:
         _run_check(checks, f"{tag} cyclotomic closed=enum", ("closed", "enumerated"),
                    _cyclotomic_rows(fld, gen, dec))
         nsmall = min(4, nmax)
+        closed = [[counting.count_small(gen.g ** l, n, dec, fld, gen)
+                   for n in range(1, nsmall + 1)] for l in range(4)]
         _run_check(checks, f"{tag} closed-form n<={nsmall}", ("closed", "oracle"), (
-            {"c": code, "n": n,
-             "closed": counting.count_small(fld.from_int(code), n, dec, fld, gen),
+            {"c": code, "n": n, "closed": closed[cls[code]][n - 1],
              "oracle": hists[n - 1][code]}
             for code in range(1, q) for n in range(1, nsmall + 1)))
         if nmax >= 5:
@@ -268,7 +275,7 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
                        _expsum_rows(fld, gen, dec, hists))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
-               _twisted_rows(fld, gen, dec, hists))
+               _twisted_rows(fld, gen, dec, cls, series, hists))
 
 
 def cmd_verify(args) -> tuple[dict, int]:

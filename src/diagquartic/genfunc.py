@@ -12,6 +12,7 @@ exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .cyclotomy import QuarticDecomposition, quartic_decomposition
 from .errors import BadDenominatorError, QuarticYError
@@ -48,19 +49,26 @@ class RationalPart:
         """Coefficient c_n of x^n, n >= 1, in O(log n) polynomial products.
 
         Past the numerator the coefficients obey c_j = -sum_i den[i] c_(j-i).
-        With k = deg den, this holds for every j >= s + k, so c_n is the dot
-        product of c_s .. c_(s+k-1) with the remainder of x^(n-s) modulo the
-        monic reversed denominator (Fiduccia, SIAM J. Comput. 1985).  Taking
-        s >= 1 keeps every initial term inside `series`.
+        With k = deg den, this holds for every j >= s + k, so x^a -> c_(s+a)
+        vanishes on multiples of the monic reversed denominator P, and c_n is
+        the dot product of c_s .. c_(s+k-1) with x^(n-s) mod P (Fiduccia, SIAM
+        J. Comput. 1985).  For k >= 3 the last doubling is a Hankel form: with
+        n - s = 2h + b and r = x^h mod P, c_n = sum_(i,j<k) r_i r_j c_(s+b+i+j),
+        k big products against the squaring's k squares and k(k-1)/2 products
+        (a square costs about 0.7 of a product).  Taking s >= 1 keeps every
+        initial term inside `series`.
         """
         if n < 1:
             raise ValueError(f"coefficient index must be at least 1, got {n}")
         k = len(self.den) - 1
         s = max(1, len(self.num) - k)
-        if n < s + k:
+        if n < s + 2 * k:
             return self.series(n)[n - 1]
-        initial = self.series(s + k - 1)[s - 1:]
-        return sum(r * c for r, c in zip(_x_power_mod(n - s, self.den), initial))
+        if k < 3:
+            return sum(map(mul, _x_power_mod(n - s, self.den), self.series(s + k - 1)[s - 1:]))
+        h, b = divmod(n - s, 2)
+        r, initial = _x_power_mod(h, self.den), self.series(s + b + 2 * k - 2)[s + b - 1:]
+        return sum(map(mul, r, [sum(map(mul, r, initial[i:])) for i in range(k)]))
 
 
 def _x_power_mod(n: int, den: tuple[int, ...]) -> list[int]:
@@ -172,11 +180,6 @@ def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     lead = (q - 4 * s * s) if q % 8 == 1 else (9 * q - 4 * s * s)
     num = (0, b1, b2, 6 * s + b3, lead)
     return RationalGF(parts=(_geometric(q), RationalPart(num=num, den=den)))
-
-
-def is_quartic(y: Element, gen: GeneratorData) -> bool:
-    """Fourth-power test; for q = 3 mod 4 quartics coincide with squares."""
-    return y.is_zero() or quartic_class(y, gen) == 0
 
 
 def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,

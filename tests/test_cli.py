@@ -15,7 +15,9 @@ from diagquartic import cli, counting, expsums, genfunc
 from diagquartic.cli import build_parser, main
 from diagquartic.cyclotomy import QuarticDecomposition
 from diagquartic.errors import InvariantError, NotNearIntegerError
-from diagquartic.field import Field, find_generator, quartic_class
+from diagquartic.field import Element, Field, find_generator, quartic_class
+
+from conftest import field_data, split_off_count
 
 
 def run(capsys, *argv):
@@ -422,13 +424,74 @@ class TestVerifyCommand:
         # c = 0 and c = 1 agree; c = 2, a non-square, first differs, at n = 2
         assert json.loads(oracle["detail"]) == {"c": 2, "n": 2, "series": "8",
                                                 "oracle": "16"}
-        assert builds[:3] == [0, 1, 2]  # one generating function per c
+        assert builds == [0, 1, 2, 4, 8]  # c = 0, then one c = g^l per class
         cyclo = checks["q=13 cyclotomic closed=enum"]
         assert cyclo["status"] == "FAIL"
         failure = json.loads(cyclo["detail"])
         assert (failure["i"], failure["j"], failure["s"], failure["t"]) == (0, 1, -3, 0)
         assert failure["closed"] is None and failure["enumerated"] == "1"
         assert "NonIntegralError" in failure["detail"]
+
+    def test_builds_once_per_class(self, capsys, monkeypatch):
+        # per field: gf_N at c = 0 and at each g^l, gf_M at each non-quartic g^l,
+        # count_small at each g^l and n <= 4, and quartic_class once per element
+        calls = {}
+
+        def counting_calls(module, name, field_of):
+            original = getattr(module, name)
+
+            def counted(*args):
+                key = (name, field_of(*args).q)
+                calls[key] = calls.get(key, 0) + 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+        counting_calls(genfunc, "gf_N", lambda fld, *rest: fld)
+        counting_calls(genfunc, "gf_M", lambda fld, *rest: fld)
+        counting_calls(counting, "count_small", lambda c, n, dec, fld, gen: fld)
+        counting_calls(cli, "quartic_class", lambda x, gen: x.field)
+        code, out = run(capsys, "verify", "--nmax", "3", "--expsums")
+        assert code == 0
+        expected = {}
+        for p, m in cli.DEFAULT_VERIFY_FIELDS:
+            q = p**m
+            d = 4 if q % 4 == 1 else 2
+            expected.update({("gf_N", q): d + 1, ("gf_M", q): d - 1,
+                             ("quartic_class", q): q - 1})
+            if d == 4:
+                expected["count_small", q] = 4 * 3
+        assert calls == expected
+
+    def test_split_off_takes_no_product_per_pair(self, capsys, monkeypatch):
+        # splitting x_n off one fourth power u at a time takes a product per non-quartic
+        # y and u, 75 * 26 = 1950 at q = 101; the cosets leave the oracle's 4 * 26
+        # scalings and the log table's sqrt(q) steps, 115 products in all
+        calls = []
+        mul = Element.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+        monkeypatch.setattr(Element, "__mul__", counted)
+        code, _ = run(capsys, "verify", "--p", "101", "--nmax", "4")
+        assert code == 0
+        assert len(calls) <= 4 * 101
+
+    @pytest.mark.parametrize("pm", [(3, 2), (17, 1), (13, 1), (29, 1), (7, 1), (11, 1),
+                                    (43, 1)], ids=lambda pm: f"q={pm[0]**pm[1]}")
+    def test_split_off_by_cosets_matches_the_literal_split_off(self, pm):
+        # q = 1 mod 8 (9, 17), q = 5 mod 8 (13, 29), where -1 lies in C_2, and
+        # q = 3 mod 4 (7, 11, 43), where -1 is a non-square
+        fd = field_data(*pm)
+        fld, gen = fd.field, fd.gen
+        cls = [-1] + [quartic_class(fld.from_int(code), gen) for code in range(1, fd.q)]
+        series = [genfunc.gf_N(fld, gen, fd.dec, c).series(len(fd.histograms))
+                  for c in [fld.zero()] + [gen.g ** l for l in range(len(gen.class_roots))]]
+        for n in range(2, len(fd.histograms) + 1):
+            rows = list(cli._twisted_rows(fld, gen, fd.dec, cls, series, fd.histograms[:n]))
+            assert [row["y"] for row in rows] == [code for code in range(1, fd.q) if cls[code]]
+            for row in rows:
+                y = fld.from_int(row["y"])
+                assert row["oracle"] == split_off_count(fld, fd.histograms, y, n), (row, n)
 
     def test_passing_checks_have_no_detail(self, capsys):
         code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--json")

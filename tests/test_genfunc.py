@@ -4,6 +4,7 @@ import pytest
 
 from diagquartic.errors import BadDenominatorError, QuarticYError
 from diagquartic.expsums import build_table
+from diagquartic.field import Field, find_generator, quartic_class
 from diagquartic.genfunc import (
     RationalGF,
     RationalPart,
@@ -11,7 +12,6 @@ from diagquartic.genfunc import (
     denominator,
     gf_M,
     gf_N,
-    is_quartic,
     recurrence_check,
 )
 
@@ -42,7 +42,7 @@ class TestCoefficient:
         reps = [fd.field.zero()] + [fd.gen.g ** i for i in range(k)]
         for rep in reps:
             gfs = [gf_N(fd.field, fd.gen, fd.dec, rep)]
-            if not is_quartic(rep, fd.gen):
+            if not rep.is_zero() and quartic_class(rep, fd.gen) != 0:
                 gfs.append(gf_M(fd.field, fd.gen, fd.dec, rep))
             for gf in gfs:
                 expected = gf.series(40)
@@ -55,6 +55,28 @@ class TestCoefficient:
         for gf in (gf_N(fd.field, fd.gen, fd.dec, fd.field.one()),
                    gf_M(fd.field, fd.gen, fd.dec, y)):
             assert gf.coefficient(2345) == gf.series(2345)[-1]
+
+    @pytest.mark.parametrize("den", [(1,), (1, -3), (1, 0, 7), (1, 2, -5),
+                                     (1, 0, 10, 40, 205), (1, -1, 3, -4, 2)])
+    @pytest.mark.parametrize("num", [(0, 1), (0, 2, -1, 7, 4, 9, -3, 5)],
+                             ids=["short-num", "long-num"])
+    def test_every_index_on_both_sides_of_the_hankel_threshold(self, num, den):
+        # k in {0, 1, 2, 4}; every n up to 4(s + 2k) meets both parities of n - s
+        part = RationalPart(num=num, den=den)
+        k = len(den) - 1
+        top = 4 * (max(1, len(num) - k) + 2 * k)
+        assert [part.coefficient(n) for n in range(1, top + 1)] == part.series(top)
+
+    @pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (65521, 1)],
+                             ids=["q=13", "q=49", "q=65521"])
+    def test_coefficient_3000(self, p, m):
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        reps = [gen.g ** l for l in range(4)]
+        gfs = ([gf_N(fld, gen, None, c) for c in [fld.zero()] + reps]
+               + [gf_M(fld, gen, None, y) for y in reps[1:]])
+        for gf in gfs:
+            assert gf.coefficient(3000) == gf.series(3000)[-1]
 
     def test_geometric_part(self):
         part = RationalPart(num=(0, 3), den=(1, -5))  # 3x / (1 - 5x)
@@ -132,10 +154,9 @@ class TestGfM:
 
     def test_series_equals_twisted_oracle(self, any_field):
         fd = any_field
-        from diagquartic import genfunc as gfmod
         for code in range(1, fd.q):
             y = fd.field.from_int(code)
-            if gfmod.is_quartic(y, fd.gen):
+            if quartic_class(y, fd.gen) == 0:
                 continue
             got = gf_M(fd.field, fd.gen, fd.dec, y).series(7)
             expected = [fd.oracle_M(y, n + 1) for n in range(1, 8)]
@@ -154,7 +175,7 @@ class TestMissingDecomposition:
             x = fd.field.from_int(code)
             assert (gf_N(fd.field, fd.gen, None, x)
                     == gf_N(fd.field, fd.gen, fd.dec, x))
-            if not is_quartic(x, fd.gen):
+            if quartic_class(x, fd.gen) != 0:
                 assert (gf_M(fd.field, fd.gen, None, x)
                         == gf_M(fd.field, fd.gen, fd.dec, x))
 
