@@ -223,33 +223,36 @@ def _expsum_rows(fld, gen, dec, hists: list[list[int]]):
                    "oracle": hists[n - 1][c.encode()], "max_residual": residual}
 
 
-def _twisted_rows(fld, gen, dec, cls: list[int], series: list[list[int]],
-                  hists: list[list[int]]):
-    """M_n(y) for non-quartic y from `gf_M`, one per class, the oracle by splitting
-    off x_n, and the relation M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y).  The nonzero
-    x_n^4 run d times over C_0, so the split-off sum of N_(n-1)(-y x_n^4) is N_(n-1)(0)
-    + d * (sum of N_(n-1) over C_j), j the class of -y among the log table's classes."""
+def _element_classes(fld, gen) -> list[int]:
+    """ind_g(c) mod d, which N_n(c) and M_n(c) read of c, at every encoding, -1 at 0."""
+    return [-1] + [quartic_class(fld.from_int(code), gen) for code in range(1, fld.q)]
+
+
+def _twisted_rows(fld, gen, dec, cls: list[int], hists: list[list[int]]):
+    """M_n(y) for non-quartic y from `count_M`, the oracle by splitting off x_n, and
+    M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y) from `count_N`, one call per class.  The
+    nonzero x_n^4 run d times over C_0, so the split-off is N_(n-1)(0) + d * (sum of
+    N_(n-1) over C_j), j the class of -y among the log table's classes, not `cls`'s."""
     q, n, d = fld.q, len(hists), len(gen.class_roots)
     h, cyc = hists[n - 2], CyclotomicClasses(fld, gen, d)
     split = [h[0] + d * sum(h[v] for v in coset.tolist()) for coset in cyc.classes]
-    twisted = [None] + [genfunc.gf_M(fld, gen, dec, gen.g ** l).coefficient(n - 1)
-                        for l in range(1, d)]
+    reps = [gen.g ** l for l in range(d)]
+    twisted = [None] + [counting.count_M(y, n, fld, gen, dec) for y in reps[1:]]
+    prev = [counting.count_N(c, n - 1, fld, gen, dec) for c in [fld.zero()] + reps]
     for code in (code for code in range(1, q) if cls[code] != 0):  # y not a fourth power
         neg_y = (-fld.from_int(code)).encode()
         yield {"y": code, "n": n, "series": twisted[cls[code]],
                "oracle": split[cyc.class_of[neg_y]],
-               "relation": series[0][n - 2] + (q - 1) * series[1 + cls[neg_y]][n - 2]}
+               "relation": prev[0] + (q - 1) * prev[1 + cls[neg_y]]}
 
 
 def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bool) -> None:
     q = fld.q
     tag = f"q={q}"
     hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax))
-    # N_n(c) reads c only through ind_g(c) mod d: the class of each c from `quartic_class`
-    # (-1 at 0), and one series per class, series[1 + l] at c = g^l, series[0] at c = 0
-    cls = [-1] + [quartic_class(fld.from_int(code), gen) for code in range(1, q)]
-    series = [genfunc.gf_N(fld, gen, dec, c).series(nmax)
-              for c in [fld.zero()] + [gen.g ** l for l in range(len(gen.class_roots))]]
+    cls, reps = _element_classes(fld, gen), [gen.g ** l for l in range(len(gen.class_roots))]
+    # one series per class: series[0] at c = 0, series[1 + l] at c = g^l
+    series = [genfunc.gf_N(fld, gen, dec, c).series(nmax) for c in [fld.zero()] + reps]
     _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"), (
         {"c": code, "n": n, "series": value, "oracle": hist[code]}
         for code in range(q)
@@ -258,8 +261,8 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
         _run_check(checks, f"{tag} cyclotomic closed=enum", ("closed", "enumerated"),
                    _cyclotomic_rows(fld, gen, dec))
         nsmall = min(4, nmax)
-        closed = [[counting.count_small(gen.g ** l, n, dec, fld, gen)
-                   for n in range(1, nsmall + 1)] for l in range(4)]
+        closed = [[counting.count_small(c, n, dec, fld, gen) for n in range(1, nsmall + 1)]
+                  for c in reps]
         _run_check(checks, f"{tag} closed-form n<={nsmall}", ("closed", "oracle"), (
             {"c": code, "n": n, "closed": closed[cls[code]][n - 1],
              "oracle": hists[n - 1][code]}
@@ -275,7 +278,7 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
                        _expsum_rows(fld, gen, dec, hists))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
-               _twisted_rows(fld, gen, dec, cls, series, hists))
+               _twisted_rows(fld, gen, dec, cls, hists))
 
 
 def cmd_verify(args) -> tuple[dict, int]:

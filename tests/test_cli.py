@@ -424,7 +424,8 @@ class TestVerifyCommand:
         # c = 0 and c = 1 agree; c = 2, a non-square, first differs, at n = 2
         assert json.loads(oracle["detail"]) == {"c": 2, "n": 2, "series": "8",
                                                 "oracle": "16"}
-        assert builds == [0, 1, 2, 4, 8]  # c = 0, then one c = g^l per class
+        # the series, then the relation's count_N: c = 0, then one c = g^l per class
+        assert builds == [0, 1, 2, 4, 8] * 2
         cyclo = checks["q=13 cyclotomic closed=enum"]
         assert cyclo["status"] == "FAIL"
         failure = json.loads(cyclo["detail"])
@@ -433,8 +434,9 @@ class TestVerifyCommand:
         assert "NonIntegralError" in failure["detail"]
 
     def test_builds_once_per_class(self, capsys, monkeypatch):
-        # per field: gf_N at c = 0 and at each g^l, gf_M at each non-quartic g^l,
-        # count_small at each g^l and n <= 4, and quartic_class once per element
+        # per field: gf_N for the series and for count_N at c = 0 and at each g^l,
+        # count_M and its gf_M at each non-quartic g^l, count_small at each g^l and
+        # n <= 4, and quartic_class once per element
         calls = {}
 
         def counting_calls(module, name, field_of):
@@ -448,6 +450,8 @@ class TestVerifyCommand:
         counting_calls(genfunc, "gf_N", lambda fld, *rest: fld)
         counting_calls(genfunc, "gf_M", lambda fld, *rest: fld)
         counting_calls(counting, "count_small", lambda c, n, dec, fld, gen: fld)
+        counting_calls(counting, "count_N", lambda c, *rest: c.field)
+        counting_calls(counting, "count_M", lambda y, *rest: y.field)
         counting_calls(cli, "quartic_class", lambda x, gen: x.field)
         code, out = run(capsys, "verify", "--nmax", "3", "--expsums")
         assert code == 0
@@ -455,7 +459,8 @@ class TestVerifyCommand:
         for p, m in cli.DEFAULT_VERIFY_FIELDS:
             q = p**m
             d = 4 if q % 4 == 1 else 2
-            expected.update({("gf_N", q): d + 1, ("gf_M", q): d - 1,
+            expected.update({("gf_N", q): 2 * (d + 1), ("count_N", q): d + 1,
+                             ("gf_M", q): d - 1, ("count_M", q): d - 1,
                              ("quartic_class", q): q - 1})
             if d == 4:
                 expected["count_small", q] = 4 * 3
@@ -483,11 +488,9 @@ class TestVerifyCommand:
         # q = 3 mod 4 (7, 11, 43), where -1 is a non-square
         fd = field_data(*pm)
         fld, gen = fd.field, fd.gen
-        cls = [-1] + [quartic_class(fld.from_int(code), gen) for code in range(1, fd.q)]
-        series = [genfunc.gf_N(fld, gen, fd.dec, c).series(len(fd.histograms))
-                  for c in [fld.zero()] + [gen.g ** l for l in range(len(gen.class_roots))]]
+        cls = cli._element_classes(fld, gen)
         for n in range(2, len(fd.histograms) + 1):
-            rows = list(cli._twisted_rows(fld, gen, fd.dec, cls, series, fd.histograms[:n]))
+            rows = list(cli._twisted_rows(fld, gen, fd.dec, cls, fd.histograms[:n]))
             assert [row["y"] for row in rows] == [code for code in range(1, fd.q) if cls[code]]
             for row in rows:
                 y = fld.from_int(row["y"])

@@ -6,6 +6,7 @@ from diagquartic.errors import BadDenominatorError, QuarticYError
 from diagquartic.expsums import build_table
 from diagquartic.field import Field, find_generator, quartic_class
 from diagquartic.genfunc import (
+    HANKEL_FROM,
     RationalGF,
     RationalPart,
     _correction_poly,
@@ -61,10 +62,10 @@ class TestCoefficient:
     @pytest.mark.parametrize("num", [(0, 1), (0, 2, -1, 7, 4, 9, -3, 5)],
                              ids=["short-num", "long-num"])
     def test_every_index_on_both_sides_of_the_hankel_threshold(self, num, den):
-        # k in {0, 1, 2, 4}; every n up to 4(s + 2k) meets both parities of n - s
+        # k in {0, 1, 2, 4}: series, squaring and, for k = 4 from n - s = HANKEL_FROM,
+        # the Hankel form, each with both parities of n - s
         part = RationalPart(num=num, den=den)
-        k = len(den) - 1
-        top = 4 * (max(1, len(num) - k) + 2 * k)
+        top = 2 * (max(1, len(num) - len(den) + 1) + HANKEL_FROM)
         assert [part.coefficient(n) for n in range(1, top + 1)] == part.series(top)
 
     @pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (65521, 1)],
