@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Subcommands: field, cyclotomic, count, series, verify.
-`count` prints N_n(c) or M_n(y) as one coefficient of the generating function,
-in O(log n) polynomial products; `--all-methods` also runs every checking
-route that covers the count, reports each route's value and seconds, and exits
-1 unless they agree.  `series` lists the first n coefficients.  `verify`
-builds one series and closed form per class of ind_g mod 4, and checks them at
-every c and y against one oracle pass per field (M_n(y) by splitting off x_n,
-one sum per coset -y C_0), with the order-4 recurrence on the oracle's counts
-and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).  Each check is a stream of rows,
-its inputs and each method's value there; one runner times it and files the
-first row where the values differ, as JSON, in its detail, and with the
-`fields` it lists (p, m, q, modulus, g, s, t) that row reproduces.
+`count` prints N_n(c) or M_n(y) as one coefficient of the generating function, in
+O(log n) polynomial products; `--all-methods` also runs every checking route that
+covers the count (cyclotomy on every count, the oracle within its guard), reports each
+route's value and seconds, and exits 1 unless they agree.  `series` lists the first n
+coefficients.  `verify` builds one series and closed form per class of ind_g mod 4,
+and checks them at every c and y against one oracle pass per field (M_n(y) by
+splitting off x_n, one sum per coset -y C_0), with the order-4 recurrence on the
+oracle's counts and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).  Each check is a stream
+of rows, its inputs and each method's value there; one runner times it and files the
+first row where the values differ, as JSON, in its detail, and with the `fields` it
+lists (p, m, q, modulus, g, s, t) that row reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -119,20 +119,21 @@ def cmd_cyclotomic(args) -> tuple[dict, int]:
 
 def _routes(fld, gen, dec, c, y, n: int) -> dict:
     """Route name -> thunk for every route that covers the count: the production
-    series first, then the oracle, and for N_n(c) with q = 1 mod 4 and c != 0
-    the closed forms and cyclotomy (n <= 4) and expsum (up to its float bound).
-    The convolution routes (oracle, cyclotomy) sit out past their cost guard."""
+    series first, then the oracle and cyclotomy, and for N_n(c) with q = 1 mod 4
+    and c != 0 the closed forms (n <= 4) and expsum (up to its float bound).
+    The oracle sits out past the convolution guard."""
+    one, zero = fld.one(), fld.zero()
     if y is not None:
         routes = {"series": lambda: counting.count_M(y, n, fld, gen, dec),
-                  "oracle": lambda: counting.oracle_count([fld.one()] * (n - 1) + [y],
-                                                          fld.zero())}
+                  "oracle": lambda: counting.oracle_count([one] * (n - 1) + [y], zero),
+                  "cyclotomy": lambda: counting.count_via_cyclotomy(zero, n, fld, gen, y)}
     else:
         routes = {"series": lambda: counting.count_N(c, n, fld, gen, dec),
-                  "oracle": lambda: counting.oracle_count([fld.one()] * n, c)}
+                  "oracle": lambda: counting.oracle_count([one] * n, c),
+                  "cyclotomy": lambda: counting.count_via_cyclotomy(c, n, fld, gen)}
         if fld.q % 4 == 1 and not c.is_zero():
             if n <= 4:
                 routes["closed"] = lambda: counting.count_small(c, n, dec, fld, gen)
-                routes["cyclotomy"] = lambda: counting.count_via_cyclotomy(c, n, fld, gen)
             if n <= expsums.reconstruct_max_n(fld.q):
                 routes["expsum"] = lambda: expsums.reconstruct_N(
                     n, c, expsums.build_table(fld, gen))
@@ -140,7 +141,6 @@ def _routes(fld, gen, dec, c, y, n: int) -> dict:
         check_convolution_cost(fld, n)
     except TooLargeError:
         del routes["oracle"]
-        routes.pop("cyclotomy", None)
     return routes
 
 

@@ -7,7 +7,7 @@ Four of the five routes, cross-checked by `verify` and the tests:
 * an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution
   of fourth-power histograms (exact, O(n q^2)),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
-* dimension-j cyclotomic numbers for n <= 4 (`count_via_cyclotomy`).
+* a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`).
 
 The fifth, exponential sums, is `expsums.reconstruct_N`.  The tests hold the
 oracle to a literal q^n enumeration.
@@ -15,10 +15,12 @@ oracle to a literal q^n enumeration.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import gcd
+
+import numpy as np
 
 from . import genfunc
-from .cyclotomy import QuarticDecomposition, cyclo_dim_enum
+from .cyclotomy import QuarticDecomposition, cyclotomic_matrix
 from .errors import InvariantError, WrongResidueClassError, ZeroRHSError
 # The convolution primitive and its guards live in `field`.  They keep their
 # names here: the benchmark tracer (perfbench/tracer.py) binds
@@ -143,24 +145,33 @@ def count_N(c: Element, n: int, fld: Field, gen: GeneratorData,
     return genfunc.gf_N(fld, gen, dec, c).coefficient(n)
 
 
-def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData) -> int:
-    """N_n(c) from dimension-j cyclotomic numbers, n <= 4, c != 0.
+def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
+                        y: Element | None = None) -> int:
+    """Zeros of x_1^4 + ... + x_(n-1)^4 + y x_n^4 = c (y = 1: N_n(c); c = 0: M_n(y)).
 
-    Zeros with j nonzero coordinates contribute C(n, j) * 4^j * [4-i,...,4-i]_4
-    where i = ind_g(c) mod 4.
-    """
-    if c.is_zero():
-        raise ZeroRHSError("cyclotomic route covers c != 0 only")
-    if fld.q % 4 != 1:
-        raise WrongResidueClassError(f"q = {fld.q} is not 1 mod 4")
-    if not 1 <= n <= 4:
-        raise ValueError("cyclotomic route covers n in 1..4")
-    i = quartic_class(c, gen)
-    inv_index = (4 - i) % 4
-    total = 0
-    for j in range(1, n + 1):
-        total += comb(n, j) * 4**j * cyclo_dim_enum([inv_index] * j, 4, fld, gen)
-    return total
+    With d = gcd(4, q - 1), f = (q - 1)/d and -1 in C_h, adding a x^4, a in C_l,
+    moves (N(0), N(C_0), ..., N(C_(d-1))) by A_l: N'(0) = N(0) + d f N(C_(l+h)),
+    N'(C_j) = N(C_j) + d [j = l] N(0) + d sum_k (l - j + h, k - j)_d N(C_k).  The count
+    is read off A_(ind y) A_0^(n-1) e_0: O(q) once, then O(d^3 log n) products."""
+    check_field(fld, gen.g, c)
+    if n < 1:
+        raise ValueError("n must be positive")
+    d = len(gen.class_roots)
+    f, h = (fld.q - 1) // d, (fld.q - 1) // 2 % d
+    cyc = cyclotomic_matrix(d, fld, gen).tolist()
+    # A_0 .. A_(d-1) as object arrays of Python ints, so the powers stay exact
+    steps = np.array([[[1] + [d * f * (k == (l + h) % d) for k in range(d)]]
+                      + [[d * (j == l)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
+                                           for k in range(d)] for j in range(d)]
+                      for l in range(d)], dtype=object)
+    state, power = np.array([1] + [0] * d, dtype=object), steps[0]
+    if y is not None:
+        state, n = steps[quartic_class(y, gen)] @ state, n - 1
+    while n:
+        state = power @ state if n & 1 else state
+        n >>= 1
+        power = power @ power if n else power
+    return state[0] if c.is_zero() else state[1 + quartic_class(c, gen)]
 
 
 def count_M(y: Element, n: int, fld: Field, gen: GeneratorData,

@@ -254,20 +254,9 @@ class Element:
         f = self.field
         return Element(f, _mulmod(self.coeffs, other.coeffs, f.modulus, f.p))
 
-    def __truediv__(self, other: Element) -> Element:
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero field element")
-        return self * other.inverse()
-
-    def inverse(self) -> Element:
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no inverse")
-        return self ** (self.field.q - 2)
-
     def __pow__(self, n: int) -> Element:
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError(f"exponent {n} must be non-negative")
         f = self.field
         if f.m == 1:
             return Element(f, (pow(self.coeffs[0], n, f.p),))

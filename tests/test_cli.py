@@ -133,7 +133,7 @@ class TestCountCommand:
                         "--all-methods", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["methods"] == {"oracle": "2689", "series": "2689"}
+        assert payload["methods"] == {"oracle": "2689", "series": "2689", "cyclotomy": "2689"}
         assert (payload["agree"], payload["count"]) == (True, "2689")
 
     def test_twisted_all_methods_disagreement_exits_1(self, capsys, monkeypatch):
@@ -144,13 +144,28 @@ class TestCountCommand:
         assert json.loads(out)["agree"] is False
 
     def test_all_methods_past_the_convolution_guard(self, capsys):
-        # 4 * 65537^2 is past the cost guard of 10^9, so oracle and cyclotomy sit out
+        # 4 * 65537^2 is past the cost guard of 10^9, so the oracle sits out
         code, out = run(capsys, "count", "--p", "65537", "--c", "3", "--n", "4",
                         "--all-methods", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["methods"] == dict.fromkeys(["series", "closed", "expsum"],
-                                                   "281488264665088")
+        assert payload["methods"] == dict.fromkeys(
+            ["series", "cyclotomy", "closed", "expsum"], "281488264665088")
+        assert payload["agree"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "65519", "--c", "2", "--n", "3"],
+        ["--p", "1048573", "--y", "2", "--n", "5"],
+        ["--p", "65537", "--y", "3", "--n", "4"],
+        ["--p", "7", "--m", "7", "--c", "0", "--n", "3"],
+    ], ids=["q3mod4", "y-past-guard", "y-q1mod4", "c0-extension"])
+    def test_all_methods_compare_past_the_convolution_guard(self, capsys, argv):
+        # no oracle, closed form or expsum covers these counts; cyclotomy does
+        code, out = run(capsys, "count", *argv, "--all-methods", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["methods"]) >= 2
+        assert "cyclotomy" in payload["methods"]
         assert payload["agree"] is True
 
     def test_oracle_sits_out_past_the_cost_guard(self, capsys, monkeypatch):
@@ -159,7 +174,7 @@ class TestCountCommand:
         code, out = run(capsys, "count", "--p", "5791", "--c", "1", "--n", "30",
                         "--all-methods")
         assert code == 0
-        assert set(json.loads(out)["methods"]) == {"series"}
+        assert set(json.loads(out)["methods"]) == {"series", "cyclotomy"}
 
     def test_all_methods_leave_out_expsum_past_its_precision_bound(self, capsys):
         # 13^16 > 2^50: the double rounded N_17(1) to 665532564937218688
@@ -167,7 +182,7 @@ class TestCountCommand:
                         "--all-methods", "--json")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload["methods"]) == {"oracle", "series"}
+        assert set(payload["methods"]) == {"oracle", "series", "cyclotomy"}
         assert (payload["agree"], payload["count"]) == (True, "665532564937218628")
 
     def test_counts_are_decimal_strings(self, capsys):

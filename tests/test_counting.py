@@ -26,7 +26,7 @@ from diagquartic.errors import (
     ZeroRHSError,
 )
 
-from diagquartic.field import ORACLE_COST_GUARD, Field, quartic_class
+from diagquartic.field import ORACLE_COST_GUARD, Field, find_generator, quartic_class
 
 from conftest import field_data, literal_histogram
 
@@ -209,18 +209,39 @@ class TestCyclotomicRoute:
         fd5 = field_data(5, 1)
         assert count_via_cyclotomy(fd5.field.one(), 4, fd5.field, fd5.gen) == 16
 
-    def test_matches_oracle(self, field_1mod4):
-        fd = field_1mod4
-        for code in range(1, fd.q):
-            c = fd.field.from_int(code)
-            for n in range(1, 5):
-                assert (count_via_cyclotomy(c, n, fd.field, fd.gen)
-                        == fd.oracle_N(code, n))
+    def test_matches_oracle(self, any_field):
+        # every c, c = 0 included, and M_n(y) at one y per non-quartic class
+        fd = any_field
+        for n in range(1, 7):
+            for code in range(fd.q):
+                assert (count_via_cyclotomy(fd.field.from_int(code), n, fd.field, fd.gen)
+                        == fd.oracle_N(code, n)), (fd.q, code, n)
+            for l in range(1, len(fd.gen.class_roots)):
+                y = fd.gen.g ** l
+                if n >= 2:
+                    assert (count_via_cyclotomy(fd.field.zero(), n, fd.field, fd.gen, y)
+                            == fd.oracle_M(y, n)), (fd.q, l, n)
 
-    def test_zero_rejected(self):
-        fd = field_data(5, 1)
-        with pytest.raises(ZeroRHSError):
-            count_via_cyclotomy(fd.field.zero(), 2, fd.field, fd.gen)
+    @pytest.mark.parametrize("p, m", [(13, 1), (7, 1), (3, 2)])
+    def test_twisted_form_at_every_c(self, p, m):
+        fd = field_data(p, m)
+        one = fd.field.one()
+        for l in range(1, len(fd.gen.class_roots)):
+            y = fd.gen.g ** l
+            for n in range(1, 5):
+                hist = oracle_histogram(fd.field, [one] * (n - 1) + [y])
+                assert [count_via_cyclotomy(fd.field.from_int(code), n, fd.field, fd.gen, y)
+                        for code in range(fd.q)] == hist, (fd.q, l, n)
+
+    def test_past_the_convolution_guard(self):
+        # q = 3 mod 4 and q > 2^16: the matrix route matches the series where no
+        # convolution can run
+        fld = Field(65519, 1)
+        gen = find_generator(fld)
+        for c in (fld.zero(), fld.one(), gen.g):
+            assert count_via_cyclotomy(c, 1000, fld, gen) == count_N(c, 1000, fld, gen)
+        assert (count_via_cyclotomy(fld.zero(), 1000, fld, gen, gen.g)
+                == count_M(gen.g, 1000, fld, gen))
 
 
 class TestCountM:

@@ -126,16 +126,6 @@ class TestArithmetic:
         x = f9.element([0, 1])
         assert (x * x).encode() == 2
 
-    def test_inverse_in_f5(self):
-        f5 = Field(5, 1)
-        assert f5.from_int(2).inverse().encode() == 3
-        assert (f5.from_int(1) / f5.from_int(2)).encode() == 3
-
-    def test_division_by_zero(self):
-        f5 = Field(5, 1)
-        with pytest.raises(ZeroDivisionError):
-            f5.one() / f5.zero()
-
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
             Field(5, 1).one() + Field(7, 1).one()
@@ -148,20 +138,22 @@ class TestArithmetic:
     @pytest.mark.parametrize("p", [5, 13, 65521])
     def test_prime_field_pow_matches_repeated_multiplication(self, p):
         fld = Field(p, 1)
-        one = fld.one()
         for code in (0, 1, 2, p - 1, p // 3):
             x = fld.from_int(code)
-            inv = fld.from_int(pow(code, -1, p)) if code else None
-            assert inv is None or x * inv == one
-            for e in range(-5, 12):
-                if e < 0 and inv is None:
-                    with pytest.raises(ZeroDivisionError):
-                        x ** e
-                    continue
-                expected = one
-                for _ in range(abs(e)):
-                    expected = expected * (x if e >= 0 else inv)
+            expected = fld.one()
+            for e in range(12):
                 assert x ** e == expected, (code, e)
+                expected = expected * x
+
+    @pytest.mark.parametrize("p, m", [(5, 1), (65521, 1), (3, 2), (5, 4)])
+    def test_negative_exponent_rejected(self, p, m):
+        # the prime-field branch would otherwise take pow's modular inverse, and
+        # square-and-multiply would read bin(-n) and return a wrong power
+        fld = Field(p, m)
+        for code in (0, 1, 2, fld.q - 1):
+            for e in (-1, -3):
+                with pytest.raises(ValueError):
+                    fld.from_int(code) ** e
 
     @pytest.mark.parametrize("p, m", [(3, 2), (7, 2), (3, 3), (5, 4)])
     def test_extension_field_pow_matches_repeated_multiplication(self, p, m):
@@ -173,8 +165,6 @@ class TestArithmetic:
             for e in range(12):
                 assert x ** e == expected, (code, e)
                 expected = expected * x
-            if code:
-                assert x ** -3 * x ** 3 == one
 
     @pytest.mark.parametrize("p, m, other", [
         (3, 2, (2, 2, 1)), (5, 2, (2, 4, 1)), (3, 3, (2, 2, 2, 1)), (7, 2, (6, 6, 1)),
