@@ -6,7 +6,7 @@ Modules:
                  the additive convolution over them
     cyclotomy -- cyclotomic classes (a view of the log table) and numbers,
                  the (s, t) decomposition
-    counting  -- solution counts: oracle, closed forms, cyclotomic assembly
+    counting  -- solution counts: oracle, closed forms, cyclotomic transfer matrices
     genfunc   -- rational generating functions and their series expansion
     expsums   -- Gauss-type sums and floating-point reconstruction
     cli       -- command-line front end

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: field, cyclotomic, count, series, verify.
-`count` prints N_n(c) or M_n(y) as one coefficient of the generating function, in
-O(log n) polynomial products; `--all-methods` also runs every checking route that
-covers the count (cyclotomy on every count, the oracle within its guard), reports each
+`count` prints N_n(c) or M_n(y) as one coefficient of the generating function: its
+geometric part as one power, the rest from the short series below
+genfunc.SERIES_BELOW (the measured crossover) and in O(log n) polynomial products
+from there.  `--all-methods` also runs every checking route that covers the count
+(cyclotomy on every count, the oracle within its guard), reports each
 route's value and seconds, and exits 1 unless they agree.  `series` lists the first n
 coefficients.  `verify` builds one series and closed form per class of ind_g mod 4,
 and checks them at every c and y against one oracle pass per field (M_n(y) by

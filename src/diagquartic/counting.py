@@ -145,26 +145,33 @@ def count_N(c: Element, n: int, fld: Field, gen: GeneratorData,
     return genfunc.gf_N(fld, gen, dec, c).coefficient(n)
 
 
+def transfer_matrices(fld: Field, gen: GeneratorData) -> np.ndarray:
+    """A_0 .. A_(d-1), d = gcd(4, q - 1), as one d x (d+1) x (d+1) object array.
+
+    With f = (q - 1)/d and -1 in C_h, adding a x^4, a in C_l, moves the counts
+    (N(0), N(C_0), ..., N(C_(d-1))) by A_l: N'(0) = N(0) + d f N(C_(l+h)),
+    N'(C_j) = N(C_j) + d [j = l] N(0) + d sum_k (l - j + h, k - j)_d N(C_k).
+    Python int entries keep their products exact; O(q), for the (i, j)_d."""
+    d = len(gen.class_roots)
+    f, h = (fld.q - 1) // d, (fld.q - 1) // 2 % d
+    cyc = cyclotomic_matrix(d, fld, gen).tolist()
+    return np.array([[[1] + [d * f * (k == (l + h) % d) for k in range(d)]]
+                     + [[d * (j == l)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
+                                          for k in range(d)] for j in range(d)]
+                     for l in range(d)], dtype=object)
+
+
 def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
                         y: Element | None = None) -> int:
     """Zeros of x_1^4 + ... + x_(n-1)^4 + y x_n^4 = c (y = 1: N_n(c); c = 0: M_n(y)).
 
-    With d = gcd(4, q - 1), f = (q - 1)/d and -1 in C_h, adding a x^4, a in C_l,
-    moves (N(0), N(C_0), ..., N(C_(d-1))) by A_l: N'(0) = N(0) + d f N(C_(l+h)),
-    N'(C_j) = N(C_j) + d [j = l] N(0) + d sum_k (l - j + h, k - j)_d N(C_k).  The count
-    is read off A_(ind y) A_0^(n-1) e_0: O(q) once, then O(d^3 log n) products."""
+    The count is read off A_(ind y) A_0^(n-1) e_0, with the A_l of
+    `transfer_matrices`: O(q) once, then O(d^3 log n) products."""
     check_field(fld, gen.g, c)
     if n < 1:
         raise ValueError("n must be positive")
-    d = len(gen.class_roots)
-    f, h = (fld.q - 1) // d, (fld.q - 1) // 2 % d
-    cyc = cyclotomic_matrix(d, fld, gen).tolist()
-    # A_0 .. A_(d-1) as object arrays of Python ints, so the powers stay exact
-    steps = np.array([[[1] + [d * f * (k == (l + h) % d) for k in range(d)]]
-                      + [[d * (j == l)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
-                                           for k in range(d)] for j in range(d)]
-                      for l in range(d)], dtype=object)
-    state, power = np.array([1] + [0] * d, dtype=object), steps[0]
+    steps = transfer_matrices(fld, gen)
+    state, power = np.array([1] + [0] * len(steps), dtype=object), steps[0]
     if y is not None:
         state, n = steps[quartic_class(y, gen)] @ state, n - 1
     while n:

@@ -2,9 +2,12 @@
 
 A generating function is stored as a sum of rational parts, each a pair of
 integer coefficient vectors (ascending powers, denominator constant term 1).
-`coefficient(n)` reads one coefficient by Fiduccia's method, x^n modulo the
-reversed denominator, in O(log n) big-int polynomial products; `series(n)`
-runs the denominator recurrence and lists all n coefficients.  Both stay in
+`series(n)` runs the denominator recurrence and lists all n coefficients.
+`coefficient(n)` reads one coefficient in one of three regimes: a first-order
+part (a multiple of the geometric x/(1 - qx)) is one power; below SERIES_BELOW,
+the measured crossover, it reads the series; from there it takes Fiduccia's
+method, x^n modulo the reversed denominator, in O(log n) big-int polynomial
+products (its last doubling a Hankel form from HANKEL_FROM).  All stay in
 exact integers.
 `gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None.
 """
@@ -22,6 +25,7 @@ __all__ = [
     "denominator", "recurrence_check",
 ]
 
+SERIES_BELOW = 32
 HANKEL_FROM = 128
 
 
@@ -47,23 +51,28 @@ class RationalPart:
         return coeffs[1:]
 
     def coefficient(self, n: int) -> int:
-        """Coefficient c_n of x^n, n >= 1, in O(log n) polynomial products.
+        """Coefficient c_n of x^n, n >= 1, in exact integers, in three regimes.
 
-        Past the numerator the coefficients obey c_j = -sum_i den[i] c_(j-i).
-        With k = deg den, this holds for every j >= s + k, so x^a -> c_(s+a)
-        vanishes on multiples of the monic reversed denominator P, and c_n is
-        the dot product of c_s .. c_(s+k-1) with x^(n-s) mod P (Fiduccia, SIAM
-        J. Comput. 1985).  For k >= 3 and n - s >= HANKEL_FROM, with n - s = 2h
-        + b and r = x^h mod P, c_n = sum_(i,j<k) r_i r_j c_(s+b+i+j): k big
-        products in place of the last squaring (on `gf_N`'s k = 4 part, level at
-        n = 32..64, 5%, 13%, 31% faster at 128, 256, 1024).  s >= 1 keeps every
-        initial term inside `series`.
+        Past the numerator the coefficients obey c_j = -sum_i den[i] c_(j-i):
+        with k = deg den, for every j >= s + k.  For k = 1 and n >= s, c_n =
+        c_s (-den[1])^(n-s).  Below SERIES_BELOW (or s + k) c_n is read off
+        `series`: on the k = 4 parts of `gf_N` and `gf_M` it takes 0.45-0.95 of
+        the squaring's time at n = 8..24, level at 32 (k = 2 parts cross at 20).
+        From there x^a -> c_(s+a) vanishes on multiples of the monic reversed
+        denominator P, and c_n is the dot product of c_s .. c_(s+k-1) with
+        x^(n-s) mod P (Fiduccia, SIAM J. Comput. 1985).  For k >= 3 and n - s >=
+        HANKEL_FROM, with n - s = 2h + b and r = x^h mod P, c_n = sum_(i,j<k) r_i
+        r_j c_(s+b+i+j): k big products in place of the last squaring (on
+        `gf_N`'s k = 4 part, level at n = 32..64, 5%, 13%, 31% faster at 128,
+        256, 1024).  s >= 1 keeps every initial term inside `series`.
         """
         if n < 1:
             raise ValueError(f"coefficient index must be at least 1, got {n}")
         k = len(self.den) - 1
         s = max(1, len(self.num) - k)
-        if n < s + k:
+        if k == 1 and n >= s:  # never below s, where the power would be a float
+            return self.series(s)[s - 1] * (-self.den[1]) ** (n - s)
+        if n < max(s + k, SERIES_BELOW):
             return self.series(n)[n - 1]
         if k < 3 or n - s < HANKEL_FROM:
             initial = self.series(s + k - 1)[s - 1:]

@@ -1,10 +1,11 @@
-"""Solution counts: oracle, closed forms, cyclotomic assembly, twisted forms."""
+"""Solution counts: oracle, closed forms, cyclotomic transfer matrices, twisted forms."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 from diagquartic import genfunc
 from diagquartic.counting import (
@@ -15,6 +16,7 @@ from diagquartic.counting import (
     oracle_count,
     oracle_histogram,
     power_profile,
+    transfer_matrices,
 )
 from diagquartic.cyclotomy import quartic_decomposition
 from diagquartic.errors import (
@@ -200,6 +202,10 @@ class TestCountN:
             assert total == fd.q**n
 
 
+TRANSFER_FIELDS = [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (29, 1), (41, 1),
+                   (7, 2), (3, 4), (65537, 1), (65519, 1)]
+
+
 class TestCyclotomicRoute:
     def test_pinned(self):
         fd = field_data(13, 1)
@@ -232,6 +238,22 @@ class TestCyclotomicRoute:
                 hist = oracle_histogram(fd.field, [one] * (n - 1) + [y])
                 assert [count_via_cyclotomy(fd.field.from_int(code), n, fd.field, fd.gen, y)
                         for code in range(fd.q)] == hist, (fd.q, l, n)
+
+    @pytest.mark.parametrize("p, m", TRANSFER_FIELDS,
+                             ids=[f"q={p ** m}" for p, m in TRANSFER_FIELDS])
+    def test_transfer_matrices_share_the_denominator(self, p, m):
+        # det(I - x A_l) = (1 - qx) times the denominator of gf_N, for every l;
+        # that denominator is 1 + qx^2 when q = 3 mod 4
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        q = fld.q
+        den = (genfunc.denominator(q, quartic_decomposition(fld, gen).s) if q % 4 == 1
+               else (1, 0, q))
+        expected = [a - q * b for a, b in zip(den + (0,), (0,) + den)]
+        for l, step in enumerate(transfer_matrices(fld, gen)):
+            # det(t I - A) = t^(d+1) + c_1 t^d + ... read high to low is det(I - x A)
+            # read low to high
+            assert sympy.Matrix(step.tolist()).charpoly().all_coeffs() == expected, (q, l)
 
     def test_past_the_convolution_guard(self):
         # q = 3 mod 4 and q > 2^16: the matrix route matches the series where no

@@ -2,11 +2,14 @@
 
 import pytest
 
+from diagquartic.counting import count_M, count_N
+from diagquartic.cyclotomy import quartic_decomposition
 from diagquartic.errors import BadDenominatorError, QuarticYError
 from diagquartic.expsums import build_table
 from diagquartic.field import Field, find_generator, quartic_class
 from diagquartic.genfunc import (
     HANKEL_FROM,
+    SERIES_BELOW,
     RationalGF,
     RationalPart,
     _correction_poly,
@@ -62,11 +65,35 @@ class TestCoefficient:
     @pytest.mark.parametrize("num", [(0, 1), (0, 2, -1, 7, 4, 9, -3, 5)],
                              ids=["short-num", "long-num"])
     def test_every_index_on_both_sides_of_the_hankel_threshold(self, num, den):
-        # k in {0, 1, 2, 4}: series, squaring and, for k = 4 from n - s = HANKEL_FROM,
-        # the Hankel form, each with both parities of n - s
+        # k in {0, 1, 2, 4}: the series below SERIES_BELOW, the k = 1 power from
+        # index s (below s, at s and past it with the long numerator), the squaring
+        # and, for k = 4 from n - s = HANKEL_FROM, the Hankel form, each with both
+        # parities of n - s.  A float equal to the count passes ==, so the type is
+        # checked too.
         part = RationalPart(num=num, den=den)
         top = 2 * (max(1, len(num) - len(den) + 1) + HANKEL_FROM)
-        assert [part.coefficient(n) for n in range(1, top + 1)] == part.series(top)
+        assert SERIES_BELOW < top
+        values = [part.coefficient(n) for n in range(1, top + 1)]
+        assert values == part.series(top)
+        assert all(type(v) is int for v in values)
+
+    @pytest.mark.parametrize("p", [65537, 1048573, 65519])
+    def test_counts_match_the_series_across_the_series_threshold(self, p):
+        # the largeq-queries range and past SERIES_BELOW, at c = 0, one c per class
+        # and one y per non-quartic class, through the entry points `count` prints
+        fld = Field(p, 1)
+        gen = find_generator(fld)
+        dec = quartic_decomposition(fld, gen) if p % 4 == 1 else None
+        reps = [gen.g ** l for l in range(len(gen.class_roots))]
+        top = SERIES_BELOW + 8
+        for c in [fld.zero()] + reps:
+            values = [count_N(c, n, fld, gen, dec) for n in range(1, top + 1)]
+            assert values == gf_N(fld, gen, dec, c).series(top), (p, c)
+            assert all(type(v) is int for v in values)
+        for y in reps[1:]:
+            values = [count_M(y, n + 1, fld, gen, dec) for n in range(1, top + 1)]
+            assert values == gf_M(fld, gen, dec, y).series(top), (p, y)
+            assert all(type(v) is int for v in values)
 
     @pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (65521, 1)],
                              ids=["q=13", "q=49", "q=65521"])
