@@ -1,19 +1,19 @@
 """Command-line front end.
 
 Subcommands: field, cyclotomic, count, series, verify.
-`count` prints N_n(c) or M_n(y) as one coefficient of the generating function: its
-geometric part as one power, the rest from the short series below
-genfunc.SERIES_BELOW (the measured crossover) and in O(log n) polynomial products
-from there.  `--all-methods` also runs every checking route that covers the count
-(cyclotomy on every count, the oracle within its guard), reports each
-route's value and seconds, and exits 1 unless they agree.  `series` lists the first n
-coefficients.  `verify` builds one series and closed form per class of ind_g mod 4,
-and checks them at every c and y against one oracle pass per field (M_n(y) by
-splitting off x_n, one sum per coset -y C_0), with the order-4 recurrence on the
-oracle's counts and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y).  Each check is a stream
-of rows, its inputs and each method's value there; one runner times it and files the
-first row where the values differ, as JSON, in its detail, and with the `fields` it
-lists (p, m, q, modulus, g, s, t) that row reproduces.
+`count` prints N_n(c) or M_n(y) as one coefficient of the generating function: a
+part with a one-tap denominator 1 + d x^k as one power, any other from the short
+series below genfunc.SERIES_BELOW (the measured crossover) and by a Hankel form
+after O(log n) polynomial products from there.  `--all-methods` also runs every
+checking route that covers the count (cyclotomy on every count, the oracle within
+its guard), reports each route's value and seconds, and exits 1 unless they agree.
+`series` lists the first n coefficients.  `verify` builds one series and closed form
+per class of ind_g mod 4, and checks them at every c and y against one oracle pass
+per field (M_n(y) by splitting off x_n, one sum per coset -y C_0), with the order-4
+recurrence on the oracle's counts and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y). Each
+check is a stream of rows, its inputs and each method's value there; one runner
+times it and files the first row where the values differ, as JSON, in its detail,
+and with the `fields` it lists (p, m, q, modulus, g, s, t) that row reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series

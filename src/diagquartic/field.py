@@ -148,13 +148,14 @@ class Field:
     """F_{p^m} with an explicit monic modulus polynomial."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p) or p == 2:
-            raise NotPrimeError(f"p = {p} is not an odd prime")
         if m < 1:
             raise ValueError(f"m = {m} must be positive")
+        bound = DEFAULT_FIELD_BOUND  # checked before p is factored or p^m formed
+        if p > 2 and (p > bound or p ** min(m, bound.bit_length()) > bound):
+            raise FieldTooLargeError(f"q = p^{m} = 10^{m * math.log10(p):.1f} > {bound}")
+        if not is_prime(p) or p == 2:
+            raise NotPrimeError(f"p = {p} is not an odd prime")
         q = p**m
-        if q > DEFAULT_FIELD_BOUND:
-            raise FieldTooLargeError(f"q = {q} exceeds bound {DEFAULT_FIELD_BOUND}")
         self.p = p
         self.m = m
         self.q = q

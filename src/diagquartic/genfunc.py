@@ -2,13 +2,12 @@
 
 A generating function is stored as a sum of rational parts, each a pair of
 integer coefficient vectors (ascending powers, denominator constant term 1).
-`series(n)` runs the denominator recurrence and lists all n coefficients.
-`coefficient(n)` reads one coefficient in one of three regimes: a first-order
-part (a multiple of the geometric x/(1 - qx)) is one power; below SERIES_BELOW,
-the measured crossover, it reads the series; from there it takes Fiduccia's
-method, x^n modulo the reversed denominator, in O(log n) big-int polynomial
-products (its last doubling a Hankel form from HANKEL_FROM).  All stay in
-exact integers.
+`series(n)` runs the denominator recurrence over its nonzero taps and lists
+all n coefficients.  `coefficient(n)` reads one in one of three regimes, all in
+exact integers: a part with a one-tap denominator 1 + d x^k (the geometric
+x/(1 - qx), and the q = 3 mod 4 correction 1 + qx^2) is one power; below
+SERIES_BELOW, the measured crossover, it reads the series; from there it takes
+Fiduccia's method in O(log n) polynomial products, ending in a Hankel form.
 `gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None.
 """
 
@@ -25,8 +24,7 @@ __all__ = [
     "denominator", "recurrence_check",
 ]
 
-SERIES_BELOW = 32
-HANKEL_FROM = 128
+SERIES_BELOW = 88
 
 
 @dataclass(frozen=True)
@@ -41,42 +39,40 @@ class RationalPart:
             raise BadDenominatorError(f"denominator {self.den} lacks constant term 1")
 
     def series(self, count: int) -> list[int]:
-        """Coefficients c_1 .. c_count of the power series at 0."""
-        coeffs = [0] * (count + 1)
-        for n in range(count + 1):
-            c = self.num[n] if n < len(self.num) else 0
-            for i in range(1, min(n, len(self.den) - 1) + 1):
-                c -= self.den[i] * coeffs[n - i]
-            coeffs[n] = c
-        return coeffs[1:]
+        """Coefficients c_1 .. c_count of the power series at 0, by the recurrence
+        over the nonzero taps of den, after k zeros standing for c_(-k) .. c_(-1)."""
+        k, size = len(self.den) - 1, max(count + 1, 0)
+        taps = [(i, -d) for i, d in enumerate(self.den) if i and d]
+        coeffs = [0] * k + list(self.num[:size]) + [0] * (size - len(self.num))
+        for j in range(k + 1, k + size):
+            c = coeffs[j]
+            for i, d in taps:
+                c += d * coeffs[j - i]
+            coeffs[j] = c
+        return coeffs[k + 1:]
 
     def coefficient(self, n: int) -> int:
         """Coefficient c_n of x^n, n >= 1, in exact integers, in three regimes.
 
-        Past the numerator the coefficients obey c_j = -sum_i den[i] c_(j-i):
-        with k = deg den, for every j >= s + k.  For k = 1 and n >= s, c_n =
-        c_s (-den[1])^(n-s).  Below SERIES_BELOW (or s + k) c_n is read off
-        `series`: on the k = 4 parts of `gf_N` and `gf_M` it takes 0.45-0.95 of
-        the squaring's time at n = 8..24, level at 32 (k = 2 parts cross at 20).
-        From there x^a -> c_(s+a) vanishes on multiples of the monic reversed
-        denominator P, and c_n is the dot product of c_s .. c_(s+k-1) with
-        x^(n-s) mod P (Fiduccia, SIAM J. Comput. 1985).  For k >= 3 and n - s >=
-        HANKEL_FROM, with n - s = 2h + b and r = x^h mod P, c_n = sum_(i,j<k) r_i
-        r_j c_(s+b+i+j): k big products in place of the last squaring (on
-        `gf_N`'s k = 4 part, level at n = 32..64, 5%, 13%, 31% faster at 128,
-        256, 1024).  s >= 1 keeps every initial term inside `series`.
+        With k = deg den and s = max(1, len(num) - k), c_j = -sum_i den[i]
+        c_(j-i) for every j >= s + k.  If den = 1 + d x^k and n >= s, c_n =
+        c_(s+r) (-d)^j with (j, r) = divmod(n - s, k) (never below s, where the
+        power would be a float).  Below SERIES_BELOW (or s) c_n is read off
+        `series`: on the k = 4 parts of `gf_N` and `gf_M` that is level with the
+        Hankel form at n = 88.  From there x^a -> c_(s+a) vanishes on multiples
+        of the monic reversed denominator P (Fiduccia, SIAM J. Comput. 1985), so
+        with n - s = 2h + b and r = x^h mod P, c_n = sum_(i,j<k) r_i r_j
+        c_(s+b+i+j).  s >= 1 keeps every initial term inside `series`.
         """
         if n < 1:
             raise ValueError(f"coefficient index must be at least 1, got {n}")
         k = len(self.den) - 1
         s = max(1, len(self.num) - k)
-        if k == 1 and n >= s:  # never below s, where the power would be a float
-            return self.series(s)[s - 1] * (-self.den[1]) ** (n - s)
-        if n < max(s + k, SERIES_BELOW):
+        if k and not any(self.den[1:k]) and n >= s:
+            j, r = divmod(n - s, k)
+            return self.series(s + r)[s + r - 1] * (-self.den[k]) ** j
+        if n < max(s, SERIES_BELOW):
             return self.series(n)[n - 1]
-        if k < 3 or n - s < HANKEL_FROM:
-            initial = self.series(s + k - 1)[s - 1:]
-            return sum(r * c for r, c in zip(_x_power_mod(n - s, self.den), initial))
         h, b = divmod(n - s, 2)
         r, initial = _x_power_mod(h, self.den), self.series(s + b + 2 * k - 2)[s + b - 1:]
         return sum(ri * sum(rj * c for rj, c in zip(r, initial[i:])) for i, ri in enumerate(r))

@@ -204,8 +204,10 @@ class TestInputErrors:
         ["count", "--p", "13", "--y", "3", "--n", "3", "--all-methods"],
         ["count", "--p", "13", "--y", "2", "--n", "1", "--all-methods"],
         ["verify", "--p", "6007", "--nmax", "2"],
+        ["field", "--p", "1000000000000000000000000000057"],
     ], ids=["count-no-rhs", "count-c-and-y", "series-n-neg", "count-n0", "verify-nmax1",
-            "series-c-and-y", "oracle-quartic-y", "oracle-y-n1", "verify-past-oracle-guard"])
+            "series-c-and-y", "oracle-quartic-y", "oracle-y-n1", "verify-past-oracle-guard",
+            "field-p-past-bound"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 

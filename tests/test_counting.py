@@ -1,9 +1,11 @@
 """Solution counts: oracle, closed forms, cyclotomic transfer matrices, twisted forms."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 
@@ -254,6 +256,26 @@ class TestCyclotomicRoute:
             # det(t I - A) = t^(d+1) + c_1 t^d + ... read high to low is det(I - x A)
             # read low to high
             assert sympy.Matrix(step.tolist()).charpoly().all_coeffs() == expected, (q, l)
+
+    @pytest.mark.parametrize("p, m", [(5, 1), (7, 1), (3, 2), (13, 1)],
+                             ids=["q=5", "q=7", "q=9", "q=13"])
+    def test_mixed_class_products_match_the_oracle(self, p, m):
+        # A_(l_n) ... A_(l_1) e_0 holds the zeros of g^(l_1) x_1^4 + ... + g^(l_n) x_n^4
+        # = c at c = 0 and at every c of each class C_j, for every class vector
+        # (l_1, ..., l_n) of length 2 and 3
+        fd = field_data(p, m)
+        steps = transfer_matrices(fd.field, fd.gen)
+        d = len(steps)
+        cls = [None] + [quartic_class(fd.field.from_int(code), fd.gen)
+                        for code in range(1, fd.q)]
+        for ls in itertools.chain(itertools.product(range(d), repeat=2),
+                                  itertools.product(range(d), repeat=3)):
+            state = np.array([1] + [0] * d, dtype=object)
+            for l in ls:
+                state = steps[l] @ state
+            hist = oracle_histogram(fd.field, [fd.gen.g ** l for l in ls])
+            assert [state[0] if code == 0 else state[1 + cls[code]]
+                    for code in range(fd.q)] == hist, (fd.q, ls)
 
     def test_past_the_convolution_guard(self):
         # q = 3 mod 4 and q > 2^16: the matrix route matches the series where no

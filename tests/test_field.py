@@ -1,5 +1,6 @@
 """Field construction, arithmetic, generators, indices, classes and traces."""
 
+import time
 from math import ceil, gcd, log2
 
 import numpy as np
@@ -71,6 +72,16 @@ class TestConstruction:
     def test_rejects_oversized_field(self):
         with pytest.raises(FieldTooLargeError):
             Field(3, 14)
+
+    @pytest.mark.parametrize("p, m", [(10**30 + 57, 1), (3, 10**8)],
+                             ids=["p-31-digits", "m-1e8"])
+    def test_bound_checked_before_factoring_p_or_forming_q(self, p, m):
+        # trial division of a 31-digit p, or forming the 47.7-million-digit
+        # 3^(10^8), would run for far longer than a second
+        start = time.perf_counter()
+        with pytest.raises(FieldTooLargeError):
+            Field(p, m)
+        assert time.perf_counter() - start < 1
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):

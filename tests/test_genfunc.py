@@ -8,7 +8,6 @@ from diagquartic.errors import BadDenominatorError, QuarticYError
 from diagquartic.expsums import build_table
 from diagquartic.field import Field, find_generator, quartic_class
 from diagquartic.genfunc import (
-    HANKEL_FROM,
     SERIES_BELOW,
     RationalGF,
     RationalPart,
@@ -30,6 +29,10 @@ class TestRationalPart:
     def test_bad_denominator(self):
         with pytest.raises(BadDenominatorError):
             RationalPart(num=(0, 1), den=(2, 1))
+
+    def test_no_terms_below_count_one(self):
+        part = RationalPart(num=(0, 2, -1, 7, 4, 9, -3, 5), den=(1, 3, -2))
+        assert [part.series(count) for count in (0, -1, -5)] == [[], [], []]
 
     def test_sum_of_parts_linearity(self):
         p1 = RationalPart(num=(0, 1), den=(1, -3))
@@ -61,18 +64,19 @@ class TestCoefficient:
             assert gf.coefficient(2345) == gf.series(2345)[-1]
 
     @pytest.mark.parametrize("den", [(1,), (1, -3), (1, 0, 7), (1, 2, -5),
-                                     (1, 0, 10, 40, 205), (1, -1, 3, -4, 2)])
-    @pytest.mark.parametrize("num", [(0, 1), (0, 2, -1, 7, 4, 9, -3, 5)],
-                             ids=["short-num", "long-num"])
+                                     (1, 0, 10, 40, 205), (1, -1, 3, -4, 2),
+                                     (1, 0, 0, 0, 7), (1, 3, 0), (1, 0, 0, 5, 0)])
+    @pytest.mark.parametrize("num", [(0, 1), (0, 2, -1, 7, 4, 9, -3, 5),
+                                     tuple(range(-3, SERIES_BELOW + 10))],
+                             ids=["short-num", "long-num", "num-past-series-threshold"])
     def test_every_index_on_both_sides_of_the_hankel_threshold(self, num, den):
-        # k in {0, 1, 2, 4}: the series below SERIES_BELOW, the k = 1 power from
-        # index s (below s, at s and past it with the long numerator), the squaring
-        # and, for k = 4 from n - s = HANKEL_FROM, the Hankel form, each with both
-        # parities of n - s.  A float equal to the count passes ==, so the type is
-        # checked too.
+        # k in {0, 1, 2, 4}: the one power for a one-tap denominator 1 + d x^k from
+        # index s (below s, at s and past it with the long numerators), the series
+        # below SERIES_BELOW (or s, when s passes it) and the Hankel form from
+        # there, for one-tap and multi-tap denominators, each with both parities
+        # of n - s.  A float equal to the count passes ==, so the type is checked.
         part = RationalPart(num=num, den=den)
-        top = 2 * (max(1, len(num) - len(den) + 1) + HANKEL_FROM)
-        assert SERIES_BELOW < top
+        top = 2 * (max(1, len(num) - len(den) + 1) + SERIES_BELOW)
         values = [part.coefficient(n) for n in range(1, top + 1)]
         assert values == part.series(top)
         assert all(type(v) is int for v in values)
@@ -95,12 +99,12 @@ class TestCoefficient:
             assert values == gf_M(fld, gen, dec, y).series(top), (p, y)
             assert all(type(v) is int for v in values)
 
-    @pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (65521, 1)],
-                             ids=["q=13", "q=49", "q=65521"])
+    @pytest.mark.parametrize("p, m", [(13, 1), (7, 2), (65521, 1), (65519, 1), (7, 7)],
+                             ids=["q=13", "q=49", "q=65521", "q=65519", "q=823543"])
     def test_coefficient_3000(self, p, m):
         fld = Field(p, m)
         gen = find_generator(fld)
-        reps = [gen.g ** l for l in range(4)]
+        reps = [gen.g ** l for l in range(len(gen.class_roots))]
         gfs = ([gf_N(fld, gen, None, c) for c in [fld.zero()] + reps]
                + [gf_M(fld, gen, None, y) for y in reps[1:]])
         for gf in gfs:
