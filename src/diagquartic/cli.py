@@ -284,8 +284,11 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.p is None and (args.m, args.generator, args.modulus) != (1, None, None):
+        raise ValueError("--m, --generator and --modulus choose within a field: give --p")
     fields, checks = [], []
-    for cfg in [_config(args)] if args.p else [RunConfig(*pm) for pm in DEFAULT_VERIFY_FIELDS]:
+    for cfg in ([_config(args)] if args.p is not None
+                else [RunConfig(*pm) for pm in DEFAULT_VERIFY_FIELDS]):
         fld, gen, dec = cfg.build()
         if args.break_t and dec is not None:
             dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)

@@ -1,8 +1,11 @@
 """Cyclotomic classes, a view of `field.log_table`, and cyclotomic numbers.
 
 Order-4 numbers come in two flavors: exact enumeration over the classes (all
-k^2 numbers (i, j)_k at once, `cyclotomic_matrix`), and the classical
-closed-form A-E table driven by the decomposition q = s^2 + 4t^2.
+k^2 numbers (i, j)_k at once, `cyclotomic_matrix`), and Gauss's closed form
+driven by the decomposition q = s^2 + 4t^2 (Berndt, Evans & Williams, *Gauss
+and Jacobi Sums*, 1998, ch. 2): the 16 numbers (i, j)_4 take five values A-E,
+laid out by rows i = 0..3 as ABCD, BDEE, CECE, DEEB for q = 1 mod 8 (f even)
+and ABCD, EEDB, AEAE, EDBE for q = 5 mod 8 (f odd).
 Dimension-n numbers [i_1, ..., i_n]_k are likewise available exactly, as the
 value at 1 of the additive convolution of the class indicator vectors (the
 oracle's own primitive, `field._group_convolve`), by reduction to ordinary
@@ -51,7 +54,7 @@ def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecompositio
         # m is even here, else q = 3 mod 4
         s = (-p) ** (m // 2)
         return QuarticDecomposition(s=s, t=0)
-    zeta = prime_subfield_residue(gen.g ** (3 * (q - 1) // 4))
+    zeta = prime_subfield_residue(fld.from_int(gen.class_roots[3]))
     if (zeta * zeta + 1) % p != 0:
         raise InvariantError(f"zeta = {zeta} does not square to -1 mod {p}")
     candidates = []
@@ -110,33 +113,27 @@ def _exact_div(num: int, den: int, what: str) -> int:
     return num // den
 
 
-# Lemma-2.4 style coefficient tables: (i, j) -> (constant, coeff s, coeff t)
-# for 16*(i, j)_4 = q + const + cs*s + ct*t.
-_QUARTIC_TABLE_F_EVEN = {
-    (0, 0): (-11, -6, 0),
-    (0, 1): (-3, 2, 8), (1, 0): (-3, 2, 8), (3, 3): (-3, 2, 8),
-    (0, 2): (-3, 2, 0), (2, 0): (-3, 2, 0), (2, 2): (-3, 2, 0),
-    (0, 3): (-3, 2, -8), (3, 0): (-3, 2, -8), (1, 1): (-3, 2, -8),
-    (1, 2): (1, -2, 0), (2, 1): (1, -2, 0), (1, 3): (1, -2, 0),
-    (3, 1): (1, -2, 0), (2, 3): (1, -2, 0), (3, 2): (1, -2, 0),
-}
-_QUARTIC_TABLE_F_ODD = {
-    (0, 0): (-7, 2, 0), (2, 0): (-7, 2, 0), (2, 2): (-7, 2, 0),
-    (0, 1): (1, 2, -8), (1, 3): (1, 2, -8), (3, 2): (1, 2, -8),
-    (0, 2): (1, -6, 0),
-    (0, 3): (1, 2, 8), (1, 2): (1, 2, 8), (3, 1): (1, 2, 8),
-    (1, 0): (-3, -2, 0), (1, 1): (-3, -2, 0), (2, 1): (-3, -2, 0),
-    (2, 3): (-3, -2, 0), (3, 0): (-3, -2, 0), (3, 3): (-3, -2, 0),
+# Gauss's table, keyed by q mod 8: row i of the layout names the letter of
+# (i, j)_4 for j = 0..3, and each letter is (const, cs, ct) in
+# 16 (i, j)_4 = q + const + cs*s + ct*t.
+_QUARTIC_LETTERS = {
+    1: ("ABCD BDEE CECE DEEB".split(),
+        {"A": (-11, -6, 0), "B": (-3, 2, 8), "C": (-3, 2, 0), "D": (-3, 2, -8),
+         "E": (1, -2, 0)}),
+    5: ("ABCD EEDB AEAE EDBE".split(),
+        {"A": (-7, 2, 0), "B": (1, 2, -8), "C": (1, -6, 0), "D": (1, 2, 8),
+         "E": (-3, -2, 0)}),
 }
 
 
 def cyclotomic_number_quartic(i: int, j: int, dec: QuarticDecomposition, q: int) -> int:
-    """Closed-form (i, j)_4 from the A-E table for the parity of f = (q-1)/4,
-    which is even exactly when q = 1 mod 8."""
+    """Closed-form (i, j)_4: the letter A-E at row i, column j of Gauss's layout
+    for q mod 8 (ABCD/BDEE/CECE/DEEB when f = (q-1)/4 is even, ABCD/EEDB/AEAE/EDBE
+    when it is odd; Berndt, Evans & Williams, ch. 2), then that letter's formula."""
     if q % 4 != 1:
         raise WrongResidueClassError(f"q = {q} is not 1 mod 4")
-    table = _QUARTIC_TABLE_F_EVEN if q % 8 == 1 else _QUARTIC_TABLE_F_ODD
-    const, cs, ct = table[(i % 4, j % 4)]
+    layout, letters = _QUARTIC_LETTERS[q % 8]
+    const, cs, ct = letters[layout[i % 4][j % 4]]
     num = q + const + cs * dec.s + ct * dec.t
     return _exact_div(num, 16, f"(i={i}, j={j})_4")
 

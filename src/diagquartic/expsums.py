@@ -34,16 +34,6 @@ class GaussSumTable:
     T: tuple[complex, complex, complex, complex]
     eta: tuple[complex, complex, complex, complex]
 
-    def lambda_sum(self, l: int, c: Element) -> complex:
-        """lambda_l(c) = sum over x in C_l of psi(-x*c).
-
-        For c != 0, x -> -x*c maps C_l onto C_{l + ind(-c)}, so the sum is
-        the Gauss period eta_{l + ind(-c)}; at c = 0 it is f = |C_l|.
-        """
-        if c.is_zero():
-            return complex((self.field.q - 1) // 4)
-        return self.eta[(l + quartic_class(-c, self.gen)) % 4]
-
 
 def build_table(fld: Field, gen: GeneratorData) -> GaussSumTable:
     """Gauss periods eta_l from the trace table, and T_{g^l} = 1 + 4 eta_l.
@@ -92,7 +82,10 @@ def reconstruct_max_n(q: int) -> int:
 
 
 def reconstruct_N(n: int, c: Element, table: GaussSumTable) -> int:
-    """N_n(c) = q^(n-1) + (1/q) r, r = sum T_{g^l}^n lambda_l(c), rounded to integer.
+    """N_n(c) = q^(n-1) + (1/q) r, r = sum T_{g^l}^n eta_(l + ind(-c)), rounded to integer.
+
+    x -> -x*c maps C_l onto C_(l + ind(-c)), so lambda_l(c) = sum over x in C_l
+    of psi(-x*c) is the Gauss period eta_(l + ind(-c)), one class read per call.
 
     Advisory only: raises NotNearIntegerError unless the value lies within 1/4
     of an integer and |Im r| <= 2^-40 times the sum of the |terms| of r.  The
@@ -110,7 +103,8 @@ def reconstruct_N(n: int, c: Element, table: GaussSumTable) -> int:
     if not 1 <= n <= nmax:
         raise ValueError(f"n = {n} outside 1..{nmax}; past {nmax}, q^(n-1) >= 2^50 "
                          f"and the double no longer rounds to N_n(c)")
-    terms = [table.T[l] ** n * table.lambda_sum(l, c) for l in range(4)]
+    shift = quartic_class(-c, table.gen)
+    terms = [table.T[l] ** n * table.eta[(l + shift) % 4] for l in range(4)]
     r = sum(terms)
     value = q ** (n - 1) + r.real / q
     nearest = round(value)

@@ -205,9 +205,14 @@ class TestInputErrors:
         ["count", "--p", "13", "--y", "2", "--n", "1", "--all-methods"],
         ["verify", "--p", "6007", "--nmax", "2"],
         ["field", "--p", "1000000000000000000000000000057"],
+        ["verify", "--p", "0", "--nmax", "2"],
+        ["verify", "--m", "3", "--nmax", "2"],
+        ["verify", "--generator", "99", "--nmax", "2"],
+        ["verify", "--modulus", "1,2,3", "--nmax", "2"],
     ], ids=["count-no-rhs", "count-c-and-y", "series-n-neg", "count-n0", "verify-nmax1",
             "series-c-and-y", "oracle-quartic-y", "oracle-y-n1", "verify-past-oracle-guard",
-            "field-p-past-bound"])
+            "field-p-past-bound", "verify-p0", "verify-m-without-p",
+            "verify-generator-without-p", "verify-modulus-without-p"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 

@@ -48,6 +48,14 @@ class TestQuarticDecomposition:
             quartic_decomposition(fld, find_generator(fld))
 
 
+# (i, j)_4 by enumeration and by Gauss's letter layout: the symmetry tests run on
+# both, so each layout is held to Gauss's symmetries directly
+NUMBERS = {
+    "enum": lambda i, j, fd: cyclotomic_number_enum(i, j, 4, fd.field, fd.gen),
+    "quartic": lambda i, j, fd: cyclotomic_number_quartic(i, j, fd.dec, fd.q),
+}
+
+
 class TestCyclotomicNumbers:
     @pytest.mark.parametrize("p, m, i, j, expected", [
         (13, 1, 0, 0, 0), (5, 1, 0, 0, 0), (17, 1, 1, 2, 1),
@@ -77,38 +85,35 @@ class TestCyclotomicNumbers:
                 for j in range(4):
                     cyclotomic_number_quartic(i, j, broken, 13)
 
-    def test_shift_invariance(self, field_1mod4):
+    @pytest.mark.parametrize("number", NUMBERS.values(), ids=NUMBERS.keys())
+    def test_shift_invariance(self, field_1mod4, number):
         fd = field_1mod4
         for i in range(4):
             for j in range(4):
-                base = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
-                assert cyclotomic_number_enum(i + 4, j, 4, fd.field, fd.gen) == base
-                assert cyclotomic_number_enum(i, j - 8, 4, fd.field, fd.gen) == base
+                base = number(i, j, fd)
+                assert number(i + 4, j, fd) == base
+                assert number(i, j - 8, fd) == base
 
-    def test_reflection(self, field_1mod4):
+    @pytest.mark.parametrize("number", NUMBERS.values(), ids=NUMBERS.keys())
+    def test_reflection(self, field_1mod4, number):
         fd = field_1mod4
         for i in range(4):
             for j in range(4):
-                assert (cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
-                        == cyclotomic_number_enum(-i, j - i, 4, fd.field, fd.gen))
+                assert number(i, j, fd) == number(-i, j - i, fd), (fd.q, i, j)
 
-    def test_parity_swap(self, field_1mod4):
+    @pytest.mark.parametrize("number", NUMBERS.values(), ids=NUMBERS.keys())
+    def test_parity_swap(self, field_1mod4, number):
         fd = field_1mod4
         f_even = (fd.q - 1) // 4 % 2 == 0
         for i in range(4):
             for j in range(4):
-                lhs = cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
-                if f_even:
-                    rhs = cyclotomic_number_enum(j, i, 4, fd.field, fd.gen)
-                else:
-                    rhs = cyclotomic_number_enum(j + 2, i + 2, 4, fd.field, fd.gen)
-                assert lhs == rhs
+                rhs = number(j, i, fd) if f_even else number(j + 2, i + 2, fd)
+                assert number(i, j, fd) == rhs, (fd.q, i, j)
 
-    def test_completeness(self, field_1mod4):
+    @pytest.mark.parametrize("number", NUMBERS.values(), ids=NUMBERS.keys())
+    def test_completeness(self, field_1mod4, number):
         fd = field_1mod4
-        total = sum(cyclotomic_number_enum(i, j, 4, fd.field, fd.gen)
-                    for i in range(4) for j in range(4))
-        assert total == fd.q - 2
+        assert sum(number(i, j, fd) for i in range(4) for j in range(4)) == fd.q - 2
 
 
 class TestDimensionN:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from diagquartic import expsums
 from diagquartic.cyclotomy import QuarticDecomposition
 from diagquartic.errors import NotNearIntegerError, ResidualTooLargeError
 from diagquartic.counting import count_N
@@ -15,7 +16,7 @@ from diagquartic.expsums import (
     reconstruct_N,
     verify_gauss_sum_roots,
 )
-from diagquartic.field import Field, find_generator, index_of
+from diagquartic.field import Field, find_generator, index_of, quartic_class
 from diagquartic.genfunc import denominator
 
 from conftest import (
@@ -91,37 +92,36 @@ class TestGaussSumPolynomial:
             verify_gauss_sum_roots(table, QuarticDecomposition(s=fd.dec.s + 4, t=fd.dec.t))
 
 
-class TestLambdaSums:
-    def test_at_zero_each_class_has_f_terms(self, field_1mod4):
-        fd = field_1mod4
-        table = build_table(fd.field, fd.gen)
-        f = (fd.q - 1) // 4
-        for l in range(4):
-            assert table.lambda_sum(l, fd.field.zero()) == pytest.approx(f)
+def lambda_sum(table, l, c):
+    """lambda_l(c) as `reconstruct_N` reads it: the Gauss period eta_(l + ind(-c))."""
+    return table.eta[(l + quartic_class(-c, table.gen)) % 4]
 
+
+class TestLambdaSums:
     def test_classes_sum_to_minus_one(self, field_1mod4):
         fd = field_1mod4
         table = build_table(fd.field, fd.gen)
         for code in range(1, fd.q):
             c = fd.field.from_int(code)
-            total = sum(table.lambda_sum(l, c) for l in range(4))
+            total = sum(lambda_sum(table, l, c) for l in range(4))
             assert abs(total + 1) < 1e-9 * fd.q
 
     def test_matches_literal_sum(self, field_1mod4):
         # lambda_l(c) = sum over x in C_l of psi(-x*c), summed term by term
         fd = field_1mod4
         table = build_table(fd.field, fd.gen)
-        for c in fd.field.elements():
+        for code in range(1, fd.q):
+            c = fd.field.from_int(code)
             for l in range(4):
                 literal = sum(literal_character(-(fd.field.from_int(int(x)) * c))
                               for x in fd.classes.classes[l])
-                assert abs(table.lambda_sum(l, c) - literal) < 1e-9 * fd.q, (fd.q, l, c)
+                assert abs(lambda_sum(table, l, c) - literal) < 1e-9 * fd.q, (fd.q, l, c)
 
     def test_q5_lambda0(self):
         fd = field_data(5, 1)
         table = build_table(fd.field, fd.gen)
         expected = cmath.exp(-2j * cmath.pi / 5)
-        assert table.lambda_sum(0, fd.field.one()) == pytest.approx(expected)
+        assert lambda_sum(table, 0, fd.field.one()) == pytest.approx(expected)
 
 
 class TestReconstruction:
@@ -172,6 +172,20 @@ class TestReconstruction:
         table.T = tuple(T * factor for T in table.T)
         with pytest.raises(NotNearIntegerError):
             reconstruct_N(n, fld.one(), table)
+
+    def test_one_class_per_reconstruction(self, monkeypatch):
+        fd = field_data(13, 1)
+        table = build_table(fd.field, fd.gen)
+        calls = []
+
+        def counted(x, gen):
+            calls.append(x)
+            return quartic_class(x, gen)
+
+        monkeypatch.setattr(expsums, "quartic_class", counted)
+        for code in range(1, fd.q):
+            reconstruct_N(3, fd.field.from_int(code), table)
+        assert len(calls) == fd.q - 1
 
     def test_zero_c_rejected(self):
         fd = field_data(5, 1)
