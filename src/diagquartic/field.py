@@ -11,9 +11,10 @@ coefficient tuples mod the monic modulus f, and its square-and-multiply
 
 `quartic_class` gives ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion through
 the norm N_e to F_(p^e), e = 1 if d | p-1 and 2 otherwise: x^((q-1)/d) =
-N_e(x)^((p^e-1)/d) (Lidl & Niederreiter, Finite Fields, ch. 2), by the doubling chain
-of Itoh & Tsujii (Inform. and Comput. 78, 1988) over the F_p-linear Frobenius map,
-whose matrices, not tables, a Field builds on first use; `trace` sums its conjugates.
+N_e(x)^((p^e-1)/d), and N_e(x) is a resultant (Lidl & Niederreiter, Finite Fields,
+ch. 1-2), taken by Euclid's algorithm over F_p, or over F_p[i] for e = 2, with no
+product in F_q per query.  `trace` reads Tr(alpha^k), the power sums of the modulus's
+roots by Newton's identities, which a Field computes once.
 
 Jobs that touch every element read whole-field tables over the encodings:
 `log_table` holds ind_g(x) for every x, built once per generator, and is
@@ -168,24 +169,23 @@ class Field:
             if not is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
-        self._frobenius_columns: dict[int, list[tuple[int, ...]]] = {}
-
-    def _frobenius(self, s: int, a: tuple[int, ...]) -> tuple[int, ...]:
-        """a^(p^s), m >= 2: a times the F_p-matrix whose row i holds (x^i)^(p^s)
-        mod f, built on the first call for s and kept as its m columns."""
-        columns = self._frobenius_columns.get(s)
-        if columns is None:
-            x_s = _powmod((0, 1) + (0,) * (self.m - 2), self.p**s, self.modulus, self.p)
-            columns = self._frobenius_columns[s] = list(zip(*[
-                _powmod(x_s, i, self.modulus, self.p) for i in range(self.m)]))
-        return tuple([sum(map(mul, a, column)) % self.p for column in columns])
+        # Tr(alpha^k) for k < m, alpha the root of the modulus: the power sums of its
+        # roots, by Newton's identities s_k = -(k c_(m-k) + sum_(0<j<k) c_(m-j) s_(k-j))
+        traces = [m % p]
+        for k in range(1, m):
+            traces.append(-(k * modulus[m - k] + sum(
+                modulus[m - j] * traces[k - j] for j in range(1, k))) % p)
+        self._traces = tuple(traces)
+        # the factor f_2 of the modulus over F_p[i] per class roots (1, i, -1, -i),
+        # built by `quartic_class` on first use
+        self._norm_factors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, m={self.m})"
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Field) and self.p == other.p
-                and self.m == other.m and self.modulus == other.modulus)
+        return self is other or (isinstance(other, Field) and self.p == other.p
+                                 and self.m == other.m and self.modulus == other.modulus)
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.modulus))
@@ -234,7 +234,7 @@ class Element:
         return code
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _check(self, other: Element) -> None:
         if self.field != other.field:
@@ -315,30 +315,130 @@ def all_generators(fld: Field):
             yield cand
 
 
+def _gmul(x: tuple[int, int], y: tuple[int, int], p: int) -> tuple[int, int]:
+    """(u + v i)(u' + v' i) in F_p[i] = F_(p^2), i^2 = -1 (p = 3 mod 4), reduced."""
+    return (x[0] * y[0] - x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p
+
+
+def _gpow(x: tuple[int, int], n: int, p: int) -> tuple[int, int]:
+    """x^n in F_p[i] by square-and-multiply, n >= 0."""
+    result = (1, 0)
+    for bit in bin(n)[2:]:
+        result = _gmul(result, result, p)
+        if bit == "1":
+            result = _gmul(result, x, p)
+    return result
+
+
+def _rem_residues(A: list[int], B: list[int], p: int) -> list[int]:
+    """A mod B over F_p, with a nonzero top term; A is consumed, and the terms are
+    left unreduced."""
+    dB = len(B) - 1
+    inv = pow(B[-1], -1, p)
+    for k in range(len(A) - 1, dB - 1, -1):  # A -= t T^(k - dB) B, t = A[k] / lc(B)
+        t = A[k] * inv % p
+        if t:
+            for j in range(dB):
+                A[k - dB + j] -= t * B[j]
+    del A[dB:]
+    while not A[-1] % p:
+        A.pop()
+    return A
+
+
+def _rem_gaussian(A: list[tuple[int, int]], B: list[tuple[int, int]],
+                  p: int) -> list[tuple[int, int]]:
+    """A mod B over F_p[i], a coefficient u + v i a pair (u, v), reduced."""
+    dB, (bu, bv) = len(B) - 1, B[-1]
+    w = pow(bu * bu + bv * bv, -1, p)  # 1/(u + v i) = (u - v i)/(u^2 + v^2)
+    iu, iv = bu * w, -bv * w
+    for k in range(len(A) - 1, dB - 1, -1):
+        au, av = A[k]
+        tu, tv = (au * iu - av * iv) % p, (au * iv + av * iu) % p
+        for j, (bu, bv) in enumerate(B[:-1], k - dB):
+            au, av = A[j]
+            A[j] = (au - tu * bu + tv * bv, av - tu * bv - tv * bu)
+    R = [(u % p, v % p) for u, v in A[:dB]]
+    while R[-1] == (0, 0):
+        R.pop()
+    return R
+
+
+def _resultant(A: list, B: list, p: int):
+    """Res(A, B) = lc(A)^(deg B) prod_(A(r) = 0) B(r) by Euclid's algorithm (Lidl &
+    Niederreiter, Finite Fields, ch. 1): Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A
+    - deg R) Res(B, R), R = A mod B, down to Res(A, b) = b^(deg A).  Coefficients
+    are residues mod p, or pairs (u, v) for u + v i in F_p[i]; constant term first,
+    top term nonzero.  A is consumed.  Each division lowers deg B, so there are at
+    most min(deg A, deg B) of them."""
+    rem, mul, power, acc, minus_one = (
+        (_rem_gaussian, _gmul, _gpow, (1, 0), (-1, 0)) if type(A[0]) is tuple
+        else (_rem_residues, lambda x, y, p: x * y % p, pow, 1, -1))
+    if len(A) < len(B):  # Res(A, B) = (-1)^(deg A deg B) Res(B, A)
+        A, B, acc = B, A, minus_one if (len(A) - 1) * (len(B) - 1) % 2 else acc
+    while len(B) > 1:
+        dA, dB = len(A) - 1, len(B) - 1
+        R = rem(A, B, p)
+        acc = mul(acc, power(B[-1], dA + 1 - len(R), p), p)
+        if dA & dB & 1:
+            acc = mul(acc, minus_one, p)
+        A, B = B, R
+    return mul(acc, power(B[0], len(A) - 1, p), p)
+
+
+def _norm_factor(fld: Field, class_roots: tuple[int, ...]) -> list[tuple[int, int]]:
+    """f_2 = prod_(j < m/2) (T - alpha^(p^(2j))), alpha the root of the modulus: its
+    factor over F_(p^2) = F_p[i], i = class_roots[1], as pairs (u, v) for the
+    coefficients u + v i, constant term first.  The class roots must be the powers
+    of i, and i^2 = -1 (encoded p - 1)."""
+    i = fld.from_int(class_roots[1])
+    powers = tuple((i**j).encode() for j in range(4))
+    if class_roots[2] != fld.p - 1 or class_roots != powers:
+        raise InvariantError(f"class roots {class_roots} are not the powers of a "
+                             "square root of -1")
+    k = next(j for j in range(1, fld.m) if i.coeffs[j])  # -1 is no square in F_p
+    factor, root = [fld.one()], fld.element([0, 1])
+    for _ in range(fld.m // 2):
+        factor = [c + -(root * b)
+                  for c, b in zip([fld.zero()] + factor, factor + [fld.zero()])]
+        root = root ** (fld.p**2)
+    w = pow(i.coeffs[k], -1, fld.p)  # c = u + v i: v = c_k / i_k, u = c_0 - v i_0
+    return [((c.coeffs[0] - c.coeffs[k] * w * i.coeffs[0]) % fld.p,
+             c.coeffs[k] * w % fld.p) for c in factor]
+
+
 def quartic_class(x: Element, gen: GeneratorData) -> int:
     """ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion through the norm.
 
     x^((q-1)/d) = g^(i(q-1)/d) exactly when ind_g(x) = i mod d (Lidl & Niederreiter,
-    Finite Fields, ch. 9), and x^((q-1)/d) = N_e(x)^((p^e-1)/d), N_e(x) = prod_{i<k}
-    x^(p^(ei)), k = m/e, e = 1 if d | p-1 and 2 otherwise (ibid., ch. 2).  Itoh &
-    Tsujii's chain (Inform. and Comput. 78, 1988) walks the bits of k from N_1 = x
-    by N_2j = N_j * Phi^(ej)(N_j) and N_(j+1) = x * Phi^e(N_j).
+    Finite Fields, ch. 9), and x^((q-1)/d) = N_e(x)^((p^e-1)/d), e = 1 if d | p-1 and
+    2 otherwise (ibid., ch. 2).  For x = a(alpha), the norm N_e(x) = prod_(j < m/e)
+    a(alpha^(p^(ej))) is Res(f_e, a) (ibid., ch. 1), f_e the factor of the modulus
+    over F_(p^e) with those roots: the modulus for e = 1; for e = 2 `_norm_factor`
+    over F_p[i], i = class_roots[1], kept on the Field.  Euclid takes m/e divisions.
     """
     fld = x.field
     if gen.field != fld:
         raise FieldMismatchError("generator from a different field")
     if x.is_zero():
         raise ZeroHasNoIndexError("ind_g(0) is undefined")
-    p, f, d = fld.p, fld.modulus, len(gen.class_roots)
-    e = 1 if (p - 1) % d == 0 else 2
-    norm, j = x.coeffs, 1
-    for bit in bin(fld.m // e)[3:]:
-        norm, j = _mulmod(norm, fld._frobenius(e * j, norm), f, p), 2 * j
-        if bit == "1":
-            norm, j = _mulmod(x.coeffs, fld._frobenius(e, norm), f, p), j + 1
-    if e == 1:  # the norm is a residue mod p
-        return gen.class_roots.index(pow(norm[0], (p - 1) // d, p))
-    return gen.class_roots.index(Element(fld, _powmod(norm, (p * p - 1) // d, f, p)).encode())
+    p, d = fld.p, len(gen.class_roots)
+    a = list(x.coeffs)
+    while not a[-1]:
+        a.pop()
+    if (p - 1) % d == 0:
+        roots = gen.class_roots
+        root = pow(_resultant(list(fld.modulus), a, p), (p - 1) // d, p)
+    else:
+        factor = fld._norm_factors.get(gen.class_roots)
+        if factor is None:
+            factor = fld._norm_factors[gen.class_roots] = _norm_factor(fld, gen.class_roots)
+        roots = ((1, 0), (0, 1), (p - 1, 0), (0, p - 1))  # i^k = class_roots[k]
+        root = _gpow(_resultant(list(factor), [(c, 0) for c in a], p), (p * p - 1) // d, p)
+    if root not in roots:
+        raise InvariantError(f"x^((q-1)/{d}) = {root} is not among the class roots "
+                             f"{gen.class_roots} of {gen.g!r}")
+    return roots.index(root)
 
 
 def check_field(fld: Field, *xs: Element) -> None:
@@ -356,12 +456,9 @@ def index_of(x: Element, gen: GeneratorData) -> int:
 
 
 def trace(x: Element) -> int:
-    """Tr(x) = x + x^p + ... + x^(p^(m-1)), as a residue mod p, by conjugates."""
-    conjugate, total = x.coeffs, x
-    for _ in range(x.field.m - 1):
-        conjugate = x.field._frobenius(1, conjugate)
-        total = total + Element(x.field, conjugate)
-    return prime_subfield_residue(total)
+    """Tr(x) = x + x^p + ... + x^(p^(m-1)) as a residue mod p: Tr is F_p-linear, so
+    it is sum c_k Tr(alpha^k) over the coefficients c_k of x."""
+    return sum(map(mul, x.coeffs, x.field._traces)) % x.field.p
 
 
 def prime_subfield_residue(x: Element) -> int:
@@ -443,16 +540,14 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
 
 
 def _trace_table(fld: Field) -> np.ndarray:
-    basis = np.array([trace(fld.element([0] * i + [1])) for i in range(fld.m)],
-                     dtype=np.int64)
-    return (_digits(fld) @ basis) % fld.p
+    return (_digits(fld) @ np.array(fld._traces, dtype=np.int64)) % fld.p
 
 
 def trace_table(fld: Field) -> np.ndarray:
     """Tr(x) mod p for every encoding x, as a read-only int64 array.
 
     Tr is F_p-linear, so the table is digits @ (Tr(1), Tr(a), ..., Tr(a^(m-1)))
-    mod p, a the root of the modulus: m calls to `trace` per field.
+    mod p, a the root of the modulus, with the power sums the Field keeps.
     """
     return _stored(("trace", fld), lambda: _trace_table(fld))
 

@@ -1,7 +1,8 @@
 """Field construction, arithmetic, generators, indices, classes and traces."""
 
+import random
 import time
-from math import ceil, gcd, log2
+from math import gcd
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ def _monic(p, m):
 
 
 _MOBIUS = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1}
+
+# non-default moduli: e = 2 (3^4, 7^2), and e = 1 with m odd (d = 4 and d = 2)
+OTHER_MODULI = [(3, 4, (2, 0, 0, 1, 1)), (7, 2, (3, 1, 1)), (5, 3, (2, 0, 1, 1)),
+                (3, 5, (1, 0, 0, 0, 2, 1))]
 
 
 class TestConstruction:
@@ -286,10 +291,13 @@ class TestQuarticClass:
                 assert quartic_class(x, gen) == index_of(x, gen) % d, (gen.g, code)
 
     # the norm to F_(p^e) over k = m/e conjugates: e = 1, k = 2; e = 1, k odd;
-    # e = 2, k = 2 (twice); e = 2, k odd; d = 2
-    @pytest.mark.parametrize("p, m", [(13, 2), (5, 3), (3, 4), (7, 4), (3, 6), (3, 5)])
-    def test_norm_chain_on_every_element(self, p, m):
-        fld = Field(p, m)
+    # e = 2, k = 2 (twice); e = 2, k odd; d = 2; and, as f_e depends on the
+    # modulus, the OTHER_MODULI
+    @pytest.mark.parametrize("p, m, modulus", [
+        (13, 2, None), (5, 3, None), (3, 4, None), (7, 4, None), (3, 6, None),
+        (3, 5, None)] + OTHER_MODULI, ids=str)
+    def test_norm_chain_on_every_element(self, p, m, modulus):
+        fld = Field(p, m, modulus)
         d = gcd(4, fld.q - 1)
         for gen in _both_generators(fld):
             log = log_table(fld, gen)
@@ -307,30 +315,72 @@ class TestQuarticClass:
             for x in samples:
                 assert quartic_class(x, gen) == index_of(x, gen) % d, (gen.g, x)
 
-    @pytest.mark.parametrize("p, m", [(5, 8), (3, 12), (7, 7)])
-    def test_products_per_call(self, monkeypatch, p, m):
-        # the chain takes at most 2 ceil(log2 k) + 2 products, and for e = 2 one
-        # power by (p^2 - 1)/d; Euler's criterion takes 25 to 27 on these fields
+    @pytest.mark.parametrize("p, m", [(5, 8), (3, 12), (7, 7), (29, 4), (1021, 2)])
+    def test_cost_per_call(self, monkeypatch, p, m):
+        # no product in F_q per query; Euclid takes at most m/e divisions; the e = 2
+        # factor is built on the first query, not by Field(), and once per field
+        builds, divisions, products = [], [], []
+        build, mulmod = field_module._norm_factor, field_module._mulmod
+
+        def built(fld, class_roots):
+            builds.append(class_roots)
+            return build(fld, class_roots)
+
+        def product(*args):
+            products.append(1)
+            return mulmod(*args)
+
+        def counted(rem):
+            def division(A, B, p):
+                divisions.append(len(B) - 1)
+                return rem(A, B, p)
+            return division
+        monkeypatch.setattr(field_module, "_norm_factor", built)
         fld = Field(p, m)
         gen = find_generator(fld)
         d = gcd(4, fld.q - 1)
         e = 1 if (p - 1) % d == 0 else 2
-        final_power = 2 * (((p * p - 1) // d).bit_length() - 1) if e == 2 else 0
-        bound = 2 * ceil(log2(m // e)) + 2 + final_power
-        assert fld._frobenius_columns == {}  # built on first use, not by Field()
+        assert fld._norm_factors == {}
         quartic_class(fld.from_int(fld.q // 7), gen)
-        products = []
-        mulmod = field_module._mulmod
-
-        def counted(*args):
-            products.append(1)
-            return mulmod(*args)
-        monkeypatch.setattr(field_module, "_mulmod", counted)
-        for code in (1, 2, fld.q // 3, fld.q - 1):
-            products.clear()
+        monkeypatch.setattr(field_module, "_mulmod", product)
+        for rem in ("_rem_residues", "_rem_gaussian"):
+            monkeypatch.setattr(field_module, rem, counted(getattr(field_module, rem)))
+        most = 0
+        for code in range(1, fld.q, fld.q // 200):
+            divisions.clear()
             quartic_class(fld.from_int(code), gen)
-            assert len(products) <= bound, (code, len(products))
+            most = max(most, len(divisions))
+        assert 0 < most <= m // e
+        assert products == []
+        assert builds == ([gen.class_roots] if e == 2 else [])
+        assert list(fld._norm_factors) == builds
 
+    @pytest.mark.parametrize("p, m", [(3, 12), (5, 8), (7, 7), (29, 4), (1021, 2)])
+    def test_class_is_a_homomorphism(self, p, m):
+        # with no log table: classes add under products, and g^k has class k mod d
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        d = gcd(4, fld.q - 1)
+        rng = random.Random(fld.q)
+        for _ in range(200):
+            x, y = (fld.from_int(rng.randrange(1, fld.q)) for _ in range(2))
+            assert quartic_class(x * y, gen) == \
+                (quartic_class(x, gen) + quartic_class(y, gen)) % d, (x, y)
+            k = rng.randrange(fld.q - 1)
+            assert quartic_class(gen.g ** k, gen) == k % d, k
+
+    @pytest.mark.parametrize("p, m, spot", [(13, 1, 1), (3, 4, 1), (3, 4, 2)])
+    def test_lying_class_roots_raise(self, p, m, spot):
+        # e = 1 (F_13) and e = 2 (3^4): a class root that is no power of g, or an
+        # i = class_roots[1] with i^2 != -1, is an InvariantError, not a ValueError
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        roots = list(gen.class_roots)
+        roots[spot] = next(c for c in range(2, fld.q) if c not in roots)
+        liar = GeneratorData(g=gen.g, class_roots=tuple(roots))
+        with pytest.raises(InvariantError):
+            for k in range(4):
+                quartic_class(gen.g ** k, liar)
 
     def test_generator_from_other_field(self):
         # F_9 under x^2 + 1 and under x^2 + 2x + 2: equal encodings, other products
@@ -441,6 +491,13 @@ class TestTrace:
         for code in range(0, fld.q, fld.q // 40):
             x = fld.from_int(code)
             assert trace(x) == literal_trace(x), code
+
+    @pytest.mark.parametrize("p, m, modulus", OTHER_MODULI + [(3, 2, (2, 2, 1))], ids=str)
+    def test_matches_literal_trace_under_other_moduli(self, p, m, modulus):
+        fld = Field(p, m, modulus)
+        traces = [trace(x) for x in fld.elements()]
+        assert traces == [literal_trace(x) for x in fld.elements()]
+        assert [int(t) for t in trace_table(fld)] == traces
 
     def test_trace_table_matches_trace(self, any_field):
         fld = any_field.field
