@@ -10,7 +10,8 @@ Four of the five routes, cross-checked by `verify` and the tests:
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`).
 
 The fifth, exponential sums, is `expsums.reconstruct_N`.  The tests hold the
-oracle to a literal q^n enumeration.
+oracle to a literal q^n enumeration.  `_closed_small` and `_transfer_matrices`
+are pure in q, s, t and the (i, j)_d, so the tests also run them on polynomials.
 """
 
 from __future__ import annotations
@@ -107,10 +108,22 @@ _EPS_N4 = {
 }
 
 
-def _eps(table, q: int, s: int, t: int, ind4: int) -> int:
-    row = table[q % 8][ind4]
+def _closed_small(q, s, t, r: int, i: int, n: int):
+    """N_n(c) for c in C_i and 1 <= n <= 4, q = r mod 8 = s^2 + 4t^2 with r in
+    {1, 5}: a main term plus the epsilon row.  Pure in its arguments, so q, s and
+    t may be ring elements."""
     basis = (1, q, s, t, s * q, t * q, s * t, s * s, t * t)
-    return sum(a * b for a, b in zip(row, basis))
+    if n == 1:
+        return 4 if i == 0 else 0
+    if n == 2:
+        main, table = q + (-3 if r == 1 else 1), _EPS_N2
+    elif n == 3:
+        main, table = q * q + 6 * s, _EPS_N3
+    elif n == 4:
+        main, table = q**3 - 4 * s * s + (-17 * q if r == 1 else 7 * q), _EPS_N4
+    else:
+        raise ValueError(f"count_small covers n in 1..4, got {n}")
+    return main + sum(a * b for a, b in zip(table[r][i], basis))
 
 
 def count_small(c: Element, n: int, dec: QuarticDecomposition, fld: Field,
@@ -120,21 +133,9 @@ def count_small(c: Element, n: int, dec: QuarticDecomposition, fld: Field,
     q = fld.q
     if q % 4 != 1:
         raise WrongResidueClassError(f"q = {q} is not 1 mod 4")
-    s, t = dec.s, dec.t
     if c.is_zero():
         raise ZeroRHSError("closed forms cover c != 0 only; use count_N for c = 0")
-    i = quartic_class(c, gen)
-    if n == 1:
-        return 4 if i == 0 else 0
-    if n == 2:
-        base = -3 if q % 8 == 1 else 1
-        return q + base + _eps(_EPS_N2, q, s, t, i)
-    if n == 3:
-        return q * q + 6 * s + _eps(_EPS_N3, q, s, t, i)
-    if n == 4:
-        base = -17 * q if q % 8 == 1 else 7 * q
-        return q**3 - 4 * s * s + base + _eps(_EPS_N4, q, s, t, i)
-    raise ValueError(f"count_small covers n in 1..4, got {n}")
+    return _closed_small(q, dec.s, dec.t, q % 8, quartic_class(c, gen), n)
 
 
 def count_N(c: Element, n: int, fld: Field, gen: GeneratorData,
@@ -146,16 +147,22 @@ def count_N(c: Element, n: int, fld: Field, gen: GeneratorData,
 
 
 def transfer_matrices(fld: Field, gen: GeneratorData) -> np.ndarray:
-    """A_0 .. A_(d-1), d = gcd(4, q - 1), as one d x (d+1) x (d+1) object array.
-
-    With f = (q - 1)/d and -1 in C_h, adding a x^4, a in C_l, moves the counts
-    (N(0), N(C_0), ..., N(C_(d-1))) by A_l: N'(0) = N(0) + d f N(C_(l+h)),
-    N'(C_j) = N(C_j) + d [j = l] N(0) + d sum_k (l - j + h, k - j)_d N(C_k).
-    Python int entries keep their products exact; O(q), for the (i, j)_d."""
+    """A_0 .. A_(d-1), d = gcd(4, q - 1), as one d x (d+1) x (d+1) object array,
+    built by `_transfer_matrices` from the field's (i, j)_d in O(q)."""
     d = len(gen.class_roots)
-    f, h = (fld.q - 1) // d, (fld.q - 1) // 2 % d
     cyc = cyclotomic_matrix(d, fld, gen).tolist()
-    return np.array([[[1] + [d * f * (k == (l + h) % d) for k in range(d)]]
+    return _transfer_matrices(cyc, fld.q, (fld.q - 1) // 2 % d)
+
+
+def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
+    """The A_l from the d x d cyclotomic numbers cyc[i][j] = (i, j)_d, with -1 in C_h.
+
+    Adding a x^4, a in C_l, moves the counts (N(0), N(C_0), ..., N(C_(d-1))) by
+    A_l: N'(0) = N(0) + (q - 1) N(C_(l+h)), N'(C_j) = N(C_j) + d [j = l] N(0) +
+    d sum_k (l - j + h, k - j)_d N(C_k).  Pure in its arguments, so q and the
+    (i, j)_d may be ring elements; Python int entries keep products exact."""
+    d = len(cyc)
+    return np.array([[[1] + [(q - 1) * (k == (l + h) % d) for k in range(d)]]
                      + [[d * (j == l)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
                                           for k in range(d)] for j in range(d)]
                      for l in range(d)], dtype=object)

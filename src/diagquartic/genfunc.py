@@ -8,7 +8,8 @@ exact integers: a part with a one-tap denominator 1 + d x^k (the geometric
 x/(1 - qx), and the q = 3 mod 4 correction 1 + qx^2) is one power; below
 SERIES_BELOW, the measured crossover, it reads the series; from there it takes
 Fiduccia's method in O(log n) polynomial products, ending in a Hankel form.
-`gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None.
+`gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None, and take
+their other part from `_class_part`, pure in q, s, t and r = q mod 8.
 """
 
 from __future__ import annotations
@@ -134,58 +135,59 @@ def _geometric(q: int, scale: int = 1) -> RationalPart:
 def denominator(q: int, s: int) -> tuple[int, ...]:
     """Denominator of `gf_N` and `gf_M` (coefficients of 1 .. x^4); read from
     x^4 down, the monic quartic whose roots are the Gauss sums T_{g^l}."""
-    if q % 8 == 1:
-        return (1, 0, -6 * q, 8 * q * s, q * q - 4 * q * s * s)
-    return (1, 0, 2 * q, 8 * q * s, 9 * q * q - 4 * q * s * s)
+    return _class_part(q, s, 0, q % 8, 0)[1]  # den reads neither t nor the class
 
 
-def _correction_poly(q: int, s: int, t: int, ind_mod4: int) -> tuple[int, int, int]:
-    """The degree <= 3 residue-class polynomial (coefficients of x, x^2, x^3)."""
-    if q % 8 == 1:
-        table = {
-            0: (3, -6 * s - 3, -q + 4 * s * s),
-            1: (-1, 2 * s + 8 * t - 3, -q - 8 * s * t),
-            2: (-1, 2 * s - 3, -q + 16 * t * t),
-            3: (-1, 2 * s - 8 * t - 3, -q + 8 * s * t),
-        }
-    else:
-        table = {
-            0: (3, 2 * s + 1, 3 * q - 4 * s * s),
-            1: (-1, 2 * s - 8 * t + 1, 3 * q + 8 * s * t),
-            2: (-1, -6 * s + 1, -5 * q - 16 * t * t),
-            3: (-1, 2 * s + 8 * t + 1, 3 * q - 8 * s * t),
-        }
-    return table[ind_mod4]
+def _class_part(q, s, t, r: int, i: int | None, twisted: bool = False) -> tuple[tuple, tuple]:
+    """(num, den) of the part beside the geometric one: of `gf_N` at c = 0 (i None)
+    or at c in C_i, or (twisted) of `gf_M` at y in C_i, for q = r mod 8 and, when
+    r = 1 or 5, q = s^2 + 4t^2 (r = 3, 7 reads neither s nor t).
+
+    Pure in its arguments, so q, s and t may be ring elements.  Each r states the
+    class of -1 (C_h), the denominator, N_n(0)'s numerator over q - 1 and one row
+    per class; gf_M follows from M_(n+1)(y) = N_n(0) + (q - 1) N_n(-y), with -y
+    in C_(i+h), and the top terms of that sum cancel.
+    """
+    if r % 4 == 3:  # d = 2
+        h, den, zero, rows = 1, (1, 0, q), (0, 0, -1), ((0, 1, 1), (0, -1, 1))
+    elif r == 1:  # f even
+        h, lead = 0, q - 4 * s * s
+        den, zero = (1, 0, -6 * q, 8 * q * s, q * lead), (0, 0, 3, -6 * s, -lead)
+        rows = ((0, 3, -6 * s - 3, 6 * s - lead, lead),
+                (0, -1, 2 * s + 8 * t - 3, 6 * s - q - 8 * s * t, lead),
+                (0, -1, 2 * s - 3, 6 * s - q + 16 * t * t, lead),
+                (0, -1, 2 * s - 8 * t - 3, 6 * s - q + 8 * s * t, lead))
+    else:  # r = 5: f odd
+        h, lead = 2, 9 * q - 4 * s * s
+        den, zero = (1, 0, 2 * q, 8 * q * s, q * lead), (0, 0, -1, -6 * s, -lead)
+        rows = ((0, 3, 2 * s + 1, 6 * s + 3 * q - 4 * s * s, lead),
+                (0, -1, 2 * s - 8 * t + 1, 6 * s + 3 * q + 8 * s * t, lead),
+                (0, -1, -6 * s + 1, 6 * s - 5 * q - 16 * t * t, lead),
+                (0, -1, 2 * s + 8 * t + 1, 6 * s + 3 * q - 8 * s * t, lead))
+    if i is None:
+        return tuple([(q - 1) * z for z in zero]), den
+    if twisted:
+        row = rows[(i + h) % len(rows)]
+        return tuple([(q - 1) * (z + a) for z, a in zip(zero, row)][:-1]), den
+    return rows[i], den
+
+
+def _decomposition(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
+                   r: int) -> tuple[int, int]:
+    """(s, t) of `dec`, computed when None; (0, 0) when r = 3 mod 4, which has none."""
+    if r % 4 == 3:
+        return 0, 0
+    dec = dec or quartic_decomposition(fld, gen)
+    return dec.s, dec.t
 
 
 def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
          c: Element) -> RationalGF:
     """Generating function of n -> N_n(c), the zero count of x_1^4+...+x_n^4 = c."""
     check_field(fld, gen.g, c)
-    q = fld.q
-    if q % 4 == 3:
-        if c.is_zero():
-            corr = RationalPart(num=(0, 0, 1 - q), den=(1, 0, q))
-        elif quartic_class(c, gen) == 0:  # ind_g(c) mod 2: c a square
-            corr = RationalPart(num=(0, 1, 1), den=(1, 0, q))
-        else:
-            corr = RationalPart(num=(0, -1, 1), den=(1, 0, q))
-        return RationalGF(parts=(_geometric(q), corr))
-
-    if dec is None:
-        dec = quartic_decomposition(fld, gen)
-    s, t = dec.s, dec.t
-    den = denominator(q, s)
-    if c.is_zero():
-        if q % 8 == 1:
-            num = (0, 0, 3 * (q - 1), -6 * s * (q - 1), -(q - 4 * s * s) * (q - 1))
-        else:
-            num = (0, 0, -(q - 1), -6 * s * (q - 1), -(9 * q - 4 * s * s) * (q - 1))
-        return RationalGF(parts=(_geometric(q), RationalPart(num=num, den=den)))
-
-    b1, b2, b3 = _correction_poly(q, s, t, quartic_class(c, gen))
-    lead = (q - 4 * s * s) if q % 8 == 1 else (9 * q - 4 * s * s)
-    num = (0, b1, b2, 6 * s + b3, lead)
+    i = None if c.is_zero() else quartic_class(c, gen)
+    q, r = fld.q, fld.q % 8
+    num, den = _class_part(q, *_decomposition(fld, gen, dec, r), r, i)
     return RationalGF(parts=(_geometric(q), RationalPart(num=num, den=den)))
 
 
@@ -193,27 +195,13 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
          y: Element) -> RationalGF:
     """Generating function of n -> M_{n+1}(y), zeros of x_1^4+...+x_n^4+y*x_{n+1}^4 = 0."""
     check_field(fld, gen.g, y)
-    q = fld.q
-    # One class serves both the quartic test and the correction row; zero
+    # One class serves both the quartic test and the numerator's row; zero
     # takes class 0 so that the test rejects it with the fourth powers.
-    ind = 0 if y.is_zero() else quartic_class(y, gen)
-    if ind == 0:
+    i = 0 if y.is_zero() else quartic_class(y, gen)
+    if i == 0:
         raise QuarticYError(f"y = {y!r} is zero or a fourth power")
-    if q % 4 == 3:
-        return RationalGF(parts=(_geometric(q, scale=q),
-                                 RationalPart(num=(0, q - 1), den=(1, 0, q))))
-
-    if dec is None:
-        dec = quartic_decomposition(fld, gen)
-    s, t = dec.s, dec.t
-    den = denominator(q, s)
-    if q % 8 == 1:
-        b1, b2, b3 = _correction_poly(q, s, t, ind)
-        num = (0, (q - 1) * b1, (q - 1) * (3 + b2), (q - 1) * b3)
-    else:
-        # -1 = g^((q-1)/2) has index 2 mod 4 when q = 5 mod 8
-        b1, b2, b3 = _correction_poly(q, s, t, (ind + 2) % 4)
-        num = (0, (q - 1) * b1, (q - 1) * (-1 + b2), (q - 1) * b3)
+    q, r = fld.q, fld.q % 8
+    num, den = _class_part(q, *_decomposition(fld, gen, dec, r), r, i, twisted=True)
     return RationalGF(parts=(_geometric(q, scale=q), RationalPart(num=num, den=den)))
 
 

@@ -1,5 +1,6 @@
 """Solution counts: oracle, closed forms, cyclotomic transfer matrices, twisted forms."""
 
+import ast
 import itertools
 import subprocess
 import sys
@@ -119,6 +120,14 @@ class TestOracle:
         done = subprocess.run([sys.executable, "-O", "-c", script], cwd=src,
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout.strip()) == (0, "ValueError"), done.stderr
+
+    def test_package_has_no_assert(self):
+        # every runtime self-check of the package must survive python -O
+        src = Path(__file__).resolve().parents[1] / "src" / "diagquartic"
+        found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
     def test_addition_table_memory_guard(self):
         # 2 q^2 passes the cost guard, but the q x q table would take 3.7 GiB

@@ -11,7 +11,7 @@ from diagquartic.genfunc import (
     SERIES_BELOW,
     RationalGF,
     RationalPart,
-    _correction_poly,
+    _class_part,
     denominator,
     gf_M,
     gf_N,
@@ -215,15 +215,15 @@ class TestMissingDecomposition:
 class TestCorrectionTables:
     def test_sixteen_rows_printable(self, field_1mod4):
         fd = field_1mod4
-        rows = [_correction_poly(fd.q, fd.dec.s, fd.dec.t, i) for i in range(4)]
-        assert all(len(row) == 3 for row in rows)
+        rows = [_class_part(fd.q, fd.dec.s, fd.dec.t, fd.q % 8, i)[0] for i in range(4)]
+        assert all(len(row) == 5 for row in rows)
 
     def test_first_coefficient_sign(self, field_1mod4):
         # class 0 carries +3x, the others -x
         fd = field_1mod4
-        rows = [_correction_poly(fd.q, fd.dec.s, fd.dec.t, i) for i in range(4)]
-        assert rows[0][0] == 3
-        assert all(rows[i][0] == -1 for i in (1, 2, 3))
+        rows = [_class_part(fd.q, fd.dec.s, fd.dec.t, fd.q % 8, i)[0] for i in range(4)]
+        assert rows[0][1] == 3
+        assert all(rows[i][1] == -1 for i in (1, 2, 3))
 
 
 class TestRecurrence:
