@@ -8,12 +8,12 @@ after O(log n) polynomial products from there.  `--all-methods` also runs every
 checking route that covers the count (cyclotomy on every count, the oracle within
 its guard), reports each route's value and seconds, and exits 1 unless they agree.
 `series` lists the first n coefficients.  `verify` builds one series and closed form
-per class of ind_g mod 4, and checks them at every c and y against one oracle pass
-per field (M_n(y) by splitting off x_n, one sum per coset -y C_0), with the order-4
-recurrence on the oracle's counts and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y). Each
-check is a stream of rows, its inputs and each method's value there; one runner
-times it and files the first row where the values differ, as JSON, in its detail,
-and with the `fields` it lists (p, m, q, modulus, g, s, t) that row reproduces.
+per class of ind_g mod 4, and checks them at every c and y against one oracle pass per
+field (M_n(y) by splitting off x_n, one sum per coset -y C_0), with the denominator's
+recurrence at every c and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y) off the series. Each
+check is a stream of rows, its inputs and each method's value there; one runner times
+it and files the first row where the values differ, as JSON, in its detail, and with
+the `fields` it lists (p, m, q, modulus, g, s, t) that row reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -230,17 +230,16 @@ def _element_classes(fld, gen) -> list[int]:
     return [-1] + [quartic_class(fld.from_int(code), gen) for code in range(1, fld.q)]
 
 
-def _twisted_rows(fld, gen, dec, cls: list[int], hists: list[list[int]]):
+def _twisted_rows(fld, gen, dec, cls: list[int], reps, series, hists: list[list[int]]):
     """M_n(y) for non-quartic y from `count_M`, the oracle by splitting off x_n, and
-    M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y) from `count_N`, one call per class.  The
-    nonzero x_n^4 run d times over C_0, so the split-off is N_(n-1)(0) + d * (sum of
+    M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y) read off `series` (at c = 0, then `reps`).
+    The nonzero x_n^4 run d times over C_0, so the split-off is N_(n-1)(0) + d * (sum of
     N_(n-1) over C_j), j the class of -y among the log table's classes, not `cls`'s."""
-    q, n, d = fld.q, len(hists), len(gen.class_roots)
+    q, n, d = fld.q, len(hists), len(reps)
     h, cyc = hists[n - 2], CyclotomicClasses(fld, gen, d)
     split = [h[0] + d * sum(h[v] for v in coset.tolist()) for coset in cyc.classes]
-    reps = [gen.g ** l for l in range(d)]
     twisted = [None] + [counting.count_M(y, n, fld, gen, dec) for y in reps[1:]]
-    prev = [counting.count_N(c, n - 1, fld, gen, dec) for c in [fld.zero()] + reps]
+    prev = [counts[n - 2] for counts in series]
     for code in (code for code in range(1, q) if cls[code] != 0):  # y not a fourth power
         neg_y = (-fld.from_int(code)).encode()
         yield {"y": code, "n": n, "series": twisted[cls[code]],
@@ -259,6 +258,15 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
         {"c": code, "n": n, "series": value, "oracle": hist[code]}
         for code in range(q)
         for n, (value, hist) in enumerate(zip(series[1 + cls[code]], hists), start=1)))
+    den = genfunc.denominator(q, None if dec is None else dec.s)
+    k = len(den) - 1
+    if nmax > k:
+        # N_n(c) as the recurrence predicts it from the oracle's N_(n-k..n-1)(c)
+        _run_check(checks, f"{tag} recurrence order {k}", ("recurrence", "oracle"), (
+            {"c": code, "n": n, "recurrence": hists[n - 1][code] - residual,
+             "oracle": hists[n - 1][code]}
+            for code in range(q) for n, residual in enumerate(genfunc.recurrence_check(
+                q, den, [hist[code] for hist in hists]), start=k + 1)))
     if dec is not None:
         _run_check(checks, f"{tag} cyclotomic closed=enum", ("closed", "enumerated"),
                    _cyclotomic_rows(fld, gen, dec))
@@ -269,18 +277,11 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
             {"c": code, "n": n, "closed": closed[cls[code]][n - 1],
              "oracle": hists[n - 1][code]}
             for code in range(1, q) for n in range(1, nsmall + 1)))
-        if nmax >= 5:
-            # N_n(c) as the recurrence predicts it from the oracle's N_(n-4..n-1)(c)
-            _run_check(checks, f"{tag} recurrence order 4", ("recurrence", "oracle"), (
-                {"c": code, "n": n, "recurrence": hists[n - 1][code] - residual,
-                 "oracle": hists[n - 1][code]}
-                for code in range(1, q) for n, residual in enumerate(genfunc.recurrence_check(
-                    dec, fld.from_int(code), [hist[code] for hist in hists]), start=5)))
         if with_expsums:
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
                        _expsum_rows(fld, gen, dec, hists))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
-               _twisted_rows(fld, gen, dec, cls, hists))
+               _twisted_rows(fld, gen, dec, cls, reps, series, hists))
 
 
 def cmd_verify(args) -> tuple[dict, int]:

@@ -132,9 +132,9 @@ def _geometric(q: int, scale: int = 1) -> RationalPart:
     return RationalPart(num=(0, scale), den=(1, -q))
 
 
-def denominator(q: int, s: int) -> tuple[int, ...]:
-    """Denominator of `gf_N` and `gf_M` (coefficients of 1 .. x^4); read from
-    x^4 down, the monic quartic whose roots are the Gauss sums T_{g^l}."""
+def denominator(q: int, s: int | None) -> tuple[int, ...]:
+    """Denominator of `gf_N` and `gf_M`: 1 + q x^2 if q = 3 mod 4, where s is not read,
+    else the reversal of the monic quartic whose roots are the Gauss sums T_{g^l}."""
     return _class_part(q, s, 0, q % 8, 0)[1]  # den reads neither t nor the class
 
 
@@ -144,32 +144,38 @@ def _class_part(q, s, t, r: int, i: int | None, twisted: bool = False) -> tuple[
     r = 1 or 5, q = s^2 + 4t^2 (r = 3, 7 reads neither s nor t).
 
     Pure in its arguments, so q, s and t may be ring elements.  Each r states the
-    class of -1 (C_h), the denominator, N_n(0)'s numerator over q - 1 and one row
-    per class; gf_M follows from M_(n+1)(y) = N_n(0) + (q - 1) N_n(-y), with -y
-    in C_(i+h), and the top terms of that sum cancel.
+    denominator, N_n(0)'s numerator over q - 1 and its rows to x^4 (d = 2's end in
+    zeros), of which only the one read is built.  gf_M follows from M_(n+1)(y) =
+    N_n(0) + (q - 1) N_n(-y), -y in C_(i+h) and -1 in C_h; the top terms cancel.
     """
-    if r % 4 == 3:  # d = 2
-        h, den, zero, rows = 1, (1, 0, q), (0, 0, -1), ((0, 1, 1), (0, -1, 1))
+    d = 2 if r % 4 == 3 else 4
+    h = (r - 1) // 2 % d  # -1 = g^((q-1)/2), and (q - 1)/2 = (r - 1)/2 mod 4
+    j = None if i is None else (i + h) % d if twisted else i
+    if d == 2:
+        den, zero = (1, 0, q), (0, 0, -1, 0, 0)
+        row = (0, 1, 1, 0, 0) if j == 0 else (0, -1, 1, 0, 0)
     elif r == 1:  # f even
-        h, lead = 0, q - 4 * s * s
+        lead = q - 4 * s * s
         den, zero = (1, 0, -6 * q, 8 * q * s, q * lead), (0, 0, 3, -6 * s, -lead)
-        rows = ((0, 3, -6 * s - 3, 6 * s - lead, lead),
-                (0, -1, 2 * s + 8 * t - 3, 6 * s - q - 8 * s * t, lead),
-                (0, -1, 2 * s - 3, 6 * s - q + 16 * t * t, lead),
-                (0, -1, 2 * s - 8 * t - 3, 6 * s - q + 8 * s * t, lead))
+        row = (None if j is None else
+               (0, 3, -6 * s - 3, 6 * s - lead, lead) if j == 0 else
+               (0, -1, 2 * s + 8 * t - 3, 6 * s - q - 8 * s * t, lead) if j == 1 else
+               (0, -1, 2 * s - 3, 6 * s - q + 16 * t * t, lead) if j == 2 else
+               (0, -1, 2 * s - 8 * t - 3, 6 * s - q + 8 * s * t, lead))
     else:  # r = 5: f odd
-        h, lead = 2, 9 * q - 4 * s * s
+        lead = 9 * q - 4 * s * s
         den, zero = (1, 0, 2 * q, 8 * q * s, q * lead), (0, 0, -1, -6 * s, -lead)
-        rows = ((0, 3, 2 * s + 1, 6 * s + 3 * q - 4 * s * s, lead),
-                (0, -1, 2 * s - 8 * t + 1, 6 * s + 3 * q + 8 * s * t, lead),
-                (0, -1, -6 * s + 1, 6 * s - 5 * q - 16 * t * t, lead),
-                (0, -1, 2 * s + 8 * t + 1, 6 * s + 3 * q - 8 * s * t, lead))
+        row = (None if j is None else
+               (0, 3, 2 * s + 1, 6 * s + 3 * q - 4 * s * s, lead) if j == 0 else
+               (0, -1, 2 * s - 8 * t + 1, 6 * s + 3 * q + 8 * s * t, lead) if j == 1 else
+               (0, -1, -6 * s + 1, 6 * s - 5 * q - 16 * t * t, lead) if j == 2 else
+               (0, -1, 2 * s + 8 * t + 1, 6 * s + 3 * q - 8 * s * t, lead))
+    qm = q - 1  # no numerator has an x^0 term, and N_n(0)'s has no x term
     if i is None:
-        return tuple([(q - 1) * z for z in zero]), den
+        return (0, 0, qm * zero[2], qm * zero[3], qm * zero[4])[:d + 1], den
     if twisted:
-        row = rows[(i + h) % len(rows)]
-        return tuple([(q - 1) * (z + a) for z, a in zip(zero, row)][:-1]), den
-    return rows[i], den
+        return (0, qm * row[1], qm * (zero[2] + row[2]), qm * (zero[3] + row[3]))[:d], den
+    return row[:d + 1], den
 
 
 def _decomposition(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
@@ -205,24 +211,15 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     return RationalGF(parts=(_geometric(q, scale=q), RationalPart(num=num, den=den)))
 
 
-def recurrence_check(dec: QuarticDecomposition, c: Element, counts: list[int]) -> list[int]:
-    """Residuals of the order-4 recurrence on D(n) = N_n(c) - q^(n-1), n = 5..len(counts).
+def recurrence_check(q: int, den: tuple[int, ...], counts: list[int]) -> list[int]:
+    """Residuals sum_i den[i] D(n - i) of D(n) = N_n(c) - q^(n-1), n = k+1..len(counts).
 
-    The recurrence is D(n) = -(d_1 D(n-1) + ... + d_4 D(n-4)), where
-    (1, d_1, ..., d_4) = `denominator(q, s)`.  `counts` holds N_1(c) ..
-    N_nmax(c) from a route other than the generating function, such as the
-    oracle: the series of `gf_N` obeys its own denominator by construction.
-    All residuals must be zero.
+    With den = `denominator(q, s)` of degree k, D(n) is the coefficient of x^n
+    in num/den with deg num <= k, so every residual is zero, at every c, 0
+    included.  `counts` holds N_1(c) .. N_nmax(c) from a route other than the
+    generating function, such as the oracle: the series of `gf_N` obeys its own
+    denominator by construction.
     """
-    if c.is_zero():
-        raise ValueError("recurrence check is stated for c != 0")
-    if len(counts) < 5:
-        raise ValueError("the recurrence needs N_1 .. N_5 at least")
-    q = c.field.q
     dvals = [count - q ** n for n, count in enumerate(counts)]
-    _, d1, d2, d3, d4 = denominator(q, dec.s)
-    residuals = []
-    for i in range(4, len(counts)):
-        residuals.append(dvals[i] + d1 * dvals[i - 1] + d2 * dvals[i - 2]
-                         + d3 * dvals[i - 3] + d4 * dvals[i - 4])
-    return residuals
+    taps = [(i, d) for i, d in enumerate(den) if d]
+    return [sum(d * dvals[j - i] for i, d in taps) for j in range(len(den) - 1, len(counts))]

@@ -122,14 +122,16 @@ def test_criterion_5_twisted_counts():
 
 def test_criterion_6_recurrence():
     ok = True
-    for p, m in FIELDS_1MOD4:
+    for p, m in FIELDS_1MOD4 + FIELDS_3MOD4:
         fd = field_data(p, m)
-        for code in range(1, fd.q):
+        den = genfunc.denominator(fd.q, None if fd.dec is None else fd.dec.s)
+        for code in range(fd.q):
             counts = [fd.oracle_N(code, n) for n in range(1, 9)]
-            res = genfunc.recurrence_check(fd.dec, fd.field.from_int(code), counts)
-            if any(r != 0 for r in res):
+            res = genfunc.recurrence_check(fd.q, den, counts)
+            if len(res) != 9 - len(den) or any(r != 0 for r in res):
                 ok = False
-    report("criterion 6: order-4 recurrence on D(n), n in [5, 8]", ok)
+    report("criterion 6: the denominator's recurrence on D(n) at every c, n in [deg + 1, 8]",
+           ok)
 
 
 def test_criterion_7_exponential_sums():

@@ -446,8 +446,8 @@ class TestVerifyCommand:
         # c = 0 and c = 1 agree; c = 2, a non-square, first differs, at n = 2
         assert json.loads(oracle["detail"]) == {"c": 2, "n": 2, "series": "8",
                                                 "oracle": "16"}
-        # the series, then the relation's count_N: c = 0, then one c = g^l per class
-        assert builds == [0, 1, 2, 4, 8] * 2
+        # one series at c = 0, then one c = g^l per class; the relation reads them too
+        assert builds == [0, 1, 2, 4, 8]
         cyclo = checks["q=13 cyclotomic closed=enum"]
         assert cyclo["status"] == "FAIL"
         failure = json.loads(cyclo["detail"])
@@ -456,9 +456,9 @@ class TestVerifyCommand:
         assert "NonIntegralError" in failure["detail"]
 
     def test_builds_once_per_class(self, capsys, monkeypatch):
-        # per field: gf_N for the series and for count_N at c = 0 and at each g^l,
-        # count_M and its gf_M at each non-quartic g^l, count_small at each g^l and
-        # n <= 4, and quartic_class once per element
+        # per field: gf_N for the series at c = 0 and at each g^l, which the relation
+        # reads too, count_M and its gf_M at each non-quartic g^l, count_small at each
+        # g^l and n <= 4, and quartic_class once per element
         calls = {}
 
         def counting_calls(module, name, field_of):
@@ -481,7 +481,7 @@ class TestVerifyCommand:
         for p, m in cli.DEFAULT_VERIFY_FIELDS:
             q = p**m
             d = 4 if q % 4 == 1 else 2
-            expected.update({("gf_N", q): 2 * (d + 1), ("count_N", q): d + 1,
+            expected.update({("gf_N", q): d + 1,
                              ("gf_M", q): d - 1, ("count_M", q): d - 1,
                              ("quartic_class", q): q - 1})
             if d == 4:
@@ -511,8 +511,12 @@ class TestVerifyCommand:
         fd = field_data(*pm)
         fld, gen = fd.field, fd.gen
         cls = cli._element_classes(fld, gen)
+        reps = [gen.g ** l for l in range(len(gen.class_roots))]
+        series = [[fd.oracle_N(c.encode(), n) for n in range(1, len(fd.histograms) + 1)]
+                  for c in [fld.zero()] + reps]
         for n in range(2, len(fd.histograms) + 1):
-            rows = list(cli._twisted_rows(fld, gen, fd.dec, cls, fd.histograms[:n]))
+            rows = list(cli._twisted_rows(fld, gen, fd.dec, cls, reps, series,
+                                          fd.histograms[:n]))
             assert [row["y"] for row in rows] == [code for code in range(1, fd.q) if cls[code]]
             for row in rows:
                 y = fld.from_int(row["y"])
@@ -541,26 +545,53 @@ class TestVerifyCommand:
         assert payload["fields"] == [{"p": 13, "m": 1, "q": 13, "modulus": [0, 1], "g": 2,
                                       "s": -3, "t": 0, "f_parity": "odd"}]
 
+    # q = 13: at c = 0, D(1) = 0 hides the error at n = 5, so c = 1 shows it; q = 7:
+    # at c = 0, D(2) = N_2(0) - 7 = -6, so n = 4 is off by 7 * -6
+    @pytest.mark.parametrize("p, name, witness", [
+        ("13", "q=13 recurrence order 4", {"c": 1, "n": 5}),
+        ("7", "q=7 recurrence order 2", {"c": 0, "n": 4, "recurrence": "427",
+                                         "oracle": "385"})], ids=["q=13", "q=7"])
     def test_recurrence_checks_the_denominator_against_the_oracle(self, capsys,
-                                                                   monkeypatch):
+                                                                   monkeypatch, p, name,
+                                                                   witness):
         denominator = genfunc.denominator
 
         def last_coefficient_off_by_q(q, s):
             *head, last = denominator(q, s)
             return (*head, last + q)
         monkeypatch.setattr(genfunc, "denominator", last_coefficient_off_by_q)
-        code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--json")
+        code, out = run(capsys, "verify", "--p", p, "--nmax", "5", "--json")
         assert code == 1
-        check = {c["name"]: c for c in json.loads(out)["checks"]}["q=13 recurrence order 4"]
-        assert check["status"] == "FAIL"
-        witness = json.loads(check["detail"])
-        assert (witness["c"], witness["n"]) == (1, 5)
-        assert witness["recurrence"] != witness["oracle"]
+        failed = [c for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
+        assert [c["name"] for c in failed] == [name]
+        detail = json.loads(failed[0]["detail"])
+        assert {key: detail[key] for key in witness} == witness
+        assert detail["recurrence"] != detail["oracle"]
 
     def test_recurrence_needs_n_5(self, capsys):
         code, out = run(capsys, "verify", "--p", "13", "--nmax", "4", "--json")
         assert code == 0
         assert not any("recurrence" in c["name"] for c in json.loads(out)["checks"])
+
+    def test_recurrence_runs_on_q_3_mod_4(self, capsys):
+        # den = 1 + 7x^2 on q = 7: order 2, listed from nmax = 3
+        code, out = run(capsys, "verify", "--p", "7", "--nmax", "5", "--json")
+        assert code == 0
+        checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+        assert checks == {"q=7 oracle-equivalence n<=5": "pass",
+                          "q=7 recurrence order 2": "pass", "q=7 twisted counts": "pass"}
+
+    def test_reads_the_denominator_once_per_field(self, capsys, monkeypatch):
+        calls = []
+        denominator = genfunc.denominator
+
+        def counted(q, s):
+            calls.append(q)
+            return denominator(q, s)
+        monkeypatch.setattr(genfunc, "denominator", counted)
+        code, _ = run(capsys, "verify", "--nmax", "5")
+        assert code == 0
+        assert sorted(calls) == sorted(p**m for p, m in cli.DEFAULT_VERIFY_FIELDS)
 
     def test_wrong_gauss_sums_give_an_expsum_witness(self, capsys, monkeypatch):
         build_table = expsums.build_table

@@ -129,6 +129,32 @@ class TestOracle:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_package_has_no_unused_private_name(self):
+        # every private module-level function, class or constant is named somewhere
+        # in the package besides its own definition
+        src = Path(__file__).resolve().parents[1] / "src" / "diagquartic"
+        named, defined = set(), []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    targets = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = [t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                              else [node.target]) if isinstance(t, ast.Name)]
+                else:
+                    targets = []
+                defined += [f"{path.name}:{name}" for name in targets
+                            if name.startswith("_") and not name.startswith("__")]
+        assert [d for d in defined if d.split(":")[1] not in named] == []
+
     def test_addition_table_memory_guard(self):
         # 2 q^2 passes the cost guard, but the q x q table would take 3.7 GiB
         fld = Field(22349, 1)

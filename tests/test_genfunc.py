@@ -18,7 +18,7 @@ from diagquartic.genfunc import (
     recurrence_check,
 )
 
-from conftest import field_data
+from conftest import ALL_FIELDS, field_data
 
 
 class TestRationalPart:
@@ -237,17 +237,35 @@ class TestRecurrence:
         assert denominator(q, s)[1:] == (0, -6 * q, 8 * q * s,
                                          q * q - 4 * q * s * s)
 
-    def test_oracle_counts_satisfy_recurrence(self, field_1mod4):
-        fd = field_1mod4
-        for code in range(1, fd.q):
-            counts = [fd.oracle_N(code, n) for n in range(1, 9)]
-            res = recurrence_check(fd.dec, fd.field.from_int(code), counts)
-            assert res == [0, 0, 0, 0], (fd.q, code)
+    def test_q3mod4_denominator_reads_no_s(self):
+        assert denominator(7, None) == (1, 0, 7)
 
-    def test_rejects_zero_c(self):
-        fd = field_data(5, 1)
-        with pytest.raises(ValueError):
-            recurrence_check(fd.dec, fd.field.zero(), [fd.oracle_N(0, n) for n in range(1, 9)])
+    @pytest.mark.parametrize("pm", ALL_FIELDS + [(43, 1)], ids=lambda pm: f"q={pm[0]**pm[1]}")
+    def test_oracle_counts_satisfy_recurrence(self, pm):
+        # at every c, 0 included, and for q = 3 mod 4 with den = 1 + q x^2
+        fd = field_data(*pm)
+        den = denominator(fd.q, None if fd.dec is None else fd.dec.s)
+        for code in range(fd.q):
+            counts = [fd.oracle_N(code, n) for n in range(1, 9)]
+            res = recurrence_check(fd.q, den, counts)
+            assert res == [0] * (9 - len(den)), (fd.q, code)
+
+    def test_taps_give_the_order_4_residuals(self, field_1mod4):
+        # off the oracle's counts, the loop over taps equals the order-4 recurrence
+        # written out, D(n) + d_1 D(n-1) + ... + d_4 D(n-4)
+        fd = field_1mod4
+        _, d1, d2, d3, d4 = den = denominator(fd.q, fd.dec.s)
+        counts = [fd.oracle_N(1, n) + n * n for n in range(1, 9)]
+        dv = [count - fd.q ** n for n, count in enumerate(counts)]
+        assert recurrence_check(fd.q, den, counts) == [
+            dv[i] + d1 * dv[i - 1] + d2 * dv[i - 2] + d3 * dv[i - 3] + d4 * dv[i - 4]
+            for i in range(4, 8)]
+
+    def test_one_wrong_count_breaks_the_recurrence(self):
+        fd = field_data(7, 1)
+        counts = [fd.oracle_N(3, n) for n in range(1, 9)]
+        counts[4] += 1  # N_5
+        assert recurrence_check(7, (1, 0, 7), counts) == [0, 0, 1, 0, 7, 0]
 
 
 class TestDenominatorBridge:

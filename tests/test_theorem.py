@@ -29,7 +29,16 @@ This proves the theorem at every q in the residue class, given two inputs that
 it does not prove: Gauss's tables, which `verify`'s `cyclotomic closed=enum`
 check and the order-2 test below tie to each field, and the transfer-matrix
 derivation of `counting`, which only the oracle tests check.
+
+The diagonal numbers [i, ..., i]_4 of `cyclotomy._DIAG_COEFFS` (n = 2, 3, 4)
+follow from the closed forms: y -> g^i y^4 maps F_q* 4-to-1 onto C_i, so
+4^n [i]*n counts the x in (F_q*)^n with x_1^4 + ... + x_n^4 = g^(-i), in
+C_(-i), and inclusion-exclusion over the zero variables gives
+4^n [i]*n = sum_(k=1..n) (-1)^(n-k) C(n, k) N_k(C_(-i)).  For n = 2 that is
+Gauss's letter at (0, -i)_4.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -37,7 +46,12 @@ from sympy import QQ
 from sympy.polys.rings import ring
 
 from diagquartic.counting import _closed_small, _transfer_matrices
-from diagquartic.cyclotomy import _QUARTIC_LETTERS, cyclotomic_matrix
+from diagquartic.cyclotomy import (
+    _DIAG_COEFFS,
+    _DIAG_DIVISORS,
+    _QUARTIC_LETTERS,
+    cyclotomic_matrix,
+)
 from diagquartic.field import Field, find_generator
 from diagquartic.genfunc import RationalPart, _class_part
 
@@ -133,6 +147,44 @@ def test_a_wrong_letter_fails():
     mutant = {**_QUARTIC_LETTERS, 1: (layout, {**letters, "B": (const, cs, -ct)})}
     assert series_mismatches(1, mutant, terms=5)
     assert annihilator_residues(1, mutant)
+
+
+def diagonal_numerators(table):
+    """(n, r, i) -> the numerator of [i]*n over QQ[s, t], for every row of `table`."""
+    q = S**2 + 4 * T**2
+    basis = (1, q, q**2, q**3, S, T, S * q, T * q, S * T, S**2, T**2)
+    return {(n, r, i): sum(a * b for a, b in zip(row, basis))
+            for (n, r), rows in table.items() for i, row in rows.items()}
+
+
+def diagonal_mismatches(table=_DIAG_COEFFS):
+    """(n, r, i) for each row whose [i]*n differs from the inclusion-exclusion
+    over the zero variables, sum_k (-1)^(n-k) C(n, k) N_k(C_(-i)) / 4^n."""
+    q = S**2 + 4 * T**2
+    return [(n, r, i) for (n, r, i), num in diagonal_numerators(table).items()
+            if 4**n * num != _DIAG_DIVISORS[n] * sum(
+                (-1) ** (n - k) * comb(n, k) * _closed_small(q, S, T, r, -i % 4, k)
+                for k in range(1, n + 1))]
+
+
+def test_diagonal_numbers_follow_from_the_closed_forms():
+    assert len(diagonal_numerators(_DIAG_COEFFS)) == 24
+    assert diagonal_mismatches() == []
+
+
+@pytest.mark.parametrize("r", [1, 5])
+def test_diagonal_numbers_of_dimension_2_are_gauss_letters(r):
+    gauss = gauss_order_4(_QUARTIC_LETTERS, r)
+    numerators = diagonal_numerators(_DIAG_COEFFS)
+    assert [numerators[2, r, i] for i in range(4)] == [16 * gauss[0][-i % 4]
+                                                        for i in range(4)]
+
+
+def test_a_wrong_diagonal_row_fails():
+    # the sign of the t^2 term flipped in [2, 2, 2]_4 for q = 5 mod 8
+    rows = dict(_DIAG_COEFFS[3, 5])
+    rows[2] = rows[2][:-1] + (-rows[2][-1],)
+    assert diagonal_mismatches({**_DIAG_COEFFS, (3, 5): rows}) == [(3, 5, 2)]
 
 
 @pytest.mark.parametrize("p", [7, 11, 19, 23, 43])
