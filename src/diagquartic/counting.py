@@ -5,7 +5,9 @@ Four of the five routes, cross-checked by `verify` and the tests:
 * `count_N` / `count_M`, one series coefficient of the rational generating
   functions (the production path),
 * an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution
-  of fourth-power histograms (exact, O(n q^2)),
+  of fourth-power histograms, each scaled by a_k as one permutation of the
+  encodings and convolved as one gather from the addition table and one exact
+  integer matrix-vector product (O(q^2) per variable),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`).
 
@@ -31,7 +33,9 @@ from .field import (  # noqa: F401
     Field,
     GeneratorData,
     _addition_tables,
+    _digits,
     _group_convolve,
+    _weights,
     check_convolution_cost,
     check_field,
     quartic_class,
@@ -62,14 +66,18 @@ def oracle_histograms(fld: Field, coeffs: list[Element]):
         raise ValueError("at least one variable required")
     check_convolution_cost(fld, len(coeffs))
     base = power_profile(fld)
+    digits, weights = _digits(fld), _weights(fld)
+    basis = [fld.element([0] * i + [1]) for i in range(fld.m)]
     hist = None
     for a in coeffs:
         if a.is_zero():
             raise ValueError("coefficients must be nonzero")
-        scaled = [0] * fld.q
-        for code, cnt in enumerate(base):
-            if cnt:
-                scaled[(a * fld.from_int(code)).encode()] += cnt
+        # x -> a x is a permutation of the encodings; row i of its F_p-matrix
+        # holds the digits of a alpha^i
+        times_a = np.array([(a * x).coeffs for x in basis], dtype=np.int64)
+        scaled = np.empty(fld.q, dtype=np.int64)
+        scaled[digits @ times_a % fld.p @ weights] = base
+        scaled = scaled.tolist()
         hist = scaled if hist is None else _group_convolve(fld, hist, scaled)
         yield hist
 

@@ -20,9 +20,10 @@ Jobs that touch every element read whole-field tables over the encodings:
 `log_table` holds ind_g(x) for every x, built once per generator, and is
 what `index_of` and the cyclotomic classes read; `_group_convolve`, the one
 additive convolution over (F_q, +) that the oracle and the dimension-n
-cyclotomic numbers share, reads the addition table; `trace_table` holds
-Tr(x) mod p for every encoding.  All three kinds share one store (`_stored`)
-under one byte guard, and the oldest tables leave it first, whatever their kind.
+cyclotomic numbers share, is one gather from the addition table and one exact
+integer matrix-vector product; `trace_table` holds Tr(x) mod p for every
+encoding.  All three kinds share one store (`_stored`) under one byte guard,
+and the oldest tables leave it first, whatever their kind.
 """
 
 from __future__ import annotations
@@ -472,10 +473,14 @@ def prime_subfield_residue(x: Element) -> int:
 # Whole-field tables over the canonical encodings.
 # ---------------------------------------------------------------------------
 
+def _weights(fld: Field) -> np.ndarray:
+    """p^0 .. p^(m-1): a row of base-p digits @ weights is its encoding."""
+    return fld.p ** np.arange(fld.m, dtype=np.int64)
+
+
 def _digits(fld: Field) -> np.ndarray:
     """The q x m array of base-p digits of every encoding, lowest first."""
-    codes = np.arange(fld.q, dtype=np.int64)
-    return np.stack([codes // fld.p**i % fld.p for i in range(fld.m)], axis=1)
+    return np.arange(fld.q, dtype=np.int64)[:, None] // _weights(fld) % fld.p
 
 
 _TABLES: dict[tuple, np.ndarray] = {}  # ("add" | "trace", fld) or ("log", g), oldest first
@@ -499,7 +504,9 @@ def _stored(key: tuple, build) -> np.ndarray:
 def check_convolution_cost(fld: Field, n: int) -> None:
     """Raise TooLargeError unless n convolutions over F_q, the q x q addition
     table they read and the n histograms they yield fit the cost and byte
-    guards.  A histogram holds q counts below q^n, of n*bits(q) bits each."""
+    guards.  A histogram holds q counts below q^n, of n*bits(q) bits each.  The
+    q x nnz(h2) block a convolution gathers from the table never holds more than
+    its q^2 entries, so the table's guard bounds the gather too."""
     if n * fld.q**2 > ORACLE_COST_GUARD:
         raise TooLargeError(f"convolution cost n*q^2 = {n}*{fld.q}^2 exceeds guard")
     hist_bytes = n * fld.q * n * fld.q.bit_length() // 8
@@ -519,7 +526,7 @@ def _addition_tables(fld: Field) -> np.ndarray:
     over all b, computed from the digit array one row at a time.
     """
     digits = _digits(fld)
-    weights = fld.p ** np.arange(fld.m, dtype=np.int64)
+    weights = _weights(fld)
     table = np.empty((fld.q, fld.q), dtype=np.intp)
     for a in range(fld.q):
         table[a] = ((digits[a] + digits) % fld.p) @ weights
@@ -527,16 +534,22 @@ def _addition_tables(fld: Field) -> np.ndarray:
 
 
 def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
-    """Additive convolution over (F_q, +): out[a+b] += h1[a] * h2[b]."""
+    """Additive convolution over (F_q, +): out[c] = sum_b h1[c - b] * h2[b].
+
+    The addition table T has T[c, enc(-b)] = enc(c - b), so out is one gather and
+    one matrix-vector product, h1[T[:, neg]] @ h2[cols], over the encodings b in
+    cols where h2 is nonzero, with neg their negatives read off the digits.  No
+    partial sum exceeds sum|h1| * sum|h2|: while that bound and both totals are
+    below 2^63 the product runs in int64, and otherwise on Python ints (dtype
+    object), so the counts stay exact.
+    """
     table = _stored(("add", fld), lambda: _addition_tables(fld))
-    out = [0] * fld.q
-    for a, v in enumerate(h1):
-        if v:
-            row = table[a]
-            for b, w in enumerate(h2):
-                if w:
-                    out[row[b]] += v * w
-    return out
+    s1, s2 = sum(map(abs, h1)), sum(map(abs, h2))
+    dtype = np.int64 if max(s1, s2, s1 * s2) < 2**63 else object
+    v1, v2 = np.array(h1, dtype=dtype), np.array(h2, dtype=dtype)
+    cols = np.flatnonzero(v2)
+    neg = (-_digits(fld)[cols] % fld.p) @ _weights(fld)
+    return (v1[table[:, neg]] @ v2[cols]).tolist()
 
 
 def _trace_table(fld: Field) -> np.ndarray:
@@ -556,7 +569,7 @@ def _log_table(g: Element) -> np.ndarray:
     fld = g.field
     n = fld.q - 1
     step = math.isqrt(n - 1) + 1  # step^2 >= n
-    weights = fld.p ** np.arange(fld.m, dtype=np.int64)
+    weights = _weights(fld)
     block = np.empty((step, fld.m), dtype=np.int64)
     acc = fld.one()
     for j in range(step):

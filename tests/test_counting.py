@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import sympy
 
-from diagquartic import genfunc
+from diagquartic import counting, field, genfunc
 from diagquartic.counting import (
     count_M,
     count_N,
@@ -18,6 +18,7 @@ from diagquartic.counting import (
     count_via_cyclotomy,
     oracle_count,
     oracle_histogram,
+    oracle_histograms,
     power_profile,
     transfer_matrices,
 )
@@ -97,7 +98,7 @@ class TestOracle:
 
     def test_general_coefficients(self):
         # the k-th coefficient from class d - 1 - k, so that each form mixes classes
-        for p, m, n in [(13, 1, 3), (3, 2, 3), (7, 1, 2), (7, 2, 2)]:
+        for p, m, n in [(13, 1, 3), (3, 2, 3), (7, 1, 2), (7, 2, 2), (3, 3, 2), (5, 3, 2)]:
             fd = field_data(p, m)
             d = 4 if fd.q % 4 == 1 else 2
             by_class = {quartic_class(x, fd.gen): x for x in list(fd.field.elements())[1:]}
@@ -162,18 +163,39 @@ class TestOracle:
         with pytest.raises(TooLargeError):
             oracle_histogram(fld, [fld.one(), fld.one()])
 
-    def test_exact_past_int64(self):
-        # N_25(c) on q = 13 is about 13^24 > 2^63: both routes stay exact
+    def test_guard_fires_before_any_allocation(self, monkeypatch):
+        # F_5801's q x q table is past the byte guard (q <= 5792) while 2 q^2 is
+        # within the cost guard; the digits, which the scaling and the gather
+        # read first, must not be built
+        fld = Field(5801, 1)
+        assert 2 * fld.q**2 <= ORACLE_COST_GUARD
+
+        def refuse(fld):
+            raise RuntimeError("digits built before the guard")
+        monkeypatch.setattr(counting, "_digits", refuse)
+        monkeypatch.setattr(field, "_digits", refuse)
+        with pytest.raises(TooLargeError):
+            next(oracle_histograms(fld, [fld.one(), fld.one()]))
+        assert ("add", fld) not in field._TABLES
+
+    @pytest.mark.parametrize("n", [18, 25])
+    def test_exact_past_int64(self, n):
+        # on q = 13 the oracle's last convolution leaves int64 from n = 18 on, its
+        # bound 13^(n-1) * 13 past 2^63; N_25(c) is about 13^24 > 2^63 itself:
+        # all three routes stay exact
         fd = field_data(13, 1)
         one = fd.field.one()
         reps = [0] + [next(code for code in range(1, 13)
                            if quartic_class(fd.field.from_int(code), fd.gen) == i)
                       for i in range(4)]
-        hist = oracle_histogram(fd.field, [one] * 25)
+        hist = oracle_histogram(fd.field, [one] * n)
+        assert sum(hist) == 13**n >= 2**63
         for code in reps:
             c = fd.field.from_int(code)
-            assert hist[code] > 2**63
-            assert count_N(c, 25, fd.field, fd.gen, fd.dec) == hist[code], code
+            assert type(hist[code]) is int
+            assert hist[code] > 2**63 or n < 25
+            assert count_N(c, n, fd.field, fd.gen, fd.dec) == hist[code], code
+            assert count_via_cyclotomy(c, n, fd.field, fd.gen) == hist[code], code
 
 
 class TestClosedForms:

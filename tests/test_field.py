@@ -539,6 +539,35 @@ class TestAdditionTable:
         assert builds == [5, 7, 9, 5]
 
 
+class TestGroupConvolve:
+    @pytest.mark.parametrize("p, m", [(13, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+    @pytest.mark.parametrize("low", [1, 2**40])
+    def test_matches_definition(self, p, m, low):
+        # out[c] = sum over a + b = c of h1[a] h2[b], by Element addition; entries
+        # from 2^40 put sum|h1| * sum|h2| past 2^63, so both dtypes are held to it
+        fld = Field(p, m)
+        rng = random.Random(fld.q * low)
+        h1 = [rng.randrange(low, 2 * low) if rng.random() < 0.7 else 0 for _ in range(fld.q)]
+        h2 = [rng.randrange(low, 2 * low) if code % 3 == 1 else 0 for code in range(fld.q)]
+        assert (sum(h1) * sum(h2) < 2**63) == (low == 1)
+        want = [0] * fld.q
+        els = list(fld.elements())
+        for a in els:
+            for b in els:
+                want[(a + b).encode()] += h1[a.encode()] * h2[b.encode()]
+        got = field_module._group_convolve(fld, h1, h2)
+        assert got == want
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("w", [2**31 - 1, 2**31])
+    def test_exact_at_the_int64_edge(self, w):
+        # one product at 2^63 - 2^32 stays on int64, one at 2^63 must not
+        fld = Field(5, 1)
+        got = field_module._group_convolve(fld, [2**32, 0, 0, 0, 0], [0, w, 0, 0, 0])
+        assert got == [0, 2**32 * w, 0, 0, 0]
+        assert all(type(v) is int for v in got)
+
+
 class TestTableStore:
     def test_one_budget_evicts_oldest_across_kinds(self, monkeypatch):
         # 8-byte entries: an addition table holds q^2 of them, a log or trace
