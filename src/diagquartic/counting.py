@@ -5,9 +5,9 @@ Four of the five routes, cross-checked by `verify` and the tests:
 * `count_N` / `count_M`, one series coefficient of the rational generating
   functions (the production path),
 * an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution
-  of fourth-power histograms, each scaled by a_k as one permutation of the
-  encodings and convolved as one gather from the addition table and one exact
-  integer matrix-vector product (O(q^2) per variable),
+  of the histogram of x^4, stored once per field, scaled by each a_k as one
+  permutation of the encodings and convolved as one gather from the addition
+  table and one exact integer matrix-vector product (O(q^2) per variable),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`).
 
@@ -35,6 +35,8 @@ from .field import (  # noqa: F401
     _addition_tables,
     _digits,
     _group_convolve,
+    _stored,
+    _times_matrix,
     _weights,
     check_convolution_cost,
     check_field,
@@ -65,18 +67,15 @@ def oracle_histograms(fld: Field, coeffs: list[Element]):
     if not coeffs:
         raise ValueError("at least one variable required")
     check_convolution_cost(fld, len(coeffs))
-    base = power_profile(fld)
+    base = _stored(("power", fld), lambda: np.array(power_profile(fld), dtype=np.int64))
     digits, weights = _digits(fld), _weights(fld)
-    basis = [fld.element([0] * i + [1]) for i in range(fld.m)]
     hist = None
     for a in coeffs:
         if a.is_zero():
             raise ValueError("coefficients must be nonzero")
-        # x -> a x is a permutation of the encodings; row i of its F_p-matrix
-        # holds the digits of a alpha^i
-        times_a = np.array([(a * x).coeffs for x in basis], dtype=np.int64)
+        # x -> a x is a permutation of the encodings
         scaled = np.empty(fld.q, dtype=np.int64)
-        scaled[digits @ times_a % fld.p @ weights] = base
+        scaled[digits @ _times_matrix(a) % fld.p @ weights] = base
         scaled = scaled.tolist()
         hist = scaled if hist is None else _group_convolve(fld, hist, scaled)
         yield hist
@@ -180,15 +179,15 @@ def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
                         y: Element | None = None) -> int:
     """Zeros of x_1^4 + ... + x_(n-1)^4 + y x_n^4 = c (y = 1: N_n(c); c = 0: M_n(y)).
 
-    The count is read off A_(ind y) A_0^(n-1) e_0, with the A_l of
-    `transfer_matrices`: O(q) once, then O(d^3 log n) products."""
+    The count is read off A_0^(n-1) A_(ind y) e_0, from the first column of
+    A_(ind y), with the A_l of `transfer_matrices`: O(q) once, then O(d^3 log n)
+    products."""
     check_field(fld, gen.g, c)
     if n < 1:
         raise ValueError("n must be positive")
     steps = transfer_matrices(fld, gen)
-    state, power = np.array([1] + [0] * len(steps), dtype=object), steps[0]
-    if y is not None:
-        state, n = steps[quartic_class(y, gen)] @ state, n - 1
+    state = steps[0 if y is None else quartic_class(y, gen)][:, 0]
+    power, n = steps[0], n - 1
     while n:
         state = power @ state if n & 1 else state
         n >>= 1

@@ -61,13 +61,11 @@ def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecompositio
     for s in range(-isqrt(q), isqrt(q) + 1):
         if s % 4 != 1 or s % p == 0:
             continue
-        rest = q - s * s
-        if rest < 0 or rest % 4 != 0:
-            continue
+        rest = q - s * s  # >= 0, and 0 mod 4: s is odd and q = 1 mod 4
         tt = isqrt(rest // 4)
         if 4 * tt * tt != rest:
             continue
-        for t in ({tt, -tt} if tt else {0}):
+        for t in {tt, -tt}:
             if (2 * t - s * zeta) % p == 0:
                 candidates.append(QuarticDecomposition(s=s, t=t))
     if len(candidates) != 1:

@@ -54,12 +54,7 @@ def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition) -> l
     raises if any exceeds POLY_RESIDUAL_TOL * q^2."""
     q = table.field.q
     coeffs = denominator(q, dec.s)
-    residuals = []
-    for T in table.T:
-        val = 0j
-        for c in coeffs:
-            val = val * T + c
-        residuals.append(abs(val))
+    residuals = [float(abs(np.polyval(coeffs, T))) for T in table.T]
     bound = POLY_RESIDUAL_TOL * q * q
     if any(r > bound for r in residuals):
         raise ResidualTooLargeError(

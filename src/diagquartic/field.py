@@ -5,9 +5,9 @@ Every element has a canonical integer encoding sum(c_i * p^i), a bijection
 onto [0, q-1], used in all I/O.
 
 One kernel does the arithmetic: `_mulmod`, the product of two length-m
-coefficient tuples mod the monic modulus f, and its square-and-multiply
-`_powmod`.  `Element` products and powers call it, and so does
-`is_irreducible`, which runs Rabin's test in the ring F_p[x]/(f) itself.
+coefficient tuples mod the monic modulus f.  `Element` products call it; `_powmod`,
+the one square-and-multiply loop, runs it for powers and for `is_irreducible`
+(Rabin's test in the ring F_p[x]/(f) itself), and runs `_gmul` in F_p[i].
 
 `quartic_class` gives ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion through
 the norm N_e to F_(p^e), e = 1 if d | p-1 and 2 otherwise: x^((q-1)/d) =
@@ -22,8 +22,9 @@ what `index_of` and the cyclotomic classes read; `_group_convolve`, the one
 additive convolution over (F_q, +) that the oracle and the dimension-n
 cyclotomic numbers share, is one gather from the addition table and one exact
 integer matrix-vector product; `trace_table` holds Tr(x) mod p for every
-encoding.  All three kinds share one store (`_stored`) under one byte guard,
-and the oldest tables leave it first, whatever their kind.
+encoding.  These three kinds and the oracle's histogram of x^4 share one store
+(`_stored`) under one byte guard, and the oldest tables leave it first, whatever
+their kind.
 """
 
 from __future__ import annotations
@@ -93,15 +94,14 @@ def _mulmod(a: tuple[int, ...], b: tuple[int, ...], f: tuple[int, ...],
     return tuple([c % p for c in prod[:m]])
 
 
-def _powmod(a: tuple[int, ...], n: int, f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """a^n mod (f, p) by square-and-multiply from the top bit of n, n >= 0."""
-    if n == 0:
-        return (1,) + (0,) * (len(a) - 1)
+def _powmod(a, n: int, mul, *ring):
+    """a^n, n >= 1, by square-and-multiply from the top bit of n, with the product
+    mul(x, y, *ring): `_mulmod` with ring (f, p), or `_gmul` in F_p[i] with (p,)."""
     result = a
     for bit in bin(n)[3:]:
-        result = _mulmod(result, result, f, p)
+        result = mul(result, result, *ring)
         if bit == "1":
-            result = _mulmod(result, a, f, p)
+            result = mul(result, a, *ring)
     return result
 
 
@@ -121,12 +121,12 @@ def is_irreducible(modulus: tuple[int, ...] | list[int], p: int) -> bool:
     f = tuple(c % p for c in modulus)
     x = (0, 1) + (0,) * (m - 2)
     one = (1,) + (0,) * (m - 1)
-    if _powmod(x, p**m, f, p) != x:
+    if _powmod(x, p**m, _mulmod, f, p) != x:
         return False
     for ell in factorize(m):
-        h = _powmod(x, p ** (m // ell), f, p)
+        h = _powmod(x, p ** (m // ell), _mulmod, f, p)
         h = tuple([(c - xc) % p for c, xc in zip(h, x)])
-        if _powmod(h, p**m - 1, f, p) != one:
+        if _powmod(h, p**m - 1, _mulmod, f, p) != one:
             return False
     return True
 
@@ -137,8 +137,6 @@ def minimal_irreducible(p: int, m: int) -> tuple[int, ...]:
     The lower coefficients (c_0, ..., c_{m-1}) are scanned in order of the
     integer sum(c_i * p^i), so the result is deterministic.
     """
-    if m == 1:
-        return (0, 1)
     for code in range(p**m):
         candidate = [code // p**i % p for i in range(m)] + [1]
         if is_irreducible(candidate, p):
@@ -262,7 +260,9 @@ class Element:
         f = self.field
         if f.m == 1:
             return Element(f, (pow(self.coeffs[0], n, f.p),))
-        return Element(f, _powmod(self.coeffs, n, f.modulus, f.p))
+        if n == 0:
+            return f.one()
+        return Element(f, _powmod(self.coeffs, n, _mulmod, f.modulus, f.p))
 
     def __repr__(self) -> str:
         return f"<{self.encode()} in F_{self.field.q}>"
@@ -322,13 +322,8 @@ def _gmul(x: tuple[int, int], y: tuple[int, int], p: int) -> tuple[int, int]:
 
 
 def _gpow(x: tuple[int, int], n: int, p: int) -> tuple[int, int]:
-    """x^n in F_p[i] by square-and-multiply, n >= 0."""
-    result = (1, 0)
-    for bit in bin(n)[2:]:
-        result = _gmul(result, result, p)
-        if bit == "1":
-            result = _gmul(result, x, p)
-    return result
+    """x^n in F_p[i], n >= 1."""
+    return _powmod(x, n, _gmul, p)
 
 
 def _rem_residues(A: list[int], B: list[int], p: int) -> list[int]:
@@ -483,7 +478,16 @@ def _digits(fld: Field) -> np.ndarray:
     return np.arange(fld.q, dtype=np.int64)[:, None] // _weights(fld) % fld.p
 
 
-_TABLES: dict[tuple, np.ndarray] = {}  # ("add" | "trace", fld) or ("log", g), oldest first
+def _times_matrix(a: Element) -> np.ndarray:
+    """The m x m F_p-matrix of x -> a x: row i holds the digits of a alpha^i, alpha
+    the root of the modulus, so digits(x) @ it % p = digits(a x)."""
+    fld = a.field
+    return np.array([(a * fld.element([0] * i + [1])).coeffs for i in range(fld.m)],
+                    dtype=np.int64)
+
+
+# ("add" | "trace" | "power", fld) or ("log", g) -> table, oldest first
+_TABLES: dict[tuple, np.ndarray] = {}
 
 
 def _stored(key: tuple, build) -> np.ndarray:
@@ -548,7 +552,8 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
     dtype = np.int64 if max(s1, s2, s1 * s2) < 2**63 else object
     v1, v2 = np.array(h1, dtype=dtype), np.array(h2, dtype=dtype)
     cols = np.flatnonzero(v2)
-    neg = (-_digits(fld)[cols] % fld.p) @ _weights(fld)
+    weights = _weights(fld)
+    neg = (-(cols[:, None] // weights) % fld.p) @ weights
     return (v1[table[:, neg]] @ v2[cols]).tolist()
 
 
@@ -575,9 +580,7 @@ def _log_table(g: Element) -> np.ndarray:
     for j in range(step):
         block[j] = acc.coeffs
         acc = acc * g
-    # acc = g^step; row i of its multiplication matrix holds the digits of a^i * g^step
-    giant = np.array([(fld.element([0] * i + [1]) * acc).coeffs for i in range(fld.m)],
-                     dtype=np.int64)
+    giant = _times_matrix(acc)  # acc = g^step
     log = np.full(fld.q, -1, dtype=np.int64)
     for start in range(0, n, step):
         size = min(step, n - start)

@@ -103,6 +103,18 @@ class TestCountCommand:
         assert set(payload["methods"]) == {"oracle", "series", "closed",
                                            "cyclotomy", "expsum"}
 
+    @pytest.mark.parametrize("rhs", [["--c", "1"], ["--c", "0"], ["--y", "2"]],
+                             ids=["c", "c0", "y"])
+    def test_all_methods_agree_under_a_degree_one_modulus(self, capsys, rhs):
+        # x + 2 in place of x: F_5 and every count are the same, alpha = 3
+        want = json.loads(run(capsys, "count", "--p", "5", *rhs, "--n", "3")[1])["count"]
+        code, out = run(capsys, "count", "--p", "5", "--modulus", "2,1", *rhs, "--n", "3",
+                        "--all-methods", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["methods"]) >= 3
+        assert (payload["agree"], payload["count"]) == (True, want)
+
     @pytest.mark.parametrize("argv", [["--c", "2", "--n", "4"], ["--y", "2", "--n", "4"]],
                              ids=["c", "y"])
     def test_all_methods_timed(self, capsys, argv):
@@ -209,10 +221,13 @@ class TestInputErrors:
         ["verify", "--m", "3", "--nmax", "2"],
         ["verify", "--generator", "99", "--nmax", "2"],
         ["verify", "--modulus", "1,2,3", "--nmax", "2"],
+        ["count", "--p", "5", "--c", "7", "--n", "2"],
+        ["field", "--p", "5", "--generator", "0"],
     ], ids=["count-no-rhs", "count-c-and-y", "series-n-neg", "count-n0", "verify-nmax1",
             "series-c-and-y", "oracle-quartic-y", "oracle-y-n1", "verify-past-oracle-guard",
             "field-p-past-bound", "verify-p0", "verify-m-without-p",
-            "verify-generator-without-p", "verify-modulus-without-p"])
+            "verify-generator-without-p", "verify-modulus-without-p",
+            "count-c-past-q", "field-generator-zero"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 

@@ -198,6 +198,20 @@ class TestOracle:
             assert count_via_cyclotomy(c, n, fd.field, fd.gen) == hist[code], code
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda fd: list(oracle_histograms(fd.field, [fd.field.one(), fd.field.zero()])),
+         "must be nonzero"),
+        (lambda fd: count_small(fd.field.one(), 5, fd.dec, fd.field, fd.gen), "1..4"),
+        (lambda fd: count_N(fd.field.one(), 0, fd.field, fd.gen), "must be positive"),
+        (lambda fd: count_via_cyclotomy(fd.field.one(), 0, fd.field, fd.gen),
+         "must be positive"),
+    ], ids=["oracle-zero-coefficient", "count-small-n5", "count-N-n0", "cyclotomy-n0"])
+    def test_rejects_out_of_range_input(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(field_data(13, 1))
+
+
 class TestClosedForms:
     def test_pinned_values(self):
         fd5 = field_data(5, 1)

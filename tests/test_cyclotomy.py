@@ -212,6 +212,17 @@ class TestDiagonalClosedForms:
             cyclo_diag_quartic(2, 0, QuarticDecomposition(1, 1), 7)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: cyclotomic_number_quartic(0, 0, QuarticDecomposition(s=1, t=1), 7),
+         WrongResidueClassError),
+        (lambda: cyclo_diag_quartic(5, 0, QuarticDecomposition(s=-3, t=-1), 13), ValueError),
+    ], ids=["quartic-q7", "diagonal-n5"])
+    def test_rejects_out_of_range_input(self, call, error):
+        with pytest.raises(error):
+            call()
+
+
 class TestCyclotomicMatrix:
     @pytest.mark.parametrize("p, m", [(5, 1), (3, 2), (13, 1), (7, 2)],
                              ids=["q=5", "q=9", "q=13", "q=49"])

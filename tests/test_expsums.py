@@ -8,7 +8,7 @@ import pytest
 
 from diagquartic import expsums
 from diagquartic.cyclotomy import QuarticDecomposition
-from diagquartic.errors import NotNearIntegerError, ResidualTooLargeError
+from diagquartic.errors import NotNearIntegerError, ResidualTooLargeError, WrongResidueClassError
 from diagquartic.counting import count_N
 from diagquartic.expsums import (
     build_table,
@@ -95,6 +95,14 @@ class TestGaussSumPolynomial:
 def lambda_sum(table, l, c):
     """lambda_l(c) as `reconstruct_N` reads it: the Gauss period eta_(l + ind(-c))."""
     return table.eta[(l + quartic_class(-c, table.gen)) % 4]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("p, m", [(7, 1), (3, 3)])
+    def test_gauss_sums_need_q_1_mod_4(self, p, m):
+        fld = Field(p, m)
+        with pytest.raises(WrongResidueClassError):
+            build_table(fld, find_generator(fld))
 
 
 class TestLambdaSums:

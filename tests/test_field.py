@@ -102,6 +102,19 @@ class TestConstruction:
     def test_deterministic(self):
         assert minimal_irreducible(7, 2) == Field(7, 2).modulus
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Field(5, 0), "must be positive"),
+        (lambda: Field(5, 2, modulus=(2, 1)), "monic of degree m"),
+        (lambda: Field(5, 1, modulus=(1, 0, 1)), "monic of degree m"),
+        (lambda: Field(5, 1).element([1, 2]), "too many coefficients"),
+        (lambda: Field(5, 1).from_int(5), "out of range"),
+        (lambda: Field(3, 2).from_int(-1), "out of range"),
+    ], ids=["m0", "modulus-degree-1-for-m2", "modulus-degree-2-for-m1",
+            "element-too-long", "from-int-q", "from-int-negative"])
+    def test_rejects_malformed_input(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestIrreducibility:
     CASES = [(3, 2), (3, 3), (3, 4), (3, 6), (5, 2), (5, 3), (5, 4)]
@@ -130,6 +143,12 @@ class TestIrreducibility:
     def test_benchmark_moduli_pinned(self, p, m, modulus):
         # the answers pinned for the benchmark's extension fields depend on these
         assert minimal_irreducible(p, m) == modulus
+
+    def test_non_monic_is_no_modulus(self):
+        # x^2 + 1 is irreducible over F_3; 2x^2 + 2 has the same roots, but no
+        # modulus has a leading coefficient other than 1
+        assert is_irreducible((1, 0, 1), 3)
+        assert not is_irreducible((2, 0, 2), 3)
 
 
 class TestArithmetic:
