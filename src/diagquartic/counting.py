@@ -56,8 +56,6 @@ def power_profile(fld: Field) -> list[int]:
         raise InvariantError(f"x^4 has {counts[0]} roots of 0 in F_{fld.q}")
     if any(c not in (0, d) for c in counts[1:]):
         raise InvariantError(f"x^4 breaks the {d}-th power residue rule in F_{fld.q}")
-    if sum(counts) != fld.q:
-        raise InvariantError(f"x^4 histogram sums to {sum(counts)}, not q = {fld.q}")
     return counts
 
 

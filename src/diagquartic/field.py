@@ -6,8 +6,10 @@ onto [0, q-1], used in all I/O.
 
 One kernel does the arithmetic: `_mulmod`, the product of two length-m
 coefficient tuples mod the monic modulus f.  `Element` products call it; `_powmod`,
-the one square-and-multiply loop, runs it for powers and for `is_irreducible`
-(Rabin's test in the ring F_p[x]/(f) itself), and runs `_gmul` in F_p[i].
+the package's one square-and-multiply loop, runs it for powers and for
+`is_irreducible` (Rabin's test in the ring F_p[x]/(f) itself), `_gmul` in F_p[i]
+and genfunc's product mod a reversed denominator, each with its ring as one
+argument.  Residues mod p keep the builtin `pow`.
 
 `quartic_class` gives ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion through
 the norm N_e to F_(p^e), e = 1 if d | p-1 and 2 otherwise: x^((q-1)/d) =
@@ -77,9 +79,10 @@ def factorize(n: int) -> dict[int, int]:
 # constant term first, f monic of degree m.
 # ---------------------------------------------------------------------------
 
-def _mulmod(a: tuple[int, ...], b: tuple[int, ...], f: tuple[int, ...],
-            p: int) -> tuple[int, ...]:
-    """a*b mod (f, p): the schoolbook product, reduced from the top term down."""
+def _mulmod(a: tuple[int, ...], b: tuple[int, ...],
+            ring: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+    """a*b mod (f, p) = ring: the schoolbook product, reduced from the top term down."""
+    f, p = ring
     m = len(a)
     prod = [0] * (2 * m - 1)
     for i, ai in enumerate(a):
@@ -94,14 +97,14 @@ def _mulmod(a: tuple[int, ...], b: tuple[int, ...], f: tuple[int, ...],
     return tuple([c % p for c in prod[:m]])
 
 
-def _powmod(a, n: int, mul, *ring):
+def _powmod(a, n: int, mul, ring):
     """a^n, n >= 1, by square-and-multiply from the top bit of n, with the product
-    mul(x, y, *ring): `_mulmod` with ring (f, p), or `_gmul` in F_p[i] with (p,)."""
+    mul(x, y, ring); a square passes x twice, as one object."""
     result = a
     for bit in bin(n)[3:]:
-        result = mul(result, result, *ring)
+        result = mul(result, result, ring)
         if bit == "1":
-            result = mul(result, a, *ring)
+            result = mul(result, a, ring)
     return result
 
 
@@ -119,14 +122,14 @@ def is_irreducible(modulus: tuple[int, ...] | list[int], p: int) -> bool:
     if m == 1:
         return True
     f = tuple(c % p for c in modulus)
-    x = (0, 1) + (0,) * (m - 2)
+    ring, x = (f, p), (0, 1) + (0,) * (m - 2)
     one = (1,) + (0,) * (m - 1)
-    if _powmod(x, p**m, _mulmod, f, p) != x:
+    if _powmod(x, p**m, _mulmod, ring) != x:
         return False
     for ell in factorize(m):
-        h = _powmod(x, p ** (m // ell), _mulmod, f, p)
+        h = _powmod(x, p ** (m // ell), _mulmod, ring)
         h = tuple([(c - xc) % p for c, xc in zip(h, x)])
-        if _powmod(h, p**m - 1, _mulmod, f, p) != one:
+        if _powmod(h, p**m - 1, _mulmod, ring) != one:
             return False
     return True
 
@@ -168,6 +171,7 @@ class Field:
             if not is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
+        self._ring = (modulus, p)  # the ring argument of `_mulmod`
         # Tr(alpha^k) for k < m, alpha the root of the modulus: the power sums of its
         # roots, by Newton's identities s_k = -(k c_(m-k) + sum_(0<j<k) c_(m-j) s_(k-j))
         traces = [m % p]
@@ -252,7 +256,7 @@ class Element:
     def __mul__(self, other: Element) -> Element:
         self._check(other)
         f = self.field
-        return Element(f, _mulmod(self.coeffs, other.coeffs, f.modulus, f.p))
+        return Element(f, _mulmod(self.coeffs, other.coeffs, f._ring))
 
     def __pow__(self, n: int) -> Element:
         if n < 0:
@@ -262,7 +266,7 @@ class Element:
             return Element(f, (pow(self.coeffs[0], n, f.p),))
         if n == 0:
             return f.one()
-        return Element(f, _powmod(self.coeffs, n, _mulmod, f.modulus, f.p))
+        return Element(f, _powmod(self.coeffs, n, _mulmod, f._ring))
 
     def __repr__(self) -> str:
         return f"<{self.encode()} in F_{self.field.q}>"
@@ -308,9 +312,10 @@ def find_generator(fld: Field, override: int | None = None) -> GeneratorData:
 
 
 def all_generators(fld: Field):
-    """Every generator of F_q^*, in encoding order."""
+    """Every generator of F_q^*, in encoding order.  For m >= 2 the scan starts at
+    code p: the codes below it are c*1, in F_p^*, of order dividing p - 1 < q - 1."""
     factors = factorize(fld.q - 1)
-    for code in range(1, fld.q):
+    for code in range(1 if fld.m == 1 else fld.p, fld.q):
         cand = fld.from_int(code)
         if multiplicative_order_is_full(cand, factors):
             yield cand

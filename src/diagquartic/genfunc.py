@@ -7,7 +7,7 @@ all n coefficients.  `coefficient(n)` reads one in one of three regimes, all in
 exact integers: a part with a one-tap denominator 1 + d x^k (the geometric
 x/(1 - qx), and the q = 3 mod 4 correction 1 + qx^2) is one power; below
 SERIES_BELOW, the measured crossover, it reads the series; from there it takes
-Fiduccia's method in O(log n) polynomial products, ending in a Hankel form.
+Fiduccia's method, x^h mod P by `_powmod` in O(log n) products, then a Hankel form.
 `gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None, and take
 their other part from `_class_part`, pure in q, s, t and r = q mod 8.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .cyclotomy import QuarticDecomposition, quartic_decomposition
 from .errors import BadDenominatorError, QuarticYError
-from .field import Element, Field, GeneratorData, check_field, quartic_class
+from .field import Element, Field, GeneratorData, _powmod, check_field, quartic_class
 
 __all__ = [
     "RationalPart", "RationalGF", "gf_N", "gf_M",
@@ -58,12 +58,12 @@ class RationalPart:
         With k = deg den and s = max(1, len(num) - k), c_j = -sum_i den[i]
         c_(j-i) for every j >= s + k.  If den = 1 + d x^k and n >= s, c_n =
         c_(s+r) (-d)^j with (j, r) = divmod(n - s, k) (never below s, where the
-        power would be a float).  Below SERIES_BELOW (or s) c_n is read off
+        power would be a float).  Below SERIES_BELOW (or s + 2) c_n is read off
         `series`: on the k = 4 parts of `gf_N` and `gf_M` that is level with the
         Hankel form at n = 88.  From there x^a -> c_(s+a) vanishes on multiples
         of the monic reversed denominator P (Fiduccia, SIAM J. Comput. 1985), so
-        with n - s = 2h + b and r = x^h mod P, c_n = sum_(i,j<k) r_i r_j
-        c_(s+b+i+j).  s >= 1 keeps every initial term inside `series`.
+        with n - s = 2h + b, h >= 1, and r = x^h mod P (`_powmod`), c_n =
+        sum_(i,j<k) r_i r_j c_(s+b+i+j); s >= 1 keeps the initial terms in `series`.
         """
         if n < 1:
             raise ValueError(f"coefficient index must be at least 1, got {n}")
@@ -72,41 +72,37 @@ class RationalPart:
         if k and not any(self.den[1:k]) and n >= s:
             j, r = divmod(n - s, k)
             return self.series(s + r)[s + r - 1] * (-self.den[k]) ** j
-        if n < max(s, SERIES_BELOW):
+        if n < max(s + 2, SERIES_BELOW):
             return self.series(n)[n - 1]
         h, b = divmod(n - s, 2)
-        r, initial = _x_power_mod(h, self.den), self.series(s + b + 2 * k - 2)[s + b - 1:]
+        x = ([0, 1] + [0] * k)[:k]  # x mod P: k = 1 is one tap, and mod 1 all is 0
+        r = _powmod(x, h, _mul_mod_den, self.den)
+        initial = self.series(s + b + 2 * k - 2)[s + b - 1:]
         return sum(ri * sum(rj * c for rj, c in zip(r, initial[i:])) for i, ri in enumerate(r))
 
 
-def _x_power_mod(n: int, den: tuple[int, ...]) -> list[int]:
-    """x^n modulo x^k + den[1] x^(k-1) + ... + den[k], as k ascending coefficients.
-
-    Left-to-right square-and-multiply; a product of degree < 2k is reduced
-    with x^i = -sum_j den[j] x^(i-j), from the top term down.
-    """
+def _mul_mod_den(a: list[int], b: list[int], den: tuple[int, ...]) -> list[int]:
+    """a*b modulo x^k + den[1] x^(k-1) + ... + den[k], on k ascending coefficients,
+    reduced with x^i = -sum_j den[j] x^(i-j) from the top term down; a square (b is
+    a) takes each cross term a_i a_j, i < j, once."""
     k = len(den) - 1
-
-    def reduced(poly: list[int]) -> list[int]:
-        for i in range(len(poly) - 1, k - 1, -1):
-            top = poly[i]
-            if top:
-                for j in range(1, k + 1):
-                    poly[i - j] -= top * den[j]
-        return poly[:k]
-
-    rem = reduced([1])  # x^0; empty when k = 0, as everything is 0 mod 1
-    for bit in bin(n)[2:]:
-        square = [0] * (2 * k - 1)
-        for i, a in enumerate(rem):
-            square[2 * i] += a * a
-            twice = 2 * a  # each cross term a_i a_j, i < j, is taken once
-            for j in range(i + 1, len(rem)):
-                square[i + j] += twice * rem[j]
-        rem = reduced(square)
-        if bit == "1":
-            rem = reduced([0] + rem)
-    return rem
+    prod = [0] * (2 * k - 1)
+    if a is b:
+        for i, ai in enumerate(a):
+            prod[2 * i] += ai * ai
+            for j in range(i + 1, k):
+                prod[i + j] += 2 * ai * a[j]
+    else:
+        for j, bj in enumerate(b):
+            if bj:
+                for i, ai in enumerate(a, j):
+                    prod[i] += ai * bj
+    for i in range(2 * k - 2, k - 1, -1):
+        top = prod[i]
+        if top:
+            for j in range(1, k + 1):
+                prod[i - j] -= top * den[j]
+    return prod[:k]
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,17 @@ class TestOracle:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_package_has_one_power_loop(self):
+        # field._powmod is the one loop over the bits bin(n) of an exponent
+        src = Path(__file__).resolve().parents[1] / "src" / "diagquartic"
+        found = [f"{path.stem}.{fn.name}" for path in sorted(src.glob("*.py"))
+                 for fn in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "bin"
+                         for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.comprehension))
+                         for call in ast.walk(loop.iter))]
+        assert found == ["field._powmod"]
+
     def test_package_has_no_unused_private_name(self):
         # every private module-level function, class or constant is named somewhere
         # in the package besides its own definition

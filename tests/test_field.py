@@ -21,6 +21,9 @@ from diagquartic.errors import (
 from diagquartic.field import (
     Field,
     GeneratorData,
+    _gmul,
+    _mulmod,
+    _powmod,
     factorize,
     find_generator,
     index_of,
@@ -33,7 +36,7 @@ from diagquartic.field import (
     trace_table,
 )
 
-from conftest import literal_product, literal_remainder, literal_trace
+from conftest import ALL_FIELDS, literal_product, literal_remainder, literal_trace
 
 
 def _monic(p, m):
@@ -232,6 +235,29 @@ class TestArithmetic:
             assert fld.from_int(code).encode() == code
 
 
+class TestPowmod:
+    """`_powmod` against a literal chain a, a a, a a a, ... for n = 1..64, in
+    F_p[x]/(f) and in F_p[i]; genfunc's tests take Z[x] mod a denominator."""
+
+    @pytest.mark.parametrize("p, m", [(5, 3), (3, 12)])
+    def test_in_fp_x_mod_f(self, p, m):
+        fld = Field(p, m)
+        for code in (p, fld.q // 3, fld.q - 2):
+            a = chain = fld.from_int(code).coeffs
+            for n in range(1, 65):
+                assert _powmod(a, n, _mulmod, fld._ring) == chain, (code, n)
+                chain = literal_product(chain, a, fld.modulus, p)
+
+    @pytest.mark.parametrize("p", [7, 1019])
+    def test_in_fp_i(self, p):
+        # the chain runs in the Gaussian integers and is reduced mod p at each n
+        for a in [(0, 1), (2, 3), (p - 1, p // 2)]:
+            u, v = a
+            for n in range(1, 65):
+                assert _powmod(a, n, _gmul, p) == (u % p, v % p), (a, n)
+                u, v = u * a[0] - v * a[1], u * a[1] + v * a[0]
+
+
 class TestGenerator:
     @pytest.mark.parametrize("p, expected", [(5, 2), (13, 2), (7, 3)])
     def test_smallest_generator(self, p, expected):
@@ -261,6 +287,31 @@ class TestGenerator:
         for prime, mult in factors.items():
             total *= prime**mult
         assert total == any_field.q - 1
+
+    @pytest.mark.parametrize("p, m", [(1021, 2), (7, 2)])
+    def test_scan_skips_the_prime_subfield(self, monkeypatch, p, m):
+        # for m >= 2 the codes below p are c*1 in F_p^*, of order dividing p - 1
+        tested, order_is_full = [], field_module.multiplicative_order_is_full
+
+        def recorded(x, factors):
+            tested.append(x.encode())
+            return order_is_full(x, factors)
+        monkeypatch.setattr(field_module, "multiplicative_order_is_full", recorded)
+        gen = find_generator(Field(p, m))
+        assert tested and min(tested) == p and tested[-1] == gen.g.encode()
+
+    @pytest.mark.parametrize("p, m", [(p, m) for p, m in ALL_FIELDS if m >= 2])
+    def test_smallest_generator_by_literal_scan(self, p, m):
+        fld = Field(p, m)
+
+        def order(x):
+            acc, k = x, 1
+            while acc != fld.one():
+                acc, k = acc * x, k + 1
+            return k
+        smallest = next(code for code in range(1, fld.q)
+                        if order(fld.from_int(code)) == fld.q - 1)
+        assert find_generator(fld).g.encode() == smallest
 
 
 class TestIndex:

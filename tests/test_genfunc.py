@@ -6,12 +6,13 @@ from diagquartic.counting import count_M, count_N
 from diagquartic.cyclotomy import quartic_decomposition
 from diagquartic.errors import BadDenominatorError, QuarticYError
 from diagquartic.expsums import build_table
-from diagquartic.field import Field, find_generator, quartic_class
+from diagquartic.field import Field, _powmod, find_generator, quartic_class
 from diagquartic.genfunc import (
     SERIES_BELOW,
     RationalGF,
     RationalPart,
     _class_part,
+    _mul_mod_den,
     denominator,
     gf_M,
     gf_N,
@@ -40,6 +41,37 @@ class TestRationalPart:
         combined = RationalGF(parts=(p1, p2))
         expected = [a + b for a, b in zip(p1.series(10), p2.series(10))]
         assert combined.series(10) == expected
+
+
+class TestPowmodModDenominator:
+    """`_powmod` with `_mul_mod_den` in Z[x] mod P, P = x^k + den[1] x^(k-1) + ...
+    + den[k], against a literal chain: the schoolbook product, then long division."""
+
+    @staticmethod
+    def _times(a, b, den):
+        k = len(den) - 1
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        while len(prod) > k:
+            top = prod.pop()
+            for j in range(1, k + 1):
+                prod[len(prod) - j] -= top * den[j]
+        return prod
+
+    @pytest.mark.parametrize("den", [denominator(13, -3), denominator(49, -7), (1, 0, 7)],
+                             ids=["q=13", "q=49", "q=7"])
+    def test_matches_a_literal_chain(self, den):
+        k = len(den) - 1
+        for a in ([0, 1] + [0] * (k - 2), [2, -1, 3, 5][:k]):
+            chain = a
+            for n in range(1, 65):
+                power = _powmod(a, n, _mul_mod_den, den)
+                assert power == chain, (a, n)
+                # two equal but distinct lists take the general product
+                assert _mul_mod_den(power, list(power), den) == _mul_mod_den(power, power, den)
+                chain = self._times(chain, a, den)
 
 
 class TestCoefficient:
@@ -72,7 +104,7 @@ class TestCoefficient:
     def test_every_index_on_both_sides_of_the_hankel_threshold(self, num, den):
         # k in {0, 1, 2, 4}: the one power for a one-tap denominator 1 + d x^k from
         # index s (below s, at s and past it with the long numerators), the series
-        # below SERIES_BELOW (or s, when s passes it) and the Hankel form from
+        # below SERIES_BELOW (or s + 2, when that passes it) and the Hankel form from
         # there, for one-tap and multi-tap denominators, each with both parities
         # of n - s.  A float equal to the count passes ==, so the type is checked.
         part = RationalPart(num=num, den=den)
