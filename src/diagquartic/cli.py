@@ -11,9 +11,10 @@ its guard), reports each route's value and seconds, and exits 1 unless they agre
 per class of ind_g mod 4, and checks them at every c and y against one oracle pass per
 field (M_n(y) by splitting off x_n, one sum per coset -y C_0), with the denominator's
 recurrence at every c and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y) off the series. Each
-check is a stream of rows, its inputs and each method's value there; one runner times
-it and files the first row where the values differ, as JSON, in its detail, and with
-the `fields` it lists (p, m, q, modulus, g, s, t) that row reproduces.
+check yields rows, its inputs and each method's value there: the four checks of N and M
+build exact (dtype object) arrays over (c or y, n) and yield a row only where they
+differ.  One runner times each check and files its first row, in row-major order, as
+JSON in its detail; with the `fields` it lists (p, m, q, modulus, g, s, t) it reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -30,6 +31,8 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import counting, expsums, genfunc
 from .cyclotomy import (
@@ -48,7 +51,7 @@ from .errors import (
     TooLargeError,
     WrongResidueClassError,
 )
-from .field import Field, check_convolution_cost, find_generator, quartic_class
+from .field import Field, _negatives, check_convolution_cost, find_generator, quartic_class
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
                          (29, 1), (7, 1), (11, 1)]
@@ -213,7 +216,7 @@ def _run_check(checks: list[dict], name: str, methods: tuple[str, ...], rows) ->
                    "max_residual": residual, "seconds": round(time.monotonic() - t0, 3)})
 
 
-def _expsum_rows(fld, gen, dec, hists: list[list[int]]):
+def _expsum_rows(fld, gen, dec, hists: np.ndarray):
     """N_n(c) from the Gauss sums, up to the float route's bound, at c = g^0..g^3,
     one c per class; -1 lies in C_0 or C_2, so -c meets every class too.  Each
     row carries the sums' largest residual as roots of `denominator`."""
@@ -225,63 +228,71 @@ def _expsum_rows(fld, gen, dec, hists: list[list[int]]):
                    "oracle": hists[n - 1][c.encode()], "max_residual": residual}
 
 
-def _element_classes(fld, gen) -> list[int]:
+def _element_classes(fld, gen) -> np.ndarray:
     """ind_g(c) mod d, which N_n(c) and M_n(c) read of c, at every encoding, -1 at 0."""
-    return [-1] + [quartic_class(fld.from_int(code), gen) for code in range(1, fld.q)]
+    return np.array([-1] + [quartic_class(fld.from_int(c), gen) for c in range(1, fld.q)])
 
 
-def _twisted_rows(fld, gen, dec, cls: list[int], reps, series, hists: list[list[int]]):
-    """M_n(y) for non-quartic y from `count_M`, the oracle by splitting off x_n, and
+def _differing_rows(build):
+    """The rows of an array check, built on the first `next`, inside its timed region:
+    build() gives the two axes (input -> labels) and each method's 2-D array over them,
+    and a row, the inputs and each value, is yielded in row-major order where they differ."""
+    axes, values = build()
+    first, *rest = values.values()
+    (a, labels_a), (b, labels_b) = axes.items()
+    for i, j in np.argwhere(np.any([first != other for other in rest], axis=0)).tolist():
+        yield {a: labels_a[i], b: labels_b[j], **{m: v[i, j] for m, v in values.items()}}
+
+
+def _twisted_arrays(fld, gen, dec, cls, reps, series, hists) -> tuple[dict, dict]:
+    """M_n(y), n = len(hists), as one-column arrays over the y with cls[y] != 0 (not
+    zero, not a fourth power): from `count_M`, from the oracle by splitting off x_n, and
     M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y) read off `series` (at c = 0, then `reps`).
     The nonzero x_n^4 run d times over C_0, so the split-off is N_(n-1)(0) + d * (sum of
     N_(n-1) over C_j), j the class of -y among the log table's classes, not `cls`'s."""
     q, n, d = fld.q, len(hists), len(reps)
-    h, cyc = hists[n - 2], CyclotomicClasses(fld, gen, d)
-    split = [h[0] + d * sum(h[v] for v in coset.tolist()) for coset in cyc.classes]
+    h, cyc, ys = hists[n - 2], CyclotomicClasses(fld, gen, d), np.flatnonzero(cls > 0)
+    neg, prev = _negatives(fld, ys), [counts[n - 2] for counts in series]
     twisted = [None] + [counting.count_M(y, n, fld, gen, dec) for y in reps[1:]]
-    prev = [counts[n - 2] for counts in series]
-    for code in (code for code in range(1, q) if cls[code] != 0):  # y not a fourth power
-        neg_y = (-fld.from_int(code)).encode()
-        yield {"y": code, "n": n, "series": twisted[cls[code]],
-               "oracle": split[cyc.class_of[neg_y]],
-               "relation": prev[0] + (q - 1) * prev[1 + cls[neg_y]]}
+    split = [h[0] + d * h[coset].sum() for coset in cyc.classes]
+    relation = [prev[0] + (q - 1) * v for v in prev[1:]]
+    return {"y": ys.tolist(), "n": [n]}, {
+        m: np.array(by_class, dtype=object)[at, None] for m, by_class, at in (
+            ("series", twisted, cls[ys]), ("oracle", split, cyc.class_of[neg]),
+            ("relation", relation, cls[neg]))}
 
 
 def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bool) -> None:
     q = fld.q
     tag = f"q={q}"
-    hists = list(counting.oracle_histograms(fld, [fld.one()] * nmax))
+    hists = np.array(list(counting.oracle_histograms(fld, [fld.one()] * nmax)), dtype=object)
     cls, reps = _element_classes(fld, gen), [gen.g ** l for l in range(len(gen.class_roots))]
     # one series per class: series[0] at c = 0, series[1 + l] at c = g^l
     series = [genfunc.gf_N(fld, gen, dec, c).series(nmax) for c in [fld.zero()] + reps]
-    _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"), (
-        {"c": code, "n": n, "series": value, "oracle": hist[code]}
-        for code in range(q)
-        for n, (value, hist) in enumerate(zip(series[1 + cls[code]], hists), start=1)))
+    _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"),
+               _differing_rows(lambda: ({"c": range(q), "n": range(1, nmax + 1)}, {
+                   "series": np.array(series, dtype=object)[cls + 1], "oracle": hists.T})))
     den = genfunc.denominator(q, None if dec is None else dec.s)
     k = len(den) - 1
     if nmax > k:
         # N_n(c) as the recurrence predicts it from the oracle's N_(n-k..n-1)(c)
-        _run_check(checks, f"{tag} recurrence order {k}", ("recurrence", "oracle"), (
-            {"c": code, "n": n, "recurrence": hists[n - 1][code] - residual,
-             "oracle": hists[n - 1][code]}
-            for code in range(q) for n, residual in enumerate(genfunc.recurrence_check(
-                q, den, [hist[code] for hist in hists]), start=k + 1)))
+        _run_check(checks, f"{tag} recurrence order {k}", ("recurrence", "oracle"),
+                   _differing_rows(lambda: ({"c": range(q), "n": range(k + 1, nmax + 1)}, {
+                       "recurrence": (hists[k:] - genfunc.recurrence_check(q, den, hists)).T,
+                       "oracle": hists[k:].T})))
     if dec is not None:
         _run_check(checks, f"{tag} cyclotomic closed=enum", ("closed", "enumerated"),
                    _cyclotomic_rows(fld, gen, dec))
-        nsmall = min(4, nmax)
-        closed = [[counting.count_small(c, n, dec, fld, gen) for n in range(1, nsmall + 1)]
-                  for c in reps]
-        _run_check(checks, f"{tag} closed-form n<={nsmall}", ("closed", "oracle"), (
-            {"c": code, "n": n, "closed": closed[cls[code]][n - 1],
-             "oracle": hists[n - 1][code]}
-            for code in range(1, q) for n in range(1, nsmall + 1)))
+        ns = range(1, min(4, nmax) + 1)
+        _run_check(checks, f"{tag} closed-form n<={len(ns)}", ("closed", "oracle"),
+                   _differing_rows(lambda: ({"c": range(1, q), "n": ns}, {"closed": np.array([[
+                       counting.count_small(c, n, dec, fld, gen) for n in ns] for c in reps],
+                       dtype=object)[cls[1:]], "oracle": hists[:len(ns), 1:].T})))
         if with_expsums:
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
                        _expsum_rows(fld, gen, dec, hists))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
-               _twisted_rows(fld, gen, dec, cls, reps, series, hists))
+               _differing_rows(lambda: _twisted_arrays(fld, gen, dec, cls, reps, series, hists)))
 
 
 def cmd_verify(args) -> tuple[dict, int]:

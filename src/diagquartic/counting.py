@@ -5,9 +5,9 @@ Four of the five routes, cross-checked by `verify` and the tests:
 * `count_N` / `count_M`, one series coefficient of the rational generating
   functions (the production path),
 * an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution
-  of the histogram of x^4, stored once per field, scaled by each a_k as one
-  permutation of the encodings and convolved as one gather from the addition
-  table and one exact integer matrix-vector product (O(q^2) per variable),
+  of the histogram of x^4, stored once per field, scaled by each distinct a_k
+  as one permutation of the encodings and convolved as one gather from the
+  addition table and one exact integer matrix-vector product (O(q^2) per variable),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`).
 
@@ -67,14 +67,15 @@ def oracle_histograms(fld: Field, coeffs: list[Element]):
     check_convolution_cost(fld, len(coeffs))
     base = _stored(("power", fld), lambda: np.array(power_profile(fld), dtype=np.int64))
     digits, weights = _digits(fld), _weights(fld)
-    hist = None
+    hist, scalings = None, {}
     for a in coeffs:
         if a.is_zero():
             raise ValueError("coefficients must be nonzero")
-        # x -> a x is a permutation of the encodings
-        scaled = np.empty(fld.q, dtype=np.int64)
-        scaled[digits @ _times_matrix(a) % fld.p @ weights] = base
-        scaled = scaled.tolist()
+        if a.encode() not in scalings:  # x -> a x is a permutation of the encodings
+            scaled = np.empty(fld.q, dtype=np.int64)
+            scaled[digits @ _times_matrix(a) % fld.p @ weights] = base
+            scalings[a.encode()] = scaled.tolist()
+        scaled = scalings[a.encode()]
         hist = scaled if hist is None else _group_convolve(fld, hist, scaled)
         yield hist
 

@@ -483,6 +483,12 @@ def _digits(fld: Field) -> np.ndarray:
     return np.arange(fld.q, dtype=np.int64)[:, None] // _weights(fld) % fld.p
 
 
+def _negatives(fld: Field, codes: np.ndarray) -> np.ndarray:
+    """enc(-x) for each encoding x in `codes`, negated digit by digit mod p."""
+    weights = _weights(fld)
+    return (-(codes[:, None] // weights) % fld.p) @ weights
+
+
 def _times_matrix(a: Element) -> np.ndarray:
     """The m x m F_p-matrix of x -> a x: row i holds the digits of a alpha^i, alpha
     the root of the modulus, so digits(x) @ it % p = digits(a x)."""
@@ -547,19 +553,17 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
 
     The addition table T has T[c, enc(-b)] = enc(c - b), so out is one gather and
     one matrix-vector product, h1[T[:, neg]] @ h2[cols], over the encodings b in
-    cols where h2 is nonzero, with neg their negatives read off the digits.  No
-    partial sum exceeds sum|h1| * sum|h2|: while that bound and both totals are
-    below 2^63 the product runs in int64, and otherwise on Python ints (dtype
-    object), so the counts stay exact.
+    cols where h2 is nonzero, with neg their `_negatives`.  No partial sum
+    exceeds sum|h1| * sum|h2|: while that bound and both totals are below 2^63
+    the product runs in int64, and otherwise on Python ints (dtype object), so
+    the counts stay exact.
     """
     table = _stored(("add", fld), lambda: _addition_tables(fld))
     s1, s2 = sum(map(abs, h1)), sum(map(abs, h2))
     dtype = np.int64 if max(s1, s2, s1 * s2) < 2**63 else object
     v1, v2 = np.array(h1, dtype=dtype), np.array(h2, dtype=dtype)
     cols = np.flatnonzero(v2)
-    weights = _weights(fld)
-    neg = (-(cols[:, None] // weights) % fld.p) @ weights
-    return (v1[table[:, neg]] @ v2[cols]).tolist()
+    return (v1[table[:, _negatives(fld, cols)]] @ v2[cols]).tolist()
 
 
 def _trace_table(fld: Field) -> np.ndarray:

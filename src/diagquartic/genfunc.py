@@ -212,9 +212,9 @@ def recurrence_check(q: int, den: tuple[int, ...], counts: list[int]) -> list[in
 
     With den = `denominator(q, s)` of degree k, D(n) is the coefficient of x^n
     in num/den with deg num <= k, so every residual is zero, at every c, 0
-    included.  `counts` holds N_1(c) .. N_nmax(c) from a route other than the
-    generating function, such as the oracle: the series of `gf_N` obeys its own
-    denominator by construction.
+    included.  `counts` holds N_1(c) .. N_nmax(c), or rows of arrays over c, from a
+    route other than the generating function, such as the oracle: the series of
+    `gf_N` obeys its own denominator by construction.
     """
     dvals = [count - q ** n for n, count in enumerate(counts)]
     taps = [(i, d) for i, d in enumerate(den) if d]

@@ -4,11 +4,13 @@ import argparse
 import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diagquartic import cli, counting, expsums, genfunc
@@ -529,13 +531,72 @@ class TestVerifyCommand:
         reps = [gen.g ** l for l in range(len(gen.class_roots))]
         series = [[fd.oracle_N(c.encode(), n) for n in range(1, len(fd.histograms) + 1)]
                   for c in [fld.zero()] + reps]
+        hists = np.array(fd.histograms, dtype=object)
         for n in range(2, len(fd.histograms) + 1):
-            rows = list(cli._twisted_rows(fld, gen, fd.dec, cls, reps, series,
-                                          fd.histograms[:n]))
-            assert [row["y"] for row in rows] == [code for code in range(1, fd.q) if cls[code]]
-            for row in rows:
-                y = fld.from_int(row["y"])
-                assert row["oracle"] == split_off_count(fld, fd.histograms, y, n), (row, n)
+            axes, values = cli._twisted_arrays(fld, gen, fd.dec, cls, reps, series, hists[:n])
+            assert axes == {"y": [code for code in range(1, fd.q) if cls[code]], "n": [n]}
+            oracle = values["oracle"]
+            assert oracle.shape == (len(axes["y"]), 1)
+            for code, value in zip(axes["y"], oracle[:, 0]):
+                y = fld.from_int(code)
+                assert value == split_off_count(fld, fd.histograms, y, n), (code, n)
+
+    def test_passing_array_checks_yield_no_rows(self, capsys, monkeypatch):
+        # the cyclotomic numbers stay a stream of 16 rows; the array checks yield
+        # a row only where their methods differ
+        consumed = {}
+        run_check = cli._run_check
+
+        def counted(checks, name, methods, rows):
+            consumed[name] = 0
+
+            def counting_rows():
+                for row in rows:
+                    consumed[name] += 1
+                    yield row
+            run_check(checks, name, methods, counting_rows())
+        monkeypatch.setattr(cli, "_run_check", counted)
+        code, _ = run(capsys, "verify", "--p", "13", "--nmax", "5")
+        assert code == 0
+        assert consumed == {"q=13 oracle-equivalence n<=5": 0, "q=13 recurrence order 4": 0,
+                            "q=13 cyclotomic closed=enum": 16, "q=13 closed-form n<=4": 0,
+                            "q=13 twisted counts": 0}
+
+    @staticmethod
+    def _last_off_by_one(hists):
+        # the oracle's N_20(7) one too large: about 13^19, past 2^63
+        for n, hist in enumerate(hists, start=1):
+            yield [v + (n == 20 and code == 7) for code, v in enumerate(hist)]
+
+    @pytest.mark.parametrize("defect", ["break-t", "oracle"])
+    def test_nmax_20_witness_is_the_literal_scans(self, capsys, monkeypatch, defect):
+        assert run(capsys, "verify", "--p", "13", "--nmax", "20")[0] == 0
+        fld = Field(13, 1)
+        gen = find_generator(fld)
+        dec = cli.quartic_decomposition(fld, gen)
+        hists = list(counting.oracle_histograms(fld, [fld.one()] * 20))
+        argv = ["verify", "--p", "13", "--nmax", "20", "--json"]
+        if defect == "break-t":
+            argv.append("--break-t")
+            dec = QuarticDecomposition(s=dec.s, t=dec.t + 1)
+        else:
+            hists = list(self._last_off_by_one(hists))
+            oracle_histograms = counting.oracle_histograms
+            monkeypatch.setattr(counting, "oracle_histograms", lambda fld, coeffs: (
+                self._last_off_by_one(oracle_histograms(fld, coeffs))))
+        code, out = run(capsys, *argv)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        # c outer, n inner, one series per c
+        literal = next({"c": code, "n": n, "series": str(value), "oracle": str(hist[code])}
+                       for code in range(13)
+                       for n, (value, hist) in enumerate(zip(genfunc.gf_N(
+                           fld, gen, dec, fld.from_int(code)).series(20), hists), start=1)
+                       if value != hist[code])
+        assert checks["q=13 oracle-equivalence n<=20"]["detail"] == json.dumps(literal)
+        if defect == "oracle":
+            assert (literal["c"], literal["n"]) == (7, 20)
+            assert int(literal["oracle"]) - 1 == int(literal["series"]) > 2**63
 
     def test_passing_checks_have_no_detail(self, capsys):
         code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--json")
@@ -650,3 +711,50 @@ class TestVerifyCommand:
         failed = [c for c in checks if c["status"] == "FAIL"]
         assert [c["name"] for c in failed] == ["q=13 exponential sums"]
         assert failed[0]["detail"] == "NotNearIntegerError: injected drift"
+
+
+class TestDifferingRows:
+    """`cli._differing_rows` against a literal row-by-row scan of the same arrays."""
+
+    @staticmethod
+    def _literal(axes, values):
+        (a, labels_a), (b, labels_b) = axes.items()
+        for i, x in enumerate(labels_a):
+            for j, y in enumerate(labels_b):
+                row = {a: x, b: y, **{m: v[i][j] for m, v in values.items()}}
+                if len({row[m] for m in values}) > 1:
+                    yield row
+
+    @pytest.mark.parametrize("methods", [("series", "oracle"),
+                                         ("series", "oracle", "relation")])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_a_literal_scan(self, methods, seed):
+        rng = random.Random(seed)
+        shape = rng.randint(1, 7), rng.randint(1, 5)
+        base = [[rng.randrange(2**70) for _ in range(shape[1])] for _ in range(shape[0])]
+        values = {}
+        for method in methods:
+            # a few entries off by 1 or by 2^64, which int64 would not see
+            values[method] = [[v + rng.choice([0] * 8 + [1, -2**64]) for v in row]
+                              for row in base]
+        axes = {"y": rng.sample(range(100), shape[0]), "n": range(3, 3 + shape[1])}
+        rows = list(cli._differing_rows(lambda: (axes, {
+            m: np.array(v, dtype=object) for m, v in values.items()})))
+        literal = list(self._literal(axes, values))
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in literal]
+
+    def test_equal_arrays_yield_nothing(self):
+        values = {m: np.array([[2**64, 3], [5, 7]], dtype=object) for m in ("a", "b", "c")}
+        assert list(cli._differing_rows(lambda: ({"c": [0, 1], "n": [1, 2]}, values))) == []
+
+    def test_arrays_are_built_on_the_first_next(self):
+        built = []
+
+        def build():
+            built.append(1)
+            return {"c": [4], "n": [1]}, {"a": np.array([[1]], dtype=object),
+                                          "b": np.array([[2]], dtype=object)}
+        rows = cli._differing_rows(build)
+        assert built == []
+        assert next(rows) == {"c": 4, "n": 1, "a": 1, "b": 2}
+        assert built == [1]

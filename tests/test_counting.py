@@ -105,6 +105,24 @@ class TestOracle:
             coeffs = [by_class[d - 1 - k] for k in range(n)]
             assert oracle_histogram(fd.field, coeffs) == literal_histogram(coeffs), (fd.q, n)
 
+    @pytest.mark.parametrize("pm, classes", [((13, 1), [1, 0, 1]), ((3, 2), [1, 0, 0, 1]),
+                                             ((5, 1), [3, 2, 3, 2, 3])],
+                             ids=["q=13", "q=9", "q=5"])
+    def test_repeated_coefficients_scale_once(self, monkeypatch, pm, classes):
+        fd = field_data(*pm)
+        coeffs = [fd.gen.g ** l for l in classes]
+        built = []
+        times_matrix = counting._times_matrix
+
+        def counted(a):
+            built.append(a.encode())
+            return times_matrix(a)
+        monkeypatch.setattr(counting, "_times_matrix", counted)
+        hists = list(counting.oracle_histograms(fd.field, coeffs))
+        assert sorted(built) == sorted({a.encode() for a in coeffs})
+        assert hists[-1] == literal_histogram(coeffs)
+        assert hists[1] == literal_histogram(coeffs[:2])
+
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError):
             oracle_histogram(field_data(5, 1).field, [])
