@@ -216,13 +216,13 @@ def _run_check(checks: list[dict], name: str, methods: tuple[str, ...], rows) ->
                    "max_residual": residual, "seconds": round(time.monotonic() - t0, 3)})
 
 
-def _expsum_rows(fld, gen, dec, hists: np.ndarray):
-    """N_n(c) from the Gauss sums, up to the float route's bound, at c = g^0..g^3,
-    one c per class; -1 lies in C_0 or C_2, so -c meets every class too.  Each
-    row carries the sums' largest residual as roots of `denominator`."""
+def _expsum_rows(fld, gen, dec, reps, hists: np.ndarray):
+    """N_n(c) from the Gauss sums, up to the float route's bound, at c in `reps`,
+    g^0..g^3, one c per class; -1 lies in C_0 or C_2, so -c meets every class too.
+    Each row carries the sums' largest residual as roots of `denominator`."""
     table = expsums.build_table(fld, gen)
     residual = max(expsums.verify_gauss_sum_roots(table, dec))
-    for c in (gen.g ** l for l in range(4)):
+    for c in reps:
         for n in range(1, min(len(hists), expsums.reconstruct_max_n(fld.q)) + 1):
             yield {"c": c.encode(), "n": n, "expsum": expsums.reconstruct_N(n, c, table),
                    "oracle": hists[n - 1][c.encode()], "max_residual": residual}
@@ -286,11 +286,11 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
         ns = range(1, min(4, nmax) + 1)
         _run_check(checks, f"{tag} closed-form n<={len(ns)}", ("closed", "oracle"),
                    _differing_rows(lambda: ({"c": range(1, q), "n": ns}, {"closed": np.array([[
-                       counting.count_small(c, n, dec, fld, gen) for n in ns] for c in reps],
-                       dtype=object)[cls[1:]], "oracle": hists[:len(ns), 1:].T})))
+                       counting._closed_small(q, dec.s, dec.t, q % 8, l, n) for n in ns]
+                       for l in range(4)], dtype=object)[cls[1:]], "oracle": hists[:4, 1:].T})))
         if with_expsums:
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
-                       _expsum_rows(fld, gen, dec, hists))
+                       _expsum_rows(fld, gen, dec, reps, hists))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
                _differing_rows(lambda: _twisted_arrays(fld, gen, dec, cls, reps, series, hists)))
 

@@ -12,7 +12,7 @@ Four of the five routes, cross-checked by `verify` and the tests:
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`).
 
 The fifth, exponential sums, is `expsums.reconstruct_N`.  The tests hold the
-oracle to a literal q^n enumeration.  `_closed_small` and `_transfer_matrices`
+oracle to a literal q^n enumeration.  `_closed_small` and `cyclotomy._transfer_matrices`
 are pure in q, s, t and the (i, j)_d, so the tests also run them on polynomials.
 """
 
@@ -23,7 +23,7 @@ from math import gcd
 import numpy as np
 
 from . import genfunc
-from .cyclotomy import QuarticDecomposition, cyclotomic_matrix
+from .cyclotomy import QuarticDecomposition, _transfer_matrices, cyclotomic_matrix
 from .errors import InvariantError, WrongResidueClassError, ZeroRHSError
 # The convolution primitive and its guards live in `field`.  They keep their
 # names here: the benchmark tracer (perfbench/tracer.py) binds
@@ -158,20 +158,6 @@ def transfer_matrices(fld: Field, gen: GeneratorData) -> np.ndarray:
     d = len(gen.class_roots)
     cyc = cyclotomic_matrix(d, fld, gen).tolist()
     return _transfer_matrices(cyc, fld.q, (fld.q - 1) // 2 % d)
-
-
-def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
-    """The A_l from the d x d cyclotomic numbers cyc[i][j] = (i, j)_d, with -1 in C_h.
-
-    Adding a x^4, a in C_l, moves the counts (N(0), N(C_0), ..., N(C_(d-1))) by
-    A_l: N'(0) = N(0) + (q - 1) N(C_(l+h)), N'(C_j) = N(C_j) + d [j = l] N(0) +
-    d sum_k (l - j + h, k - j)_d N(C_k).  Pure in its arguments, so q and the
-    (i, j)_d may be ring elements; Python int entries keep products exact."""
-    d = len(cyc)
-    return np.array([[[1] + [(q - 1) * (k == (l + h) % d) for k in range(d)]]
-                     + [[d * (j == l)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
-                                          for k in range(d)] for j in range(d)]
-                     for l in range(d)], dtype=object)
 
 
 def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,

@@ -6,9 +6,8 @@ driven by the decomposition q = s^2 + 4t^2 (Berndt, Evans & Williams, *Gauss
 and Jacobi Sums*, 1998, ch. 2): the 16 numbers (i, j)_4 take five values A-E,
 laid out by rows i = 0..3 as ABCD, BDEE, CECE, DEEB for q = 1 mod 8 (f even)
 and ABCD, EEDB, AEAE, EDBE for q = 5 mod 8 (f odd).
-Dimension-n numbers [i_1, ..., i_n]_k are likewise available exactly, as the
-value at 1 of the additive convolution of the class indicator vectors (the
-oracle's own primitive, `field._group_convolve`), by reduction to ordinary
+Dimension-n numbers [i_1, ..., i_n]_k come exactly from the class transfer matrices
+A_l (`_transfer_matrices`, which `counting` also reads), by reduction to ordinary
 cyclotomic numbers, and (for equal indices, k = 4) in closed form.
 """
 
@@ -19,12 +18,12 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import BadOrderError, InvariantError, NonIntegralError, WrongResidueClassError
+from .errors import (BadOrderError, InvariantError, NonIntegralError, TooLargeError,
+                     WrongResidueClassError)
 from .field import (
+    ORACLE_TABLE_BYTES_GUARD,
     Field,
     GeneratorData,
-    _group_convolve,
-    check_convolution_cost,
     check_field,
     log_table,
     prime_subfield_residue,
@@ -80,8 +79,8 @@ class CyclotomicClasses:
 
     def __init__(self, fld: Field, gen: GeneratorData, k: int):
         q = fld.q
-        if (q - 1) % k != 0:
-            raise BadOrderError(f"k = {k} does not divide q - 1 = {q - 1}")
+        if k < 1 or (q - 1) % k != 0:
+            raise BadOrderError(f"k = {k} is not a positive divisor of q - 1 = {q - 1}")
         log = log_table(fld, gen)
         self.class_of = np.where(log < 0, -1, log % k)
         antilog = np.empty(q - 1, dtype=np.int64)
@@ -136,21 +135,34 @@ def cyclotomic_number_quartic(i: int, j: int, dec: QuarticDecomposition, q: int)
     return _exact_div(num, 16, f"(i={i}, j={j})_4")
 
 
-def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData) -> int:
-    """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1.
+def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
+    """The A_l from the d x d cyclotomic numbers cyc[i][j] = (i, j)_d, with -1 in C_h.
 
-    The count is the value at 1 (encoding 1) of 1_{C_{i_1}} * ... * 1_{C_{i_n}},
-    the additive convolution of the class indicator vectors, in exact integers.
-    """
+    A_l - I adds d summands over C_l (a x^4, a in C_l, for d = gcd(4, q - 1)) to the counts
+    (N(0), N(C_0), ..., N(C_(d-1))): N'(0) = N(0) + (q - 1) N(C_(l+h)), N'(C_j) = N(C_j) +
+    d [j = l] N(0) + d sum_k (l - j + h, k - j)_d N(C_k).  Pure in its arguments, so q and
+    the (i, j)_d may be ring elements; Python int entries keep products exact."""
+    d = len(cyc)
+    return np.array([[[1] + [(q - 1) * (k == (l + h) % d) for k in range(d)]]
+                     + [[d * (j == l)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
+                                          for k in range(d)] for j in range(d)]
+                     for l in range(d)], dtype=object)
+
+
+def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData) -> int:
+    """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1, read as
+    (B_(i_n) ... B_(i_1) e_0)[1] (1 lies in C_0), where B_l = (A_l - I)/k, exact, adds
+    one summand from C_l.  O(q) once, then n (k + 1)-square matrix-vector products."""
     if not indices:
         raise ValueError("at least one index required")
-    check_convolution_cost(fld, len(indices))
-    class_of = CyclotomicClasses(fld, gen, k).class_of
-    hist = None
+    if 36 * k * (k + 1) ** 2 > ORACLE_TABLE_BYTES_GUARD:  # a pointer and an int per entry
+        raise TooLargeError(f"{k} transfer matrices of order {k + 1} exceed the byte guard")
+    cyc = cyclotomic_matrix(k, fld, gen).tolist()
+    steps = _transfer_matrices(cyc, fld.q, (fld.q - 1) // 2 % k)
+    state = np.array([1] + [0] * k, dtype=object)
     for i in indices:
-        indicator = (class_of == i % k).astype(int).tolist()
-        hist = indicator if hist is None else _group_convolve(fld, hist, indicator)
-    return hist[1]
+        state = (steps[i % k] @ state - state) // k
+    return state[1]
 
 
 def cyclo_dim2(i1: int, i2: int, k: int, fld: Field, gen: GeneratorData) -> int:

@@ -20,13 +20,12 @@ roots by Newton's identities, which a Field computes once.
 
 Jobs that touch every element read whole-field tables over the encodings:
 `log_table` holds ind_g(x) for every x, built once per generator, and is
-what `index_of` and the cyclotomic classes read; `_group_convolve`, the one
-additive convolution over (F_q, +) that the oracle and the dimension-n
-cyclotomic numbers share, is one gather from the addition table and one exact
-integer matrix-vector product; `trace_table` holds Tr(x) mod p for every
-encoding.  These three kinds and the oracle's histogram of x^4 share one store
-(`_stored`) under one byte guard, and the oldest tables leave it first, whatever
-their kind.
+what `index_of` and the cyclotomic classes read; `_group_convolve`, the
+oracle's additive convolution over (F_q, +), is one gather from the addition
+table and one exact integer matrix-vector product; `trace_table` holds Tr(x)
+mod p for every encoding.  These three kinds and the oracle's histogram of x^4
+share one store (`_stored`) under one byte guard, and the oldest tables leave it
+first, whatever their kind.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ DEFAULT_FIELD_BOUND = 2**20
 # Bound on n*q^2, the work of n convolutions over (F_q, +).
 ORACLE_COST_GUARD = 10**9
 # Bound on the bytes of the q x q addition table (q <= 5792), on the n
-# histograms of n convolutions, and on the arrays the table store holds
-# together.
+# histograms of n convolutions, on the arrays the table store holds together,
+# and on the k transfer matrices of `cyclotomy.cyclo_dim_enum`.
 ORACLE_TABLE_BYTES_GUARD = 2**28
 
 

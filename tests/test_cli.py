@@ -474,24 +474,25 @@ class TestVerifyCommand:
 
     def test_builds_once_per_class(self, capsys, monkeypatch):
         # per field: gf_N for the series at c = 0 and at each g^l, which the relation
-        # reads too, count_M and its gf_M at each non-quartic g^l, count_small at each
-        # g^l and n <= 4, and quartic_class once per element
+        # reads too, count_M and its gf_M at each non-quartic g^l, _closed_small once
+        # per class l and n <= 4, and quartic_class once per element
         calls = {}
 
-        def counting_calls(module, name, field_of):
+        def counting_calls(module, name, q_of):
             original = getattr(module, name)
 
             def counted(*args):
-                key = (name, field_of(*args).q)
+                key = (name, q_of(*args))
                 calls[key] = calls.get(key, 0) + 1
                 return original(*args)
             monkeypatch.setattr(module, name, counted)
-        counting_calls(genfunc, "gf_N", lambda fld, *rest: fld)
-        counting_calls(genfunc, "gf_M", lambda fld, *rest: fld)
-        counting_calls(counting, "count_small", lambda c, n, dec, fld, gen: fld)
-        counting_calls(counting, "count_N", lambda c, *rest: c.field)
-        counting_calls(counting, "count_M", lambda y, *rest: y.field)
-        counting_calls(cli, "quartic_class", lambda x, gen: x.field)
+        counting_calls(genfunc, "gf_N", lambda fld, *rest: fld.q)
+        counting_calls(genfunc, "gf_M", lambda fld, *rest: fld.q)
+        counting_calls(counting, "_closed_small", lambda q, *rest: q)
+        counting_calls(counting, "count_small", lambda c, n, dec, fld, gen: fld.q)
+        counting_calls(counting, "count_N", lambda c, *rest: c.field.q)
+        counting_calls(counting, "count_M", lambda y, *rest: y.field.q)
+        counting_calls(cli, "quartic_class", lambda x, gen: x.field.q)
         code, out = run(capsys, "verify", "--nmax", "3", "--expsums")
         assert code == 0
         expected = {}
@@ -502,7 +503,7 @@ class TestVerifyCommand:
                              ("gf_M", q): d - 1, ("count_M", q): d - 1,
                              ("quartic_class", q): q - 1})
             if d == 4:
-                expected["count_small", q] = 4 * 3
+                expected["_closed_small", q] = 4 * 3
         assert calls == expected
 
     def test_split_off_takes_no_product_per_pair(self, capsys, monkeypatch):

@@ -66,8 +66,9 @@ class TestCyclotomicNumbers:
 
     def test_bad_order(self):
         fld = Field(7, 1)
-        with pytest.raises(BadOrderError):
-            CyclotomicClasses(fld, find_generator(fld), 4)
+        for k in (4, 0, -2):  # -2 divides 6, but a class order is positive
+            with pytest.raises(BadOrderError):
+                CyclotomicClasses(fld, find_generator(fld), k)
 
     def test_closed_form_matches_enumeration(self, field_1mod4):
         fd = field_1mod4
@@ -129,8 +130,10 @@ class TestDimensionN:
         assert cyclo_dim_enum([1, 1, 1], 4, fd.field, fd.gen) == 3
         assert cyclo_dim_enum([0, 0, 0, 0], 4, fd.field, fd.gen) == 12
 
-    @pytest.mark.parametrize("p, m, k", [(5, 1, 4), (3, 2, 4), (13, 1, 4), (13, 1, 2)],
-                             ids=["q=5", "q=9", "q=13", "q=13-k=2"])
+    @pytest.mark.parametrize("p, m, k", [(5, 1, 4), (3, 2, 4), (13, 1, 4), (13, 1, 2),
+                                         (7, 1, 2), (13, 1, 3), (13, 1, 6)],
+                             ids=["q=5", "q=9", "q=13", "q=13-k=2", "q=7-k=2", "q=13-k=3",
+                                  "q=13-k=6"])
     def test_matches_literal_enumeration(self, p, m, k):
         fd = field_data(p, m)
         for n in range(1, 5):
@@ -138,14 +141,22 @@ class TestDimensionN:
                 assert (cyclo_dim_enum(list(idx), k, fd.field, fd.gen)
                         == literal_cyclo_dim(idx, k, fd.gen)), (fd.q, k, idx)
 
-    def test_guard_before_addition_table(self, monkeypatch):
-        # the q x q table of q = 5801 would take 269 MB, past the byte guard
-        def refuse(fld):
-            raise RuntimeError(f"addition table built for q = {fld.q}")
+    def test_past_the_addition_table_guard(self, monkeypatch):
+        # the q x q table of q = 5801 would take 269 MB, past the oracle's byte
+        # guard; the transfer matrices read neither the table nor a convolution
+        def refuse(*args):
+            raise RuntimeError("addition table or convolution used")
         monkeypatch.setattr(field_module, "_addition_tables", refuse)
+        monkeypatch.setattr(field_module, "_group_convolve", refuse)
+        fld = Field(5801, 1)
+        gen = find_generator(fld)
+        assert cyclo_dim_enum([0, 1], 4, fld, gen) == cyclo_dim2(0, 1, 4, fld, gen)
+
+    def test_guard_before_transfer_matrices(self):
+        # k = 5800 would need k (k + 1)^2 = 2 * 10^11 matrix entries
         fld = Field(5801, 1)
         with pytest.raises(TooLargeError):
-            cyclo_dim_enum([0, 1], 4, fld, find_generator(fld))
+            cyclo_dim_enum([0], 5800, fld, find_generator(fld))
 
     def test_no_indices_rejected(self):
         fd = field_data(5, 1)

@@ -1,7 +1,7 @@
 """The generating functions' theorem for every q in a residue class, in exact
 symbolic arithmetic.
 
-The transfer matrices A_l of `counting._transfer_matrices` hold only q, the class
+The transfer matrices A_l of `cyclotomy._transfer_matrices` hold only q, the class
 h of -1 and the cyclotomic numbers (i, j)_d.  For d = 4 those are Gauss's
 letters A-E (Berndt, Evans & Williams, *Gauss and Jacobi Sums*, ch. 2), affine
 in (q, s, t) over 16; for d = 2 they are Gauss's f-odd table (0, 0) = (1, 0) =
@@ -28,7 +28,8 @@ fixes every n: 1..5 for d = 4, 1..3 for d = 2; the tests check 12.
 This proves the theorem at every q in the residue class, given two inputs that
 it does not prove: Gauss's tables, which `verify`'s `cyclotomic closed=enum`
 check and the order-2 test below tie to each field, and the transfer-matrix
-derivation of `counting`, which only the oracle tests check.
+derivation of `cyclotomy`, which only the oracle tests and the literal
+enumeration of `cyclo_dim_enum`'s numbers check.
 
 The diagonal numbers [i, ..., i]_4 of `cyclotomy._DIAG_COEFFS` (n = 2, 3, 4)
 follow from the closed forms: y -> g^i y^4 maps F_q* 4-to-1 onto C_i, so
@@ -36,6 +37,18 @@ follow from the closed forms: y -> g^i y^4 maps F_q* 4-to-1 onto C_i, so
 C_(-i), and inclusion-exclusion over the zero variables gives
 4^n [i]*n = sum_(k=1..n) (-1)^(n-k) C(n, k) N_k(C_(-i)).  For n = 2 that is
 Gauss's letter at (0, -i)_4.
+
+The same numbers come from the transfer matrices, as `cyclotomy.cyclo_dim_enum`
+computes them.  The state (N(0), N(C_0), ..., N(C_(d-1))) counts tuples by their
+sum, at 0 and at any one element of each class: multiplying by an element of C_0
+permutes each class and the tuples, so every element of a class has one count.
+A_l - I adds d summands that each range over C_l (the d roots x of a x^4 = u,
+for each u in C_l), so B_l = (A_l - I)/d adds one summand from C_l.  From e_0,
+the empty tuple, B_(i_n) ... B_(i_1) e_0 counts the tuples of C_(i_1) x ... x
+C_(i_n) by their sum, and [i_1, ..., i_n]_d is its entry at C_0, which holds 1.
+The tests check that product against all 24 rows of `_DIAG_COEFFS` over
+QQ[s, t], and against [i_1, i_2]_d = (i_2 - i_1, -i_1)_d from Gauss's tables
+for every pair, over QQ[s, t] and QQ[q].
 """
 
 from math import comb
@@ -45,11 +58,12 @@ import pytest
 from sympy import QQ
 from sympy.polys.rings import ring
 
-from diagquartic.counting import _closed_small, _transfer_matrices
+from diagquartic.counting import _closed_small
 from diagquartic.cyclotomy import (
     _DIAG_COEFFS,
     _DIAG_DIVISORS,
     _QUARTIC_LETTERS,
+    _transfer_matrices,
     cyclotomic_matrix,
 )
 from diagquartic.field import Field, find_generator
@@ -180,11 +194,42 @@ def test_diagonal_numbers_of_dimension_2_are_gauss_letters(r):
                                                         for i in range(4)]
 
 
+def dimension_number(r, indices):
+    """[i_1, ..., i_n]_d for q = r mod 8 as (B_(i_n) ... B_(i_1) e_0)[1], with
+    B_l = (A_l - I)/d from `symbolic`'s transfer matrices."""
+    steps = symbolic(r)[4]
+    d = len(steps)
+    state = np.array([1] + [0] * d, dtype=object)
+    for i in indices:
+        state = ((steps[i % d] - np.identity(d + 1, dtype=object)) // d) @ state
+    return state[1]
+
+
+def transfer_mismatches(table=_DIAG_COEFFS):
+    """(n, r, i) for each row whose [i]*n differs from the product of the B_i."""
+    return [(n, r, i) for (n, r, i), num in diagonal_numerators(table).items()
+            if num != _DIAG_DIVISORS[n] * dimension_number(r, [i] * n)]
+
+
+def test_the_transfer_matrices_give_the_diagonal_numbers():
+    assert transfer_mismatches() == []
+
+
+@pytest.mark.parametrize("r", [1, 5, 3, 7])
+def test_the_transfer_matrices_give_gauss_pairs(r):
+    gauss = gauss_order_2(Q2) if r % 4 == 3 else gauss_order_4(_QUARTIC_LETTERS, r)
+    pairs = [(i1, i2) for i1 in range(len(gauss)) for i2 in range(len(gauss))]
+    assert ([dimension_number(r, pair) for pair in pairs]
+            == [gauss[i2 - i1][-i1] for i1, i2 in pairs])
+
+
 def test_a_wrong_diagonal_row_fails():
     # the sign of the t^2 term flipped in [2, 2, 2]_4 for q = 5 mod 8
     rows = dict(_DIAG_COEFFS[3, 5])
     rows[2] = rows[2][:-1] + (-rows[2][-1],)
-    assert diagonal_mismatches({**_DIAG_COEFFS, (3, 5): rows}) == [(3, 5, 2)]
+    mutant = {**_DIAG_COEFFS, (3, 5): rows}
+    assert diagonal_mismatches(mutant) == [(3, 5, 2)]
+    assert transfer_mismatches(mutant) == [(3, 5, 2)]
 
 
 @pytest.mark.parametrize("p", [7, 11, 19, 23, 43])
