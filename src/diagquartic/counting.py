@@ -9,7 +9,8 @@ Four of the five routes, cross-checked by `verify` and the tests:
   as one permutation of the encodings and convolved as one gather from the
   addition table and one exact integer matrix-vector product (O(q^2) per variable),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
-* a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`).
+* a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`,
+  on the matrices A_l of `cyclotomy.transfer_matrices`).
 
 The fifth, exponential sums, is `expsums.reconstruct_N`.  The tests hold the
 oracle to a literal q^n enumeration.  `_closed_small` and `cyclotomy._transfer_matrices`
@@ -23,7 +24,7 @@ from math import gcd
 import numpy as np
 
 from . import genfunc
-from .cyclotomy import QuarticDecomposition, _transfer_matrices, cyclotomic_matrix
+from .cyclotomy import QuarticDecomposition, transfer_matrices
 from .errors import InvariantError, WrongResidueClassError, ZeroRHSError
 # The convolution primitive and its guards live in `field`.  They keep their
 # names here: the benchmark tracer (perfbench/tracer.py) binds
@@ -152,25 +153,17 @@ def count_N(c: Element, n: int, fld: Field, gen: GeneratorData,
     return genfunc.gf_N(fld, gen, dec, c).coefficient(n)
 
 
-def transfer_matrices(fld: Field, gen: GeneratorData) -> np.ndarray:
-    """A_0 .. A_(d-1), d = gcd(4, q - 1), as one d x (d+1) x (d+1) object array,
-    built by `_transfer_matrices` from the field's (i, j)_d in O(q)."""
-    d = len(gen.class_roots)
-    cyc = cyclotomic_matrix(d, fld, gen).tolist()
-    return _transfer_matrices(cyc, fld.q, (fld.q - 1) // 2 % d)
-
-
 def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
                         y: Element | None = None) -> int:
     """Zeros of x_1^4 + ... + x_(n-1)^4 + y x_n^4 = c (y = 1: N_n(c); c = 0: M_n(y)).
 
     The count is read off A_0^(n-1) A_(ind y) e_0, from the first column of
-    A_(ind y), with the A_l of `transfer_matrices`: O(q) once, then O(d^3 log n)
-    products."""
+    A_(ind y), with the A_l of `cyclotomy.transfer_matrices`, d = gcd(4, q - 1): O(q)
+    once, then O(d^3 log n) products."""
     check_field(fld, gen.g, c)
     if n < 1:
         raise ValueError("n must be positive")
-    steps = transfer_matrices(fld, gen)
+    steps = transfer_matrices(fld, gen, len(gen.class_roots))
     state = steps[0 if y is None else quartic_class(y, gen)][:, 0]
     power, n = steps[0], n - 1
     while n:

@@ -7,8 +7,8 @@ and Jacobi Sums*, 1998, ch. 2): the 16 numbers (i, j)_4 take five values A-E,
 laid out by rows i = 0..3 as ABCD, BDEE, CECE, DEEB for q = 1 mod 8 (f even)
 and ABCD, EEDB, AEAE, EDBE for q = 5 mod 8 (f odd).
 Dimension-n numbers [i_1, ..., i_n]_k come exactly from the class transfer matrices
-A_l (`_transfer_matrices`, which `counting` also reads), by reduction to ordinary
-cyclotomic numbers, and (for equal indices, k = 4) in closed form.
+A_l (`transfer_matrices`, which `counting.count_via_cyclotomy` also reads), by
+reduction to ordinary cyclotomic numbers, and (for equal indices, k = 4) in closed form.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ class CyclotomicClasses:
 def cyclotomic_matrix(k: int, fld: Field, gen: GeneratorData) -> np.ndarray:
     """All (i, j)_k = #{x in C_i : 1 + x in C_j} as a k x k int array, by one
     count over the pairs (x, 1 + x)."""
+    if 8 * k * k > ORACLE_TABLE_BYTES_GUARD:
+        raise TooLargeError(f"the {k} x {k} cyclotomic numbers exceed the byte guard")
     class_of = CyclotomicClasses(fld, gen, k).class_of
     xs = np.arange(1, fld.q)
     low = xs % fld.p  # adding 1 raises the lowest base-p digit by one mod p
@@ -149,16 +151,22 @@ def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
                      for l in range(d)], dtype=object)
 
 
+def transfer_matrices(fld: Field, gen: GeneratorData, k: int) -> np.ndarray:
+    """A_0 .. A_(k-1) as one k x (k+1) x (k+1) object array, built by
+    `_transfer_matrices` from the field's (i, j)_k in O(q)."""
+    if 36 * k * (k + 1) ** 2 > ORACLE_TABLE_BYTES_GUARD:  # a pointer and an int per entry
+        raise TooLargeError(f"{k} transfer matrices of order {k + 1} exceed the byte guard")
+    cyc = cyclotomic_matrix(k, fld, gen).tolist()
+    return _transfer_matrices(cyc, fld.q, (fld.q - 1) // 2 % k)
+
+
 def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData) -> int:
     """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1, read as
     (B_(i_n) ... B_(i_1) e_0)[1] (1 lies in C_0), where B_l = (A_l - I)/k, exact, adds
     one summand from C_l.  O(q) once, then n (k + 1)-square matrix-vector products."""
     if not indices:
         raise ValueError("at least one index required")
-    if 36 * k * (k + 1) ** 2 > ORACLE_TABLE_BYTES_GUARD:  # a pointer and an int per entry
-        raise TooLargeError(f"{k} transfer matrices of order {k + 1} exceed the byte guard")
-    cyc = cyclotomic_matrix(k, fld, gen).tolist()
-    steps = _transfer_matrices(cyc, fld.q, (fld.q - 1) // 2 % k)
+    steps = transfer_matrices(fld, gen, k)
     state = np.array([1] + [0] * k, dtype=object)
     for i in indices:
         state = (steps[i % k] @ state - state) // k

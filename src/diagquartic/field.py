@@ -4,12 +4,12 @@ Elements are coefficient vectors over Z/p in the basis 1, x, ..., x^{m-1}.
 Every element has a canonical integer encoding sum(c_i * p^i), a bijection
 onto [0, q-1], used in all I/O.
 
-One kernel does the arithmetic: `_mulmod`, the product of two length-m
-coefficient tuples mod the monic modulus f.  `Element` products call it; `_powmod`,
-the package's one square-and-multiply loop, runs it for powers and for
-`is_irreducible` (Rabin's test in the ring F_p[x]/(f) itself), `_gmul` in F_p[i]
-and genfunc's product mod a reversed denominator, each with its ring as one
-argument.  Residues mod p keep the builtin `pow`.
+One product serves two rings: `_mulmod`, two length-m coefficient vectors times
+each other mod a monic f, over F_p (f the modulus) or over Z (genfunc's reversed
+denominator).  `Element` products call it; `_powmod`, the package's one
+square-and-multiply loop, runs it for powers, for `is_irreducible` (Rabin's test in
+F_p[x]/(f) itself) and for genfunc's x^h mod P, and runs `_gmul` in F_p[i], each
+with its ring as one argument.  Residues mod p keep the builtin `pow`.
 
 `quartic_class` gives ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion through
 the norm N_e to F_(p^e), e = 1 if d | p-1 and 2 otherwise: x^((q-1)/d) =
@@ -51,7 +51,7 @@ DEFAULT_FIELD_BOUND = 2**20
 ORACLE_COST_GUARD = 10**9
 # Bound on the bytes of the q x q addition table (q <= 5792), on the n
 # histograms of n convolutions, on the arrays the table store holds together,
-# and on the k transfer matrices of `cyclotomy.cyclo_dim_enum`.
+# and on the k x k cyclotomic numbers and k transfer matrices of `cyclotomy`.
 ORACLE_TABLE_BYTES_GUARD = 2**28
 
 
@@ -74,26 +74,37 @@ def factorize(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The field kernel: products in F_p[x]/(f) on length-m coefficient tuples,
-# constant term first, f monic of degree m.
+# The product kernel: length-m coefficient vectors, constant term first, times
+# each other mod a monic f of degree m, over F_p or (p = 0) over Z.
 # ---------------------------------------------------------------------------
 
-def _mulmod(a: tuple[int, ...], b: tuple[int, ...],
-            ring: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
-    """a*b mod (f, p) = ring: the schoolbook product, reduced from the top term down."""
+def _mulmod(a, b, ring: tuple[tuple[int, ...], int]):
+    """a*b mod (f, p) = ring, f monic with its constant term first, p the
+    characteristic (a tuple of residues back) or 0 for exact integers (a list back):
+    the schoolbook product over the nonzero digits of b, a square (b is a) taking
+    each cross term once, reduced from the top term down."""
     f, p = ring
     m = len(a)
     prod = [0] * (2 * m - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                prod[j] += ai * bj
+    if a is b:
+        for i, ai in enumerate(a):
+            if ai:
+                prod[2 * i] += ai * ai
+                ai += ai  # a_i a_j, i < j, stands for itself and a_j a_i
+                for j in range(i + 1, m):
+                    prod[i + j] += ai * a[j]
+    else:
+        for j, bj in enumerate(b):
+            if bj:
+                for i, ai in enumerate(a, j):
+                    prod[i] += ai * bj
+    low = f[:m]
     for k in range(2 * m - 2, m - 1, -1):
-        lead = prod[k] % p
+        lead = prod[k] % p if p else prod[k]
         if lead:
-            for j, fc in enumerate(f[:m], k - m):
+            for j, fc in enumerate(low, k - m):
                 prod[j] -= lead * fc
-    return tuple([c % p for c in prod[:m]])
+    return tuple([c % p for c in prod[:m]]) if p else prod[:m]
 
 
 def _powmod(a, n: int, mul, ring):

@@ -7,7 +7,8 @@ all n coefficients.  `coefficient(n)` reads one in one of three regimes, all in
 exact integers: a part with a one-tap denominator 1 + d x^k (the geometric
 x/(1 - qx), and the q = 3 mod 4 correction 1 + qx^2) is one power; below
 SERIES_BELOW, the measured crossover, it reads the series; from there it takes
-Fiduccia's method, x^h mod P by `_powmod` in O(log n) products, then a Hankel form.
+Fiduccia's method: x^h mod P, P the monic reversed denominator, by `_powmod` in
+O(log n) products of `field._mulmod` over Z, then a Hankel form.
 `gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None, and take
 their other part from `_class_part`, pure in q, s, t and r = q mod 8.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .cyclotomy import QuarticDecomposition, quartic_decomposition
 from .errors import BadDenominatorError, QuarticYError
-from .field import Element, Field, GeneratorData, _powmod, check_field, quartic_class
+from .field import Element, Field, GeneratorData, _mulmod, _powmod, check_field, quartic_class
 
 __all__ = [
     "RationalPart", "RationalGF", "gf_N", "gf_M",
@@ -76,33 +77,9 @@ class RationalPart:
             return self.series(n)[n - 1]
         h, b = divmod(n - s, 2)
         x = ([0, 1] + [0] * k)[:k]  # x mod P: k = 1 is one tap, and mod 1 all is 0
-        r = _powmod(x, h, _mul_mod_den, self.den)
+        r = _powmod(x, h, _mulmod, (self.den[::-1], 0))
         initial = self.series(s + b + 2 * k - 2)[s + b - 1:]
         return sum(ri * sum(rj * c for rj, c in zip(r, initial[i:])) for i, ri in enumerate(r))
-
-
-def _mul_mod_den(a: list[int], b: list[int], den: tuple[int, ...]) -> list[int]:
-    """a*b modulo x^k + den[1] x^(k-1) + ... + den[k], on k ascending coefficients,
-    reduced with x^i = -sum_j den[j] x^(i-j) from the top term down; a square (b is
-    a) takes each cross term a_i a_j, i < j, once."""
-    k = len(den) - 1
-    prod = [0] * (2 * k - 1)
-    if a is b:
-        for i, ai in enumerate(a):
-            prod[2 * i] += ai * ai
-            for j in range(i + 1, k):
-                prod[i + j] += 2 * ai * a[j]
-    else:
-        for j, bj in enumerate(b):
-            if bj:
-                for i, ai in enumerate(a, j):
-                    prod[i] += ai * bj
-    for i in range(2 * k - 2, k - 1, -1):
-        top = prod[i]
-        if top:
-            for j in range(1, k + 1):
-                prod[i - j] -= top * den[j]
-    return prod[:k]
 
 
 @dataclass(frozen=True)

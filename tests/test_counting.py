@@ -20,9 +20,8 @@ from diagquartic.counting import (
     oracle_histogram,
     oracle_histograms,
     power_profile,
-    transfer_matrices,
 )
-from diagquartic.cyclotomy import quartic_decomposition
+from diagquartic.cyclotomy import quartic_decomposition, transfer_matrices
 from diagquartic.errors import (
     FieldMismatchError,
     InvariantError,
@@ -158,6 +157,16 @@ class TestOracle:
                          for loop in ast.walk(fn) if isinstance(loop, (ast.For, ast.comprehension))
                          for call in ast.walk(loop.iter))]
         assert found == ["field._powmod"]
+
+    def test_package_has_two_product_kernels(self):
+        # every `_powmod` call passes `_mulmod` (F_p[x]/(f) and Z[x]/(P)) or `_gmul`
+        # (F_p[i]) as its product, so a third product kernel fails here
+        src = Path(__file__).resolve().parents[1] / "src" / "diagquartic"
+        calls = [(f"{path.stem}:{call.lineno}", getattr(call.args[2], "id", None))
+                 for path in sorted(src.glob("*.py"))
+                 for call in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_powmod"]
+        assert calls and all(mul in ("_mulmod", "_gmul") for _, mul in calls), calls
 
     def test_package_has_no_unused_private_name(self):
         # every private module-level function, class or constant is named somewhere
@@ -352,7 +361,7 @@ class TestCyclotomicRoute:
         den = (genfunc.denominator(q, quartic_decomposition(fld, gen).s) if q % 4 == 1
                else (1, 0, q))
         expected = [a - q * b for a, b in zip(den + (0,), (0,) + den)]
-        for l, step in enumerate(transfer_matrices(fld, gen)):
+        for l, step in enumerate(transfer_matrices(fld, gen, len(gen.class_roots))):
             # det(t I - A) = t^(d+1) + c_1 t^d + ... read high to low is det(I - x A)
             # read low to high
             assert sympy.Matrix(step.tolist()).charpoly().all_coeffs() == expected, (q, l)
@@ -364,7 +373,7 @@ class TestCyclotomicRoute:
         # = c at c = 0 and at every c of each class C_j, for every class vector
         # (l_1, ..., l_n) of length 2 and 3
         fd = field_data(p, m)
-        steps = transfer_matrices(fd.field, fd.gen)
+        steps = transfer_matrices(fd.field, fd.gen, len(fd.gen.class_roots))
         d = len(steps)
         cls = [None] + [quartic_class(fd.field.from_int(code), fd.gen)
                         for code in range(1, fd.q)]

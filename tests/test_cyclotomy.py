@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from diagquartic import cyclotomy as cyclotomy_module
 from diagquartic import field as field_module
 from diagquartic.cyclotomy import (
     CyclotomicClasses,
@@ -251,3 +252,25 @@ class TestCyclotomicMatrix:
                     if one + x in class_of:
                         literal[i][class_of[one + x]] += 1
             assert cyclotomic_matrix(k, fd.field, fd.gen).tolist() == literal, (fd.q, k)
+
+    @pytest.mark.parametrize("call", [
+        lambda k, fld, gen: cyclotomic_number_enum(0, 1, k, fld, gen),
+        lambda k, fld, gen: cyclo_dim2(0, 1, k, fld, gen),
+        lambda k, fld, gen: cyclo_dim3(0, 1, 2, k, fld, gen),
+        lambda k, fld, gen: cyclo_dim4(0, 1, 2, 3, k, fld, gen),
+    ], ids=["enum", "dim2", "dim3", "dim4"])
+    def test_order_guard(self, call):
+        # k = 65536 would take a k x k table of 32 GiB; the guard refuses it before
+        # the classes are built
+        fld = Field(65537, 1)
+        with pytest.raises(TooLargeError):
+            call(65536, fld, find_generator(fld))
+
+    def test_order_guard_boundary(self, monkeypatch):
+        # k = 12 on F_13: the k x k table takes 8 k^2 = 1152 bytes
+        fd = field_data(13, 1)
+        monkeypatch.setattr(cyclotomy_module, "ORACLE_TABLE_BYTES_GUARD", 1152)
+        assert cyclotomic_matrix(12, fd.field, fd.gen).shape == (12, 12)
+        monkeypatch.setattr(cyclotomy_module, "ORACLE_TABLE_BYTES_GUARD", 1151)
+        with pytest.raises(TooLargeError):
+            cyclotomic_matrix(12, fd.field, fd.gen)

@@ -245,7 +245,13 @@ class TestPowmod:
         for code in (p, fld.q // 3, fld.q - 2):
             a = chain = fld.from_int(code).coeffs
             for n in range(1, 65):
-                assert _powmod(a, n, _mulmod, fld._ring) == chain, (code, n)
+                power = _powmod(a, n, _mulmod, fld._ring)
+                assert power == chain, (code, n)
+                # a square (one object) equals the general product of an equal but
+                # distinct tuple
+                twin = tuple(list(power))
+                assert twin is not power
+                assert _mulmod(power, power, fld._ring) == _mulmod(power, twin, fld._ring)
                 chain = literal_product(chain, a, fld.modulus, p)
 
     @pytest.mark.parametrize("p", [7, 1019])

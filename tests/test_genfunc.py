@@ -1,18 +1,19 @@
 """Rational generating functions, series expansion and the recurrence."""
 
+import random
+
 import pytest
 
 from diagquartic.counting import count_M, count_N
 from diagquartic.cyclotomy import quartic_decomposition
 from diagquartic.errors import BadDenominatorError, QuarticYError
 from diagquartic.expsums import build_table
-from diagquartic.field import Field, _powmod, find_generator, quartic_class
+from diagquartic.field import Field, _mulmod, _powmod, find_generator, quartic_class
 from diagquartic.genfunc import (
     SERIES_BELOW,
     RationalGF,
     RationalPart,
     _class_part,
-    _mul_mod_den,
     denominator,
     gf_M,
     gf_N,
@@ -44,8 +45,9 @@ class TestRationalPart:
 
 
 class TestPowmodModDenominator:
-    """`_powmod` with `_mul_mod_den` in Z[x] mod P, P = x^k + den[1] x^(k-1) + ...
-    + den[k], against a literal chain: the schoolbook product, then long division."""
+    """`_powmod` with `_mulmod` in Z[x] mod P, P = x^k + den[1] x^(k-1) + ... + den[k]
+    (the ring (den[::-1], 0)), against a literal chain: the schoolbook product, then
+    long division."""
 
     @staticmethod
     def _times(a, b, den):
@@ -60,18 +62,33 @@ class TestPowmodModDenominator:
                 prod[len(prod) - j] -= top * den[j]
         return prod
 
+    def _check_chain(self, a, den, count=64):
+        ring = (den[::-1], 0)
+        chain = a
+        for n in range(1, count + 1):
+            power = _powmod(a, n, _mulmod, ring)
+            assert power == chain, (a, den, n)
+            # two equal but distinct lists take the general product
+            assert _mulmod(power, list(power), ring) == _mulmod(power, power, ring)
+            chain = self._times(chain, a, den)
+
     @pytest.mark.parametrize("den", [denominator(13, -3), denominator(49, -7), (1, 0, 7)],
                              ids=["q=13", "q=49", "q=7"])
     def test_matches_a_literal_chain(self, den):
         k = len(den) - 1
         for a in ([0, 1] + [0] * (k - 2), [2, -1, 3, 5][:k]):
-            chain = a
-            for n in range(1, 65):
-                power = _powmod(a, n, _mul_mod_den, den)
-                assert power == chain, (a, n)
-                # two equal but distinct lists take the general product
-                assert _mul_mod_den(power, list(power), den) == _mul_mod_den(power, power, den)
-                chain = self._times(chain, a, den)
+            self._check_chain(a, den)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_random_denominators_with_zero_taps(self, k):
+        # like the gf parts, whose den[1] is 0, some taps vanish
+        rng = random.Random(k)
+        for _ in range(4):
+            den = (1,) + tuple(rng.randint(-50, 50) if rng.random() < 0.6 else 0
+                               for _ in range(k))
+            a = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(k)]
+            self._check_chain(a, den, 32)
+            self._check_chain(([0, 1] + [0] * k)[:k], den, 32)
 
 
 class TestCoefficient:
