@@ -9,6 +9,8 @@ and ABCD, EEDB, AEAE, EDBE for q = 5 mod 8 (f odd).
 Dimension-n numbers [i_1, ..., i_n]_k come exactly from the class transfer matrices
 A_l (`transfer_matrices`, which `counting.count_via_cyclotomy` also reads), by
 reduction to ordinary cyclotomic numbers, and (for equal indices, k = 4) in closed form.
+The (i, j)_k and the A_l are built once per (g, k) and kept, read-only, in
+`field._stored` (kinds "cyclo" and "transfer"), under its byte guard.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .field import (
     ORACLE_TABLE_BYTES_GUARD,
     Field,
     GeneratorData,
+    _stored,
     check_field,
     log_table,
     prime_subfield_residue,
@@ -89,10 +92,15 @@ class CyclotomicClasses:
 
 
 def cyclotomic_matrix(k: int, fld: Field, gen: GeneratorData) -> np.ndarray:
-    """All (i, j)_k = #{x in C_i : 1 + x in C_j} as a k x k int array, by one
-    count over the pairs (x, 1 + x)."""
+    """All (i, j)_k = #{x in C_i : 1 + x in C_j} as a read-only k x k int array,
+    by one count over the pairs (x, 1 + x), stored per (g, k)."""
     if 8 * k * k > ORACLE_TABLE_BYTES_GUARD:
         raise TooLargeError(f"the {k} x {k} cyclotomic numbers exceed the byte guard")
+    check_field(fld, gen.g)
+    return _stored(("cyclo", gen.g, k), lambda: _count_pairs(k, fld, gen))
+
+
+def _count_pairs(k: int, fld: Field, gen: GeneratorData) -> np.ndarray:
     class_of = CyclotomicClasses(fld, gen, k).class_of
     xs = np.arange(1, fld.q)
     low = xs % fld.p  # adding 1 raises the lowest base-p digit by one mod p
@@ -152,12 +160,13 @@ def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
 
 
 def transfer_matrices(fld: Field, gen: GeneratorData, k: int) -> np.ndarray:
-    """A_0 .. A_(k-1) as one k x (k+1) x (k+1) object array, built by
-    `_transfer_matrices` from the field's (i, j)_k in O(q)."""
+    """A_0 .. A_(k-1) as one read-only k x (k+1) x (k+1) object array, built by
+    `_transfer_matrices` from the field's (i, j)_k in O(q) and stored per (g, k)."""
     if 36 * k * (k + 1) ** 2 > ORACLE_TABLE_BYTES_GUARD:  # a pointer and an int per entry
         raise TooLargeError(f"{k} transfer matrices of order {k + 1} exceed the byte guard")
-    cyc = cyclotomic_matrix(k, fld, gen).tolist()
-    return _transfer_matrices(cyc, fld.q, (fld.q - 1) // 2 % k)
+    check_field(fld, gen.g)
+    return _stored(("transfer", gen.g, k), lambda: _transfer_matrices(
+        cyclotomic_matrix(k, fld, gen).tolist(), fld.q, (fld.q - 1) // 2 % k))
 
 
 def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData) -> int:
@@ -190,22 +199,26 @@ def cyclo_dim3(i1: int, i2: int, i3: int, k: int, fld: Field, gen: GeneratorData
 
 def cyclo_dim4(i1: int, i2: int, i3: int, i4: int, k: int, fld: Field,
                gen: GeneratorData) -> int:
-    """Dimension-4 reduction: boundary terms plus a double sum of triples."""
+    """Dimension-4 reduction: boundary terms plus a double sum of triples,
+    sum over v1, v2 of (v2 - v1, -v1)_k u[v1] w[v2] with u[v1] = (i2 - i1, v1 - i1)_k
+    and w[v2] = (i4 - i3, v2 - i3)_k, one gather of a column of the matrix and one
+    dot with w per v1, in O(k) memory.  int64 is exact: a row or a column of the
+    (i, j)_k sums to at most f = (q - 1)/k, so each inner dot is at most f^2 and the
+    total at most f^3 < 2^60 (q <= 2^20)."""
     f, half = (fld.q - 1) // k, (fld.q - 1) // 2
-    a = cyclotomic_matrix(k, fld, gen).tolist()  # Python ints: the sums stay exact
+    a = cyclotomic_matrix(k, fld, gen)
     first_pair_neg = (i2 - i1 - half) % k == 0
     second_pair_neg = (i4 - i3 - half) % k == 0
     gamma = 0
     if second_pair_neg:
-        gamma += a[(i2 - i1) % k][-i1 % k] * f
+        gamma += int(a[(i2 - i1) % k, -i1 % k]) * f
     if first_pair_neg:
-        gamma += a[(i4 - i3) % k][-i3 % k] * f
-    total = sum(
-        a[(v2 - v1) % k][-v1 % k]
-        * a[(i2 - i1) % k][(v1 - i1) % k]
-        * a[(i4 - i3) % k][(v2 - i3) % k]
-        for v1 in range(k) for v2 in range(k))
-    return gamma + total
+        gamma += int(a[(i4 - i3) % k, -i3 % k]) * f
+    vs = np.arange(k)
+    u = a[(i2 - i1) % k, (vs - i1) % k]
+    w = a[(i4 - i3) % k, (vs - i3) % k]
+    inner = np.array([a[(vs - v1) % k, -v1 % k] @ w for v1 in range(k)], dtype=np.int64)
+    return gamma + int(u @ inner)
 
 
 # Closed forms for the diagonal entries [i, ..., i]_4, keyed by q mod 8 then i.

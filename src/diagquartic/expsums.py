@@ -8,7 +8,9 @@ because the sums grow with sqrt(q) per factor.
 `build_table` reads psi(x) = exp(2 pi i Tr(x)/p) off `field.trace_table` and
 sums it over the encodings of each class, which `CyclotomicClasses` reads off
 `field.log_table`: the four Gauss periods eta_l = sum over w in C_l of psi(w)
-give both T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.
+give both T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.  The periods
+are summed once per generator and kept, read-only, in `field._stored` (kind
+"periods").
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition
 from .errors import NotNearIntegerError, ResidualTooLargeError, WrongResidueClassError
-from .field import Element, Field, GeneratorData, quartic_class, trace_table
+from .field import (Element, Field, GeneratorData, _stored, check_field, quartic_class,
+                    trace_table)
 from .genfunc import denominator
 
 POLY_RESIDUAL_TOL = 1e-6
@@ -43,10 +46,15 @@ def build_table(fld: Field, gen: GeneratorData) -> GaussSumTable:
     """
     if fld.q % 4 != 1:
         raise WrongResidueClassError(f"q = {fld.q} is not 1 mod 4")
-    psi = np.exp(2j * np.pi * trace_table(fld) / fld.p)
-    eta = tuple(complex(psi[cls].sum()) for cls in CyclotomicClasses(fld, gen, 4).classes)
+    check_field(fld, gen.g)
+    eta = tuple(complex(e) for e in _stored(("periods", gen.g), lambda: _periods(fld, gen)))
     T = tuple(1 + 4 * e for e in eta)
     return GaussSumTable(field=fld, gen=gen, T=T, eta=eta)
+
+
+def _periods(fld: Field, gen: GeneratorData) -> np.ndarray:
+    psi = np.exp(2j * np.pi * trace_table(fld) / fld.p)
+    return np.array([psi[cls].sum() for cls in CyclotomicClasses(fld, gen, 4).classes])
 
 
 def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition) -> list[float]:

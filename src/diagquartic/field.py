@@ -23,14 +23,17 @@ Jobs that touch every element read whole-field tables over the encodings:
 what `index_of` and the cyclotomic classes read; `_group_convolve`, the
 oracle's additive convolution over (F_q, +), is one gather from the addition
 table and one exact integer matrix-vector product; `trace_table` holds Tr(x)
-mod p for every encoding.  These three kinds and the oracle's histogram of x^4
-share one store (`_stored`) under one byte guard, and the oldest tables leave it
-first, whatever their kind.
+mod p for every encoding.  These three kinds, the oracle's histogram of x^4, and
+the tables `cyclotomy` and `expsums` build once per generator (the (i, j)_k, the
+transfer matrices A_l, the Gauss periods) share one store (`_stored`) under one byte
+guard; the oldest tables leave it first, whatever their kind, and STORE_COUNTS counts
+each kind's hits, builds and evictions.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 
@@ -507,22 +510,31 @@ def _times_matrix(a: Element) -> np.ndarray:
                     dtype=np.int64)
 
 
-# ("add" | "trace" | "power", fld) or ("log", g) -> table, oldest first
+# ("add" | "trace" | "power", fld), ("log" | "periods", g) or ("cyclo" | "transfer",
+# g, k) -> table, oldest first
 _TABLES: dict[tuple, np.ndarray] = {}
+# (kind, "hits" | "builds" | "evictions") -> count over the process's life, kind = key[0]
+STORE_COUNTS: Counter[tuple[str, str]] = Counter()
 
 
 def _stored(key: tuple, build) -> np.ndarray:
     """_TABLES[key], built as build() on a miss and made read-only.  Once the
     stored arrays exceed ORACLE_TABLE_BYTES_GUARD bytes together, the oldest
-    tables go first, whatever their kind."""
+    tables go first, whatever their kind.  Each hit, build and eviction is
+    counted in STORE_COUNTS under its key's kind."""
     table = _TABLES.get(key)
-    if table is None:
-        table = build()
-        table.setflags(write=False)
-        _TABLES[key] = table
-        while (len(_TABLES) > 1
-               and sum(t.nbytes for t in _TABLES.values()) > ORACLE_TABLE_BYTES_GUARD):
-            del _TABLES[next(iter(_TABLES))]
+    if table is not None:
+        STORE_COUNTS[key[0], "hits"] += 1
+        return table
+    table = build()
+    table.setflags(write=False)
+    _TABLES[key] = table
+    STORE_COUNTS[key[0], "builds"] += 1
+    while (len(_TABLES) > 1
+           and sum(t.nbytes for t in _TABLES.values()) > ORACLE_TABLE_BYTES_GUARD):
+        oldest = next(iter(_TABLES))
+        STORE_COUNTS[oldest[0], "evictions"] += 1
+        del _TABLES[oldest]
     return table
 
 

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from diagquartic import cli
 from diagquartic.counting import oracle_histograms
 from diagquartic.cyclotomy import CyclotomicClasses, quartic_decomposition
 from diagquartic.field import Field, find_generator, trace
@@ -16,6 +17,13 @@ FIELDS_3MOD4 = [(7, 1), (11, 1), (19, 1), (23, 1), (3, 3)]
 ALL_FIELDS = FIELDS_1MOD4 + FIELDS_3MOD4
 
 NMAX = 8
+
+
+@pytest.fixture(autouse=True)
+def fresh_cli_builds():
+    """Each test starts with no Field or generator kept by earlier CLI calls, so
+    a test that patches `cli.Field` or `cli.find_generator` sees its patch."""
+    cli._field_and_generator.cache_clear()
 
 
 class FieldData:

@@ -8,12 +8,14 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diagquartic import cli, counting, expsums, genfunc
+from diagquartic import field as field_module
 from diagquartic.cli import build_parser, main
 from diagquartic.cyclotomy import QuarticDecomposition
 from diagquartic.errors import InvariantError, NotNearIntegerError
@@ -366,6 +368,63 @@ class TestDispatch:
         monkeypatch.setattr(cli, "cmd_count", wrapped)
         code, out = run(capsys, "count", "--p", "13", "--c", "1", "--n", "2")
         assert (code, json.loads(out)["count"], calls) == (0, "8", [2])
+
+
+def _without_seconds(out):
+    payload = json.loads(out)
+    payload.pop("seconds", None)
+    return payload
+
+
+def _hits_and_misses():
+    info = cli._field_and_generator.cache_info()
+    return info.hits, info.misses
+
+
+class TestBuildCache:
+    def test_second_call_builds_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
+        argv = ("count", "--p", "7", "--m", "2", "--c", "5", "--n", "4", "--all-methods")
+        code, first = run(capsys, *argv)
+        assert code == 0
+        counts = Counter(field_module.STORE_COUNTS)
+        assert all(counts[kind, "builds"] == 1 for kind in ("cyclo", "transfer", "periods"))
+        assert _hits_and_misses() == (0, 1)
+        code, second = run(capsys, *argv)
+        assert code == 0
+        assert _hits_and_misses() == (1, 1)
+        # the A_l and the Gauss periods are read once more, and no table of any kind is built
+        new = field_module.STORE_COUNTS - counts
+        assert (new["transfer", "hits"], new["periods", "hits"]) == (1, 1)
+        assert [key for key in new if key[1] != "hits"] == []
+        assert _without_seconds(second) == _without_seconds(first)
+
+    def test_overrides_get_their_own_entries(self, capsys, monkeypatch):
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        calls = [("count", "--p", "13", "--c", "5", "--n", "4", "--all-methods", *extra)
+                 for extra in [(), ("--generator", "6"), ("--modulus", "3,1")]]
+
+        def outputs():
+            return [_without_seconds(run(capsys, *argv)[1]) for argv in calls]
+        first = outputs()
+        assert _hits_and_misses() == (0, 3)
+        assert outputs() == first
+        assert _hits_and_misses() == (3, 3)
+        assert [key[1] for key in field_module._TABLES if key[0] == "transfer"] == [
+            cli._field_and_generator(13, 1, *override)[1].g
+            for override in [(None, None), (6, None), (None, (3, 1))]]
+        cli._field_and_generator.cache_clear()
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        assert outputs() == first
+        assert first[0]["count"] == "1888" and all(out["agree"] for out in first)
+
+    @pytest.mark.parametrize("argv", [("--p", "13", "--generator", "3"),
+                                      ("--p", "3", "--m", "2", "--modulus", "2,0,1")],
+                             ids=["generator", "modulus"])
+    def test_invalid_override_raises_on_every_call(self, capsys, argv):
+        assert [run(capsys, "field", *argv)[0] for _ in range(2)] == [2, 2]
+        assert cli._field_and_generator.cache_info().currsize == 0
 
 
 class TestInternalErrors:

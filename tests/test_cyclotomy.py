@@ -1,6 +1,7 @@
 """Cyclotomic numbers: (s, t), closed forms vs enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,26 @@ from diagquartic.errors import BadOrderError, NonIntegralError, TooLargeError, W
 from diagquartic.field import Field, find_generator
 
 from conftest import field_data, literal_classes, literal_cyclo_dim
+
+
+def literal_cyclo_dim4(i1, i2, i3, i4, k, fld, gen):
+    """The dimension-4 reduction with its double sum of triples as a loop over
+    (v1, v2) on Python ints."""
+    f, half = (fld.q - 1) // k, (fld.q - 1) // 2
+    a = cyclotomic_matrix(k, fld, gen).tolist()
+    first_pair_neg = (i2 - i1 - half) % k == 0
+    second_pair_neg = (i4 - i3 - half) % k == 0
+    gamma = 0
+    if second_pair_neg:
+        gamma += a[(i2 - i1) % k][-i1 % k] * f
+    if first_pair_neg:
+        gamma += a[(i4 - i3) % k][-i3 % k] * f
+    total = sum(
+        a[(v2 - v1) % k][-v1 % k]
+        * a[(i2 - i1) % k][(v1 - i1) % k]
+        * a[(i4 - i3) % k][(v2 - i3) % k]
+        for v1 in range(k) for v2 in range(k))
+    return gamma + total
 
 
 class TestQuarticDecomposition:
@@ -200,6 +221,20 @@ class TestDimensionN:
             for idx in [(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 1)]:
                 assert (cyclo_dim4(*idx, k, fd.field, fd.gen)
                         == cyclo_dim_enum(list(idx), k, fd.field, fd.gen))
+
+    @pytest.mark.parametrize("p, m", [(13, 1), (17, 1), (5, 2), (29, 1), (37, 1), (3, 4),
+                                      (7, 2), (61, 1)])
+    def test_dim4_contraction_matches_the_double_loop(self, p, m):
+        # the whole-array sum of triples against the k^2 loop over (v1, v2) on Python
+        # ints it replaced, on random index tuples at every k <= 12 dividing q - 1
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        rng = random.Random(p * m)
+        for k in [k for k in range(1, 13) if (fld.q - 1) % k == 0]:
+            for _ in range(12):
+                idx = [rng.randrange(-k, 2 * k) for _ in range(4)]
+                assert (cyclo_dim4(*idx, k, fld, gen)
+                        == literal_cyclo_dim4(*idx, k, fld, gen)), (fld.q, k, idx)
 
 
 class TestDiagonalClosedForms:

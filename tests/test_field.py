@@ -2,14 +2,16 @@
 
 import random
 import time
+from collections import Counter
 from math import gcd
 
 import numpy as np
 import pytest
 
 from diagquartic import field as field_module
-from diagquartic.cyclotomy import quartic_decomposition
+from diagquartic.cyclotomy import cyclotomic_matrix, quartic_decomposition, transfer_matrices
 from diagquartic.counting import count_M, count_N
+from diagquartic.expsums import build_table
 from diagquartic.errors import (
     FieldMismatchError,
     FieldTooLargeError,
@@ -697,6 +699,44 @@ class TestTableStore:
                           ("trace", 7), ("log", 9), ("trace", 9), ("log", 13),
                           ("trace", 13), ("add", 5)]
         assert all(not t.flags.writeable for t in field_module._TABLES.values())
+
+    def test_class_tables_share_the_budget_and_are_counted(self, monkeypatch):
+        # on F_13 and F_17 at k = 4: a log or trace table takes 8q bytes, the (i, j)_4
+        # 128, the four Gauss periods 64 and the A_l 4 * 5 * 5 pointers, 800 bytes
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 1000)
+        f13, f17 = Field(13, 1), Field(17, 1)
+        gens = {f13: find_generator(f13), f17: find_generator(f17)}
+        reads = {"cyclo": lambda fld: cyclotomic_matrix(4, fld, gens[fld]),
+                 "transfer": lambda fld: transfer_matrices(fld, gens[fld], 4),
+                 "periods": lambda fld: build_table(fld, gens[fld])}
+
+        def touch(kind, fld):
+            reads[kind](fld)
+            store = field_module._TABLES
+            assert sum(t.nbytes for t in store.values()) <= 1000
+            assert not any(t.flags.writeable for t in store.values())
+            return [(key[0], (key[1] if key[0] in ("trace", "power", "add")
+                              else key[1].field).q) for key in store]
+        touch("cyclo", f13)
+        assert touch("periods", f13) == [("log", 13), ("cyclo", 13), ("trace", 13),
+                                         ("periods", 13)]
+        # 1,200 bytes: the two oldest go, the log table and the (i, j)_4 it served
+        assert touch("transfer", f13) == [("trace", 13), ("periods", 13), ("transfer", 13)]
+        assert touch("cyclo", f17) == [("log", 17), ("cyclo", 17)]
+        # a hit neither builds nor moves its table
+        assert touch("cyclo", f17) == [("log", 17), ("cyclo", 17)]
+        assert field_module.STORE_COUNTS == {
+            ("log", "hits"): 1, ("log", "builds"): 2, ("log", "evictions"): 1,
+            ("cyclo", "hits"): 2, ("cyclo", "builds"): 2, ("cyclo", "evictions"): 1,
+            ("trace", "builds"): 1, ("trace", "evictions"): 1,
+            ("periods", "builds"): 1, ("periods", "evictions"): 1,
+            ("transfer", "builds"): 1, ("transfer", "evictions"): 1}
+        # the A_l rebuilt on F_13, with its (i, j)_4 and log table, evict three tables
+        assert touch("transfer", f13) == [("cyclo", 13), ("transfer", 13)]
+        with pytest.raises(ValueError):
+            transfer_matrices(f13, gens[f13], 4)[0, 0, 0] = 2
 
 
 class TestPrimeSubfieldResidue:
