@@ -19,9 +19,9 @@ Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
 MAX_SERIES_DIGITS, are refused up front.
-Calls in one process share one Field and generator per (p, m, --generator, --modulus),
-the last BUILD_CACHE_SIZE of them, and the per-generator tables of `field._stored`
-(the log table, the (i, j)_k, the A_l, the Gauss periods); (s, t) is found on every call.
+Calls in one process share one Field, generator and (s, t) per (p, m, --generator,
+--modulus), the last BUILD_CACHE_SIZE of them, and the per-generator tables of
+`field._stored` (the log table, the (i, j)_k, the A_l, the Gauss periods).
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
 3 internal error (`InvariantError`).
 """
@@ -64,17 +64,18 @@ DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
 MAX_COUNT_DIGITS = 100_000
 # Bound on the digits of n counts, about n^2 log10(q) / 2: 17.1 M at q = 5, n = 7,000.
 MAX_SERIES_DIGITS = 20_000_000
-# Bound on the (Field, generator) pairs the calls of one process keep for reuse.
+# Bound on the (Field, generator, (s, t)) builds the calls of one process keep for reuse.
 BUILD_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _field_and_generator(p: int, m: int, generator: int | None,
                          modulus: tuple[int, ...] | None):
-    """The Field and its generator, built once per (p, m, generator, modulus); an
-    invalid field, generator or modulus raises on every call (errors are not cached)."""
+    """The Field, its generator and (s, t) (None unless q = 1 mod 4), built once per
+    (p, m, generator, modulus); an error raises on every call (errors are not cached)."""
     fld = Field(p, m, modulus=modulus)
-    return fld, find_generator(fld, override=generator)
+    gen = find_generator(fld, override=generator)
+    return fld, gen, quartic_decomposition(fld, gen) if fld.q % 4 == 1 else None
 
 
 @dataclass
@@ -85,10 +86,8 @@ class RunConfig:
     modulus: list[int] | None = None
 
     def build(self):
-        fld, gen = _field_and_generator(self.p, self.m, self.generator,
-                                        tuple(self.modulus) if self.modulus else None)
-        dec = quartic_decomposition(fld, gen) if fld.q % 4 == 1 else None
-        return fld, gen, dec
+        return _field_and_generator(self.p, self.m, self.generator,
+                                    tuple(self.modulus) if self.modulus else None)
 
 
 def _field_payload(fld, gen, dec) -> dict:

@@ -159,13 +159,13 @@ def count_via_cyclotomy(c: Element, n: int, fld: Field, gen: GeneratorData,
 
     The count is read off A_0^(n-1) A_(ind y) e_0, from the first column of
     A_(ind y), with the A_l of `cyclotomy.transfer_matrices`, d = gcd(4, q - 1): O(q)
-    once, then O(d^3 log n) products."""
+    once, then O(d^3 log n) products, on Python ints: the counts pass 2^63."""
     check_field(fld, gen.g, c)
     if n < 1:
         raise ValueError("n must be positive")
     steps = transfer_matrices(fld, gen, len(gen.class_roots))
-    state = steps[0 if y is None else quartic_class(y, gen)][:, 0]
-    power, n = steps[0], n - 1
+    state = steps[0 if y is None else quartic_class(y, gen)][:, 0].astype(object)
+    power, n = steps[0].astype(object), n - 1
     while n:
         state = power @ state if n & 1 else state
         n >>= 1

@@ -29,7 +29,6 @@ from .field import (
     _stored,
     check_field,
     log_table,
-    prime_subfield_residue,
 )
 
 
@@ -37,9 +36,9 @@ from .field import (
 class QuarticDecomposition:
     """The normalized (s, t) with q = s^2 + 4t^2 and s = 1 mod 4.
 
-    For p = 1 mod 4 the sign of t is pinned by 2t = s*zeta mod p, where zeta
-    is the prime-field residue of g^(3(q-1)/4); for p = 3 mod 4 the pair is
-    ((-p)^(m/2), 0).  Both s and t therefore depend on the chosen generator
+    For p = 1 mod 4 the sign of t is pinned by 2t = s*zeta mod p, where zeta =
+    g^(3(q-1)/4) = class_roots[3] lies in F_p, encoded as its residue; for p = 3 mod 4
+    the pair is ((-p)^(m/2), 0).  Both s and t therefore depend on the chosen generator
     only through the sign of t.
     """
 
@@ -56,9 +55,9 @@ def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecompositio
         # m is even here, else q = 3 mod 4
         s = (-p) ** (m // 2)
         return QuarticDecomposition(s=s, t=0)
-    zeta = prime_subfield_residue(fld.from_int(gen.class_roots[3]))
-    if (zeta * zeta + 1) % p != 0:
-        raise InvariantError(f"zeta = {zeta} does not square to -1 mod {p}")
+    zeta = gen.class_roots[3]
+    if zeta >= p or (zeta * zeta + 1) % p != 0:
+        raise InvariantError(f"zeta = {zeta} is no square root of -1 in F_{p}")
     candidates = []
     for s in range(-isqrt(q), isqrt(q) + 1):
         if s % 4 != 1 or s % p == 0:
@@ -160,19 +159,19 @@ def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
 
 
 def transfer_matrices(fld: Field, gen: GeneratorData, k: int) -> np.ndarray:
-    """A_0 .. A_(k-1) as one read-only k x (k+1) x (k+1) object array, built by
-    `_transfer_matrices` from the field's (i, j)_k in O(q) and stored per (g, k)."""
-    if 36 * k * (k + 1) ** 2 > ORACLE_TABLE_BYTES_GUARD:  # a pointer and an int per entry
+    """A_0 .. A_(k-1) as one read-only k x (k+1) x (k+1) int64 array (entries <= q),
+    built by `_transfer_matrices` from the field's (i, j)_k in O(q) and stored per (g, k)."""
+    if 36 * k * (k + 1) ** 2 > ORACLE_TABLE_BYTES_GUARD:  # the build's pointer and int
         raise TooLargeError(f"{k} transfer matrices of order {k + 1} exceed the byte guard")
     check_field(fld, gen.g)
     return _stored(("transfer", gen.g, k), lambda: _transfer_matrices(
-        cyclotomic_matrix(k, fld, gen).tolist(), fld.q, (fld.q - 1) // 2 % k))
+        cyclotomic_matrix(k, fld, gen).tolist(), fld.q, (fld.q - 1) // 2 % k).astype(np.int64))
 
 
 def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData) -> int:
     """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1, read as
     (B_(i_n) ... B_(i_1) e_0)[1] (1 lies in C_0), where B_l = (A_l - I)/k, exact, adds
-    one summand from C_l.  O(q) once, then n (k + 1)-square matrix-vector products."""
+    one summand from C_l.  O(q) once, then n exact (k + 1)-square int64-by-object products."""
     if not indices:
         raise ValueError("at least one index required")
     steps = transfer_matrices(fld, gen, k)

@@ -21,10 +21,6 @@ class ZeroHasNoIndexError(DiagQuarticError):
     """Discrete log of 0 requested."""
 
 
-class NotInPrimeSubfieldError(DiagQuarticError):
-    """Element is not of the form c*1 for a prime-field residue c."""
-
-
 class BadOrderError(DiagQuarticError):
     """Cyclotomic order k does not divide q - 1."""
 

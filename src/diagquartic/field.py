@@ -6,7 +6,7 @@ onto [0, q-1], used in all I/O.
 
 One product serves two rings: `_mulmod`, two length-m coefficient vectors times
 each other mod a monic f, over F_p (f the modulus) or over Z (genfunc's reversed
-denominator).  `Element` products call it; `_powmod`, the package's one
+denominator).  `Element` products call it; `_powmod`, the field kernel's
 square-and-multiply loop, runs it for powers, for `is_irreducible` (Rabin's test in
 F_p[x]/(f) itself) and for genfunc's x^h mod P, and runs `_gmul` in F_p[i], each
 with its ring as one argument.  Residues mod p keep the builtin `pow`.
@@ -26,8 +26,8 @@ table and one exact integer matrix-vector product; `trace_table` holds Tr(x)
 mod p for every encoding.  These three kinds, the oracle's histogram of x^4, and
 the tables `cyclotomy` and `expsums` build once per generator (the (i, j)_k, the
 transfer matrices A_l, the Gauss periods) share one store (`_stored`) under one byte
-guard; the oldest tables leave it first, whatever their kind, and STORE_COUNTS counts
-each kind's hits, builds and evictions.
+guard that counts every byte (no dtype object); the oldest tables leave it first,
+whatever their kind, and STORE_COUNTS counts each kind's hits, builds and evictions.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -43,7 +44,6 @@ from .errors import (
     FieldMismatchError,
     FieldTooLargeError,
     InvariantError,
-    NotInPrimeSubfieldError,
     NotPrimeError,
     TooLargeError,
     ZeroHasNoIndexError,
@@ -192,9 +192,6 @@ class Field:
             traces.append(-(k * modulus[m - k] + sum(
                 modulus[m - j] * traces[k - j] for j in range(1, k))) % p)
         self._traces = tuple(traces)
-        # the factor f_2 of the modulus over F_p[i] per class roots (1, i, -1, -i),
-        # built by `quartic_class` on first use
-        self._norm_factors: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, m={self.m})"
@@ -299,6 +296,11 @@ class GeneratorData:
     @property
     def field(self) -> Field:
         return self.g.field
+
+    @cached_property
+    def norm_factor(self) -> list[tuple[int, int]]:
+        """The `_norm_factor` over F_p[i], i = class_roots[1], built on first read."""
+        return _norm_factor(self.field, self.class_roots)
 
 
 def multiplicative_order_is_full(x: Element, factors: dict[int, int]) -> bool:
@@ -429,7 +431,7 @@ def quartic_class(x: Element, gen: GeneratorData) -> int:
     2 otherwise (ibid., ch. 2).  For x = a(alpha), the norm N_e(x) = prod_(j < m/e)
     a(alpha^(p^(ej))) is Res(f_e, a) (ibid., ch. 1), f_e the factor of the modulus
     over F_(p^e) with those roots: the modulus for e = 1; for e = 2 `_norm_factor`
-    over F_p[i], i = class_roots[1], kept on the Field.  Euclid takes m/e divisions.
+    over F_p[i], i = class_roots[1], kept on the generator.  Euclid takes m/e divisions.
     """
     fld = x.field
     if gen.field != fld:
@@ -444,11 +446,9 @@ def quartic_class(x: Element, gen: GeneratorData) -> int:
         roots = gen.class_roots
         root = pow(_resultant(list(fld.modulus), a, p), (p - 1) // d, p)
     else:
-        factor = fld._norm_factors.get(gen.class_roots)
-        if factor is None:
-            factor = fld._norm_factors[gen.class_roots] = _norm_factor(fld, gen.class_roots)
         roots = ((1, 0), (0, 1), (p - 1, 0), (0, p - 1))  # i^k = class_roots[k]
-        root = _gpow(_resultant(list(factor), [(c, 0) for c in a], p), (p * p - 1) // d, p)
+        root = _gpow(_resultant(list(gen.norm_factor), [(c, 0) for c in a], p),
+                     (p * p - 1) // d, p)
     if root not in roots:
         raise InvariantError(f"x^((q-1)/{d}) = {root} is not among the class roots "
                              f"{gen.class_roots} of {gen.g!r}")
@@ -473,13 +473,6 @@ def trace(x: Element) -> int:
     """Tr(x) = x + x^p + ... + x^(p^(m-1)) as a residue mod p: Tr is F_p-linear, so
     it is sum c_k Tr(alpha^k) over the coefficients c_k of x."""
     return sum(map(mul, x.coeffs, x.field._traces)) % x.field.p
-
-
-def prime_subfield_residue(x: Element) -> int:
-    """The residue c with x = c*1, or NotInPrimeSubfieldError."""
-    if any(c != 0 for c in x.coeffs[1:]):
-        raise NotInPrimeSubfieldError(f"{x!r} has nonzero higher coefficients")
-    return x.coeffs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +520,8 @@ def _stored(key: tuple, build) -> np.ndarray:
         STORE_COUNTS[key[0], "hits"] += 1
         return table
     table = build()
+    if table.dtype == object:  # its nbytes would count the pointers, not the ints
+        raise InvariantError(f"a {key[0]} table of dtype object escapes the byte guard")
     table.setflags(write=False)
     _TABLES[key] = table
     STORE_COUNTS[key[0], "builds"] += 1

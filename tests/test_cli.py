@@ -426,6 +426,42 @@ class TestBuildCache:
         assert [run(capsys, "field", *argv)[0] for _ in range(2)] == [2, 2]
         assert cli._field_and_generator.cache_info().currsize == 0
 
+    def test_decomposition_found_once(self, capsys, monkeypatch):
+        calls, decompose = [], cli.quartic_decomposition
+
+        def counted(fld, gen):
+            calls.append(fld.q)
+            return decompose(fld, gen)
+        monkeypatch.setattr(cli, "quartic_decomposition", counted)
+        argv = ("count", "--p", "13", "--c", "5", "--n", "4")
+        first, second = (run(capsys, *argv) for _ in range(2))
+        assert first == second and json.loads(first[1])["count"] == "1888"
+        assert calls == [13]
+
+    def test_failed_decomposition_exits_3_on_every_call(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "quartic_decomposition", _injected_defect)
+        assert [run(capsys, "count", "--p", "13", "--c", "5", "--n", "4")[0]
+                for _ in range(2)] == [3, 3]
+        assert cli._field_and_generator.cache_info().currsize == 0
+
+    def test_break_t_leaves_the_cached_decomposition(self, capsys):
+        broken = json.loads(run(capsys, "verify", "--p", "13", "--break-t")[1])
+        sound = json.loads(run(capsys, "verify", "--p", "13")[1])
+        assert (broken["status"], sound["status"]) == ("FAIL", "pass")
+        assert (broken["fields"][0]["t"], sound["fields"][0]["t"]) == (0, -1)
+        assert _hits_and_misses() == (1, 1)
+
+    @pytest.mark.parametrize("field", [("--p", "13"), ("--p", "7", "--m", "2")],
+                             ids=["q=13", "q=49"])
+    def test_stored_tables_have_fixed_width(self, capsys, monkeypatch, field):
+        # an object array's nbytes counts pointers, so the byte guard would miss its ints
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        assert run(capsys, "count", *field, "--c", "5", "--n", "4", "--all-methods")[0] == 0
+        assert run(capsys, "verify", *field, "--expsums")[0] == 0
+        kinds = {key[0]: table.dtype for key, table in field_module._TABLES.items()}
+        assert {"add", "cyclo", "transfer", "periods"} <= set(kinds)
+        assert not any(dtype.hasobject for dtype in kinds.values()), kinds
+
 
 class TestInternalErrors:
     @pytest.mark.parametrize("command", ["field", "verify"])

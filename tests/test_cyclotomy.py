@@ -20,8 +20,9 @@ from diagquartic.cyclotomy import (
     cyclotomic_number_quartic,
     quartic_decomposition,
 )
-from diagquartic.errors import BadOrderError, NonIntegralError, TooLargeError, WrongResidueClassError
-from diagquartic.field import Field, find_generator
+from diagquartic.errors import (BadOrderError, InvariantError, NonIntegralError, TooLargeError,
+                                WrongResidueClassError)
+from diagquartic.field import Field, GeneratorData, find_generator
 
 from conftest import field_data, literal_classes, literal_cyclo_dim
 
@@ -68,6 +69,23 @@ class TestQuarticDecomposition:
         fld = Field(7, 1)
         with pytest.raises(WrongResidueClassError):
             quartic_decomposition(fld, find_generator(fld))
+
+    @pytest.mark.parametrize("p, m", [(5, 2), (13, 2), (5, 4)])
+    def test_zeta_outside_prime_field_raises(self, p, m):
+        # zeta + p encodes zeta + alpha, not in F_p, though its residue squares to -1
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        liar = GeneratorData(g=gen.g, class_roots=gen.class_roots[:3] + (gen.class_roots[3] + p,))
+        with pytest.raises(InvariantError):
+            quartic_decomposition(fld, liar)
+
+    @pytest.mark.parametrize("p", [5, 13, 29])
+    def test_zeta_not_a_square_root_of_minus_one_raises(self, p):
+        fld = Field(p, 1)
+        gen = find_generator(fld)
+        liar = GeneratorData(g=gen.g, class_roots=gen.class_roots[:3] + (1,))
+        with pytest.raises(InvariantError):
+            quartic_decomposition(fld, liar)
 
 
 # (i, j)_4 by enumeration and by Gauss's letter layout: the symmetry tests run on

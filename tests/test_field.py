@@ -16,7 +16,6 @@ from diagquartic.errors import (
     FieldMismatchError,
     FieldTooLargeError,
     InvariantError,
-    NotInPrimeSubfieldError,
     NotPrimeError,
     ZeroHasNoIndexError,
 )
@@ -32,7 +31,6 @@ from diagquartic.field import (
     is_irreducible,
     log_table,
     minimal_irreducible,
-    prime_subfield_residue,
     quartic_class,
     trace,
     trace_table,
@@ -396,7 +394,8 @@ class TestQuarticClass:
     @pytest.mark.parametrize("p, m", [(5, 8), (3, 12), (7, 7), (29, 4), (1021, 2)])
     def test_cost_per_call(self, monkeypatch, p, m):
         # no product in F_q per query; Euclid takes at most m/e divisions; the e = 2
-        # factor is built on the first query, not by Field(), and once per field
+        # factor is built on the first query, not by find_generator, and once per
+        # generator
         builds, divisions, products = [], [], []
         build, mulmod = field_module._norm_factor, field_module._mulmod
 
@@ -418,7 +417,7 @@ class TestQuarticClass:
         gen = find_generator(fld)
         d = gcd(4, fld.q - 1)
         e = 1 if (p - 1) % d == 0 else 2
-        assert fld._norm_factors == {}
+        assert builds == [] and "norm_factor" not in vars(gen)
         quartic_class(fld.from_int(fld.q // 7), gen)
         monkeypatch.setattr(field_module, "_mulmod", product)
         for rem in ("_rem_residues", "_rem_gaussian"):
@@ -431,7 +430,28 @@ class TestQuarticClass:
         assert 0 < most <= m // e
         assert products == []
         assert builds == ([gen.class_roots] if e == 2 else [])
-        assert list(fld._norm_factors) == builds
+        assert ("norm_factor" in vars(gen)) == (e == 2)
+
+    @pytest.mark.parametrize("p, m", [(3, 4), (7, 2)])
+    def test_each_generator_builds_its_own_factor(self, monkeypatch, p, m):
+        # e = 2 on one field: the default generator and its inverse, the override
+        # `--generator` would give, each build their factor once, and every class
+        # matches the log table of its generator
+        builds, build = [], field_module._norm_factor
+
+        def built(fld, class_roots):
+            builds.append(class_roots)
+            return build(fld, class_roots)
+        monkeypatch.setattr(field_module, "_norm_factor", built)
+        fld = Field(p, m)
+        default = find_generator(fld)
+        other = find_generator(fld, override=(default.g ** (fld.q - 2)).encode())
+        for _ in range(2):
+            for gen in (default, other):
+                classes = [quartic_class(fld.from_int(code), gen) for code in range(1, fld.q)]
+                assert classes == (log_table(fld, gen)[1:] % 4).tolist(), gen.g
+        assert builds == [default.class_roots, other.class_roots]
+        assert default.class_roots != other.class_roots
 
     @pytest.mark.parametrize("p, m", [(3, 12), (5, 8), (7, 7), (29, 4), (1021, 2)])
     def test_class_is_a_homomorphism(self, p, m):
@@ -702,7 +722,7 @@ class TestTableStore:
 
     def test_class_tables_share_the_budget_and_are_counted(self, monkeypatch):
         # on F_13 and F_17 at k = 4: a log or trace table takes 8q bytes, the (i, j)_4
-        # 128, the four Gauss periods 64 and the A_l 4 * 5 * 5 pointers, 800 bytes
+        # 128, the four Gauss periods 64 and the A_l 4 * 5 * 5 int64 entries, 800 bytes
         monkeypatch.setattr(field_module, "_TABLES", {})
         monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
         monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 1000)
@@ -738,19 +758,27 @@ class TestTableStore:
         with pytest.raises(ValueError):
             transfer_matrices(f13, gens[f13], 4)[0, 0, 0] = 2
 
+    def test_transfer_matrices_are_int64(self, monkeypatch):
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        f13 = Field(13, 1)
+        steps = transfer_matrices(f13, find_generator(f13), 4)
+        assert (steps.dtype, steps.nbytes) == (np.int64, 800)
 
-class TestPrimeSubfieldResidue:
-    def test_scalar(self):
-        f9 = Field(3, 2)
-        assert prime_subfield_residue(f9.from_int(2)) == 2
+    def test_object_tables_are_refused(self, monkeypatch):
+        # the byte guard reads nbytes, which counts an object array's pointers only
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
+        with pytest.raises(InvariantError):
+            field_module._stored(("transfer", "ints"), lambda: np.array([2**80], dtype=object))
+        assert field_module._TABLES == {} and field_module.STORE_COUNTS == {}
 
-    def test_non_scalar_raises(self):
-        f9 = Field(3, 2)
-        with pytest.raises(NotInPrimeSubfieldError):
-            prime_subfield_residue(f9.element([0, 1]))
 
-    def test_f25_fourth_root_of_unity(self):
-        f25 = Field(5, 2)
-        gen = find_generator(f25)
-        zeta = prime_subfield_residue(gen.g ** (3 * 24 // 4))
-        assert (zeta * zeta) % 5 == 4  # zeta^2 = -1 mod 5
+class TestClassRoots:
+    @pytest.mark.parametrize("p, m", [(5, 1), (13, 1), (5, 2), (13, 2), (5, 4), (29, 2)])
+    def test_fourth_root_of_unity_in_prime_field(self, p, m):
+        # p = 1 mod 4: zeta = g^(3(q-1)/4) lies in F_p, so its encoding is its residue
+        fld = Field(p, m)
+        gen = find_generator(fld)
+        zeta = gen.class_roots[3]
+        assert zeta == (gen.g ** (3 * (fld.q - 1) // 4)).encode()
+        assert zeta < p and (zeta * zeta + 1) % p == 0
