@@ -7,14 +7,14 @@ series below genfunc.SERIES_BELOW (the measured crossover) and by a Hankel form
 after O(log n) polynomial products from there.  `--all-methods` also runs every
 checking route that covers the count (cyclotomy on every count, the oracle within
 its guard), reports each route's value and seconds, and exits 1 unless they agree.
-`series` lists the first n coefficients.  `verify` builds one series and closed form
-per class of ind_g mod 4, and checks them at every c and y against one oracle pass per
-field (M_n(y) by splitting off x_n, one sum per coset -y C_0), with the denominator's
-recurrence at every c and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y) off the series. Each
-check yields rows, its inputs and each method's value there: the four checks of N and M
-build exact (dtype object) arrays over (c or y, n) and yield a row only where they
-differ.  One runner times each check and files its first row, in row-major order, as
-JSON in its detail; with the `fields` it lists (p, m, q, modulus, g, s, t) it reproduces.
+`series` lists the first n coefficients.  `verify` reads the class of ind_g mod 4 of every
+element off the log table, checks `quartic_class` against it at every element, builds one
+series and closed form per class, and checks them at every c and y against one oracle pass
+per field (M_n(y) by splitting off x_n, one sum per coset -y C_0), with the denominator's
+recurrence at every c and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y) off the series.  Checks
+yield rows, the inputs and each method's values; all but the (i, j)_4 and the expsums
+compare exact arrays, a row only where they differ.  One runner times each check and files
+its first row as JSON; with the `fields` it lists (p, m, q, modulus, g, s, t) it reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -241,9 +241,11 @@ def _expsum_rows(fld, gen, dec, reps, hists: np.ndarray):
                    "oracle": hists[n - 1][c.encode()], "max_residual": residual}
 
 
-def _element_classes(fld, gen) -> np.ndarray:
-    """ind_g(c) mod d, which N_n(c) and M_n(c) read of c, at every encoding, -1 at 0."""
-    return np.array([-1] + [quartic_class(fld.from_int(c), gen) for c in range(1, fld.q)])
+def _class_rows(fld, gen, cls):
+    """`quartic_class` against the log table's `cls` at every c != 0: a row where they differ."""
+    euler = np.array([-1] + [quartic_class(fld.from_int(c), gen) for c in range(1, fld.q)])
+    for c in np.flatnonzero(euler != cls).tolist():
+        yield {"c": c, "quartic_class": int(euler[c]), "log_table": int(cls[c])}
 
 
 def _differing_rows(build):
@@ -257,29 +259,31 @@ def _differing_rows(build):
         yield {a: labels_a[i], b: labels_b[j], **{m: v[i, j] for m, v in values.items()}}
 
 
-def _twisted_arrays(fld, gen, dec, cls, reps, series, hists) -> tuple[dict, dict]:
-    """M_n(y), n = len(hists), as one-column arrays over the y with cls[y] != 0 (not
-    zero, not a fourth power): from `count_M`, from the oracle by splitting off x_n, and
-    M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y) read off `series` (at c = 0, then `reps`).
-    The nonzero x_n^4 run d times over C_0, so the split-off is N_(n-1)(0) + d * (sum of
-    N_(n-1) over C_j), j the class of -y among the log table's classes, not `cls`'s."""
-    q, n, d = fld.q, len(hists), len(reps)
-    h, cyc, ys = hists[n - 2], CyclotomicClasses(fld, gen, d), np.flatnonzero(cls > 0)
-    neg, prev = _negatives(fld, ys), [counts[n - 2] for counts in series]
+def _twisted_arrays(fld, gen, dec, cyc, reps, series, hists) -> tuple[dict, dict]:
+    """M_n(y), n = len(hists), as one-column arrays over the y outside C_0 (not zero,
+    not a fourth power) of the classes `cyc`: from `count_M`, from the oracle by
+    splitting off x_n, and M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y) read off `series`
+    (at c = 0, then `reps`).  The nonzero x_n^4 run d times over C_0, so the split-off
+    is N_(n-1)(0) + d * (sum of N_(n-1) over C_j), j = cls[-y] (`minus`)."""
+    q, n, d, cls = fld.q, len(hists), len(reps), cyc.class_of
+    h, ys = hists[n - 2], np.flatnonzero(cls > 0)
+    minus, prev = cls[_negatives(fld, ys)], [counts[n - 2] for counts in series]
     twisted = [None] + [counting.count_M(y, n, fld, gen, dec) for y in reps[1:]]
     split = [h[0] + d * h[coset].sum() for coset in cyc.classes]
     relation = [prev[0] + (q - 1) * v for v in prev[1:]]
     return {"y": ys.tolist(), "n": [n]}, {
         m: np.array(by_class, dtype=object)[at, None] for m, by_class, at in (
-            ("series", twisted, cls[ys]), ("oracle", split, cyc.class_of[neg]),
-            ("relation", relation, cls[neg]))}
+            ("series", twisted, cls[ys]), ("oracle", split, minus), ("relation", relation, minus))}
 
 
 def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bool) -> None:
-    q = fld.q
-    tag = f"q={q}"
+    q, tag = fld.q, f"q={fld.q}"
     hists = np.array(list(counting.oracle_histograms(fld, [fld.one()] * nmax)), dtype=object)
-    cls, reps = _element_classes(fld, gen), [gen.g ** l for l in range(len(gen.class_roots))]
+    reps = [gen.g ** l for l in range(len(gen.class_roots))]
+    cyc = CyclotomicClasses(fld, gen, len(reps))
+    cls = cyc.class_of
+    _run_check(checks, f"{tag} quartic classes", ("quartic_class", "log_table"),
+               _class_rows(fld, gen, cls))
     # one series per class: series[0] at c = 0, series[1 + l] at c = g^l
     series = [genfunc.gf_N(fld, gen, dec, c).series(nmax) for c in [fld.zero()] + reps]
     _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"),
@@ -305,7 +309,7 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
                        _expsum_rows(fld, gen, dec, reps, hists))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
-               _differing_rows(lambda: _twisted_arrays(fld, gen, dec, cls, reps, series, hists)))
+               _differing_rows(lambda: _twisted_arrays(fld, gen, dec, cyc, reps, series, hists)))
 
 
 def cmd_verify(args) -> tuple[dict, int]:

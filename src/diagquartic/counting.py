@@ -4,10 +4,10 @@ Four of the five routes, cross-checked by `verify` and the tests:
 
 * `count_N` / `count_M`, one series coefficient of the rational generating
   functions (the production path),
-* an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution
-  of the histogram of x^4, stored once per field, scaled by each distinct a_k
-  as one permutation of the encodings and convolved as one gather from the
-  addition table and one exact integer matrix-vector product (O(q^2) per variable),
+* an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution of the
+  histogram of x^4 (the digit array squared twice), stored once per field, scaled by
+  each distinct a_k as one permutation of the encodings and convolved as one gather from
+  the addition table and one exact integer matrix-vector product (O(q^2) per variable),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`,
   on the matrices A_l of `cyclotomy.transfer_matrices`).
@@ -30,32 +30,22 @@ from .errors import InvariantError, WrongResidueClassError, ZeroRHSError
 # names here: the benchmark tracer (perfbench/tracer.py) binds
 # counting._group_convolve and counting._addition_tables.
 from .field import (  # noqa: F401
-    Element,
-    Field,
-    GeneratorData,
-    _addition_tables,
-    _digits,
-    _group_convolve,
-    _stored,
-    _times_matrix,
-    _weights,
-    check_convolution_cost,
-    check_field,
-    quartic_class,
-)
+    Element, Field, GeneratorData, _addition_tables, _digits, _group_convolve, _stored,
+    _times_matrix, _weights, check_convolution_cost, check_field, quartic_class)
 
 
-def power_profile(fld: Field) -> list[int]:
-    """Histogram of x -> x^4 over F_q, indexed by canonical encoding, checked
-    against the d-th power residue rule, d = gcd(4, q - 1)."""
-    d = gcd(4, fld.q - 1)
-    counts = [0] * fld.q
-    for x in fld.elements():
-        counts[(x ** 4).encode()] += 1
+def power_profile(fld: Field) -> np.ndarray:
+    """Histogram of x -> x^4 over F_q by encoding, checked against the d-th power residue
+    rule, d = gcd(4, q - 1): the digit array squared twice, x^2 = sum_i x_i (x alpha^i)."""
+    d, x, p = gcd(4, fld.q - 1), _digits(fld), fld.p
+    shifts = [_times_matrix(fld.element([0] * i + [1])) for i in range(fld.m)]
+    for _ in range(2):
+        x = sum(x[:, i, None] * (x @ shift % p) for i, shift in enumerate(shifts)) % p
+    counts = np.bincount(x @ _weights(fld), minlength=fld.q)
     # w(0) = 1, w(c) in {0, d} for c != 0
     if counts[0] != 1:
         raise InvariantError(f"x^4 has {counts[0]} roots of 0 in F_{fld.q}")
-    if any(c not in (0, d) for c in counts[1:]):
+    if np.any((counts[1:] != 0) & (counts[1:] != d)):
         raise InvariantError(f"x^4 breaks the {d}-th power residue rule in F_{fld.q}")
     return counts
 
@@ -66,7 +56,7 @@ def oracle_histograms(fld: Field, coeffs: list[Element]):
     if not coeffs:
         raise ValueError("at least one variable required")
     check_convolution_cost(fld, len(coeffs))
-    base = _stored(("power", fld), lambda: np.array(power_profile(fld), dtype=np.int64))
+    base = _stored(("power", fld), lambda: power_profile(fld))
     digits, weights = _digits(fld), _weights(fld)
     hist, scalings = None, {}
     for a in coeffs:

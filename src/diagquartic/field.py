@@ -18,16 +18,16 @@ ch. 1-2), taken by Euclid's algorithm over F_p, or over F_p[i] for e = 2, with n
 product in F_q per query.  `trace` reads Tr(alpha^k), the power sums of the modulus's
 roots by Newton's identities, which a Field computes once.
 
-Jobs that touch every element read whole-field tables over the encodings:
-`log_table` holds ind_g(x) for every x, built once per generator, and is
-what `index_of` and the cyclotomic classes read; `_group_convolve`, the
-oracle's additive convolution over (F_q, +), is one gather from the addition
-table and one exact integer matrix-vector product; `trace_table` holds Tr(x)
-mod p for every encoding.  These three kinds, the oracle's histogram of x^4, and
-the tables `cyclotomy` and `expsums` build once per generator (the (i, j)_k, the
-transfer matrices A_l, the Gauss periods) share one store (`_stored`) under one byte
-guard that counts every byte (no dtype object); the oldest tables leave it first,
-whatever their kind, and STORE_COUNTS counts each kind's hits, builds and evictions.
+Jobs that touch every element step the q x m digit array (`_digits`), as the histogram of
+x^4 does, or read whole-field tables over the encodings, never one `Element` per encoding:
+`log_table` holds ind_g(x) for every x, built once per generator, and is what `index_of`
+and the cyclotomic classes read; `_group_convolve`, the oracle's additive convolution over
+(F_q, +), is one gather from the addition table and one exact integer matrix-vector
+product; `trace_table` holds Tr(x) mod p for every encoding.  These three kinds, the
+histogram of x^4, and the tables `cyclotomy` and `expsums` build once per generator (the
+(i, j)_k, the A_l, the Gauss periods) share one store (`_stored`) under one byte guard
+that counts every byte (no dtype object); the oldest tables leave it first, whatever their
+kind, and STORE_COUNTS counts each kind's hits, builds and evictions.
 """
 
 from __future__ import annotations

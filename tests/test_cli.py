@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diagquartic import cli, counting, expsums, genfunc
+import diagquartic
+from diagquartic import cli, counting, cyclotomy, expsums, genfunc
 from diagquartic import field as field_module
 from diagquartic.cli import build_parser, main
-from diagquartic.cyclotomy import QuarticDecomposition
+from diagquartic.cyclotomy import CyclotomicClasses, QuarticDecomposition
 from diagquartic.errors import InvariantError, NotNearIntegerError
 from diagquartic.field import Element, Field, find_generator, quartic_class
 
@@ -550,9 +551,12 @@ class TestVerifyCommand:
                         "--json")
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
-        assert set(checks) == {"q=13 oracle-equivalence n<=5", "q=13 cyclotomic closed=enum",
-                               "q=13 closed-form n<=4", "q=13 recurrence order 4",
-                               "q=13 twisted counts"}
+        assert set(checks) == {"q=13 quartic classes", "q=13 oracle-equivalence n<=5",
+                               "q=13 cyclotomic closed=enum", "q=13 closed-form n<=4",
+                               "q=13 recurrence order 4", "q=13 twisted counts"}
+        # every check that reads t fails, as before; the classifier does not read t
+        assert {name for name, c in checks.items() if c["status"] == "FAIL"} == (
+            set(checks) - {"q=13 quartic classes", "q=13 recurrence order 4"})
         oracle = checks["q=13 oracle-equivalence n<=5"]
         assert oracle["status"] == "FAIL"
         # c = 0 and c = 1 agree; c = 2, a non-square, first differs, at n = 2
@@ -601,6 +605,23 @@ class TestVerifyCommand:
                 expected["_closed_small", q] = 4 * 3
         assert calls == expected
 
+    def test_misclassified_element_fails_the_class_check_only(self, capsys, monkeypatch):
+        # 5 = g^9 lies in C_1 of F_13 (g = 2) and is no representative g^l, l < 4;
+        # every module that binds quartic_class gets the mutant
+        quartic = field_module.quartic_class
+
+        def wrong_at_5(x, gen):
+            return (quartic(x, gen) + (x.encode() == 5)) % len(gen.class_roots)
+        for module in (diagquartic, field_module, counting, cli, cyclotomy, expsums, genfunc):
+            if hasattr(module, "quartic_class"):
+                monkeypatch.setattr(module, "quartic_class", wrong_at_5)
+        code, out = run(capsys, "verify", "--p", "13", "--nmax", "4", "--json")
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
+        assert [c["name"] for c in failed] == ["q=13 quartic classes"]
+        assert json.loads(failed[0]["detail"]) == {"c": 5, "quartic_class": "2",
+                                                   "log_table": "1"}
+
     def test_split_off_takes_no_product_per_pair(self, capsys, monkeypatch):
         # splitting x_n off one fourth power u at a time takes a product per non-quartic
         # y and u, 75 * 26 = 1950 at q = 101; the cosets leave the oracle's 4 * 26
@@ -623,13 +644,14 @@ class TestVerifyCommand:
         # q = 3 mod 4 (7, 11, 43), where -1 is a non-square
         fd = field_data(*pm)
         fld, gen = fd.field, fd.gen
-        cls = cli._element_classes(fld, gen)
         reps = [gen.g ** l for l in range(len(gen.class_roots))]
+        cyc = CyclotomicClasses(fld, gen, len(reps))
+        cls = cyc.class_of
         series = [[fd.oracle_N(c.encode(), n) for n in range(1, len(fd.histograms) + 1)]
                   for c in [fld.zero()] + reps]
         hists = np.array(fd.histograms, dtype=object)
         for n in range(2, len(fd.histograms) + 1):
-            axes, values = cli._twisted_arrays(fld, gen, fd.dec, cls, reps, series, hists[:n])
+            axes, values = cli._twisted_arrays(fld, gen, fd.dec, cyc, reps, series, hists[:n])
             assert axes == {"y": [code for code in range(1, fd.q) if cls[code]], "n": [n]}
             oracle = values["oracle"]
             assert oracle.shape == (len(axes["y"]), 1)
@@ -654,9 +676,9 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "_run_check", counted)
         code, _ = run(capsys, "verify", "--p", "13", "--nmax", "5")
         assert code == 0
-        assert consumed == {"q=13 oracle-equivalence n<=5": 0, "q=13 recurrence order 4": 0,
-                            "q=13 cyclotomic closed=enum": 16, "q=13 closed-form n<=4": 0,
-                            "q=13 twisted counts": 0}
+        assert consumed == {"q=13 quartic classes": 0, "q=13 oracle-equivalence n<=5": 0,
+                            "q=13 recurrence order 4": 0, "q=13 cyclotomic closed=enum": 16,
+                            "q=13 closed-form n<=4": 0, "q=13 twisted counts": 0}
 
     @staticmethod
     def _last_off_by_one(hists):
@@ -750,7 +772,7 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--p", "7", "--nmax", "5", "--json")
         assert code == 0
         checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
-        assert checks == {"q=7 oracle-equivalence n<=5": "pass",
+        assert checks == {"q=7 quartic classes": "pass", "q=7 oracle-equivalence n<=5": "pass",
                           "q=7 recurrence order 2": "pass", "q=7 twisted counts": "pass"}
 
     def test_reads_the_denominator_once_per_field(self, capsys, monkeypatch):
@@ -803,7 +825,7 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--expsums", "--json")
         assert code == 1
         checks = json.loads(out)["checks"]
-        assert len(checks) == 6
+        assert len(checks) == 7
         failed = [c for c in checks if c["status"] == "FAIL"]
         assert [c["name"] for c in failed] == ["q=13 exponential sums"]
         assert failed[0]["detail"] == "NotNearIntegerError: injected drift"

@@ -39,7 +39,19 @@ from conftest import field_data, literal_histogram
 class TestPowerProfile:
     def test_q5_quartics(self):
         fd = field_data(5, 1)
-        assert power_profile(fd.field) == [1, 4, 0, 0, 0]
+        assert power_profile(fd.field).tolist() == [1, 4, 0, 0, 0]
+
+    # q = 1 mod 8 (17, 3^2, 7^2, 3^4, 73^2), q = 5 mod 8 (5, 13, 5^3) and q = 3 mod 4
+    # (7, 11, 3^3, 3^5), with m = 1..5
+    @pytest.mark.parametrize("p, m", [(5, 1), (13, 1), (17, 1), (7, 1), (11, 1), (3, 2),
+                                      (7, 2), (3, 3), (5, 3), (3, 4), (3, 5), (73, 2)],
+                             ids=lambda pm: str(pm))
+    def test_matches_the_literal_histogram(self, p, m):
+        fld = Field(p, m)
+        literal = [0] * fld.q
+        for x in fld.elements():
+            literal[(x ** 4).encode()] += 1
+        assert power_profile(fld).tolist() == literal
 
     def test_q13_quartics(self):
         fd = field_data(13, 1)
@@ -57,12 +69,26 @@ class TestPowerProfile:
     def test_total_mass(self, any_field):
         assert sum(power_profile(any_field.field)) == any_field.q
 
+    @staticmethod
+    def _row_replaced(monkeypatch, row, by):
+        digits = counting._digits
+
+        def mutant(fld):
+            rows = digits(fld).copy()
+            rows[row] = rows[by]
+            return rows
+        monkeypatch.setattr(counting, "_digits", mutant)
+
     def test_broken_residue_rule_raises(self, monkeypatch):
-        # one element enumerated twice puts 5 fourth roots on 1 in F_5
-        fld = Field(5, 1)
-        monkeypatch.setattr(fld, "elements", lambda: [*Field.elements(fld), fld.one()])
-        with pytest.raises(InvariantError):
-            power_profile(fld)
+        # x = 2 read as 1 in F_13 puts 5 fourth roots on 1 and 3 on 2^4 = 3
+        self._row_replaced(monkeypatch, 2, 1)
+        with pytest.raises(InvariantError, match="4-th power residue rule in F_13"):
+            power_profile(Field(13, 1))
+
+    def test_second_root_of_zero_raises(self, monkeypatch):
+        self._row_replaced(monkeypatch, 1, 0)
+        with pytest.raises(InvariantError, match="x\\^4 has 2 roots of 0 in F_13"):
+            power_profile(Field(13, 1))
 
     def test_quadratic_character(self, any_field):
         # ind_g(c) is even exactly on the squares; for q = 3 mod 4 the class is
