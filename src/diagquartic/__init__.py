@@ -10,6 +10,10 @@ Modules:
     genfunc   -- rational generating functions and their series expansion
     expsums   -- Gauss-type sums and floating-point reconstruction
     cli       -- command-line front end
+
+Importing the package loads no numpy, and neither does a count read off the
+generating function (`count_N`, `count_M`, `gf_N`/`gf_M` and their series).
+Only the functions that build or read whole-field tables import it, on first use.
 """
 
 from .field import Field, find_generator, index_of, quartic_class, trace

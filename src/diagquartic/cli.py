@@ -22,6 +22,8 @@ MAX_SERIES_DIGITS, are refused up front.
 Calls in one process share one Field, generator and (s, t) per (p, m, --generator,
 --modulus), the last BUILD_CACHE_SIZE of them, and the per-generator tables of
 `field._stored` (the log table, the (i, j)_k, the A_l, the Gauss periods).
+`field`, `series` and plain `count` never load numpy; `cyclotomic`, `count --all-methods`
+and `verify` read whole-field tables and load it on first use.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
 3 internal error (`InvariantError`).
 """
@@ -35,8 +37,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import counting, expsums, genfunc
 from .cyclotomy import (
@@ -135,20 +135,26 @@ def cmd_cyclotomic(args) -> tuple[dict, int]:
     return payload, 0 if first_failure is None else 1
 
 
+def _series_count(fld, gen, dec, c, y, n: int) -> int:
+    """The production count: M_n(y) if y is given, else N_n(c), off the generating function."""
+    if y is not None:
+        return counting.count_M(y, n, fld, gen, dec)
+    return counting.count_N(c, n, fld, gen, dec)
+
+
 def _routes(fld, gen, dec, c, y, n: int) -> dict:
     """Route name -> thunk for every route that covers the count: the production
     series first, then the oracle and cyclotomy, and for N_n(c) with q = 1 mod 4
     and c != 0 the closed forms (n <= 4) and expsum (up to its float bound).
     The oracle sits out past the convolution guard."""
     one, zero = fld.one(), fld.zero()
+    routes = {"series": lambda: _series_count(fld, gen, dec, c, y, n)}
     if y is not None:
-        routes = {"series": lambda: counting.count_M(y, n, fld, gen, dec),
-                  "oracle": lambda: counting.oracle_count([one] * (n - 1) + [y], zero),
-                  "cyclotomy": lambda: counting.count_via_cyclotomy(zero, n, fld, gen, y)}
+        routes["oracle"] = lambda: counting.oracle_count([one] * (n - 1) + [y], zero)
+        routes["cyclotomy"] = lambda: counting.count_via_cyclotomy(zero, n, fld, gen, y)
     else:
-        routes = {"series": lambda: counting.count_N(c, n, fld, gen, dec),
-                  "oracle": lambda: counting.oracle_count([one] * n, c),
-                  "cyclotomy": lambda: counting.count_via_cyclotomy(c, n, fld, gen)}
+        routes["oracle"] = lambda: counting.oracle_count([one] * n, c)
+        routes["cyclotomy"] = lambda: counting.count_via_cyclotomy(c, n, fld, gen)
         if fld.q % 4 == 1 and not c.is_zero():
             if n <= 4:
                 routes["closed"] = lambda: counting.count_small(c, n, dec, fld, gen)
@@ -174,12 +180,11 @@ def cmd_count(args) -> tuple[dict, int]:
     y = fld.from_int(args.y) if args.y is not None else None
     payload = {"q": fld.q, "n": args.n}
     payload["c" if y is None else "y"] = args.c if y is None else args.y
-    routes = _routes(fld, gen, dec, c, y, args.n)
     if not args.all_methods:
-        payload["count"] = str(routes["series"]())
+        payload["count"] = str(_series_count(fld, gen, dec, c, y, args.n))
         return payload, 0
     values, seconds = {}, {}
-    for name, route in routes.items():
+    for name, route in _routes(fld, gen, dec, c, y, args.n).items():
         t0 = time.perf_counter()
         values[name] = str(route())
         seconds[name] = round(time.perf_counter() - t0, 6)
@@ -243,6 +248,7 @@ def _expsum_rows(fld, gen, dec, reps, hists: np.ndarray):
 
 def _class_rows(fld, gen, cls):
     """`quartic_class` against the log table's `cls` at every c != 0: a row where they differ."""
+    import numpy as np
     euler = np.array([-1] + [quartic_class(fld.from_int(c), gen) for c in range(1, fld.q)])
     for c in np.flatnonzero(euler != cls).tolist():
         yield {"c": c, "quartic_class": int(euler[c]), "log_table": int(cls[c])}
@@ -252,6 +258,7 @@ def _differing_rows(build):
     """The rows of an array check, built on the first `next`, inside its timed region:
     build() gives the two axes (input -> labels) and each method's 2-D array over them,
     and a row, the inputs and each value, is yielded in row-major order where they differ."""
+    import numpy as np
     axes, values = build()
     first, *rest = values.values()
     (a, labels_a), (b, labels_b) = axes.items()
@@ -265,6 +272,7 @@ def _twisted_arrays(fld, gen, dec, cyc, reps, series, hists) -> tuple[dict, dict
     splitting off x_n, and M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y) read off `series`
     (at c = 0, then `reps`).  The nonzero x_n^4 run d times over C_0, so the split-off
     is N_(n-1)(0) + d * (sum of N_(n-1) over C_j), j = cls[-y] (`minus`)."""
+    import numpy as np
     q, n, d, cls = fld.q, len(hists), len(reps), cyc.class_of
     h, ys = hists[n - 2], np.flatnonzero(cls > 0)
     minus, prev = cls[_negatives(fld, ys)], [counts[n - 2] for counts in series]
@@ -277,6 +285,7 @@ def _twisted_arrays(fld, gen, dec, cyc, reps, series, hists) -> tuple[dict, dict
 
 
 def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bool) -> None:
+    import numpy as np
     q, tag = fld.q, f"q={fld.q}"
     hists = np.array(list(counting.oracle_histograms(fld, [fld.one()] * nmax)), dtype=object)
     reps = [gen.g ** l for l in range(len(gen.class_roots))]
@@ -343,13 +352,22 @@ def _int_at_least(low: int):
     return parse
 
 
+def _coefficients(text: str) -> list[int]:
+    """argparse type: comma-separated integers, else a usage error (exit 2)."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("comma-separated integers, constant term first, "
+                                          f"got {text!r}") from None
+
+
 def _add_common(sub, require_field: bool = True):
     sub.add_argument("--p", type=int, required=require_field,
                      help="field characteristic (odd prime)")
     sub.add_argument("--m", type=int, default=1, help="extension degree")
     sub.add_argument("--generator", type=int, default=None,
                      help="override generator, by canonical encoding")
-    sub.add_argument("--modulus", type=lambda s: [int(x) for x in s.split(",")],
+    sub.add_argument("--modulus", type=_coefficients,
                      default=None, help="override modulus, comma-separated, constant first")
     sub.add_argument("--json", action="store_true", help="indent the JSON output")
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from . import genfunc
 from .cyclotomy import QuarticDecomposition, transfer_matrices
 from .errors import InvariantError, WrongResidueClassError, ZeroRHSError
@@ -34,25 +32,38 @@ from .field import (  # noqa: F401
     _times_matrix, _weights, check_convolution_cost, check_field, quartic_class)
 
 
+# Rows of the digit array `power_profile` squares at once: beside the digit array
+# and the histogram, its working arrays hold POWER_PROFILE_ROWS x m entries each,
+# whatever q.
+POWER_PROFILE_ROWS = 2**12
+
+
 def power_profile(fld: Field) -> np.ndarray:
     """Histogram of x -> x^4 over F_q by encoding, checked against the d-th power residue
-    rule, d = gcd(4, q - 1): the digit array squared twice, x^2 = sum_i x_i (x alpha^i)."""
-    d, x, p = gcd(4, fld.q - 1), _digits(fld), fld.p
+    rule, d = gcd(4, q - 1): the digit array squared twice, x^2 = sum_i x_i (x alpha^i),
+    POWER_PROFILE_ROWS rows at a time, each block's encodings added into one histogram."""
+    import numpy as np
+    d, digits, p, q = gcd(4, fld.q - 1), _digits(fld), fld.p, fld.q
     shifts = [_times_matrix(fld.element([0] * i + [1])) for i in range(fld.m)]
-    for _ in range(2):
-        x = sum(x[:, i, None] * (x @ shift % p) for i, shift in enumerate(shifts)) % p
-    counts = np.bincount(x @ _weights(fld), minlength=fld.q)
+    weights = _weights(fld)
+    counts = np.zeros(q, dtype=np.int64)
+    for start in range(0, q, POWER_PROFILE_ROWS):
+        x = digits[start:start + POWER_PROFILE_ROWS]
+        for _ in range(2):
+            x = sum(x[:, i, None] * (x @ shift % p) for i, shift in enumerate(shifts)) % p
+        np.add.at(counts, x @ weights, 1)  # O(rows), where a bincount would be O(q)
     # w(0) = 1, w(c) in {0, d} for c != 0
     if counts[0] != 1:
-        raise InvariantError(f"x^4 has {counts[0]} roots of 0 in F_{fld.q}")
+        raise InvariantError(f"x^4 has {counts[0]} roots of 0 in F_{q}")
     if np.any((counts[1:] != 0) & (counts[1:] != d)):
-        raise InvariantError(f"x^4 breaks the {d}-th power residue rule in F_{fld.q}")
+        raise InvariantError(f"x^4 breaks the {d}-th power residue rule in F_{q}")
     return counts
 
 
 def oracle_histograms(fld: Field, coeffs: list[Element]):
     """After each a_k, yield the zero counts of a_1 x_1^4 + ... + a_k x_k^4 = c
     for each c (by encoding); only the latest histogram is held."""
+    import numpy as np
     if not coeffs:
         raise ValueError("at least one variable required")
     check_convolution_cost(fld, len(coeffs))

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from .errors import (BadOrderError, InvariantError, NonIntegralError, TooLargeError,
                      WrongResidueClassError)
 from .field import (
@@ -80,6 +78,7 @@ class CyclotomicClasses:
     `classes[i]` holds the encodings of C_i in the order g^i, g^(i+k), ..."""
 
     def __init__(self, fld: Field, gen: GeneratorData, k: int):
+        import numpy as np
         q = fld.q
         if k < 1 or (q - 1) % k != 0:
             raise BadOrderError(f"k = {k} is not a positive divisor of q - 1 = {q - 1}")
@@ -100,6 +99,7 @@ def cyclotomic_matrix(k: int, fld: Field, gen: GeneratorData) -> np.ndarray:
 
 
 def _count_pairs(k: int, fld: Field, gen: GeneratorData) -> np.ndarray:
+    import numpy as np
     class_of = CyclotomicClasses(fld, gen, k).class_of
     xs = np.arange(1, fld.q)
     low = xs % fld.p  # adding 1 raises the lowest base-p digit by one mod p
@@ -151,6 +151,7 @@ def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
     (N(0), N(C_0), ..., N(C_(d-1))): N'(0) = N(0) + (q - 1) N(C_(l+h)), N'(C_j) = N(C_j) +
     d [j = l] N(0) + d sum_k (l - j + h, k - j)_d N(C_k).  Pure in its arguments, so q and
     the (i, j)_d may be ring elements; Python int entries keep products exact."""
+    import numpy as np
     d = len(cyc)
     return np.array([[[1] + [(q - 1) * (k == (l + h) % d) for k in range(d)]]
                      + [[d * (j == l)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
@@ -161,6 +162,7 @@ def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
 def transfer_matrices(fld: Field, gen: GeneratorData, k: int) -> np.ndarray:
     """A_0 .. A_(k-1) as one read-only k x (k+1) x (k+1) int64 array (entries <= q),
     built by `_transfer_matrices` from the field's (i, j)_k in O(q) and stored per (g, k)."""
+    import numpy as np
     if 36 * k * (k + 1) ** 2 > ORACLE_TABLE_BYTES_GUARD:  # the build's pointer and int
         raise TooLargeError(f"{k} transfer matrices of order {k + 1} exceed the byte guard")
     check_field(fld, gen.g)
@@ -172,6 +174,7 @@ def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData) -
     """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1, read as
     (B_(i_n) ... B_(i_1) e_0)[1] (1 lies in C_0), where B_l = (A_l - I)/k, exact, adds
     one summand from C_l.  O(q) once, then n exact (k + 1)-square int64-by-object products."""
+    import numpy as np
     if not indices:
         raise ValueError("at least one index required")
     steps = transfer_matrices(fld, gen, k)
@@ -204,6 +207,7 @@ def cyclo_dim4(i1: int, i2: int, i3: int, i4: int, k: int, fld: Field,
     dot with w per v1, in O(k) memory.  int64 is exact: a row or a column of the
     (i, j)_k sums to at most f = (q - 1)/k, so each inner dot is at most f^2 and the
     total at most f^3 < 2^60 (q <= 2^20)."""
+    import numpy as np
     f, half = (fld.q - 1) // k, (fld.q - 1) // 2
     a = cyclotomic_matrix(k, fld, gen)
     first_pair_neg = (i2 - i1 - half) % k == 0

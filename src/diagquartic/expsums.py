@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition
 from .errors import NotNearIntegerError, ResidualTooLargeError, WrongResidueClassError
 from .field import (Element, Field, GeneratorData, _stored, check_field, quartic_class,
@@ -53,6 +51,7 @@ def build_table(fld: Field, gen: GeneratorData) -> GaussSumTable:
 
 
 def _periods(fld: Field, gen: GeneratorData) -> np.ndarray:
+    import numpy as np
     psi = np.exp(2j * np.pi * trace_table(fld) / fld.p)
     return np.array([psi[cls].sum() for cls in CyclotomicClasses(fld, gen, 4).classes])
 
@@ -60,6 +59,7 @@ def _periods(fld: Field, gen: GeneratorData) -> np.ndarray:
 def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition) -> list[float]:
     """Residual |P(T_{g^l})| for each l, P = `denominator` read from x^4 down;
     raises if any exceeds POLY_RESIDUAL_TOL * q^2."""
+    import numpy as np
     q = table.field.q
     coeffs = denominator(q, dec.s)
     residuals = [float(abs(np.polyval(coeffs, T))) for T in table.T]

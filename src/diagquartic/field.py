@@ -27,7 +27,9 @@ product; `trace_table` holds Tr(x) mod p for every encoding.  These three kinds,
 histogram of x^4, and the tables `cyclotomy` and `expsums` build once per generator (the
 (i, j)_k, the A_l, the Gauss periods) share one store (`_stored`) under one byte guard
 that counts every byte (no dtype object); the oldest tables leave it first, whatever their
-kind, and STORE_COUNTS counts each kind's hits, builds and evictions.
+kind, and STORE_COUNTS counts each kind's hits, builds and evictions.  These jobs, here and
+in the other modules, are numpy's only users, and each imports it in its own body: a
+process that only counts off the series never loads numpy.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-
-import numpy as np
 
 from .errors import (
     FieldMismatchError,
@@ -481,12 +481,16 @@ def trace(x: Element) -> int:
 
 def _weights(fld: Field) -> np.ndarray:
     """p^0 .. p^(m-1): a row of base-p digits @ weights is its encoding."""
+    import numpy as np
     return fld.p ** np.arange(fld.m, dtype=np.int64)
 
 
 def _digits(fld: Field) -> np.ndarray:
     """The q x m array of base-p digits of every encoding, lowest first."""
-    return np.arange(fld.q, dtype=np.int64)[:, None] // _weights(fld) % fld.p
+    import numpy as np
+    digits = np.arange(fld.q, dtype=np.int64)[:, None] // _weights(fld)
+    digits %= fld.p  # in place: one q x m array at a time
+    return digits
 
 
 def _negatives(fld: Field, codes: np.ndarray) -> np.ndarray:
@@ -498,6 +502,7 @@ def _negatives(fld: Field, codes: np.ndarray) -> np.ndarray:
 def _times_matrix(a: Element) -> np.ndarray:
     """The m x m F_p-matrix of x -> a x: row i holds the digits of a alpha^i, alpha
     the root of the modulus, so digits(x) @ it % p = digits(a x)."""
+    import numpy as np
     fld = a.field
     return np.array([(a * fld.element([0] * i + [1])).coeffs for i in range(fld.m)],
                     dtype=np.int64)
@@ -539,6 +544,7 @@ def check_convolution_cost(fld: Field, n: int) -> None:
     guards.  A histogram holds q counts below q^n, of n*bits(q) bits each.  The
     q x nnz(h2) block a convolution gathers from the table never holds more than
     its q^2 entries, so the table's guard bounds the gather too."""
+    import numpy as np
     if n * fld.q**2 > ORACLE_COST_GUARD:
         raise TooLargeError(f"convolution cost n*q^2 = {n}*{fld.q}^2 exceeds guard")
     hist_bytes = n * fld.q * n * fld.q.bit_length() // 8
@@ -557,6 +563,7 @@ def _addition_tables(fld: Field) -> np.ndarray:
     Addition is digitwise mod p, so row a is sum_i ((d_i(a) + d_i(b)) mod p) p^i
     over all b, computed from the digit array one row at a time.
     """
+    import numpy as np
     digits = _digits(fld)
     weights = _weights(fld)
     table = np.empty((fld.q, fld.q), dtype=np.intp)
@@ -575,6 +582,7 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
     the product runs in int64, and otherwise on Python ints (dtype object), so
     the counts stay exact.
     """
+    import numpy as np
     table = _stored(("add", fld), lambda: _addition_tables(fld))
     s1, s2 = sum(map(abs, h1)), sum(map(abs, h2))
     dtype = np.int64 if max(s1, s2, s1 * s2) < 2**63 else object
@@ -584,6 +592,7 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
 
 
 def _trace_table(fld: Field) -> np.ndarray:
+    import numpy as np
     return (_digits(fld) @ np.array(fld._traces, dtype=np.int64)) % fld.p
 
 
@@ -597,6 +606,7 @@ def trace_table(fld: Field) -> np.ndarray:
 
 
 def _log_table(g: Element) -> np.ndarray:
+    import numpy as np
     fld = g.field
     n = fld.q - 1
     step = math.isqrt(n - 1) + 1  # step^2 >= n

@@ -228,13 +228,23 @@ class TestInputErrors:
         ["verify", "--modulus", "1,2,3", "--nmax", "2"],
         ["count", "--p", "5", "--c", "7", "--n", "2"],
         ["field", "--p", "5", "--generator", "0"],
+        ["field", "--p", "5", "--m", "2", "--modulus", "1,x"],
+        ["field", "--p", "5", "--m", "2", "--modulus", ",,"],
     ], ids=["count-no-rhs", "count-c-and-y", "series-n-neg", "count-n0", "verify-nmax1",
             "series-c-and-y", "oracle-quartic-y", "oracle-y-n1", "verify-past-oracle-guard",
             "field-p-past-bound", "verify-p0", "verify-m-without-p",
             "verify-generator-without-p", "verify-modulus-without-p",
-            "count-c-past-q", "field-generator-zero"])
+            "count-c-past-q", "field-generator-zero", "modulus-not-an-int",
+            "modulus-empty-terms"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
+
+    @pytest.mark.parametrize("text", ["1,x", ",,"])
+    def test_bad_modulus_names_the_format(self, capsys, text):
+        assert main(["field", "--p", "5", "--m", "2", "--modulus", text]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --modulus: comma-separated integers, constant term first, "
+            f"got {text!r}\n")
 
     def test_verify_bounds_the_bits_of_the_counts(self, capsys, monkeypatch):
         # n*q^2 = 2.5e6 passes the cost guard, but the counts reach 5^n: the

@@ -4,6 +4,7 @@ import ast
 import itertools
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,20 @@ class TestPowerProfile:
         for x in fld.elements():
             literal[(x ** 4).encode()] += 1
         assert power_profile(fld).tolist() == literal
+
+    def test_working_memory_stays_below_two_digit_arrays(self):
+        # numpy reports its buffers to tracemalloc.  On 3^10 (a 4.7 MB digit array)
+        # squaring the whole digit array at once peaked at 19.0 MB; in row blocks
+        # it peaks at 6.6 MB: the digit array, the histogram and a few blocks.
+        power_profile(Field(5, 1))  # numpy's first-use allocations stay out of the peak
+        fld = Field(3, 10)
+        tracemalloc.start()
+        try:
+            power_profile(fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * fld.q * fld.m * 8
 
     def test_q13_quartics(self):
         fd = field_data(13, 1)
