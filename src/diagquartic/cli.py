@@ -19,9 +19,10 @@ Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
 MAX_SERIES_DIGITS, are refused up front.
-Calls in one process share one Field, generator and (s, t) per (p, m, --generator,
---modulus), the last BUILD_CACHE_SIZE of them, and the per-generator tables of
-`field._stored` (the log table, the (i, j)_k, the A_l, the Gauss periods).
+Calls in one process share one Field and generator per (p, m, --generator, --modulus),
+the last BUILD_CACHE_SIZE of them, with the (s, t) the generator keeps, the generating
+functions `genfunc` keeps per class, and the per-generator tables of `field._stored`
+(the log table, the (i, j)_k, the A_l, the Gauss periods).
 `field`, `series` and plain `count` never load numpy; `cyclotomic`, `count --all-methods`
 and `verify` read whole-field tables and load it on first use.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
@@ -44,7 +45,6 @@ from .cyclotomy import (
     QuarticDecomposition,
     cyclotomic_matrix,
     cyclotomic_number_quartic,
-    quartic_decomposition,
 )
 from .errors import (
     DiagQuarticError,
@@ -55,7 +55,8 @@ from .errors import (
     TooLargeError,
     WrongResidueClassError,
 )
-from .field import Field, _negatives, check_convolution_cost, find_generator, quartic_class
+from .field import (BUILD_CACHE_SIZE, Field, _negatives, check_convolution_cost,
+                    find_generator, quartic_class)
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
                          (29, 1), (7, 1), (11, 1)]
@@ -64,18 +65,19 @@ DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
 MAX_COUNT_DIGITS = 100_000
 # Bound on the digits of n counts, about n^2 log10(q) / 2: 17.1 M at q = 5, n = 7,000.
 MAX_SERIES_DIGITS = 20_000_000
-# Bound on the (Field, generator, (s, t)) builds the calls of one process keep for reuse.
-BUILD_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _field_and_generator(p: int, m: int, generator: int | None,
                          modulus: tuple[int, ...] | None):
-    """The Field, its generator and (s, t) (None unless q = 1 mod 4), built once per
-    (p, m, generator, modulus); an error raises on every call (errors are not cached)."""
+    """The Field and its generator, built once per (p, m, generator, modulus), its (s, t)
+    found on the generator first when q = 1 mod 4; an error raises on every call
+    (errors are not cached)."""
     fld = Field(p, m, modulus=modulus)
     gen = find_generator(fld, override=generator)
-    return fld, gen, quartic_decomposition(fld, gen) if fld.q % 4 == 1 else None
+    if fld.q % 4 == 1:
+        gen.decomposition  # a failed search raises here, before the build is kept
+    return fld, gen
 
 
 @dataclass
@@ -86,8 +88,10 @@ class RunConfig:
     modulus: list[int] | None = None
 
     def build(self):
-        return _field_and_generator(self.p, self.m, self.generator,
-                                    tuple(self.modulus) if self.modulus else None)
+        """(Field, generator, (s, t) or None unless q = 1 mod 4)."""
+        fld, gen = _field_and_generator(self.p, self.m, self.generator,
+                                        tuple(self.modulus) if self.modulus else None)
+        return fld, gen, gen.decomposition if fld.q % 4 == 1 else None
 
 
 def _field_payload(fld, gen, dec) -> dict:
@@ -345,7 +349,11 @@ def _config(args) -> RunConfig:
 def _int_at_least(low: int):
     """argparse type: an integer >= low, else a usage error (exit 2)."""
     def parse(text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"an integer at least {low}, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value

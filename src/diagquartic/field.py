@@ -39,6 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import (
     FieldMismatchError,
@@ -49,6 +50,9 @@ from .errors import (
     ZeroHasNoIndexError,
 )
 
+if TYPE_CHECKING:
+    from .cyclotomy import QuarticDecomposition
+
 DEFAULT_FIELD_BOUND = 2**20
 # Bound on n*q^2, the work of n convolutions over (F_q, +).
 ORACLE_COST_GUARD = 10**9
@@ -56,6 +60,9 @@ ORACLE_COST_GUARD = 10**9
 # histograms of n convolutions, on the arrays the table store holds together,
 # and on the k x k cyclotomic numbers and k transfer matrices of `cyclotomy`.
 ORACLE_TABLE_BYTES_GUARD = 2**28
+# Bound on the fields one process keeps set up for reuse: the CLI's (Field, generator)
+# builds, and eight generating functions per field in `genfunc`.
+BUILD_CACHE_SIZE = 64
 
 
 def is_prime(n: int) -> bool:
@@ -287,7 +294,8 @@ class GeneratorData:
     """A generator g of F_q^* with its class roots.
 
     `class_roots[i]` is the encoding of g^(i(q-1)/d), d = gcd(4, q-1): the
-    d-th roots of unity that `quartic_class` looks x^((q-1)/d) up in.
+    d-th roots of unity that `quartic_class` looks x^((q-1)/d) up in.  Its
+    `norm_factor` and `decomposition` are found once each, on first read.
     """
 
     g: Element
@@ -301,6 +309,13 @@ class GeneratorData:
     def norm_factor(self) -> list[tuple[int, int]]:
         """The `_norm_factor` over F_p[i], i = class_roots[1], built on first read."""
         return _norm_factor(self.field, self.class_roots)
+
+    @cached_property
+    def decomposition(self) -> QuarticDecomposition:
+        """(s, t) by `cyclotomy.quartic_decomposition`, found on first read; a failed
+        search keeps nothing and raises again on the next read."""
+        from .cyclotomy import quartic_decomposition  # cyclotomy imports this module
+        return quartic_decomposition(self.field, self)
 
 
 def multiplicative_order_is_full(x: Element, factors: dict[int, int]) -> bool:

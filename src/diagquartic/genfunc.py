@@ -8,18 +8,25 @@ exact integers: a part with a one-tap denominator 1 + d x^k (the geometric
 x/(1 - qx), and the q = 3 mod 4 correction 1 + qx^2) is one power; below
 SERIES_BELOW, the measured crossover, it reads the series; from there it takes
 Fiduccia's method: x^h mod P, P the monic reversed denominator, by `_powmod` in
-O(log n) products of `field._mulmod` over Z, then a Hankel form.
-`gf_N` and `gf_M` compute the (s, t) decomposition when `dec` is None, and take
-their other part from `_class_part`, pure in q, s, t and r = q mod 8.
+O(log n) products of `field._mulmod` over Z, then a Hankel form.  Each part keeps
+the prefix of its series that calls have read, up to max(SERIES_BELOW, s + 2k)
+terms (k = deg den, s = max(1, len(num) - k)): every regime reads its terms there,
+and a longer series runs on a copy.
+`gf_N` and `gf_M` take (s, t) from `dec`, or when it is None from the generator
+(`GeneratorData.decomposition`, found once per generator), and return one shared
+generating function per (q, s, t, q mod 8, class, twisted) from `_class_gf`, a
+memo of the last GF_CACHE_SIZE of them, pure in those ints as `_class_part` is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import functools
 
-from .cyclotomy import QuarticDecomposition, quartic_decomposition
+from .cyclotomy import QuarticDecomposition
 from .errors import BadDenominatorError, QuarticYError
-from .field import Element, Field, GeneratorData, _mulmod, _powmod, check_field, quartic_class
+from .field import (BUILD_CACHE_SIZE, Element, Field, GeneratorData, _mulmod, _powmod,
+                    check_field, quartic_class)
 
 __all__ = [
     "RationalPart", "RationalGF", "gf_N", "gf_M",
@@ -27,31 +34,49 @@ __all__ = [
 ]
 
 SERIES_BELOW = 88
+# Generating functions `_class_gf` keeps: at most 8 per field (c = 0, four classes of c,
+# three non-quartic classes of y) for each of the BUILD_CACHE_SIZE fields a process keeps.
+GF_CACHE_SIZE = 8 * BUILD_CACHE_SIZE
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RationalPart:
-    """num(x)/den(x) with integer coefficients and den[0] = 1."""
+    """num(x)/den(x) with integer coefficients and den[0] = 1.
+
+    `_kept` holds c_(-k) .. c_j, k = deg den: k zeros, then the terms calls have read
+    so far, never past max(SERIES_BELOW, s + 2k) of them; equality and hashing
+    ignore it."""
 
     num: tuple[int, ...]
     den: tuple[int, ...]
+    _kept: list[int] = dataclasses.field(default_factory=list, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if not self.den or self.den[0] != 1:
             raise BadDenominatorError(f"denominator {self.den} lacks constant term 1")
+        self._kept.extend([0] * (len(self.den) - 1))
+
+    def _terms(self, count: int) -> list[int]:
+        """c_(-k) .. c_count at least, by the recurrence over the nonzero taps of den:
+        the kept prefix, run on in place up to its bound and on a copy past it."""
+        terms, k = self._kept, len(self.den) - 1
+        if len(terms) > k + count:
+            return terms
+        if count > max(SERIES_BELOW, max(1, len(self.num) - k) + 2 * k):
+            terms = terms.copy()
+        num, taps = self.num, [(i, -d) for i, d in enumerate(self.den) if i and d]
+        for j in range(len(terms) - k, count + 1):
+            c = num[j] if j < len(num) else 0
+            for i, d in taps:
+                c += d * terms[k + j - i]
+            terms.append(c)
+        return terms
 
     def series(self, count: int) -> list[int]:
-        """Coefficients c_1 .. c_count of the power series at 0, by the recurrence
-        over the nonzero taps of den, after k zeros standing for c_(-k) .. c_(-1)."""
-        k, size = len(self.den) - 1, max(count + 1, 0)
-        taps = [(i, -d) for i, d in enumerate(self.den) if i and d]
-        coeffs = [0] * k + list(self.num[:size]) + [0] * (size - len(self.num))
-        for j in range(k + 1, k + size):
-            c = coeffs[j]
-            for i, d in taps:
-                c += d * coeffs[j - i]
-            coeffs[j] = c
-        return coeffs[k + 1:]
+        """Coefficients c_1 .. c_count of the power series at 0, a new list."""
+        k = len(self.den) - 1
+        return self._terms(count)[k + 1:k + 1 + max(count, 0)]
 
     def coefficient(self, n: int) -> int:
         """Coefficient c_n of x^n, n >= 1, in exact integers, in three regimes.
@@ -60,11 +85,12 @@ class RationalPart:
         c_(j-i) for every j >= s + k.  If den = 1 + d x^k and n >= s, c_n =
         c_(s+r) (-d)^j with (j, r) = divmod(n - s, k) (never below s, where the
         power would be a float).  Below SERIES_BELOW (or s + 2) c_n is read off
-        `series`: on the k = 4 parts of `gf_N` and `gf_M` that is level with the
+        the series: on the k = 4 parts of `gf_N` and `gf_M` that is level with the
         Hankel form at n = 88.  From there x^a -> c_(s+a) vanishes on multiples
         of the monic reversed denominator P (Fiduccia, SIAM J. Comput. 1985), so
         with n - s = 2h + b, h >= 1, and r = x^h mod P (`_powmod`), c_n =
-        sum_(i,j<k) r_i r_j c_(s+b+i+j); s >= 1 keeps the initial terms in `series`.
+        sum_(i,j<k) r_i r_j c_(s+b+i+j); s >= 1 keeps the initial terms in the series.
+        Every regime reads the kept prefix; for k >= 1 none reads past c_(s+2k-1) or c_87.
         """
         if n < 1:
             raise ValueError(f"coefficient index must be at least 1, got {n}")
@@ -72,17 +98,17 @@ class RationalPart:
         s = max(1, len(self.num) - k)
         if k and not any(self.den[1:k]) and n >= s:
             j, r = divmod(n - s, k)
-            return self.series(s + r)[s + r - 1] * (-self.den[k]) ** j
+            return self._terms(s + r)[k + s + r] * (-self.den[k]) ** j
         if n < max(s + 2, SERIES_BELOW):
-            return self.series(n)[n - 1]
+            return self._terms(n)[k + n]
         h, b = divmod(n - s, 2)
         x = ([0, 1] + [0] * k)[:k]  # x mod P: k = 1 is one tap, and mod 1 all is 0
         r = _powmod(x, h, _mulmod, (self.den[::-1], 0))
-        initial = self.series(s + b + 2 * k - 2)[s + b - 1:]
+        initial = self._terms(s + b + 2 * k - 2)[k + s + b:k + s + b + 2 * k - 1]
         return sum(ri * sum(rj * c for rj, c in zip(r, initial[i:])) for i, ri in enumerate(r))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RationalGF:
     """A sum of rational parts; its series is the elementwise sum of part series."""
 
@@ -151,12 +177,23 @@ def _class_part(q, s, t, r: int, i: int | None, twisted: bool = False) -> tuple[
     return row[:d + 1], den
 
 
-def _decomposition(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
+@functools.lru_cache(maxsize=GF_CACHE_SIZE)
+def _class_gf(q: int, s: int, t: int, r: int, i: int | None, twisted: bool) -> RationalGF:
+    """The generating function of `gf_N` at c = 0 (i None) or at c in C_i, or (twisted)
+    of `gf_M` at y in C_i, built once per argument tuple and shared by every call:
+    the geometric part and `_class_part`'s, which read nothing else."""
+    num, den = _class_part(q, s, t, r, i, twisted)
+    return RationalGF(parts=(_geometric(q, scale=q if twisted else 1),
+                             RationalPart(num=num, den=den)))
+
+
+def _decomposition(gen: GeneratorData, dec: QuarticDecomposition | None,
                    r: int) -> tuple[int, int]:
-    """(s, t) of `dec`, computed when None; (0, 0) when r = 3 mod 4, which has none."""
+    """(s, t) of `dec`, or of the generator when None; (0, 0) when r = 3 mod 4, which
+    has none."""
     if r % 4 == 3:
         return 0, 0
-    dec = dec or quartic_decomposition(fld, gen)
+    dec = dec or gen.decomposition
     return dec.s, dec.t
 
 
@@ -165,9 +202,8 @@ def gf_N(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     """Generating function of n -> N_n(c), the zero count of x_1^4+...+x_n^4 = c."""
     check_field(fld, gen.g, c)
     i = None if c.is_zero() else quartic_class(c, gen)
-    q, r = fld.q, fld.q % 8
-    num, den = _class_part(q, *_decomposition(fld, gen, dec, r), r, i)
-    return RationalGF(parts=(_geometric(q), RationalPart(num=num, den=den)))
+    r = fld.q % 8
+    return _class_gf(fld.q, *_decomposition(gen, dec, r), r, i, False)
 
 
 def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
@@ -179,9 +215,8 @@ def gf_M(fld: Field, gen: GeneratorData, dec: QuarticDecomposition | None,
     i = 0 if y.is_zero() else quartic_class(y, gen)
     if i == 0:
         raise QuarticYError(f"y = {y!r} is zero or a fourth power")
-    q, r = fld.q, fld.q % 8
-    num, den = _class_part(q, *_decomposition(fld, gen, dec, r), r, i, twisted=True)
-    return RationalGF(parts=(_geometric(q, scale=q), RationalPart(num=num, den=den)))
+    r = fld.q % 8
+    return _class_gf(fld.q, *_decomposition(gen, dec, r), r, i, True)
 
 
 def recurrence_check(q: int, den: tuple[int, ...], counts: list[int]) -> list[int]:

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from diagquartic import cli
+from diagquartic import cli, genfunc
 from diagquartic.counting import oracle_histograms
 from diagquartic.cyclotomy import CyclotomicClasses, quartic_decomposition
 from diagquartic.field import Field, find_generator, trace
@@ -22,8 +22,10 @@ NMAX = 8
 @pytest.fixture(autouse=True)
 def fresh_cli_builds():
     """Each test starts with no Field or generator kept by earlier CLI calls, so
-    a test that patches `cli.Field` or `cli.find_generator` sees its patch."""
+    a test that patches `cli.Field` or `cli.find_generator` sees its patch, and with
+    no generating function kept by earlier counts."""
     cli._field_and_generator.cache_clear()
+    genfunc._class_gf.cache_clear()
 
 
 class FieldData:

@@ -84,12 +84,12 @@ class TestCyclotomicCommand:
 
     def test_wrong_t_exits_1_with_witness(self, capsys, monkeypatch):
         # q = 13 has (s, t) = (-3, -1); t + 1 makes (0, 1)_4 non-integral
-        quartic_decomposition = cli.quartic_decomposition
+        quartic_decomposition = cyclotomy.quartic_decomposition
 
         def wrong_t(fld, gen):
             dec = quartic_decomposition(fld, gen)
             return QuarticDecomposition(s=dec.s, t=dec.t + 1)
-        monkeypatch.setattr(cli, "quartic_decomposition", wrong_t)
+        monkeypatch.setattr(cyclotomy, "quartic_decomposition", wrong_t)
         code, out = run(capsys, "cyclotomic", "--p", "13", "--json")
         assert code == 1
         failure = json.loads(out)["first_failure"]
@@ -230,12 +230,14 @@ class TestInputErrors:
         ["field", "--p", "5", "--generator", "0"],
         ["field", "--p", "5", "--m", "2", "--modulus", "1,x"],
         ["field", "--p", "5", "--m", "2", "--modulus", ",,"],
+        ["count", "--p", "5", "--c", "1", "--n", "x"],
+        ["verify", "--nmax", "y"],
     ], ids=["count-no-rhs", "count-c-and-y", "series-n-neg", "count-n0", "verify-nmax1",
             "series-c-and-y", "oracle-quartic-y", "oracle-y-n1", "verify-past-oracle-guard",
             "field-p-past-bound", "verify-p0", "verify-m-without-p",
             "verify-generator-without-p", "verify-modulus-without-p",
             "count-c-past-q", "field-generator-zero", "modulus-not-an-int",
-            "modulus-empty-terms"])
+            "modulus-empty-terms", "count-n-not-an-int", "verify-nmax-not-an-int"])
     def test_exits_2(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 
@@ -245,6 +247,14 @@ class TestInputErrors:
         assert capsys.readouterr().err.endswith(
             f"error: argument --modulus: comma-separated integers, constant term first, "
             f"got {text!r}\n")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["count", "--p", "5", "--c", "1", "--n", "x"], "argument --n: an integer at least 1"),
+        (["verify", "--nmax", "y"], "argument --nmax: an integer at least 2"),
+    ], ids=["count-n", "verify-nmax"])
+    def test_bad_integer_names_the_integer(self, capsys, argv, expected):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: {expected}, got {argv[-1]!r}\n")
 
     def test_verify_bounds_the_bits_of_the_counts(self, capsys, monkeypatch):
         # n*q^2 = 2.5e6 passes the cost guard, but the counts reach 5^n: the
@@ -438,19 +448,19 @@ class TestBuildCache:
         assert cli._field_and_generator.cache_info().currsize == 0
 
     def test_decomposition_found_once(self, capsys, monkeypatch):
-        calls, decompose = [], cli.quartic_decomposition
+        calls, decompose = [], cyclotomy.quartic_decomposition
 
         def counted(fld, gen):
             calls.append(fld.q)
             return decompose(fld, gen)
-        monkeypatch.setattr(cli, "quartic_decomposition", counted)
+        monkeypatch.setattr(cyclotomy, "quartic_decomposition", counted)
         argv = ("count", "--p", "13", "--c", "5", "--n", "4")
         first, second = (run(capsys, *argv) for _ in range(2))
         assert first == second and json.loads(first[1])["count"] == "1888"
         assert calls == [13]
 
     def test_failed_decomposition_exits_3_on_every_call(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "quartic_decomposition", _injected_defect)
+        monkeypatch.setattr(cyclotomy, "quartic_decomposition", _injected_defect)
         assert [run(capsys, "count", "--p", "13", "--c", "5", "--n", "4")[0]
                 for _ in range(2)] == [3, 3]
         assert cli._field_and_generator.cache_info().currsize == 0
@@ -461,6 +471,26 @@ class TestBuildCache:
         assert (broken["status"], sound["status"]) == ("FAIL", "pass")
         assert (broken["fields"][0]["t"], sound["fields"][0]["t"]) == (0, -1)
         assert _hits_and_misses() == (1, 1)
+
+    def test_break_t_after_a_sound_run_still_fails(self, capsys):
+        # the sound run leaves its field, (s, t) and generating functions built; the
+        # broken run must not read them in place of its own t, so it files the same
+        # checks as a broken run in a fresh process, the series' checks among the failures
+        def checks(out):
+            return [{key: v for key, v in c.items() if key != "seconds"}
+                    for c in json.loads(out)["checks"]]
+        cold = run(capsys, "verify", "--p", "13", "--break-t")
+        cli._field_and_generator.cache_clear()
+        genfunc._class_gf.cache_clear()
+        sound = json.loads(run(capsys, "verify", "--p", "13")[1])
+        code, out = run(capsys, "verify", "--p", "13", "--break-t")
+        broken = json.loads(out)
+        assert (sound["status"], broken["status"], code, cold[0]) == ("pass", "FAIL", 1, 1)
+        assert (sound["fields"][0]["t"], broken["fields"][0]["t"]) == (-1, 0)
+        assert _hits_and_misses() == (1, 1)
+        assert checks(out) == checks(cold[1])
+        assert {c["name"]: c["status"] for c in broken["checks"]}[
+            "q=13 oracle-equivalence n<=8"] == "FAIL"
 
     @pytest.mark.parametrize("field", [("--p", "13"), ("--p", "7", "--m", "2")],
                              ids=["q=13", "q=49"])
@@ -477,7 +507,7 @@ class TestBuildCache:
 class TestInternalErrors:
     @pytest.mark.parametrize("command", ["field", "verify"])
     def test_invariant_error_exits_3(self, capsys, monkeypatch, command):
-        monkeypatch.setattr(cli, "quartic_decomposition", _injected_defect)
+        monkeypatch.setattr(cyclotomy, "quartic_decomposition", _injected_defect)
         assert run(capsys, command, "--p", "13")[0] == 3
 
     def test_invariant_error_in_verify_checks_exits_3(self, capsys, monkeypatch):
@@ -701,7 +731,7 @@ class TestVerifyCommand:
         assert run(capsys, "verify", "--p", "13", "--nmax", "20")[0] == 0
         fld = Field(13, 1)
         gen = find_generator(fld)
-        dec = cli.quartic_decomposition(fld, gen)
+        dec = cyclotomy.quartic_decomposition(fld, gen)
         hists = list(counting.oracle_histograms(fld, [fld.one()] * 20))
         argv = ["verify", "--p", "13", "--nmax", "20", "--json"]
         if defect == "break-t":

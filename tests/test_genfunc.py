@@ -4,15 +4,18 @@ import random
 
 import pytest
 
+from diagquartic import cyclotomy
 from diagquartic.counting import count_M, count_N
-from diagquartic.cyclotomy import quartic_decomposition
-from diagquartic.errors import BadDenominatorError, QuarticYError
+from diagquartic.cyclotomy import QuarticDecomposition, quartic_decomposition
+from diagquartic.errors import BadDenominatorError, InvariantError, QuarticYError
 from diagquartic.expsums import build_table
-from diagquartic.field import Field, _mulmod, _powmod, find_generator, quartic_class
+from diagquartic.field import (BUILD_CACHE_SIZE, Field, _mulmod, _powmod, find_generator,
+                               quartic_class)
 from diagquartic.genfunc import (
     SERIES_BELOW,
     RationalGF,
     RationalPart,
+    _class_gf,
     _class_part,
     denominator,
     gf_M,
@@ -179,6 +182,110 @@ class TestCoefficient:
             RationalPart(num=(0, 1), den=(1, -5)).coefficient(0)
 
 
+def literal_series(num, den, count):
+    """c_1 .. c_count of num/den, den[0] = 1, from c_j = num[j] - sum_(i>=1) den[i] c_(j-i),
+    every tap read, c_j = 0 below 0."""
+    coeffs = []
+    for j in range(count + 1):
+        coeffs.append((num[j] if j < len(num) else 0)
+                      - sum(den[i] * coeffs[j - i] for i in range(1, min(j, len(den) - 1) + 1)))
+    return coeffs[1:]
+
+
+def kept_terms(part):
+    """How many of c_1, c_2, ... the part keeps (its prefix also holds c_(-k) .. c_0)."""
+    return max(0, len(part._kept) - len(part.den))
+
+
+def kept_bound(part):
+    k = len(part.den) - 1
+    return max(SERIES_BELOW, max(1, len(part.num) - k) + 2 * k)
+
+
+class TestKeptPrefix:
+    ONE_TAP = [(1, -3), (1, 0, 7), (1, 0, 0, 0, 7)]
+    MULTI_TAP = [(1, 2, -5), (1, 0, 10, 40, 205)]
+    NUMS = {"short-num": (0, 1), "num-past-series-threshold": tuple(range(-3, SERIES_BELOW + 10))}
+
+    @pytest.mark.parametrize("den", ONE_TAP + MULTI_TAP)
+    @pytest.mark.parametrize("num", NUMS.values(), ids=NUMS.keys())
+    def test_reads_in_either_order(self, num, den):
+        # descending n first, so the early reads find the prefix short and the later
+        # ones find it long; then ascending on the same part, across SERIES_BELOW
+        part = RationalPart(num=num, den=den)
+        top = max(1, len(num) - len(den) + 1) + SERIES_BELOW + 12
+        expected = literal_series(num, den, top)
+        order = list(range(top, 0, -1)) + list(range(1, top + 1))
+        assert [part.coefficient(n) for n in order] == [expected[n - 1] for n in order]
+        assert part.series(top) == expected
+
+    def test_series_lists_are_copies(self):
+        fd = field_data(13, 1)
+        gf = gf_N(fd.field, fd.gen, fd.dec, fd.field.one())
+        part = gf.parts[1]
+        expected = literal_series(part.num, part.den, 40)
+        for listed in (part.series(40), gf.series(40), part.series(SERIES_BELOW * 3)):
+            listed[:] = [-1] * len(listed)
+        # the shared generating function of a later call reads unchanged terms
+        again = gf_N(fd.field, fd.gen, fd.dec, fd.field.one())
+        assert again is gf
+        assert [part.coefficient(n) for n in range(1, 41)] == expected
+        assert part.series(40) == expected
+        geometric = literal_series(gf.parts[0].num, gf.parts[0].den, 40)
+        assert again.series(40) == [a + b for a, b in zip(geometric, expected)]
+        assert again.series(8) == [fd.oracle_N(1, n) for n in range(1, 9)]
+
+    @pytest.mark.parametrize("den", ONE_TAP + MULTI_TAP + [(1,)])
+    @pytest.mark.parametrize("num", NUMS.values(), ids=NUMS.keys())
+    def test_prefix_stays_within_its_bound(self, num, den):
+        part = RationalPart(num=num, den=den)
+        assert part.coefficient(10**4) == literal_series(num, den, 10**4)[-1]
+        assert kept_terms(part) <= kept_bound(part)
+        assert len(part.series(3 * 10**3)) == 3 * 10**3
+        assert kept_terms(part) <= kept_bound(part)
+
+    def test_equality_and_hash_ignore_the_prefix(self):
+        read, fresh = (RationalPart(num=(0, 3, -5, -15, 81), den=(1, 0, 26, -312, 1053))
+                       for _ in range(2))
+        read.coefficient(SERIES_BELOW - 1)
+        assert kept_terms(read) > kept_terms(fresh) == 0
+        assert read == fresh and hash(read) == hash(fresh)
+
+
+class TestSharedGeneratingFunctions:
+    def test_one_instance_per_class(self):
+        fd = field_data(13, 1)
+        reps = [fd.gen.g ** l for l in range(4)]
+        for c in [fd.field.zero()] + reps:
+            other = c * fd.gen.g ** 4 if not c.is_zero() else c  # same class
+            assert gf_N(fd.field, fd.gen, fd.dec, c) is gf_N(fd.field, fd.gen, None, other)
+        for y in reps[1:]:
+            assert gf_M(fd.field, fd.gen, fd.dec, y) is gf_M(fd.field, fd.gen, None, y)
+        assert gf_N(fd.field, fd.gen, fd.dec, reps[1]) is not gf_M(fd.field, fd.gen, fd.dec,
+                                                                   reps[1])
+
+    def test_another_decomposition_is_another_entry(self):
+        fd = field_data(13, 1)
+        broken = QuarticDecomposition(s=fd.dec.s, t=fd.dec.t + 1)
+        g = fd.gen.g  # class 1, whose numerator reads t
+        sound, wrong = gf_N(fd.field, fd.gen, fd.dec, g), gf_N(fd.field, fd.gen, broken, g)
+        assert sound != wrong
+        assert gf_N(fd.field, fd.gen, fd.dec, g) is sound
+        assert sound.series(8) == [fd.oracle_N(g.encode(), n) for n in range(1, 9)]
+
+    def test_memo_is_bounded_by_the_fields_kept(self):
+        assert _class_gf.cache_info().maxsize == 8 * BUILD_CACHE_SIZE
+        # eight classes per field: c = 0, four of c and three non-quartic ones of y
+        fd = field_data(13, 1)
+        _class_gf.cache_clear()
+        reps = [fd.gen.g ** l for l in range(4)]
+        for c in [fd.field.zero()] + reps:
+            gf_N(fd.field, fd.gen, fd.dec, c)
+        for y in reps[1:]:
+            gf_M(fd.field, fd.gen, fd.dec, y)
+        assert _class_gf.cache_info().currsize == 8
+
+
 class TestGfN:
     def test_q5_c0_parts(self):
         fd = field_data(5, 1)
@@ -250,6 +357,36 @@ class TestGfM:
 
 
 class TestMissingDecomposition:
+    def test_found_once_per_generator(self, monkeypatch):
+        calls, decompose = [], cyclotomy.quartic_decomposition
+
+        def counted(fld, gen):
+            calls.append(fld.q)
+            return decompose(fld, gen)
+        monkeypatch.setattr(cyclotomy, "quartic_decomposition", counted)
+        fld = Field(13, 1)
+        gen = find_generator(fld)
+        values = [(count_N(fld.from_int(code), 6, fld, gen), count_M(gen.g, 6, fld, gen),
+                   gf_N(fld, gen, None, fld.zero()).coefficient(3)) for code in range(13)]
+        assert calls == [13]
+        dec = decompose(fld, gen)
+        assert values == [(count_N(fld.from_int(code), 6, fld, gen, dec),
+                           count_M(gen.g, 6, fld, gen, dec),
+                           gf_N(fld, gen, dec, fld.zero()).coefficient(3)) for code in range(13)]
+
+    def test_failed_search_raises_on_every_read(self, monkeypatch):
+        def failing(fld, gen):
+            raise InvariantError("injected defect")
+        monkeypatch.setattr(cyclotomy, "quartic_decomposition", failing)
+        fld = Field(13, 1)
+        gen = find_generator(fld)
+        for _ in range(2):
+            with pytest.raises(InvariantError):
+                count_N(fld.one(), 4, fld, gen)
+        monkeypatch.undo()
+        assert count_N(fld.one(), 4, fld, gen) == count_N(fld.one(), 4, fld, gen,
+                                                          quartic_decomposition(fld, gen))
+
     def test_computed_when_omitted(self, field_1mod4):
         fd = field_1mod4
         for code in range(1, fd.q):
