@@ -12,9 +12,10 @@ element off the log table, checks `quartic_class` against it at every element, b
 series and closed form per class, and checks them at every c and y against one oracle pass
 per field (M_n(y) by splitting off x_n, one sum per coset -y C_0), with the denominator's
 recurrence at every c and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y) off the series.  Checks
-yield rows, the inputs and each method's values; all but the (i, j)_4 and the expsums
-compare exact arrays, a row only where they differ.  One runner times each check and files
-its first row as JSON; with the `fields` it lists (p, m, q, modulus, g, s, t) it reproduces.
+yield rows, the inputs and each method's values; all but the (i, j)_4 and the expsums (the
+class check too) compare exact arrays, a row only where they differ.  One runner times each
+check and files its first row as JSON; with the `fields` it lists (p, m, q, modulus, g, s,
+t) it reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -250,24 +251,16 @@ def _expsum_rows(fld, gen, dec, reps, hists: np.ndarray):
                    "oracle": hists[n - 1][c.encode()], "max_residual": residual}
 
 
-def _class_rows(fld, gen, cls):
-    """`quartic_class` against the log table's `cls` at every c != 0: a row where they differ."""
-    import numpy as np
-    euler = np.array([-1] + [quartic_class(fld.from_int(c), gen) for c in range(1, fld.q)])
-    for c in np.flatnonzero(euler != cls).tolist():
-        yield {"c": c, "quartic_class": int(euler[c]), "log_table": int(cls[c])}
-
-
 def _differing_rows(build):
     """The rows of an array check, built on the first `next`, inside its timed region:
-    build() gives the two axes (input -> labels) and each method's 2-D array over them,
-    and a row, the inputs and each value, is yielded in row-major order where they differ."""
+    build() gives the axes (input -> labels) and each method's array over them, and a row,
+    the inputs and each value, is yielded in row-major order where they differ."""
     import numpy as np
     axes, values = build()
     first, *rest = values.values()
-    (a, labels_a), (b, labels_b) = axes.items()
-    for i, j in np.argwhere(np.any([first != other for other in rest], axis=0)).tolist():
-        yield {a: labels_a[i], b: labels_b[j], **{m: v[i, j] for m, v in values.items()}}
+    for at in np.argwhere(np.any([first != other for other in rest], axis=0)).tolist():
+        yield {**{a: labels[i] for (a, labels), i in zip(axes.items(), at)},
+               **{m: v[tuple(at)] for m, v in values.items()}}
 
 
 def _twisted_arrays(fld, gen, dec, cyc, reps, series, hists) -> tuple[dict, dict]:
@@ -296,7 +289,9 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
     cyc = CyclotomicClasses(fld, gen, len(reps))
     cls = cyc.class_of
     _run_check(checks, f"{tag} quartic classes", ("quartic_class", "log_table"),
-               _class_rows(fld, gen, cls))
+               _differing_rows(lambda: ({"c": range(1, q)}, {"quartic_class": np.array(
+                   [quartic_class(fld.from_int(c), gen) for c in range(1, q)]),
+                   "log_table": cls[1:]})))
     # one series per class: series[0] at c = 0, series[1 + l] at c = g^l
     series = [genfunc.gf_N(fld, gen, dec, c).series(nmax) for c in [fld.zero()] + reps]
     _run_check(checks, f"{tag} oracle-equivalence n<={nmax}", ("series", "oracle"),

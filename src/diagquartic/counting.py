@@ -5,7 +5,7 @@ Four of the five routes, cross-checked by `verify` and the tests:
 * `count_N` / `count_M`, one series coefficient of the rational generating
   functions (the production path),
 * an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution of the
-  histogram of x^4 (the digit array squared twice), stored once per field, scaled by
+  histogram of x^4 (as (x^2)^2 off the digit array), stored once per field, scaled by
   each distinct a_k as one permutation of the encodings and convolved as one gather from
   the addition table and one exact integer matrix-vector product (O(q^2) per variable),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
@@ -33,25 +33,26 @@ from .field import (  # noqa: F401
 
 
 # Rows of the digit array `power_profile` squares at once: beside the digit array
-# and the histogram, its working arrays hold POWER_PROFILE_ROWS x m entries each,
+# and the squares, its working arrays hold POWER_PROFILE_ROWS x m entries each,
 # whatever q.
 POWER_PROFILE_ROWS = 2**12
 
 
 def power_profile(fld: Field) -> np.ndarray:
     """Histogram of x -> x^4 over F_q by encoding, checked against the d-th power residue
-    rule, d = gcd(4, q - 1): the digit array squared twice, x^2 = sum_i x_i (x alpha^i),
-    POWER_PROFILE_ROWS rows at a time, each block's encodings added into one histogram."""
+    rule, d = gcd(4, q - 1): the digit array squared once, x^2 = sum_i x_i (x alpha^i),
+    POWER_PROFILE_ROWS rows at a time, into the encodings of x^2, read twice for x^4."""
     import numpy as np
     d, digits, p, q = gcd(4, fld.q - 1), _digits(fld), fld.p, fld.q
     shifts = [_times_matrix(fld.element([0] * i + [1])) for i in range(fld.m)]
     weights = _weights(fld)
-    counts = np.zeros(q, dtype=np.int64)
+    square = np.empty(q, dtype=np.int64)
     for start in range(0, q, POWER_PROFILE_ROWS):
         x = digits[start:start + POWER_PROFILE_ROWS]
-        for _ in range(2):
-            x = sum(x[:, i, None] * (x @ shift % p) for i, shift in enumerate(shifts)) % p
-        np.add.at(counts, x @ weights, 1)  # O(rows), where a bincount would be O(q)
+        x = sum(x[:, i, None] * (x @ shift % p) for i, shift in enumerate(shifts)) % p
+        square[start:start + POWER_PROFILE_ROWS] = x @ weights
+    del digits  # released before the gather, so the peak does not grow
+    counts = np.bincount(square[square], minlength=q)
     # w(0) = 1, w(c) in {0, d} for c != 0
     if counts[0] != 1:
         raise InvariantError(f"x^4 has {counts[0]} roots of 0 in F_{q}")

@@ -5,12 +5,12 @@ paths never depend on it.  The polynomial residual tolerance scales with q^2,
 and the reconstruction's imaginary tolerance with the size of its terms,
 because the sums grow with sqrt(q) per factor.
 
-`build_table` reads psi(x) = exp(2 pi i Tr(x)/p) off `field.trace_table` and
-sums it over the encodings of each class, which `CyclotomicClasses` reads off
-`field.log_table`: the four Gauss periods eta_l = sum over w in C_l of psi(w)
-give both T_{g^l} = 1 + 4 eta_l and lambda_l(c) = eta_{l + ind(-c)}.  The periods
-are summed once per generator and kept, read-only, in `field._stored` (kind
-"periods").
+`build_table` computes psi(x) = exp(2 pi i Tr(x)/p) from `field.trace_table`, which
+it calls directly, and sums it over the encodings of each class, which
+`CyclotomicClasses` reads off `field.log_table`: the four Gauss periods eta_l = sum
+over w in C_l of psi(w) give both T_{g^l} = 1 + 4 eta_l and lambda_l(c) =
+eta_{l + ind(-c)}.  Only the periods are kept: summed once per generator, read-only,
+in `field._stored` (kind "periods"); the trace table is not stored.
 """
 
 from __future__ import annotations

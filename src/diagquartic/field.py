@@ -19,17 +19,17 @@ product in F_q per query.  `trace` reads Tr(alpha^k), the power sums of the modu
 roots by Newton's identities, which a Field computes once.
 
 Jobs that touch every element step the q x m digit array (`_digits`), as the histogram of
-x^4 does, or read whole-field tables over the encodings, never one `Element` per encoding:
-`log_table` holds ind_g(x) for every x, built once per generator, and is what `index_of`
-and the cyclotomic classes read; `_group_convolve`, the oracle's additive convolution over
-(F_q, +), is one gather from the addition table and one exact integer matrix-vector
-product; `trace_table` holds Tr(x) mod p for every encoding.  These three kinds, the
-histogram of x^4, and the tables `cyclotomy` and `expsums` build once per generator (the
-(i, j)_k, the A_l, the Gauss periods) share one store (`_stored`) under one byte guard
-that counts every byte (no dtype object); the oldest tables leave it first, whatever their
-kind, and STORE_COUNTS counts each kind's hits, builds and evictions.  These jobs, here and
-in the other modules, are numpy's only users, and each imports it in its own body: a
-process that only counts off the series never loads numpy.
+x^4 and `trace_table` (Tr(x) mod p, computed where its one reader needs it) do, or read
+whole-field tables over the encodings, never one `Element` per encoding: `log_table` holds
+ind_g(x) for every x, built once per generator, and is what `index_of` and the cyclotomic
+classes read; `_group_convolve`, the oracle's additive convolution over (F_q, +), is one
+gather from the addition table and one exact integer matrix-vector product.  The log and
+addition tables, the histogram of x^4, and the tables `cyclotomy` and `expsums` build once
+per generator (the (i, j)_k, the A_l, the Gauss periods) share one store (`_stored`) under
+one byte guard that counts every byte (no dtype object); the oldest tables leave it first,
+whatever their kind, and STORE_COUNTS counts each kind's hits, builds and evictions.
+These jobs, here and in the other modules, are numpy's only users, and each imports it in
+its own body: a process that only counts off the series never loads numpy.
 """
 
 from __future__ import annotations
@@ -523,8 +523,8 @@ def _times_matrix(a: Element) -> np.ndarray:
                     dtype=np.int64)
 
 
-# ("add" | "trace" | "power", fld), ("log" | "periods", g) or ("cyclo" | "transfer",
-# g, k) -> table, oldest first
+# ("add" | "power", fld), ("log" | "periods", g) or ("cyclo" | "transfer", g, k) -> table,
+# oldest first
 _TABLES: dict[tuple, np.ndarray] = {}
 # (kind, "hits" | "builds" | "evictions") -> count over the process's life, kind = key[0]
 STORE_COUNTS: Counter[tuple[str, str]] = Counter()
@@ -606,18 +606,15 @@ def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
     return (v1[table[:, _negatives(fld, cols)]] @ v2[cols]).tolist()
 
 
-def _trace_table(fld: Field) -> np.ndarray:
-    import numpy as np
-    return (_digits(fld) @ np.array(fld._traces, dtype=np.int64)) % fld.p
-
-
 def trace_table(fld: Field) -> np.ndarray:
-    """Tr(x) mod p for every encoding x, as a read-only int64 array.
+    """Tr(x) mod p for every encoding x, as an int64 array computed on each call: its
+    one reader, the Gauss periods of `expsums`, is itself stored once per generator.
 
     Tr is F_p-linear, so the table is digits @ (Tr(1), Tr(a), ..., Tr(a^(m-1)))
     mod p, a the root of the modulus, with the power sums the Field keeps.
     """
-    return _stored(("trace", fld), lambda: _trace_table(fld))
+    import numpy as np
+    return (_digits(fld) @ np.array(fld._traces, dtype=np.int64)) % fld.p
 
 
 def _log_table(g: Element) -> np.ndarray:

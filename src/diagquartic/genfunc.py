@@ -126,11 +126,6 @@ class RationalGF:
         return total
 
 
-def _geometric(q: int, scale: int = 1) -> RationalPart:
-    # scale * x / (1 - qx)
-    return RationalPart(num=(0, scale), den=(1, -q))
-
-
 def denominator(q: int, s: int | None) -> tuple[int, ...]:
     """Denominator of `gf_N` and `gf_M`: 1 + q x^2 if q = 3 mod 4, where s is not read,
     else the reversal of the monic quartic whose roots are the Gauss sums T_{g^l}."""
@@ -181,9 +176,10 @@ def _class_part(q, s, t, r: int, i: int | None, twisted: bool = False) -> tuple[
 def _class_gf(q: int, s: int, t: int, r: int, i: int | None, twisted: bool) -> RationalGF:
     """The generating function of `gf_N` at c = 0 (i None) or at c in C_i, or (twisted)
     of `gf_M` at y in C_i, built once per argument tuple and shared by every call:
-    the geometric part and `_class_part`'s, which read nothing else."""
+    the geometric part x/(1 - qx), scaled by q when twisted, and `_class_part`'s, which
+    read nothing else."""
     num, den = _class_part(q, s, t, r, i, twisted)
-    return RationalGF(parts=(_geometric(q, scale=q if twisted else 1),
+    return RationalGF(parts=(RationalPart(num=(0, q if twisted else 1), den=(1, -q)),
                              RationalPart(num=num, den=den)))
 
 

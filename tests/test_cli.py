@@ -421,6 +421,21 @@ class TestBuildCache:
         assert [key for key in new if key[1] != "hits"] == []
         assert _without_seconds(second) == _without_seconds(first)
 
+    def test_every_stored_kind_is_read_again(self, capsys, monkeypatch):
+        # a table built once and never read again costs its bytes and its build for nothing
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
+        calls = [("verify", "--p", "13", "--expsums"),
+                 ("count", "--p", "13", "--c", "2", "--n", "4", "--all-methods"),
+                 ("count", "--p", "7", "--m", "2", "--y", "8", "--n", "3", "--all-methods")]
+        for _ in range(2):
+            for argv in calls:
+                assert run(capsys, *argv)[0] == 0
+        counts = field_module.STORE_COUNTS
+        built = {kind for kind, event in counts if event == "builds"}
+        assert sorted(kind for kind in built if not counts[kind, "hits"]) == []
+        assert built == {"add", "power", "log", "cyclo", "transfer", "periods"}
+
     def test_overrides_get_their_own_entries(self, capsys, monkeypatch):
         monkeypatch.setattr(field_module, "_TABLES", {})
         calls = [("count", "--p", "13", "--c", "5", "--n", "4", "--all-methods", *extra)

@@ -8,6 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from diagquartic import counting
 from diagquartic import field as field_module
 from diagquartic.cyclotomy import cyclotomic_matrix, quartic_decomposition, transfer_matrices
 from diagquartic.counting import count_M, count_N
@@ -668,8 +669,8 @@ class TestGroupConvolve:
 
 class TestTableStore:
     def test_one_budget_evicts_oldest_across_kinds(self, monkeypatch):
-        # 8-byte entries: an addition table holds q^2 of them, a log or trace
-        # table q.  All ten tables take 1,136 bytes; the budget is 700.
+        # 8-byte entries: an addition table holds q^2 of them, a log table or a
+        # histogram of x^4 q.  All ten tables take 1,136 bytes; the budget is 700.
         assert np.dtype(np.intp).itemsize == 8
         fields = {q: Field(p, m) for q, (p, m) in {5: (5, 1), 7: (7, 1), 9: (3, 2),
                                                  13: (13, 1)}.items()}
@@ -681,11 +682,11 @@ class TestTableStore:
                 builds.append((kind, field_of(arg).q))
                 return build(arg)
             return wrapper
-        for kind, name, field_of in [("add", "_addition_tables", lambda f: f),
-                                     ("log", "_log_table", lambda g: g.field),
-                                     ("trace", "_trace_table", lambda f: f)]:
-            monkeypatch.setattr(field_module, name,
-                                counted(kind, getattr(field_module, name), field_of))
+        for module, kind, name, field_of in [
+                (field_module, "add", "_addition_tables", lambda f: f),
+                (field_module, "log", "_log_table", lambda g: g.field),
+                (counting, "power", "power_profile", lambda f: f)]:
+            monkeypatch.setattr(module, name, counted(kind, getattr(module, name), field_of))
         monkeypatch.setattr(field_module, "_TABLES", {})
         monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 700)
 
@@ -696,33 +697,34 @@ class TestTableStore:
                 field_module._group_convolve(fld, delta, delta)
             elif kind == "log":
                 log_table(fld, gens[q])
-            else:
-                trace_table(fld)
+            else:  # as the oracle stores it: its cost guard refuses q = 13 on this budget
+                field_module._stored(("power", fld), lambda: counting.power_profile(fld))
             store = field_module._TABLES
             assert sum(t.nbytes for t in store.values()) <= 700
             return [(k, (obj.field if k == "log" else obj).q) for k, obj in store]
-        for step in [("add", 5), ("add", 7), ("log", 5), ("trace", 5)]:
+        for step in [("add", 5), ("add", 7), ("log", 5), ("power", 5)]:
             touch(*step)
         # 672 bytes; the next 56 evict the oldest table, an addition table
-        assert touch("log", 7) == [("add", 7), ("log", 5), ("trace", 5), ("log", 7)]
-        for step in [("trace", 7), ("log", 9)]:
+        assert touch("log", 7) == [("add", 7), ("log", 5), ("power", 5), ("log", 7)]
+        for step in [("power", 7), ("log", 9)]:
             touch(*step)
-        assert touch("trace", 9) == [("log", 5), ("trace", 5), ("log", 7),
-                                     ("trace", 7), ("log", 9), ("trace", 9)]
+        assert touch("power", 9) == [("log", 5), ("power", 5), ("log", 7),
+                                     ("power", 7), ("log", 9), ("power", 9)]
         touch("log", 13)
-        assert touch("trace", 13)[-2:] == [("log", 13), ("trace", 13)]
+        assert touch("power", 13)[-2:] == [("log", 13), ("power", 13)]
         # a hit neither builds nor moves its table; a rebuilt table evicts two
         assert touch("log", 5)[0] == ("log", 5)
-        assert touch("add", 5) == [("log", 7), ("trace", 7), ("log", 9), ("trace", 9),
-                                   ("log", 13), ("trace", 13), ("add", 5)]
-        assert builds == [("add", 5), ("add", 7), ("log", 5), ("trace", 5), ("log", 7),
-                          ("trace", 7), ("log", 9), ("trace", 9), ("log", 13),
-                          ("trace", 13), ("add", 5)]
+        assert touch("add", 5) == [("log", 7), ("power", 7), ("log", 9), ("power", 9),
+                                   ("log", 13), ("power", 13), ("add", 5)]
+        assert builds == [("add", 5), ("add", 7), ("log", 5), ("power", 5), ("log", 7),
+                          ("power", 7), ("log", 9), ("power", 9), ("log", 13),
+                          ("power", 13), ("add", 5)]
         assert all(not t.flags.writeable for t in field_module._TABLES.values())
 
     def test_class_tables_share_the_budget_and_are_counted(self, monkeypatch):
-        # on F_13 and F_17 at k = 4: a log or trace table takes 8q bytes, the (i, j)_4
-        # 128, the four Gauss periods 64 and the A_l 4 * 5 * 5 int64 entries, 800 bytes
+        # on F_13 and F_17 at k = 4: a log table or a histogram of x^4 takes 8q bytes,
+        # the (i, j)_4 128, the four Gauss periods 64 and the A_l 4 * 5 * 5 int64
+        # entries, 800 bytes
         monkeypatch.setattr(field_module, "_TABLES", {})
         monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
         monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 1000)
@@ -730,27 +732,30 @@ class TestTableStore:
         gens = {f13: find_generator(f13), f17: find_generator(f17)}
         reads = {"cyclo": lambda fld: cyclotomic_matrix(4, fld, gens[fld]),
                  "transfer": lambda fld: transfer_matrices(fld, gens[fld], 4),
-                 "periods": lambda fld: build_table(fld, gens[fld])}
+                 "periods": lambda fld: build_table(fld, gens[fld]),
+                 "power": lambda fld: field_module._stored(
+                     ("power", fld), lambda: counting.power_profile(fld))}
 
         def touch(kind, fld):
             reads[kind](fld)
             store = field_module._TABLES
             assert sum(t.nbytes for t in store.values()) <= 1000
             assert not any(t.flags.writeable for t in store.values())
-            return [(key[0], (key[1] if key[0] in ("trace", "power", "add")
+            return [(key[0], (key[1] if key[0] in ("power", "add")
                               else key[1].field).q) for key in store]
         touch("cyclo", f13)
-        assert touch("periods", f13) == [("log", 13), ("cyclo", 13), ("trace", 13),
+        touch("power", f13)
+        assert touch("periods", f13) == [("log", 13), ("cyclo", 13), ("power", 13),
                                          ("periods", 13)]
         # 1,200 bytes: the two oldest go, the log table and the (i, j)_4 it served
-        assert touch("transfer", f13) == [("trace", 13), ("periods", 13), ("transfer", 13)]
+        assert touch("transfer", f13) == [("power", 13), ("periods", 13), ("transfer", 13)]
         assert touch("cyclo", f17) == [("log", 17), ("cyclo", 17)]
         # a hit neither builds nor moves its table
         assert touch("cyclo", f17) == [("log", 17), ("cyclo", 17)]
         assert field_module.STORE_COUNTS == {
             ("log", "hits"): 1, ("log", "builds"): 2, ("log", "evictions"): 1,
             ("cyclo", "hits"): 2, ("cyclo", "builds"): 2, ("cyclo", "evictions"): 1,
-            ("trace", "builds"): 1, ("trace", "evictions"): 1,
+            ("power", "builds"): 1, ("power", "evictions"): 1,
             ("periods", "builds"): 1, ("periods", "evictions"): 1,
             ("transfer", "builds"): 1, ("transfer", "evictions"): 1}
         # the A_l rebuilt on F_13, with its (i, j)_4 and log table, evict three tables
