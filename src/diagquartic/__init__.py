@@ -2,11 +2,11 @@
 
 Modules:
     field     -- F_{p^m} arithmetic, generators, quartic classes by Euler's
-                 criterion, traces; the log, addition and trace tables and
-                 the additive convolution over them
+                 criterion, traces; the log and trace tables and the one table store
     cyclotomy -- cyclotomic classes (a view of the log table) and numbers,
                  the (s, t) decomposition
-    counting  -- solution counts: oracle, closed forms, cyclotomic transfer matrices
+    counting  -- solution counts: the oracle (its addition table, convolution and
+                 guard), closed forms, cyclotomic transfer matrices
     genfunc   -- rational generating functions and their series expansion
     expsums   -- Gauss-type sums and floating-point reconstruction
     cli       -- command-line front end

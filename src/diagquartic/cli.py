@@ -56,8 +56,7 @@ from .errors import (
     TooLargeError,
     WrongResidueClassError,
 )
-from .field import (BUILD_CACHE_SIZE, Field, _negatives, check_convolution_cost,
-                    find_generator, quartic_class)
+from .field import BUILD_CACHE_SIZE, Field, _negatives, find_generator, quartic_class
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
                          (29, 1), (7, 1), (11, 1)]
@@ -151,7 +150,8 @@ def _routes(fld, gen, dec, c, y, n: int) -> dict:
     """Route name -> thunk for every route that covers the count: the production
     series first, then the oracle and cyclotomy, and for N_n(c) with q = 1 mod 4
     and c != 0 the closed forms (n <= 4) and expsum (up to its float bound).
-    The oracle sits out past the convolution guard."""
+    The oracle sits out past `counting.check_convolution_cost`, which one variable,
+    needing no convolution, always passes."""
     one, zero = fld.one(), fld.zero()
     routes = {"series": lambda: _series_count(fld, gen, dec, c, y, n)}
     if y is not None:
@@ -167,7 +167,7 @@ def _routes(fld, gen, dec, c, y, n: int) -> dict:
                 routes["expsum"] = lambda: expsums.reconstruct_N(
                     n, c, expsums.build_table(fld, gen))
     try:
-        check_convolution_cost(fld, n)
+        counting.check_convolution_cost(fld, n)
     except TooLargeError:
         del routes["oracle"]
     return routes

@@ -6,8 +6,9 @@ Four of the five routes, cross-checked by `verify` and the tests:
   functions (the production path),
 * an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution of the
   histogram of x^4 (as (x^2)^2 off the digit array), stored once per field, scaled by
-  each distinct a_k as one permutation of the encodings and convolved as one gather from
-  the addition table and one exact integer matrix-vector product (O(q^2) per variable),
+  each distinct a_k as one permutation of the encodings and convolved (`_group_convolve`)
+  as one gather from the q x q addition table and one exact integer matrix-vector product
+  (O(q^2) per variable, under `check_convolution_cost`; one variable reads no table),
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`,
   on the matrices A_l of `cyclotomy.transfer_matrices`).
@@ -23,19 +24,18 @@ from math import gcd
 
 from . import genfunc
 from .cyclotomy import QuarticDecomposition, transfer_matrices
-from .errors import InvariantError, WrongResidueClassError, ZeroRHSError
-# The convolution primitive and its guards live in `field`.  They keep their
-# names here: the benchmark tracer (perfbench/tracer.py) binds
-# counting._group_convolve and counting._addition_tables.
-from .field import (  # noqa: F401
-    Element, Field, GeneratorData, _addition_tables, _digits, _group_convolve, _stored,
-    _times_matrix, _weights, check_convolution_cost, check_field, quartic_class)
+from .errors import InvariantError, TooLargeError, WrongResidueClassError, ZeroRHSError
+from .field import (
+    ORACLE_TABLE_BYTES_GUARD, Element, Field, GeneratorData, _digits, _negatives, _stored,
+    _times_matrix, _weights, check_field, quartic_class)
 
 
 # Rows of the digit array `power_profile` squares at once: beside the digit array
 # and the squares, its working arrays hold POWER_PROFILE_ROWS x m entries each,
 # whatever q.
 POWER_PROFILE_ROWS = 2**12
+# Bound on n*q^2, the work of the oracle's convolutions over (F_q, +) for n variables.
+ORACLE_COST_GUARD = 10**9
 
 
 def power_profile(fld: Field) -> np.ndarray:
@@ -61,12 +61,64 @@ def power_profile(fld: Field) -> np.ndarray:
     return counts
 
 
+def check_convolution_cost(fld: Field, n: int) -> None:
+    """Raise TooLargeError unless the oracle's n histograms, and for n >= 2 its
+    convolutions over F_q and the q x q addition table they read, fit the cost and byte
+    guards.  A histogram holds q counts below q^n, of n*bits(q) bits each.  The q x
+    nnz(h2) block a convolution gathers from the table never holds more than its q^2
+    entries, so the table's guard bounds the gather too."""
+    if n > 1 and n * fld.q**2 > ORACLE_COST_GUARD:
+        raise TooLargeError(f"convolution cost n*q^2 = {n}*{fld.q}^2 exceeds guard")
+    hist_bytes = n * fld.q * n * fld.q.bit_length() // 8
+    if hist_bytes > ORACLE_TABLE_BYTES_GUARD:
+        raise TooLargeError(f"{n} histograms of counts below {fld.q}^{n} take about "
+                            f"{hist_bytes} bytes, past guard {ORACLE_TABLE_BYTES_GUARD}")
+    table_bytes = 8 * fld.q**2  # int64 entries
+    if n > 1 and table_bytes > ORACLE_TABLE_BYTES_GUARD:
+        raise TooLargeError(f"addition table of {table_bytes} bytes exceeds "
+                            f"guard {ORACLE_TABLE_BYTES_GUARD}")
+
+
+def _addition_tables(fld: Field) -> np.ndarray:
+    """enc(a + b) for all encoding pairs, as a q x q int64 array.
+
+    Addition is digitwise mod p, so row a is sum_i ((d_i(a) + d_i(b)) mod p) p^i
+    over all b, computed from the digit array one row at a time.
+    """
+    import numpy as np
+    digits, weights = _digits(fld), _weights(fld)
+    table = np.empty((fld.q, fld.q), dtype=np.int64)
+    for a in range(fld.q):
+        table[a] = ((digits[a] + digits) % fld.p) @ weights
+    return table
+
+
+def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
+    """Additive convolution over (F_q, +): out[c] = sum_b h1[c - b] * h2[b].
+
+    The addition table T has T[c, enc(-b)] = enc(c - b), so out is one gather and
+    one matrix-vector product, h1[T[:, neg]] @ h2[cols], over the encodings b in
+    cols where h2 is nonzero, with neg their `_negatives`.  No partial sum
+    exceeds sum|h1| * sum|h2|: while that bound and both totals are below 2^63
+    the product runs in int64, and otherwise on Python ints (dtype object), so
+    the counts stay exact.
+    """
+    import numpy as np
+    table = _stored(("add", fld), lambda: _addition_tables(fld))
+    s1, s2 = sum(map(abs, h1)), sum(map(abs, h2))
+    dtype = np.int64 if max(s1, s2, s1 * s2) < 2**63 else object
+    v1, v2 = np.array(h1, dtype=dtype), np.array(h2, dtype=dtype)
+    cols = np.flatnonzero(v2)
+    return (v1[table[:, _negatives(fld, cols)]] @ v2[cols]).tolist()
+
+
 def oracle_histograms(fld: Field, coeffs: list[Element]):
     """After each a_k, yield the zero counts of a_1 x_1^4 + ... + a_k x_k^4 = c
     for each c (by encoding); only the latest histogram is held."""
     import numpy as np
     if not coeffs:
         raise ValueError("at least one variable required")
+    check_field(fld, *coeffs)
     check_convolution_cost(fld, len(coeffs))
     base = _stored(("power", fld), lambda: power_profile(fld))
     digits, weights = _digits(fld), _weights(fld)

@@ -19,15 +19,15 @@ product in F_q per query.  `trace` reads Tr(alpha^k), the power sums of the modu
 roots by Newton's identities, which a Field computes once.
 
 Jobs that touch every element step the q x m digit array (`_digits`), as the histogram of
-x^4 and `trace_table` (Tr(x) mod p, computed where its one reader needs it) do, or read
-whole-field tables over the encodings, never one `Element` per encoding: `log_table` holds
-ind_g(x) for every x, built once per generator, and is what `index_of` and the cyclotomic
-classes read; `_group_convolve`, the oracle's additive convolution over (F_q, +), is one
-gather from the addition table and one exact integer matrix-vector product.  The log and
-addition tables, the histogram of x^4, and the tables `cyclotomy` and `expsums` build once
-per generator (the (i, j)_k, the A_l, the Gauss periods) share one store (`_stored`) under
-one byte guard that counts every byte (no dtype object); the oldest tables leave it first,
-whatever their kind, and STORE_COUNTS counts each kind's hits, builds and evictions.
+x^4, the oracle's addition table (both in `counting`) and `trace_table` (Tr(x) mod p,
+computed where its one reader needs it) do, or read whole-field tables over the encodings,
+never one `Element` per encoding: `log_table` holds ind_g(x) for every x, built once per
+generator, and is what `index_of` and the cyclotomic classes read.  The log table, the
+oracle's addition table and histogram of x^4, and the tables `cyclotomy` and `expsums`
+build once per generator (the (i, j)_k, the A_l, the Gauss periods) share one store
+(`_stored`) under one byte guard that counts every byte (no dtype object); the oldest tables
+leave it first, whatever their kind, and STORE_COUNTS counts each kind's hits, builds and
+evictions.
 These jobs, here and in the other modules, are numpy's only users, and each imports it in
 its own body: a process that only counts off the series never loads numpy.
 """
@@ -46,7 +46,6 @@ from .errors import (
     FieldTooLargeError,
     InvariantError,
     NotPrimeError,
-    TooLargeError,
     ZeroHasNoIndexError,
 )
 
@@ -54,10 +53,8 @@ if TYPE_CHECKING:
     from .cyclotomy import QuarticDecomposition
 
 DEFAULT_FIELD_BOUND = 2**20
-# Bound on n*q^2, the work of n convolutions over (F_q, +).
-ORACLE_COST_GUARD = 10**9
-# Bound on the bytes of the q x q addition table (q <= 5792), on the n
-# histograms of n convolutions, on the arrays the table store holds together,
+# Bound on the bytes of the oracle's q x q addition table (q <= 5792) and its n
+# histograms (checked in `counting`), on the arrays the table store holds together,
 # and on the k x k cyclotomic numbers and k transfer matrices of `cyclotomy`.
 ORACLE_TABLE_BYTES_GUARD = 2**28
 # Bound on the fields one process keeps set up for reuse: the CLI's (Field, generator)
@@ -551,59 +548,6 @@ def _stored(key: tuple, build) -> np.ndarray:
         STORE_COUNTS[oldest[0], "evictions"] += 1
         del _TABLES[oldest]
     return table
-
-
-def check_convolution_cost(fld: Field, n: int) -> None:
-    """Raise TooLargeError unless n convolutions over F_q, the q x q addition
-    table they read and the n histograms they yield fit the cost and byte
-    guards.  A histogram holds q counts below q^n, of n*bits(q) bits each.  The
-    q x nnz(h2) block a convolution gathers from the table never holds more than
-    its q^2 entries, so the table's guard bounds the gather too."""
-    import numpy as np
-    if n * fld.q**2 > ORACLE_COST_GUARD:
-        raise TooLargeError(f"convolution cost n*q^2 = {n}*{fld.q}^2 exceeds guard")
-    hist_bytes = n * fld.q * n * fld.q.bit_length() // 8
-    if hist_bytes > ORACLE_TABLE_BYTES_GUARD:
-        raise TooLargeError(f"{n} histograms of counts below {fld.q}^{n} take about "
-                            f"{hist_bytes} bytes, past guard {ORACLE_TABLE_BYTES_GUARD}")
-    table_bytes = fld.q**2 * np.dtype(np.intp).itemsize
-    if table_bytes > ORACLE_TABLE_BYTES_GUARD:
-        raise TooLargeError(f"addition table of {table_bytes} bytes exceeds "
-                            f"guard {ORACLE_TABLE_BYTES_GUARD}")
-
-
-def _addition_tables(fld: Field) -> np.ndarray:
-    """enc(a + b) for all encoding pairs, as a q x q int array.
-
-    Addition is digitwise mod p, so row a is sum_i ((d_i(a) + d_i(b)) mod p) p^i
-    over all b, computed from the digit array one row at a time.
-    """
-    import numpy as np
-    digits = _digits(fld)
-    weights = _weights(fld)
-    table = np.empty((fld.q, fld.q), dtype=np.intp)
-    for a in range(fld.q):
-        table[a] = ((digits[a] + digits) % fld.p) @ weights
-    return table
-
-
-def _group_convolve(fld: Field, h1: list[int], h2: list[int]) -> list[int]:
-    """Additive convolution over (F_q, +): out[c] = sum_b h1[c - b] * h2[b].
-
-    The addition table T has T[c, enc(-b)] = enc(c - b), so out is one gather and
-    one matrix-vector product, h1[T[:, neg]] @ h2[cols], over the encodings b in
-    cols where h2 is nonzero, with neg their `_negatives`.  No partial sum
-    exceeds sum|h1| * sum|h2|: while that bound and both totals are below 2^63
-    the product runs in int64, and otherwise on Python ints (dtype object), so
-    the counts stay exact.
-    """
-    import numpy as np
-    table = _stored(("add", fld), lambda: _addition_tables(fld))
-    s1, s2 = sum(map(abs, h1)), sum(map(abs, h2))
-    dtype = np.int64 if max(s1, s2, s1 * s2) < 2**63 else object
-    v1, v2 = np.array(h1, dtype=dtype), np.array(h2, dtype=dtype)
-    cols = np.flatnonzero(v2)
-    return (v1[table[:, _negatives(fld, cols)]] @ v2[cols]).tolist()
 
 
 def trace_table(fld: Field) -> np.ndarray:

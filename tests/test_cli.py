@@ -185,6 +185,25 @@ class TestCountCommand:
         assert "cyclotomy" in payload["methods"]
         assert payload["agree"] is True
 
+    @pytest.mark.parametrize("p, c", [("65537", "3"), ("5801", "1")])
+    def test_all_methods_run_the_oracle_on_one_variable(self, capsys, p, c):
+        # q^2 is past the cost guard and the q x q table past the byte guard, but
+        # one variable needs neither a convolution nor the table
+        code, out = run(capsys, "count", "--p", p, "--c", c, "--n", "1",
+                        "--all-methods", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert "oracle" in payload["methods"]
+        assert payload["agree"] is True
+
+    def test_oracle_sits_out_past_the_table_guard(self, capsys, monkeypatch):
+        # two variables on F_5801 read the q x q table, past the byte guard
+        monkeypatch.setattr(counting, "_group_convolve", _injected_defect)
+        code, out = run(capsys, "count", "--p", "5801", "--c", "1", "--n", "2",
+                        "--all-methods", "--json")
+        assert code == 0
+        assert "oracle" not in json.loads(out)["methods"]
+
     def test_oracle_sits_out_past_the_cost_guard(self, capsys, monkeypatch):
         # n*q^2 = 30 * 5791^2 is just past the guard of 10^9
         monkeypatch.setattr(counting, "_group_convolve", _injected_defect)

@@ -13,6 +13,7 @@ import sympy
 
 from diagquartic import counting, field, genfunc
 from diagquartic.counting import (
+    ORACLE_COST_GUARD,
     count_M,
     count_N,
     count_small,
@@ -32,7 +33,7 @@ from diagquartic.errors import (
     ZeroRHSError,
 )
 
-from diagquartic.field import ORACLE_COST_GUARD, Field, find_generator, quartic_class
+from diagquartic.field import Field, find_generator, quartic_class
 
 from conftest import field_data, literal_histogram
 
@@ -177,6 +178,14 @@ class TestOracle:
     def test_no_variables_rejected(self):
         with pytest.raises(ValueError):
             oracle_histogram(field_data(5, 1).field, [])
+
+    def test_one_variable_past_the_addition_table_guard(self, monkeypatch):
+        # F_5801's q x q table is past the byte guard, but one variable runs no
+        # convolution: its histogram is the x^4 profile, and no table is built
+        monkeypatch.setattr(field, "_TABLES", {})
+        fld = Field(5801, 1)
+        assert oracle_histogram(fld, [fld.one()]) == power_profile(fld).tolist()
+        assert ("add", fld) not in field._TABLES
 
     def test_no_variables_rejected_under_optimize(self):
         # python -O strips assert statements; the check must survive it
@@ -511,3 +520,13 @@ class TestFieldMismatch:
                 call()
         assert count_N(x, 3, fd.field, fd.gen, fd.dec) == 160
         assert count_M(x, 3, fd.field, fd.gen, fd.dec) == 577
+
+    def test_oracle_coefficients_must_be_of_its_field(self):
+        # 7 under the modulus x^2 + 3 is another element than 7 under x^2 + 2, and
+        # F_7's digits do not fit F_25's multiplication matrix
+        f25, other = Field(5, 2), Field(5, 2, modulus=(3, 0, 1))
+        assert f25.modulus == (2, 0, 1)
+        for stranger in (other.from_int(7), Field(7, 1).from_int(3)):
+            with pytest.raises(FieldMismatchError):
+                oracle_histogram(f25, [f25.one(), stranger])
+        assert sum(oracle_histogram(f25, [f25.one(), f25.from_int(7)])) == 25**2

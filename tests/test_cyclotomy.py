@@ -5,8 +5,8 @@ import random
 
 import pytest
 
+from diagquartic import counting
 from diagquartic import cyclotomy as cyclotomy_module
-from diagquartic import field as field_module
 from diagquartic.cyclotomy import (
     CyclotomicClasses,
     QuarticDecomposition,
@@ -186,8 +186,8 @@ class TestDimensionN:
         # guard; the transfer matrices read neither the table nor a convolution
         def refuse(*args):
             raise RuntimeError("addition table or convolution used")
-        monkeypatch.setattr(field_module, "_addition_tables", refuse)
-        monkeypatch.setattr(field_module, "_group_convolve", refuse)
+        monkeypatch.setattr(counting, "_addition_tables", refuse)
+        monkeypatch.setattr(counting, "_group_convolve", refuse)
         fld = Field(5801, 1)
         gen = find_generator(fld)
         assert cyclo_dim_enum([0, 1], 4, fld, gen) == cyclo_dim2(0, 1, 4, fld, gen)

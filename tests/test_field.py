@@ -607,28 +607,28 @@ class TestTrace:
 class TestAdditionTable:
     def test_matches_element_addition(self, any_field):
         fld = any_field.field
-        table = field_module._addition_tables(fld)
+        table = counting._addition_tables(fld)
         els = list(fld.elements())
         assert all(table[a.encode(), b.encode()] == (a + b).encode()
                    for a in els for b in els)
 
     def test_cache_evicts_oldest_past_byte_guard(self, monkeypatch):
         builds = []
-        build = field_module._addition_tables
+        build = counting._addition_tables
 
         def counted(fld):
             builds.append(fld.q)
             return build(fld)
         f5, f7, f9 = Field(5, 1), Field(7, 1), Field(3, 2)
-        itemsize = np.dtype(np.intp).itemsize
-        monkeypatch.setattr(field_module, "_addition_tables", counted)
+        itemsize = np.dtype(np.int64).itemsize
+        monkeypatch.setattr(counting, "_addition_tables", counted)
         monkeypatch.setattr(field_module, "_TABLES", {})
         monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD",
                             (7**2 + 9**2) * itemsize)
 
         def touch(fld):
             delta = [1] + [0] * (fld.q - 1)
-            field_module._group_convolve(fld, delta, delta)
+            counting._group_convolve(fld, delta, delta)
             return [f for _, f in field_module._TABLES]
         assert touch(f5) == [f5]
         assert touch(f7) == [f5, f7]
@@ -654,7 +654,7 @@ class TestGroupConvolve:
         for a in els:
             for b in els:
                 want[(a + b).encode()] += h1[a.encode()] * h2[b.encode()]
-        got = field_module._group_convolve(fld, h1, h2)
+        got = counting._group_convolve(fld, h1, h2)
         assert got == want
         assert all(type(v) is int for v in got)
 
@@ -662,7 +662,7 @@ class TestGroupConvolve:
     def test_exact_at_the_int64_edge(self, w):
         # one product at 2^63 - 2^32 stays on int64, one at 2^63 must not
         fld = Field(5, 1)
-        got = field_module._group_convolve(fld, [2**32, 0, 0, 0, 0], [0, w, 0, 0, 0])
+        got = counting._group_convolve(fld, [2**32, 0, 0, 0, 0], [0, w, 0, 0, 0])
         assert got == [0, 2**32 * w, 0, 0, 0]
         assert all(type(v) is int for v in got)
 
@@ -671,7 +671,7 @@ class TestTableStore:
     def test_one_budget_evicts_oldest_across_kinds(self, monkeypatch):
         # 8-byte entries: an addition table holds q^2 of them, a log table or a
         # histogram of x^4 q.  All ten tables take 1,136 bytes; the budget is 700.
-        assert np.dtype(np.intp).itemsize == 8
+        assert counting._addition_tables(Field(5, 1)).itemsize == 8
         fields = {q: Field(p, m) for q, (p, m) in {5: (5, 1), 7: (7, 1), 9: (3, 2),
                                                  13: (13, 1)}.items()}
         gens = {q: find_generator(fld) for q, fld in fields.items()}
@@ -683,7 +683,7 @@ class TestTableStore:
                 return build(arg)
             return wrapper
         for module, kind, name, field_of in [
-                (field_module, "add", "_addition_tables", lambda f: f),
+                (counting, "add", "_addition_tables", lambda f: f),
                 (field_module, "log", "_log_table", lambda g: g.field),
                 (counting, "power", "power_profile", lambda f: f)]:
             monkeypatch.setattr(module, name, counted(kind, getattr(module, name), field_of))
@@ -694,11 +694,11 @@ class TestTableStore:
             fld = fields[q]
             if kind == "add":
                 delta = [1] + [0] * (q - 1)
-                field_module._group_convolve(fld, delta, delta)
+                counting._group_convolve(fld, delta, delta)
             elif kind == "log":
                 log_table(fld, gens[q])
-            else:  # as the oracle stores it: its cost guard refuses q = 13 on this budget
-                field_module._stored(("power", fld), lambda: counting.power_profile(fld))
+            else:  # one variable reads the histogram of x^4 and no addition table
+                counting.oracle_histogram(fld, [fld.one()])
             store = field_module._TABLES
             assert sum(t.nbytes for t in store.values()) <= 700
             return [(k, (obj.field if k == "log" else obj).q) for k, obj in store]
@@ -733,8 +733,7 @@ class TestTableStore:
         reads = {"cyclo": lambda fld: cyclotomic_matrix(4, fld, gens[fld]),
                  "transfer": lambda fld: transfer_matrices(fld, gens[fld], 4),
                  "periods": lambda fld: build_table(fld, gens[fld]),
-                 "power": lambda fld: field_module._stored(
-                     ("power", fld), lambda: counting.power_profile(fld))}
+                 "power": lambda fld: counting.oracle_histogram(fld, [fld.one()])}
 
         def touch(kind, fld):
             reads[kind](fld)

@@ -6,7 +6,10 @@ array or a stored table, not one `Element` per encoding.  No numpy import outsid
 function body: only the functions that build or read whole-field tables load it, so
 importing the package and counting off the series never do.  No unbounded cache: no
 `lru_cache(maxsize=None)`, no `functools.cache`, and no module-level dict that is
-written by key but never has a key removed, so what a process keeps has a bound.
+written by key but never has a key removed, so what a process keeps has a bound.  No
+re-export shim: a private name imported at module level from another package module is
+read in the importing module, so each function has one binding that callers, patches and
+tracers share.
 """
 
 import ast
@@ -91,6 +94,19 @@ def _unbounded_caches(tree: ast.Module, filename: str):
             yield dicts[name], f"module-level dict {name} only grows"
 
 
+def _unread_private_imports(tree: ast.Module):
+    """(line, message) for each private name imported at module level from another
+    package module (a relative import) and never read in this one."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in _run_at_import(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name.startswith("_") and name not in read:
+                    yield node.lineno, f"private name {name} imported and never read"
+
+
 def _offences(path: Path):
     """Each breach of a rule as "file:line: what", in line order."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -103,6 +119,7 @@ def _offences(path: Path):
               and node.func.attr == "elements"):
             found.append((node.lineno, "call of .elements()"))
     found += _unbounded_caches(tree, path.name)
+    found += _unread_private_imports(tree)
     return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
 
 
@@ -134,7 +151,9 @@ def test_the_rules_see_what_they_forbid(tmp_path):
                       "    del EVICTED[x]\n"
                       "    return lru_cache(None)(functools.cache(g))\n"
                       "@functools.lru_cache(maxsize=64)\n"
-                      "def h(x):\n    return x\n")
+                      "def h(x):\n    return x\n"
+                      "from .field import _digits, _weights as _w\n"
+                      "READ = _digits\n")
     assert _offences(module) == ["mutant.py:1: numpy import at module level",
                                  "mutant.py:4: assert statement",
                                  "mutant.py:5: call of .elements()",
@@ -144,4 +163,5 @@ def test_the_rules_see_what_they_forbid(tmp_path):
                                  "mutant.py:11: module-level dict STORE_COUNTS only grows",
                                  "mutant.py:12: lru_cache(maxsize=None)",
                                  "mutant.py:18: functools.cache",
-                                 "mutant.py:18: lru_cache(maxsize=None)"]
+                                 "mutant.py:18: lru_cache(maxsize=None)",
+                                 "mutant.py:22: private name _w imported and never read"]
