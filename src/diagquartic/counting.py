@@ -4,11 +4,11 @@ Four of the five routes, cross-checked by `verify` and the tests:
 
 * `count_N` / `count_M`, one series coefficient of the rational generating
   functions (the production path),
-* an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c, by additive convolution of the
-  histogram of x^4 (as (x^2)^2 off the digit array), stored once per field, scaled by
-  each distinct a_k as one permutation of the encodings and convolved (`_group_convolve`)
-  as one gather from the q x q addition table and one exact integer matrix-vector product
-  (O(q^2) per variable, under `check_convolution_cost`; one variable reads no table),
+* an oracle for any a_1 x_1^4 + ... + a_n x_n^4 = c: the histogram of x^4 ((x^2)^2 off the
+  digit array), stored once per field, scaled by each distinct a_k (a permutation of the
+  encodings) and convolved (`_group_convolve`: one gather from the q x q addition table, one
+  exact integer matrix-vector product, O(q^2) per variable; one variable reads no table),
+  its histograms and table charged to `field.check_bytes` by `check_convolution_cost`,
 * closed forms for n <= 4 assembled from the epsilon tables (`count_small`),
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`,
   on the matrices A_l of `cyclotomy.transfer_matrices`).
@@ -26,8 +26,8 @@ from . import genfunc
 from .cyclotomy import QuarticDecomposition, transfer_matrices
 from .errors import InvariantError, TooLargeError, WrongResidueClassError, ZeroRHSError
 from .field import (
-    ORACLE_TABLE_BYTES_GUARD, Element, Field, GeneratorData, _digits, _negatives, _stored,
-    _times_matrix, _weights, check_field, quartic_class)
+    Element, Field, GeneratorData, _digits, _negatives, _stored, _times_matrix, _weights,
+    check_bytes, check_field, quartic_class)
 
 
 # Rows of the digit array `power_profile` squares at once: beside the digit array
@@ -63,20 +63,16 @@ def power_profile(fld: Field) -> np.ndarray:
 
 def check_convolution_cost(fld: Field, n: int) -> None:
     """Raise TooLargeError unless the oracle's n histograms, and for n >= 2 its
-    convolutions over F_q and the q x q addition table they read, fit the cost and byte
-    guards.  A histogram holds q counts below q^n, of n*bits(q) bits each.  The q x
-    nnz(h2) block a convolution gathers from the table never holds more than its q^2
-    entries, so the table's guard bounds the gather too."""
-    if n > 1 and n * fld.q**2 > ORACLE_COST_GUARD:
-        raise TooLargeError(f"convolution cost n*q^2 = {n}*{fld.q}^2 exceeds guard")
-    hist_bytes = n * fld.q * n * fld.q.bit_length() // 8
-    if hist_bytes > ORACLE_TABLE_BYTES_GUARD:
-        raise TooLargeError(f"{n} histograms of counts below {fld.q}^{n} take about "
-                            f"{hist_bytes} bytes, past guard {ORACLE_TABLE_BYTES_GUARD}")
-    table_bytes = 8 * fld.q**2  # int64 entries
-    if n > 1 and table_bytes > ORACLE_TABLE_BYTES_GUARD:
-        raise TooLargeError(f"addition table of {table_bytes} bytes exceeds "
-                            f"guard {ORACLE_TABLE_BYTES_GUARD}")
+    convolutions over F_q and the q x q int64 addition table they read, fit the cost
+    guard and `field.check_bytes`.  A histogram holds q counts below q^n, of n*bits(q)
+    bits each.  The q x nnz(h2) block a convolution gathers from the table never holds
+    more than its q^2 entries, so the table's charge bounds the gather too."""
+    q = fld.q
+    if n > 1 and n * q**2 > ORACLE_COST_GUARD:
+        raise TooLargeError(f"convolution cost n*q^2 = {n}*{q}^2 exceeds guard")
+    check_bytes(f"{n} histograms of counts below {q}^{n}", n * q * n * q.bit_length() // 8)
+    if n > 1:
+        check_bytes(f"the addition table of F_{q}", 8 * q**2)
 
 
 def _addition_tables(fld: Field) -> np.ndarray:

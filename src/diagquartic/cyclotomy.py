@@ -10,7 +10,8 @@ Dimension-n numbers [i_1, ..., i_n]_k come exactly from the class transfer matri
 A_l (`transfer_matrices`, which `counting.count_via_cyclotomy` also reads), by
 reduction to ordinary cyclotomic numbers, and (for equal indices, k = 4) in closed form.
 The (i, j)_k and the A_l are built once per (g, k) and kept, read-only, in
-`field._stored` (kinds "cyclo" and "transfer"), under its byte guard.
+`field._stored` (kinds "cyclo" and "transfer"); `field.check_bytes` charges the class
+arrays, the (i, j)_k and the A_l's object build before each is allocated.
 """
 
 from __future__ import annotations
@@ -18,16 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import (BadOrderError, InvariantError, NonIntegralError, TooLargeError,
-                     WrongResidueClassError)
-from .field import (
-    ORACLE_TABLE_BYTES_GUARD,
-    Field,
-    GeneratorData,
-    _stored,
-    check_field,
-    log_table,
-)
+from .errors import BadOrderError, InvariantError, NonIntegralError, WrongResidueClassError
+from .field import Field, GeneratorData, _stored, check_bytes, check_field, log_table
 
 
 @dataclass(frozen=True)
@@ -82,6 +75,7 @@ class CyclotomicClasses:
         q = fld.q
         if k < 1 or (q - 1) % k != 0:
             raise BadOrderError(f"k = {k} is not a positive divisor of q - 1 = {q - 1}")
+        check_bytes(f"each class array of F_{q}", 8 * q)  # class_of and the antilog
         log = log_table(fld, gen)
         self.class_of = np.where(log < 0, -1, log % k)
         antilog = np.empty(q - 1, dtype=np.int64)
@@ -92,8 +86,7 @@ class CyclotomicClasses:
 def cyclotomic_matrix(k: int, fld: Field, gen: GeneratorData) -> np.ndarray:
     """All (i, j)_k = #{x in C_i : 1 + x in C_j} as a read-only k x k int array,
     by one count over the pairs (x, 1 + x), stored per (g, k)."""
-    if 8 * k * k > ORACLE_TABLE_BYTES_GUARD:
-        raise TooLargeError(f"the {k} x {k} cyclotomic numbers exceed the byte guard")
+    check_bytes(f"the {k} x {k} cyclotomic numbers", 8 * k * k)
     check_field(fld, gen.g)
     return _stored(("cyclo", gen.g, k), lambda: _count_pairs(k, fld, gen))
 
@@ -163,8 +156,7 @@ def transfer_matrices(fld: Field, gen: GeneratorData, k: int) -> np.ndarray:
     """A_0 .. A_(k-1) as one read-only k x (k+1) x (k+1) int64 array (entries <= q),
     built by `_transfer_matrices` from the field's (i, j)_k in O(q) and stored per (g, k)."""
     import numpy as np
-    if 36 * k * (k + 1) ** 2 > ORACLE_TABLE_BYTES_GUARD:  # the build's pointer and int
-        raise TooLargeError(f"{k} transfer matrices of order {k + 1} exceed the byte guard")
+    check_bytes(f"the object build of {k} transfer matrices", 36 * k * (k + 1) ** 2)
     check_field(fld, gen.g)
     return _stored(("transfer", gen.g, k), lambda: _transfer_matrices(
         cyclotomic_matrix(k, fld, gen).tolist(), fld.q, (fld.q - 1) // 2 % k).astype(np.int64))

@@ -22,12 +22,12 @@ Jobs that touch every element step the q x m digit array (`_digits`), as the his
 x^4, the oracle's addition table (both in `counting`) and `trace_table` (Tr(x) mod p,
 computed where its one reader needs it) do, or read whole-field tables over the encodings,
 never one `Element` per encoding: `log_table` holds ind_g(x) for every x, built once per
-generator, and is what `index_of` and the cyclotomic classes read.  The log table, the
-oracle's addition table and histogram of x^4, and the tables `cyclotomy` and `expsums`
-build once per generator (the (i, j)_k, the A_l, the Gauss periods) share one store
-(`_stored`) under one byte guard that counts every byte (no dtype object); the oldest tables
-leave it first, whatever their kind, and STORE_COUNTS counts each kind's hits, builds and
-evictions.
+generator, and is what `index_of` and the cyclotomic classes read.  Each whole-field array
+is charged to one byte guard (`check_bytes`) before it is allocated; the log table, the
+oracle's addition table and histogram of x^4, and the tables `cyclotomy` and `expsums` build
+once per generator (the (i, j)_k, the A_l, the Gauss periods) share one store (`_stored`)
+held to it together, counting every byte (no dtype object); the oldest tables leave it
+first, whatever their kind, and STORE_COUNTS counts each kind's hits, builds and evictions.
 These jobs, here and in the other modules, are numpy's only users, and each imports it in
 its own body: a process that only counts off the series never loads numpy.
 """
@@ -46,6 +46,7 @@ from .errors import (
     FieldTooLargeError,
     InvariantError,
     NotPrimeError,
+    TooLargeError,
     ZeroHasNoIndexError,
 )
 
@@ -53,13 +54,20 @@ if TYPE_CHECKING:
     from .cyclotomy import QuarticDecomposition
 
 DEFAULT_FIELD_BOUND = 2**20
-# Bound on the bytes of the oracle's q x q addition table (q <= 5792) and its n
-# histograms (checked in `counting`), on the arrays the table store holds together,
-# and on the k x k cyclotomic numbers and k transfer matrices of `cyclotomy`.
-ORACLE_TABLE_BYTES_GUARD = 2**28
+ORACLE_TABLE_BYTES_GUARD = 2**28  # read by `check_bytes` and `_stored` only
 # Bound on the fields one process keeps set up for reuse: the CLI's (Field, generator)
 # builds, and eight generating functions per field in `genfunc`.
 BUILD_CACHE_SIZE = 64
+
+
+def check_bytes(what: str, nbytes: int) -> None:
+    """Raise TooLargeError unless `what`, nbytes bytes, fits ORACLE_TABLE_BYTES_GUARD (read
+    at call time), before it is allocated: the digit array, the log table, the class arrays,
+    the (i, j)_k and the A_l's object build (`cyclotomy`), and the oracle's histograms and
+    q x q addition table (`counting.check_convolution_cost`: q <= 5792)."""
+    if nbytes > ORACLE_TABLE_BYTES_GUARD:
+        raise TooLargeError(f"{what} would take {nbytes} bytes, past guard "
+                            f"{ORACLE_TABLE_BYTES_GUARD}")
 
 
 def is_prime(n: int) -> bool:
@@ -198,7 +206,7 @@ class Field:
         self._traces = tuple(traces)
 
     def __repr__(self) -> str:
-        return f"Field(p={self.p}, m={self.m})"
+        return f"Field(p={self.p}, m={self.m}, modulus={self.modulus})"
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, Field) and self.p == other.p
@@ -255,7 +263,7 @@ class Element:
 
     def _check(self, other: Element) -> None:
         if self.field != other.field:
-            raise FieldMismatchError("operands from different fields")
+            raise FieldMismatchError(f"operands from {self.field!r} and {other.field!r}")
 
     def __add__(self, other: Element) -> Element:
         self._check(other)
@@ -471,7 +479,7 @@ def check_field(fld: Field, *xs: Element) -> None:
     """FieldMismatchError unless every x is an element of fld."""
     for x in xs:
         if x.field != fld:
-            raise FieldMismatchError(f"{x!r} is not an element of {fld!r}")
+            raise FieldMismatchError(f"{x!r} is an element of {x.field!r}, not {fld!r}")
 
 
 def index_of(x: Element, gen: GeneratorData) -> int:
@@ -500,6 +508,7 @@ def _weights(fld: Field) -> np.ndarray:
 def _digits(fld: Field) -> np.ndarray:
     """The q x m array of base-p digits of every encoding, lowest first."""
     import numpy as np
+    check_bytes(f"the digit array of F_{fld.q}", 8 * fld.q * fld.m)
     digits = np.arange(fld.q, dtype=np.int64)[:, None] // _weights(fld)
     digits %= fld.p  # in place: one q x m array at a time
     return digits
@@ -564,6 +573,7 @@ def trace_table(fld: Field) -> np.ndarray:
 def _log_table(g: Element) -> np.ndarray:
     import numpy as np
     fld = g.field
+    check_bytes(f"the log table of F_{fld.q}", 8 * fld.q)
     n = fld.q - 1
     step = math.isqrt(n - 1) + 1  # step^2 >= n
     weights = _weights(fld)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from diagquartic import counting
-from diagquartic import cyclotomy as cyclotomy_module
+from diagquartic import field as field_module
 from diagquartic.cyclotomy import (
     CyclotomicClasses,
     QuarticDecomposition,
@@ -320,10 +320,12 @@ class TestCyclotomicMatrix:
             call(65536, fld, find_generator(fld))
 
     def test_order_guard_boundary(self, monkeypatch):
-        # k = 12 on F_13: the k x k table takes 8 k^2 = 1152 bytes
+        # k = 12 on F_13: the k x k table takes 8 k^2 = 1152 bytes, the largest array
+        # the build charges; the guard is `field`'s one binding, which the store reads too
         fd = field_data(13, 1)
-        monkeypatch.setattr(cyclotomy_module, "ORACLE_TABLE_BYTES_GUARD", 1152)
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 1152)
         assert cyclotomic_matrix(12, fd.field, fd.gen).shape == (12, 12)
-        monkeypatch.setattr(cyclotomy_module, "ORACLE_TABLE_BYTES_GUARD", 1151)
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 1151)
         with pytest.raises(TooLargeError):
             cyclotomic_matrix(12, fd.field, fd.gen)

@@ -8,9 +8,10 @@ from math import gcd
 import numpy as np
 import pytest
 
-from diagquartic import counting
+from diagquartic import cli, counting
 from diagquartic import field as field_module
-from diagquartic.cyclotomy import cyclotomic_matrix, quartic_decomposition, transfer_matrices
+from diagquartic.cyclotomy import (CyclotomicClasses, cyclotomic_matrix, quartic_decomposition,
+                                   transfer_matrices)
 from diagquartic.counting import count_M, count_N
 from diagquartic.expsums import build_table
 from diagquartic.errors import (
@@ -18,6 +19,7 @@ from diagquartic.errors import (
     FieldTooLargeError,
     InvariantError,
     NotPrimeError,
+    TooLargeError,
     ZeroHasNoIndexError,
 )
 from diagquartic.field import (
@@ -26,6 +28,7 @@ from diagquartic.field import (
     _gmul,
     _mulmod,
     _powmod,
+    check_field,
     factorize,
     find_generator,
     index_of,
@@ -168,6 +171,20 @@ class TestArithmetic:
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatchError):
             Field(5, 1).one() + Field(7, 1).one()
+
+    def test_mismatch_names_two_fields_that_print_apart(self):
+        # F_25 under x^2 + 2 and under x^2 + 3: same p and m, so only the modulus tells
+        # the two fields apart in the message
+        f25, other = Field(5, 2), Field(5, 2, modulus=(3, 0, 1))
+        assert repr(f25) == "Field(p=5, m=2, modulus=(2, 0, 1))" != repr(other)
+        with pytest.raises(FieldMismatchError) as err:
+            check_field(f25, other.from_int(7))
+        assert str(err.value) == ("<7 in F_25> is an element of Field(p=5, m=2, modulus="
+                                  "(3, 0, 1)), not Field(p=5, m=2, modulus=(2, 0, 1))")
+        with pytest.raises(FieldMismatchError) as err:
+            f25.one() + other.one()
+        assert str(err.value) == ("operands from Field(p=5, m=2, modulus=(2, 0, 1)) and "
+                                  "Field(p=5, m=2, modulus=(3, 0, 1))")
 
     def test_pow(self):
         f13 = Field(13, 1)
@@ -341,7 +358,7 @@ class TestIndex:
             assert index_of(gen.g ** e, gen) == e % q1
 
     @pytest.mark.parametrize("p", [65521, 65537])
-    def test_bsgs(self, p):
+    def test_index_of_inverts_pow_around_2_16(self, p):
         # the largest prime below 2^16 and the smallest above it
         fld = Field(p, 1)
         gen = find_generator(fld)
@@ -383,7 +400,7 @@ class TestQuarticClass:
 
     @pytest.mark.parametrize("p, m", [(65537, 1), (3, 12), (7, 7), (5, 8), (1021, 2),
                                       (29, 4)])
-    def test_matches_bsgs(self, p, m):
+    def test_matches_index_of_on_large_fields(self, p, m):
         fld = Field(p, m)
         d = gcd(4, fld.q - 1)
         for gen in _both_generators(fld):
@@ -722,14 +739,16 @@ class TestTableStore:
         assert all(not t.flags.writeable for t in field_module._TABLES.values())
 
     def test_class_tables_share_the_budget_and_are_counted(self, monkeypatch):
-        # on F_13 and F_17 at k = 4: a log table or a histogram of x^4 takes 8q bytes,
-        # the (i, j)_4 128, the four Gauss periods 64 and the A_l 4 * 5 * 5 int64
-        # entries, 800 bytes
+        # at k = 4: a log table or a histogram of x^4 takes 8q bytes, the (i, j)_4 128,
+        # the four Gauss periods 64 and the A_l 4 * 5 * 5 int64 entries, 800 bytes.  The
+        # A_l's object build is charged 36 * 4 * 5^2 = 3,600 bytes, so the budget is
+        # 4,000: the tables of F_13 are small beside it, the histogram of F_389 (3,112
+        # bytes) and the log table of F_397 (3,176) fill most of it
         monkeypatch.setattr(field_module, "_TABLES", {})
         monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
-        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 1000)
-        f13, f17 = Field(13, 1), Field(17, 1)
-        gens = {f13: find_generator(f13), f17: find_generator(f17)}
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 4000)
+        f13, f389, f397 = Field(13, 1), Field(389, 1), Field(397, 1)
+        gens = {fld: find_generator(fld) for fld in (f13, f389, f397)}
         reads = {"cyclo": lambda fld: cyclotomic_matrix(4, fld, gens[fld]),
                  "transfer": lambda fld: transfer_matrices(fld, gens[fld], 4),
                  "periods": lambda fld: build_table(fld, gens[fld]),
@@ -738,29 +757,29 @@ class TestTableStore:
         def touch(kind, fld):
             reads[kind](fld)
             store = field_module._TABLES
-            assert sum(t.nbytes for t in store.values()) <= 1000
+            assert sum(t.nbytes for t in store.values()) <= 4000
             assert not any(t.flags.writeable for t in store.values())
             return [(key[0], (key[1] if key[0] in ("power", "add")
                               else key[1].field).q) for key in store]
         touch("cyclo", f13)
-        touch("power", f13)
-        assert touch("periods", f13) == [("log", 13), ("cyclo", 13), ("power", 13),
+        touch("power", f389)
+        assert touch("periods", f13) == [("log", 13), ("cyclo", 13), ("power", 389),
                                          ("periods", 13)]
-        # 1,200 bytes: the two oldest go, the log table and the (i, j)_4 it served
-        assert touch("transfer", f13) == [("power", 13), ("periods", 13), ("transfer", 13)]
-        assert touch("cyclo", f17) == [("log", 17), ("cyclo", 17)]
+        # 4,208 bytes: the two oldest go, the log table and the (i, j)_4 it served
+        assert touch("transfer", f13) == [("power", 389), ("periods", 13), ("transfer", 13)]
+        assert touch("cyclo", f397) == [("log", 397), ("cyclo", 397)]
         # a hit neither builds nor moves its table
-        assert touch("cyclo", f17) == [("log", 17), ("cyclo", 17)]
+        assert touch("cyclo", f397) == [("log", 397), ("cyclo", 397)]
         assert field_module.STORE_COUNTS == {
             ("log", "hits"): 1, ("log", "builds"): 2, ("log", "evictions"): 1,
             ("cyclo", "hits"): 2, ("cyclo", "builds"): 2, ("cyclo", "evictions"): 1,
             ("power", "builds"): 1, ("power", "evictions"): 1,
             ("periods", "builds"): 1, ("periods", "evictions"): 1,
             ("transfer", "builds"): 1, ("transfer", "evictions"): 1}
-        # the A_l rebuilt on F_13, with its (i, j)_4 and log table, evict three tables
-        assert touch("transfer", f13) == [("cyclo", 13), ("transfer", 13)]
+        # the A_l built on F_389, with its (i, j)_4 and log table, evict three tables
+        assert touch("transfer", f389) == [("cyclo", 389), ("transfer", 389)]
         with pytest.raises(ValueError):
-            transfer_matrices(f13, gens[f13], 4)[0, 0, 0] = 2
+            transfer_matrices(f389, gens[f389], 4)[0, 0, 0] = 2
 
     def test_transfer_matrices_are_int64(self, monkeypatch):
         monkeypatch.setattr(field_module, "_TABLES", {})
@@ -775,6 +794,36 @@ class TestTableStore:
         with pytest.raises(InvariantError):
             field_module._stored(("transfer", "ints"), lambda: np.array([2**80], dtype=object))
         assert field_module._TABLES == {} and field_module.STORE_COUNTS == {}
+
+
+# Every whole-field entry point, each charged to `field.check_bytes` before it allocates
+WHOLE_FIELD_BUILDS = {
+    "oracle": lambda fld, gen: next(counting.oracle_histograms(fld, [fld.one()] * 2)),
+    "power-profile": lambda fld, gen: counting.power_profile(fld),
+    "cyclotomic-matrix": lambda fld, gen: cyclotomic_matrix(4, fld, gen),
+    "transfer-matrices": lambda fld, gen: transfer_matrices(fld, gen, 4),
+    "log-table": log_table,
+    "classes": lambda fld, gen: CyclotomicClasses(fld, gen, 4),
+    "gauss-periods": build_table,
+}
+
+
+class TestByteGuard:
+    @pytest.mark.parametrize("entry", [*WHOLE_FIELD_BUILDS, "verify"])
+    def test_one_binding_moves_every_byte_check(self, monkeypatch, capsys, entry):
+        # on F_13 the smallest charge, a 13 x 1 digit array or log table, takes 104
+        # bytes; patching `field`'s guard alone refuses every build as a typed error
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 64)
+        if entry == "verify":
+            assert cli.main(["verify", "--p", "13"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: TooLargeError: ") and err.endswith(
+                " bytes, past guard 64\n")
+            return
+        fld = Field(13, 1)
+        with pytest.raises(TooLargeError, match=r" bytes, past guard 64$"):
+            WHOLE_FIELD_BUILDS[entry](fld, find_generator(fld))
 
 
 class TestClassRoots:

@@ -9,7 +9,8 @@ importing the package and counting off the series never do.  No unbounded cache:
 written by key but never has a key removed, so what a process keeps has a bound.  No
 re-export shim: a private name imported at module level from another package module is
 read in the importing module, so each function has one binding that callers, patches and
-tracers share.
+tracers share.  No guard imported by value: a module-level `*_GUARD` name is read where it
+is defined, so patching that one binding moves every check that reads it.
 """
 
 import ast
@@ -107,6 +108,16 @@ def _unread_private_imports(tree: ast.Module):
                     yield node.lineno, f"private name {name} imported and never read"
 
 
+def _guards_imported(tree: ast.Module):
+    """(line, message) for each `*_GUARD` name imported at module level from another
+    package module, which would bind a copy of the guard's value there."""
+    for node in _run_at_import(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if alias.name.endswith("_GUARD"):
+                    yield node.lineno, f"guard {alias.name} imported by value"
+
+
 def _offences(path: Path):
     """Each breach of a rule as "file:line: what", in line order."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -120,6 +131,7 @@ def _offences(path: Path):
             found.append((node.lineno, "call of .elements()"))
     found += _unbounded_caches(tree, path.name)
     found += _unread_private_imports(tree)
+    found += _guards_imported(tree)
     return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
 
 
@@ -153,7 +165,8 @@ def test_the_rules_see_what_they_forbid(tmp_path):
                       "@functools.lru_cache(maxsize=64)\n"
                       "def h(x):\n    return x\n"
                       "from .field import _digits, _weights as _w\n"
-                      "READ = _digits\n")
+                      "READ = _digits\n"
+                      "from .field import ORACLE_TABLE_BYTES_GUARD as GUARD, check_bytes\n")
     assert _offences(module) == ["mutant.py:1: numpy import at module level",
                                  "mutant.py:4: assert statement",
                                  "mutant.py:5: call of .elements()",
@@ -164,4 +177,6 @@ def test_the_rules_see_what_they_forbid(tmp_path):
                                  "mutant.py:12: lru_cache(maxsize=None)",
                                  "mutant.py:18: functools.cache",
                                  "mutant.py:18: lru_cache(maxsize=None)",
-                                 "mutant.py:22: private name _w imported and never read"]
+                                 "mutant.py:22: private name _w imported and never read",
+                                 "mutant.py:24: guard ORACLE_TABLE_BYTES_GUARD imported by "
+                                 "value"]
