@@ -8,7 +8,7 @@ Modules:
     counting  -- solution counts: the oracle (its addition table, convolution and
                  guard), closed forms, cyclotomic transfer matrices
     genfunc   -- rational generating functions and their series expansion
-    expsums   -- Gauss-type sums and floating-point reconstruction
+    expsums   -- Gauss periods mod primes l = 1 (mod p), and counts from them by CRT
     cli       -- command-line front end
 
 Importing the package loads no numpy, and neither does a count read off the

@@ -12,10 +12,12 @@ element off the log table, checks `quartic_class` against it at every element, b
 series and closed form per class, and checks them at every c and y against one oracle pass
 per field (M_n(y) by splitting off x_n, one sum per coset -y C_0), with the denominator's
 recurrence at every c and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y) off the series.  Checks
-yield rows, the inputs and each method's values; all but the (i, j)_4 and the expsums (the
-class check too) compare exact arrays, a row only where they differ.  One runner times each
-check and files its first row as JSON; with the `fields` it lists (p, m, q, modulus, g, s,
-t) it reproduces.
+yield rows, the inputs and each method's values; all but the (i, j)_4 (the class check too)
+compare exact arrays, a row only where they differ.  `--expsums` adds two exact checks per
+q = 1 mod 4 field off the Gauss periods mod three primes: each T_(g^l) is a root of the
+reversed denominator mod each prime, and N_n(c) joined by CRT is the oracle's.  One runner
+times each check and files its first row as JSON; with the `fields` it lists (p, m, q,
+modulus, g, s, t) it reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -51,8 +53,6 @@ from .errors import (
     DiagQuarticError,
     InvariantError,
     NonIntegralError,
-    NotNearIntegerError,
-    ResidualTooLargeError,
     TooLargeError,
     WrongResidueClassError,
 )
@@ -149,7 +149,7 @@ def _series_count(fld, gen, dec, c, y, n: int) -> int:
 def _routes(fld, gen, dec, c, y, n: int) -> dict:
     """Route name -> thunk for every route that covers the count: the production
     series first, then the oracle and cyclotomy, and for N_n(c) with q = 1 mod 4
-    and c != 0 the closed forms (n <= 4) and expsum (up to its float bound).
+    and c != 0 the closed forms (n <= 4) and expsum (n <= `expsums.reconstruct_max_n`).
     The oracle sits out past `counting.check_convolution_cost`, which one variable,
     needing no convolution, always passes."""
     one, zero = fld.one(), fld.zero()
@@ -221,34 +221,20 @@ def cmd_series(args) -> tuple[dict, int]:
 
 def _run_check(checks: list[dict], name: str, methods: tuple[str, ...], rows) -> None:
     """Time one check, a lazy stream of rows that each hold the check's inputs
-    and each method's int value there (and may carry the check's `max_residual`);
-    file the first row where the values differ, its values as decimal strings,
-    or the error of a closed form or a floating-point route, as its detail."""
+    and each method's int value there; file the first row where the values differ,
+    its values as decimal strings, or the error of a closed form, as its detail."""
     t0 = time.monotonic()
-    detail, residual = "", 0.0
+    detail = ""
     try:
         for row in rows:
-            residual = max(residual, row.get("max_residual", 0.0))
             if len({row[m] for m in methods}) > 1:
                 detail = json.dumps({key: str(value) if key in methods and value is not None
                                      else value for key, value in row.items()})
                 break
-    except (NonIntegralError, NotNearIntegerError, ResidualTooLargeError) as exc:
+    except NonIntegralError as exc:
         detail = f"{type(exc).__name__}: {exc}"
     checks.append({"name": name, "status": "FAIL" if detail else "pass", "detail": detail,
-                   "max_residual": residual, "seconds": round(time.monotonic() - t0, 3)})
-
-
-def _expsum_rows(fld, gen, dec, reps, hists: np.ndarray):
-    """N_n(c) from the Gauss sums, up to the float route's bound, at c in `reps`,
-    g^0..g^3, one c per class; -1 lies in C_0 or C_2, so -c meets every class too.
-    Each row carries the sums' largest residual as roots of `denominator`."""
-    table = expsums.build_table(fld, gen)
-    residual = max(expsums.verify_gauss_sum_roots(table, dec))
-    for c in reps:
-        for n in range(1, min(len(hists), expsums.reconstruct_max_n(fld.q)) + 1):
-            yield {"c": c.encode(), "n": n, "expsum": expsums.reconstruct_N(n, c, table),
-                   "oracle": hists[n - 1][c.encode()], "max_residual": residual}
+                   "seconds": round(time.monotonic() - t0, 3)})
 
 
 def _differing_rows(build):
@@ -314,8 +300,18 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
                        counting._closed_small(q, dec.s, dec.t, q % 8, l, n) for n in ns]
                        for l in range(4)], dtype=object)[cls[1:]], "oracle": hists[:4, 1:].T})))
         if with_expsums:
+            table = expsums.build_table(fld, gen)
+            _run_check(checks, f"{tag} Gauss sums are roots", ("residue", "zero"),
+                       _differing_rows(lambda: ({"ell": table.rows[:, 0].tolist(),
+                                                 "l": range(4)}, {
+                           "residue": np.array(expsums.verify_gauss_sum_roots(table, dec)),
+                           "zero": np.zeros((len(table.rows), 4), dtype=np.int64)})))
+            # N_n(c) at one c per class, g^l: -1 lies in C_0 or C_2, so -c meets every class
+            ns = range(1, min(nmax, expsums.reconstruct_max_n(q)) + 1)
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
-                       _expsum_rows(fld, gen, dec, reps, hists))
+                       _differing_rows(lambda: ({"c": range(1, q), "n": ns}, {"expsum": np.array(
+                           [[expsums.reconstruct_N(n, c, table) for n in ns] for c in reps],
+                           dtype=object)[cls[1:]], "oracle": hists[:len(ns), 1:].T})))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
                _differing_rows(lambda: _twisted_arrays(fld, gen, dec, cyc, reps, series, hists)))
 

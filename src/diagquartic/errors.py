@@ -45,14 +45,6 @@ class QuarticYError(DiagQuarticError):
     """Twist coefficient y is a fourth power (or zero)."""
 
 
-class NotNearIntegerError(DiagQuarticError):
-    """Floating-point reconstruction did not land near an integer."""
-
-
-class ResidualTooLargeError(DiagQuarticError):
-    """A Gauss-sum polynomial residual exceeded its tolerance."""
-
-
 class BadDenominatorError(DiagQuarticError):
     """Rational part denominator does not have constant term 1."""
 

@@ -1,6 +1,5 @@
 """Shared fixtures: test fields, cached oracle histograms and literal checks."""
 
-import cmath
 import itertools
 
 import pytest
@@ -137,25 +136,38 @@ def literal_histogram(coeffs):
     return hist
 
 
-def literal_character(x):
-    """psi(x) = exp(2*pi*i*Tr(x)/p), with Tr from `field.trace`."""
-    return cmath.exp(2j * cmath.pi * trace(x) / x.field.p)
+def literal_omega(ell, p):
+    """The w of order p in F_ell that `expsums` takes: the first h^((ell-1)/p) != 1,
+    h = 2, 3, ..."""
+    return next(w for w in (pow(h, (ell - 1) // p, ell) for h in range(2, ell)) if w != 1)
 
 
-def literal_gauss_sum(u):
-    """T_u = sum over v of psi(u * v^4), by direct O(q) summation."""
+def character_prime(p):
+    """The smallest prime ell = 1 (mod p), by literal trial division, and its w."""
+    ell = p + 1
+    while any(ell % d == 0 for d in range(2, ell)):
+        ell += p
+    return ell, literal_omega(ell, p)
+
+
+def literal_character(x, omega, ell):
+    """psi(x) = omega^Tr(x) mod ell, omega of order p in F_ell, with Tr from `field.trace`."""
+    return pow(omega, trace(x), ell)
+
+
+def literal_gauss_sum(u, omega, ell):
+    """T_u = sum over v of psi(u * v^4) mod ell, by direct O(q) summation."""
     if u.is_zero():
         raise ValueError("T_u is defined for u != 0")
-    return sum(literal_character(u * v**4) for v in u.field.elements())
+    return sum(literal_character(u * v**4, omega, ell) for v in u.field.elements()) % ell
 
 
-def literal_orthogonality_residuals(fld):
-    """|sum_x psi(x*y)| for each y != 0, plus |sum - q| at y = 0 (all should be ~0)."""
+def literal_orthogonality_residuals(fld, omega, ell):
+    """sum_x psi(x*y) - q [y = 0] mod ell for each y (all should be 0)."""
     residuals = []
     for y in fld.elements():
-        total = sum(literal_character(x * y) for x in fld.elements())
-        expect = fld.q if y.is_zero() else 0
-        residuals.append(abs(total - expect))
+        total = sum(literal_character(x * y, omega, ell) for x in fld.elements())
+        residuals.append((total - (fld.q if y.is_zero() else 0)) % ell)
     return residuals
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import random
@@ -19,7 +20,7 @@ from diagquartic import cli, counting, cyclotomy, expsums, genfunc
 from diagquartic import field as field_module
 from diagquartic.cli import build_parser, main
 from diagquartic.cyclotomy import CyclotomicClasses, QuarticDecomposition
-from diagquartic.errors import InvariantError, NotNearIntegerError
+from diagquartic.errors import InvariantError, NonIntegralError
 from diagquartic.field import Element, Field, find_generator, quartic_class
 
 from conftest import field_data, split_off_count
@@ -864,20 +865,40 @@ class TestVerifyCommand:
     def test_wrong_gauss_sums_give_an_expsum_witness(self, capsys, monkeypatch):
         build_table = expsums.build_table
 
-        def rotated(fld, gen):
-            # the same four roots of the denominator, each on the wrong class
+        def reflected(fld, gen):
+            # the same four roots of the denominator mod each prime, eta_1 and eta_3 on each
+            # other's class (a shift of every class would be the table of psi(k x), whose
+            # counts are the same)
             table = build_table(fld, gen)
-            table.T = table.T[1:] + table.T[:1]
-            return table
-        monkeypatch.setattr(expsums, "build_table", rotated)
+            return dataclasses.replace(table, rows=table.rows[:, [0, 1, 4, 3, 2]])
+        monkeypatch.setattr(expsums, "build_table", reflected)
         code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--expsums", "--json")
         assert code == 1
         failed = [c for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
         assert [c["name"] for c in failed] == ["q=13 exponential sums"]
         witness = json.loads(failed[0]["detail"])
-        assert set(witness) == {"c", "n", "expsum", "oracle", "max_residual"}
+        assert set(witness) == {"c", "n", "expsum", "oracle"}
         assert witness["expsum"] != witness["oracle"]
-        assert witness["max_residual"] == failed[0]["max_residual"] < 1e-6
+
+    def test_a_mutant_period_fails_both_expsum_checks(self, capsys, monkeypatch):
+        # eta_0 + 1 mod the first prime, in the store that verify reads
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        fld = Field(13, 1)
+        gen = find_generator(fld)
+        rows = expsums.build_table(fld, gen).rows.copy()
+        rows[0, 1] = (rows[0, 1] + 1) % rows[0, 0]
+        field_module._TABLES["periods", gen.g] = rows
+        code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--expsums", "--json")
+        assert code == 1
+        failed = {c["name"]: json.loads(c["detail"]) for c in json.loads(out)["checks"]
+                  if c["status"] == "FAIL"}
+        assert set(failed) == {"q=13 Gauss sums are roots", "q=13 exponential sums"}
+        roots = failed["q=13 Gauss sums are roots"]
+        assert (roots["ell"], roots["l"], roots["zero"]) == (int(rows[0, 0]), 0, "0")
+        assert roots["residue"] != "0"
+        counts = failed["q=13 exponential sums"]
+        assert (counts["c"], counts["n"]) == (1, 1)
+        assert counts["expsum"] != counts["oracle"] == "4"
 
     @pytest.mark.parametrize("l", range(4))
     def test_expsums_meet_every_class_of_minus_c(self, capsys, monkeypatch, l):
@@ -893,16 +914,16 @@ class TestVerifyCommand:
         assert failed == ["q=29 exponential sums"]
 
     def test_error_in_one_check_fails_that_check_only(self, capsys, monkeypatch):
-        def not_near_integer(*args):
-            raise NotNearIntegerError("injected drift")
-        monkeypatch.setattr(expsums, "reconstruct_N", not_near_integer)
+        def not_integral(*args):
+            raise NonIntegralError("injected")
+        monkeypatch.setattr(expsums, "reconstruct_N", not_integral)
         code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--expsums", "--json")
         assert code == 1
         checks = json.loads(out)["checks"]
-        assert len(checks) == 7
+        assert len(checks) == 8
         failed = [c for c in checks if c["status"] == "FAIL"]
         assert [c["name"] for c in failed] == ["q=13 exponential sums"]
-        assert failed[0]["detail"] == "NotNearIntegerError: injected drift"
+        assert failed[0]["detail"] == "NonIntegralError: injected"
 
 
 class TestDifferingRows:

@@ -1,14 +1,16 @@
-"""Additive characters, Gauss-type sums and count reconstruction."""
+"""Additive characters mod primes ell = 1 (mod p), Gauss periods and count reconstruction."""
 
-import cmath
 import dataclasses
 import random
 
+import numpy as np
 import pytest
+import sympy
 
 from diagquartic import expsums
+from diagquartic import field as field_module
 from diagquartic.cyclotomy import QuarticDecomposition
-from diagquartic.errors import NotNearIntegerError, ResidualTooLargeError, WrongResidueClassError
+from diagquartic.errors import WrongResidueClassError
 from diagquartic.counting import count_N
 from diagquartic.expsums import (
     build_table,
@@ -16,36 +18,50 @@ from diagquartic.expsums import (
     reconstruct_N,
     verify_gauss_sum_roots,
 )
-from diagquartic.field import Field, find_generator, index_of, quartic_class
+from diagquartic.field import Field, find_generator, index_of, quartic_class, trace
 from diagquartic.genfunc import denominator
 
 from conftest import (
+    character_prime,
     field_data,
     literal_character,
     literal_gauss_sum,
+    literal_omega,
     literal_orthogonality_residuals,
 )
 
 
+def characters(table):
+    """(ell, w, eta_0 .. eta_3) for each row of the table, w the character's root."""
+    p = table.gen.field.p
+    return [(ell, literal_omega(ell, p), eta) for ell, *eta in table.rows.tolist()]
+
+
 class TestAdditiveCharacter:
     def test_at_zero(self, any_field):
-        assert literal_character(any_field.field.zero()) == pytest.approx(1.0)
+        ell, omega = character_prime(any_field.field.p)
+        assert literal_character(any_field.field.zero(), omega, ell) == 1
 
     def test_unit_modulus(self, any_field):
+        # |psi| = 1 mod ell: every value is a p-th root of unity
         fld = any_field.field
+        ell, omega = character_prime(fld.p)
+        assert omega != 1
         for code in range(0, fld.q, max(1, fld.q // 13)):
-            assert abs(abs(literal_character(fld.from_int(code))) - 1) < 1e-12
+            assert pow(literal_character(fld.from_int(code), omega, ell), fld.p, ell) == 1
 
     def test_orthogonality(self, any_field):
-        residuals = literal_orthogonality_residuals(any_field.field)
-        assert max(residuals) < 1e-9 * any_field.q
+        ell, omega = character_prime(any_field.field.p)
+        assert set(literal_orthogonality_residuals(any_field.field, omega, ell)) == {0}
 
 
 class TestQuarticGaussSum:
     def test_q5_value(self):
+        # F_5: v^4 = 1 for every v != 0, so T_1 = 1 + 4 psi(1) = 1 + 4 w
         fd = field_data(5, 1)
-        expected = 1 + 4 * cmath.exp(2j * cmath.pi / 5)
-        assert literal_gauss_sum(fd.field.one()) == pytest.approx(expected)
+        for ell, omega, eta in characters(build_table(fd.field, fd.gen)):
+            assert literal_gauss_sum(fd.field.one(), omega, ell) == (1 + 4 * omega) % ell
+            assert (1 + 4 * eta[0]) % ell == (1 + 4 * omega) % ell
 
     def test_class_constancy(self, field_1mod4):
         fd = field_1mod4
@@ -54,18 +70,36 @@ class TestQuarticGaussSum:
         for code in rng.sample(range(1, fd.q), min(50, fd.q - 1)):
             u = fd.field.from_int(code)
             l = index_of(u, fd.gen) % 4
-            assert abs(literal_gauss_sum(u) - table.T[l]) < 1e-9 * fd.q
+            for ell, omega, eta in characters(table):
+                assert literal_gauss_sum(u, omega, ell) == (1 + 4 * eta[l]) % ell
 
     def test_real_when_q_1_mod_8(self):
+        # -1 lies in C_0, so each period is fixed by conjugation, w -> w^-1
         for p, m in [(17, 1), (41, 1), (3, 2), (7, 2)]:
             fd = field_data(p, m)
-            table = build_table(fd.field, fd.gen)
-            assert all(abs(T.imag) < 1e-9 * fd.q for T in table.T)
+            for ell, omega, eta in characters(build_table(fd.field, fd.gen)):
+                for l, cls in enumerate(fd.classes.classes):
+                    conjugate = sum(pow(omega, -trace(fd.field.from_int(int(x))), ell)
+                                    for x in cls)
+                    assert conjugate % ell == eta[l]
 
     def test_zero_u_rejected(self):
         fd = field_data(5, 1)
+        ell, omega = character_prime(5)
         with pytest.raises(ValueError):
-            literal_gauss_sum(fd.field.zero())
+            literal_gauss_sum(fd.field.zero(), omega, ell)
+
+
+class TestTable:
+    @pytest.mark.parametrize("p, m", [(5, 1), (13, 1), (3, 4), (73, 2)])
+    def test_three_largest_primes_below_2_31(self, p, m):
+        fld = Field(p, m)
+        rows = build_table(fld, find_generator(fld)).rows
+        assert (rows.shape, rows.dtype, rows.nbytes) == ((3, 5), np.int64, 120)
+        primes = [ell for ell in range(2**31 - 1, int(rows[-1, 0]) - 1, -1)
+                  if ell % p == 1 and sympy.isprime(ell)]
+        assert rows[:, 0].tolist() == primes
+        assert ((0 <= rows[:, 1:]) & (rows[:, 1:] < rows[:, :1])).all()
 
 
 class TestGaussSumPolynomial:
@@ -74,27 +108,28 @@ class TestGaussSumPolynomial:
         assert denominator(5, fd.dec.s) == (1, 0, 10, 40, 205)
 
     def test_residuals_small(self, field_1mod4):
+        # every residue P(T_l) mod ell is 0
         fd = field_1mod4
         table = build_table(fd.field, fd.gen)
-        residuals = verify_gauss_sum_roots(table, fd.dec)
-        assert max(residuals) < 1e-8 * fd.q * fd.q
+        assert verify_gauss_sum_roots(table, fd.dec) == [[0] * 4] * 3
 
     def test_vieta_sum_of_roots(self, field_1mod4):
-        # x^3 coefficient is 0, so the four T values sum to ~0
+        # the x^3 coefficient is 0, so the four T values sum to 0 mod each prime
         fd = field_1mod4
-        table = build_table(fd.field, fd.gen)
-        assert abs(sum(table.T)) < 1e-9 * fd.q * fd.q
+        for ell, _, eta in characters(build_table(fd.field, fd.gen)):
+            assert sum(1 + 4 * e for e in eta) % ell == 0
 
     def test_wrong_s_detected(self):
         fd = field_data(13, 1)
         table = build_table(fd.field, fd.gen)
-        with pytest.raises(ResidualTooLargeError):
-            verify_gauss_sum_roots(table, QuarticDecomposition(s=fd.dec.s + 4, t=fd.dec.t))
+        residues = verify_gauss_sum_roots(table, QuarticDecomposition(s=fd.dec.s + 4,
+                                                                      t=fd.dec.t))
+        assert all(any(row) for row in residues)
 
 
-def lambda_sum(table, l, c):
+def lambda_sum(eta, gen, l, c):
     """lambda_l(c) as `reconstruct_N` reads it: the Gauss period eta_(l + ind(-c))."""
-    return table.eta[(l + quartic_class(-c, table.gen)) % 4]
+    return eta[(l + quartic_class(-c, gen)) % 4]
 
 
 class TestInputChecks:
@@ -108,28 +143,28 @@ class TestInputChecks:
 class TestLambdaSums:
     def test_classes_sum_to_minus_one(self, field_1mod4):
         fd = field_1mod4
-        table = build_table(fd.field, fd.gen)
-        for code in range(1, fd.q):
-            c = fd.field.from_int(code)
-            total = sum(lambda_sum(table, l, c) for l in range(4))
-            assert abs(total + 1) < 1e-9 * fd.q
+        for ell, _, eta in characters(build_table(fd.field, fd.gen)):
+            for code in range(1, fd.q):
+                c = fd.field.from_int(code)
+                assert sum(lambda_sum(eta, fd.gen, l, c) for l in range(4)) % ell == ell - 1
 
     def test_matches_literal_sum(self, field_1mod4):
         # lambda_l(c) = sum over x in C_l of psi(-x*c), summed term by term
         fd = field_1mod4
-        table = build_table(fd.field, fd.gen)
-        for code in range(1, fd.q):
-            c = fd.field.from_int(code)
-            for l in range(4):
-                literal = sum(literal_character(-(fd.field.from_int(int(x)) * c))
-                              for x in fd.classes.classes[l])
-                assert abs(lambda_sum(table, l, c) - literal) < 1e-9 * fd.q, (fd.q, l, c)
+        for ell, omega, eta in characters(build_table(fd.field, fd.gen)):
+            for code in range(1, fd.q):
+                c = fd.field.from_int(code)
+                for l in range(4):
+                    literal = sum(literal_character(-(fd.field.from_int(int(x)) * c),
+                                                    omega, ell)
+                                  for x in fd.classes.classes[l]) % ell
+                    assert lambda_sum(eta, fd.gen, l, c) == literal, (fd.q, ell, l, c)
 
     def test_q5_lambda0(self):
+        # C_0 of F_5 is {1}, so lambda_0(1) = psi(-1) = w^-1
         fd = field_data(5, 1)
-        table = build_table(fd.field, fd.gen)
-        expected = cmath.exp(-2j * cmath.pi / 5)
-        assert lambda_sum(table, 0, fd.field.one()) == pytest.approx(expected)
+        for ell, omega, eta in characters(build_table(fd.field, fd.gen)):
+            assert lambda_sum(eta, fd.gen, 0, fd.field.one()) == pow(omega, -1, ell)
 
 
 class TestReconstruction:
@@ -151,11 +186,12 @@ class TestReconstruction:
             for n in range(1, 7):
                 assert reconstruct_N(n, c, table) == fd.oracle_N(code, n)
 
-    @pytest.mark.parametrize("p, m", [(5, 1), (13, 1), (29, 1), (7, 2), (11, 2), (65537, 1)],
-                             ids=["q=5", "q=13", "q=29", "q=49", "q=121", "q=65537"])
+    @pytest.mark.parametrize("p, m", [(5, 1), (13, 1), (29, 1), (7, 2), (11, 2), (65537, 1),
+                                      (3, 12), (1048573, 1)],
+                             ids=["q=5", "q=13", "q=29", "q=49", "q=121", "q=65537", "q=3^12",
+                                  "q=1048573"])
     def test_exact_up_to_the_precision_bound(self, p, m):
-        # one c per class; past the bound the double rounds to wrong counts
-        # (13^16 > 2^50: N_17(1) over F_13 came out 60 too large)
+        # one c per class, at every n the route admits
         fld = Field(p, m)
         gen = find_generator(fld)
         table = build_table(fld, gen)
@@ -164,22 +200,24 @@ class TestReconstruction:
         for c in (gen.g ** l for l in range(4)):
             for n in range(1, nmax + 1):
                 assert reconstruct_N(n, c, table) == count_N(c, n, fld, gen)
-        # refused before any work: a table without sums would fail otherwise
-        empty = dataclasses.replace(table, T=None, eta=None)
+        # refused before any work: a table without periods would fail otherwise
+        empty = dataclasses.replace(table, rows=None)
         with pytest.raises(ValueError, match="2\\^50"):
             reconstruct_N(nmax + 1, fld.one(), empty)
 
-    @pytest.mark.parametrize("p, n, factor", [(13, 13, 1 + 1e-5), (5, 22, cmath.exp(1e-12j))],
-                             ids=["q=13-scaled", "q=5-rotated"])
-    def test_perturbed_sums_are_not_near_an_integer(self, p, n, factor):
-        # scaled, N_13(1) lands 0.36 off an integer; rotated, N_22(1) keeps its
-        # real part 0.0625 off, but |Im r| = 6232 is past 2^-40 sum |terms| = 278
-        fld = Field(p, 1)
+    def test_a_mutant_period_changes_every_count(self, monkeypatch):
+        # eta_0 + 1 mod the first prime, which every reconstruction reads
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        fld = Field(13, 1)
         gen = find_generator(fld)
+        rows = build_table(fld, gen).rows.copy()
+        rows[0, 1] = (rows[0, 1] + 1) % rows[0, 0]
+        field_module._TABLES["periods", gen.g] = rows
         table = build_table(fld, gen)
-        table.T = tuple(T * factor for T in table.T)
-        with pytest.raises(NotNearIntegerError):
-            reconstruct_N(n, fld.one(), table)
+        assert table.rows is rows
+        for c in (gen.g ** l for l in range(4)):
+            for n in range(1, reconstruct_max_n(fld.q) + 1):
+                assert reconstruct_N(n, c, table) != count_N(c, n, fld, gen), (c, n)
 
     def test_one_class_per_reconstruction(self, monkeypatch):
         fd = field_data(13, 1)

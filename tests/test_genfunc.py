@@ -456,11 +456,13 @@ class TestRecurrence:
 
 class TestDenominatorBridge:
     def test_reversal_of_gauss_sum_polynomial(self, field_1mod4):
-        # den(x) = prod over l of (1 - T_{g^l} x), the reversal of the quartic
-        # whose roots are the numeric Gauss sums, counted with multiplicity
+        # den(x) = prod over l of (1 - T_{g^l} x) mod each prime ell of the table: the
+        # reversal of the quartic whose roots are the Gauss sums, with multiplicity
         fd = field_1mod4
-        expanded = [1]
-        for T in build_table(fd.field, fd.gen).T:
-            expanded = [a - T * b for a, b in zip(expanded + [0], [0] + expanded)]
         den = denominator(fd.q, fd.dec.s)
-        assert all(abs(a - b) < 1e-9 * fd.q * fd.q for a, b in zip(expanded, den))
+        for ell, *eta in build_table(fd.field, fd.gen).rows.tolist():
+            expanded = [1]
+            for e in eta:
+                T = 1 + 4 * e
+                expanded = [(a - T * b) % ell for a, b in zip(expanded + [0], [0] + expanded)]
+            assert expanded == [a % ell for a in den]

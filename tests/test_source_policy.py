@@ -10,7 +10,9 @@ written by key but never has a key removed, so what a process keeps has a bound.
 re-export shim: a private name imported at module level from another package module is
 read in the importing module, so each function has one binding that callers, patches and
 tracers share.  No guard imported by value: a module-level `*_GUARD` name is read where it
-is defined, so patching that one binding moves every check that reads it.
+is defined, so patching that one binding moves every check that reads it.  No float or
+complex constant and no `cmath` import: counts are exact integers, and so is every route
+that checks them.
 """
 
 import ast
@@ -32,10 +34,10 @@ def _run_at_import(node: ast.AST):
             yield from _run_at_import(child)
 
 
-def _imports_numpy(node: ast.AST) -> bool:
+def _imports(node: ast.AST, package: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy"
+        return any(alias.name.partition(".")[0] == package for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == package
 
 
 # Module-level dicts whose keys come from a fixed set, so they cannot grow without bound
@@ -122,10 +124,14 @@ def _offences(path: Path):
     """Each breach of a rule as "file:line: what", in line order."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [(node.lineno, "numpy import at module level")
-             for node in _run_at_import(tree) if _imports_numpy(node)]
+             for node in _run_at_import(tree) if _imports(node, "numpy")]
     for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             found.append((node.lineno, "assert statement"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"{type(node.value).__name__} constant"))
+        elif _imports(node, "cmath"):
+            found.append((node.lineno, "cmath import"))
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
               and node.func.attr == "elements"):
             found.append((node.lineno, "call of .elements()"))
@@ -166,7 +172,10 @@ def test_the_rules_see_what_they_forbid(tmp_path):
                       "def h(x):\n    return x\n"
                       "from .field import _digits, _weights as _w\n"
                       "READ = _digits\n"
-                      "from .field import ORACLE_TABLE_BYTES_GUARD as GUARD, check_bytes\n")
+                      "from .field import ORACLE_TABLE_BYTES_GUARD as GUARD, check_bytes\n"
+                      "TOL = 1e-6\n"
+                      "import cmath\n"
+                      "ROOT = 2j\n")
     assert _offences(module) == ["mutant.py:1: numpy import at module level",
                                  "mutant.py:4: assert statement",
                                  "mutant.py:5: call of .elements()",
@@ -179,4 +188,7 @@ def test_the_rules_see_what_they_forbid(tmp_path):
                                  "mutant.py:18: lru_cache(maxsize=None)",
                                  "mutant.py:22: private name _w imported and never read",
                                  "mutant.py:24: guard ORACLE_TABLE_BYTES_GUARD imported by "
-                                 "value"]
+                                 "value",
+                                 "mutant.py:25: float constant",
+                                 "mutant.py:26: cmath import",
+                                 "mutant.py:27: complex constant"]
