@@ -3,8 +3,8 @@
 Subcommands: field, cyclotomic, count, series, verify.
 `count` prints N_n(c) or M_n(y) as one coefficient of the generating function: a
 part with a one-tap denominator 1 + d x^k as one power, any other from the short
-series below genfunc.SERIES_BELOW (the measured crossover) and by a Hankel form
-after O(log n) polynomial products from there.  `--all-methods` also runs every
+series below genfunc.SERIES_BELOW and from there by a Hankel form, taken as a sum of
+squares, after O(log n) polynomial squares.  `--all-methods` also runs every
 checking route that covers the count (cyclotomy on every count, the oracle within
 its guard), reports each route's value and seconds, and exits 1 unless they agree.
 `series` lists the first n coefficients.  `verify` reads the class of ind_g mod 4 of every

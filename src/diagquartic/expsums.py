@@ -8,20 +8,21 @@ for c != 0, and `reconstruct_N` joins these residues by CRT: no rounding, no tol
 
 `build_table` reads Tr(x) from `field.trace_table`, which it calls directly, at the
 encodings of each class, which `CyclotomicClasses` reads off `field.log_table`.  For each of
-the three largest such primes below 2^31 (so w^i * w^j stays in int64) it gathers psi
-through w^0 .. w^(p-1) and sums it over each class.  Only the rows (ell, eta_0 .. eta_3)
-are kept: one 3 x 5 int64 array, built once per generator, read-only, in `field._stored`
-(kind "periods"); the trace table is not stored.
+the three largest such primes below 2^31 (so w^i * w^j stays in int64), which
+`field.is_prime` finds, it gathers psi through w^0 .. w^(p-1) and sums it over each
+class.  Only the rows (ell, eta_0 .. eta_3) are kept: one 3 x 5 int64 array, built once
+per generator, read-only, in `field._stored` (kind "periods"); the trace table is not
+stored.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cyclotomy import CyclotomicClasses, QuarticDecomposition
 from .errors import WrongResidueClassError
-from .field import Element, Field, GeneratorData, _stored, check_field, quartic_class, trace_table
+from .field import (Element, Field, GeneratorData, _stored, check_field, is_prime, quartic_class,
+                    trace_table)
 from .genfunc import denominator
 
 
@@ -51,7 +52,7 @@ def _periods(fld: Field, gen: GeneratorData) -> np.ndarray:
     traces = [trace[cls] for cls in CyclotomicClasses(fld, gen, 4).classes]
     rows, ell = [], (2**31 - 2) // (2 * p) * (2 * p) + 1
     while len(rows) < 3:
-        if all(ell % d for d in range(3, math.isqrt(ell) + 1, 2)):  # ell is prime
+        if is_prime(ell):
             w = next(w for w in (pow(h, (ell - 1) // p, ell) for h in range(2, ell)) if w != 1)
             powers = np.ones(1, dtype=np.int64)  # w^0 .. w^(p-1), doubled by one product
             while len(powers) < p:

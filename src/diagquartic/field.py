@@ -6,10 +6,13 @@ onto [0, q-1], used in all I/O.
 
 One product serves two rings: `_mulmod`, two length-m coefficient vectors times
 each other mod a monic f, over F_p (f the modulus) or over Z (genfunc's reversed
-denominator).  `Element` products call it; `_powmod`, the field kernel's
-square-and-multiply loop, runs it for powers, for `is_irreducible` (Rabin's test in
-F_p[x]/(f) itself) and for genfunc's x^h mod P, and runs `_gmul` in F_p[i], each
-with its ring as one argument.  Residues mod p keep the builtin `pow`.
+denominator).  Its squares over Z at m = 4, those of genfunc's x^h mod a quartic, are
+Toom-Cook squares (`_toom_square`, 7 big-integer squares in place of 10 products); every
+other product is the schoolbook one.  `Element` products call it;
+`_powmod`, the field kernel's square-and-multiply loop, runs it for powers, for
+`is_irreducible` (Rabin's test in F_p[x]/(f) itself) and for genfunc's x^h mod P, and
+runs `_gmul` in F_p[i], each with its ring as one argument.  Residues mod p keep the
+builtin `pow`, and `is_prime` is a deterministic Miller-Rabin test.
 
 `quartic_class` gives ind_g(x) mod d, d = gcd(4, q-1), by Euler's criterion through
 the norm N_e to F_(p^e), e = 1 if d | p-1 and 2 otherwise: x^((q-1)/d) =
@@ -70,8 +73,35 @@ def check_bytes(what: str, nbytes: int) -> None:
                             f"{ORACLE_TABLE_BYTES_GUARD}")
 
 
+# The least strong pseudoprime to the bases 2, 3, 5 and 7 (Pomerance, Selfridge & Wagstaff,
+# Math. Comp. 35, 1980): below it their Miller-Rabin test is exact.
+MILLER_RABIN_BOUND = 3_215_031_751
+
+
 def is_prime(n: int) -> bool:
-    return factorize(n) == {n: 1}
+    """Whether n is prime, by the Miller-Rabin test to the bases 2, 3, 5 and 7, exact
+    for n below MILLER_RABIN_BOUND; ValueError from there."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"n = {n} is not below {MILLER_RABIN_BOUND}, where the bases "
+                         "2, 3, 5 and 7 stop deciding primality")
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r, d odd
+    d = (n - 1) >> r
+    for b in (2, 3, 5, 7):  # is b^d = 1, or b^(d 2^j) = -1 for some j < r?
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -93,26 +123,55 @@ def factorize(n: int) -> dict[int, int]:
 # each other mod a monic f of degree m, over F_p or (p = 0) over Z.
 # ---------------------------------------------------------------------------
 
+def _toom_square(a) -> list[int]:
+    """The 7 coefficients of a(x)^2, a = (a_0, a_1, a_2, a_3) exact integers, from 7
+    big-integer squares (Toom-Cook): a(0)^2, a(+-1)^2, a(+-2)^2, a(3)^2 and a_3^2, the
+    values of a(x)^2 at 0, +-1, +-2, 3 and infinity, interpolated back with exact
+    divisions by 2, 4, 3, 12 and 120.  The schoolbook square takes 10 products."""
+    a0, a1, a2, a3 = a
+    even, odd = a0 + a2, a1 + a3  # a(+-1) = even +- odd
+    even2, odd2 = a0 + 4 * a2, 2 * a1 + 8 * a3  # a(+-2) = even2 +- odd2
+    c0, c6 = a0 * a0, a3 * a3
+    plus, minus = (even + odd) ** 2, (even - odd) ** 2
+    e1, o1 = (plus + minus) >> 1, (plus - minus) >> 1
+    plus, minus = (even2 + odd2) ** 2, (even2 - odd2) ** 2
+    e2, o2 = (plus + minus) >> 1, (plus - minus) >> 2
+    # e1 = c0 + c2 + c4 + c6, e2 = c0 + 4 c2 + 16 c4 + 64 c6; o1 = c1 + c3 + c5,
+    # o2 = c1 + 4 c3 + 16 c5 and, once c2 and c4 are known, o3 = c1 + 9 c3 + 81 c5
+    c4 = (e2 - 4 * e1 + 3 * c0 - 60 * c6) // 12
+    c2 = e1 - c0 - c4 - c6
+    o3 = ((a0 + 3 * a1 + 9 * a2 + 27 * a3) ** 2 - c0 - 9 * c2 - 81 * c4 - 729 * c6) // 3
+    c5 = (3 * o3 - 8 * o2 + 5 * o1) // 120
+    c3 = (o2 - o1) // 3 - 5 * c5
+    return [c0, o1 - c3 - c5, c2, c3, c4, c5, c6]
+
+
 def _mulmod(a, b, ring: tuple[tuple[int, ...], int]):
     """a*b mod (f, p) = ring, f monic with its constant term first, p the
-    characteristic (a tuple of residues back) or 0 for exact integers (a list back):
-    the schoolbook product over the nonzero digits of b, a square (b is a) taking
-    each cross term once, reduced from the top term down."""
+    characteristic (a tuple of residues back) or 0 for exact integers (a list back),
+    reduced from the top term down.  An exact-integer square (b is a) of length 4,
+    genfunc's x^h mod its quartic, is `_toom_square`; any other product is the
+    schoolbook one over the nonzero digits of b, a square taking each cross term once
+    (over F_p the Toom divisions by 3 and 5 are not invertible for every p, and small
+    residues gain nothing)."""
     f, p = ring
     m = len(a)
-    prod = [0] * (2 * m - 1)
-    if a is b:
-        for i, ai in enumerate(a):
-            if ai:
-                prod[2 * i] += ai * ai
-                ai += ai  # a_i a_j, i < j, stands for itself and a_j a_i
-                for j in range(i + 1, m):
-                    prod[i + j] += ai * a[j]
+    if a is b and not p and m == 4:
+        prod = _toom_square(a)
     else:
-        for j, bj in enumerate(b):
-            if bj:
-                for i, ai in enumerate(a, j):
-                    prod[i] += ai * bj
+        prod = [0] * (2 * m - 1)
+        if a is b:
+            for i, ai in enumerate(a):
+                if ai:
+                    prod[2 * i] += ai * ai
+                    ai += ai  # a_i a_j, i < j, stands for itself and a_j a_i
+                    for j in range(i + 1, m):
+                        prod[i + j] += ai * a[j]
+        else:
+            for j, bj in enumerate(b):
+                if bj:
+                    for i, ai in enumerate(a, j):
+                        prod[i] += ai * bj
     low = f[:m]
     for k in range(2 * m - 2, m - 1, -1):
         lead = prod[k] % p if p else prod[k]

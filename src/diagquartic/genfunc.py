@@ -6,12 +6,13 @@ integer coefficient vectors (ascending powers, denominator constant term 1).
 all n coefficients.  `coefficient(n)` reads one in one of three regimes, all in
 exact integers: a part with a one-tap denominator 1 + d x^k (the geometric
 x/(1 - qx), and the q = 3 mod 4 correction 1 + qx^2) is one power; below
-SERIES_BELOW, the measured crossover, it reads the series; from there it takes
-Fiduccia's method: x^h mod P, P the monic reversed denominator, by `_powmod` in
-O(log n) products of `field._mulmod` over Z, then a Hankel form.  Each part keeps
-the prefix of its series that calls have read, up to max(SERIES_BELOW, s + 2k)
-terms (k = deg den, s = max(1, len(num) - k)): every regime reads its terms there,
-and a longer series runs on a copy.
+SERIES_BELOW it reads the series; from there it takes Fiduccia's method: x^h mod P,
+P the monic reversed denominator, by `_powmod` in O(log n) squares of
+`field._mulmod` over Z (Toom-Cook squares for the quartics), then a Hankel form,
+taken as a sum of at most k squares (`_squares`).  Each part keeps the prefix of
+its series that calls have read, up to max(SERIES_BELOW, s + 2k) terms (k = deg den,
+s = max(1, len(num) - k)): every regime reads its terms there, and a longer series
+runs on a copy.  It also keeps the pivots of its Hankel form, one list per parity.
 `gf_N` and `gf_M` take (s, t) from `dec`, or when it is None from the generator
 (`GeneratorData.decomposition`, found once per generator), and return one shared
 generating function per (q, s, t, q mod 8, class, twisted) from `_class_gf`, a
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from operator import mul
 
 from .cyclotomy import QuarticDecomposition
 from .errors import BadDenominatorError, QuarticYError
@@ -44,13 +46,16 @@ class RationalPart:
     """num(x)/den(x) with integer coefficients and den[0] = 1.
 
     `_kept` holds c_(-k) .. c_j, k = deg den: k zeros, then the terms calls have read
-    so far, never past max(SERIES_BELOW, s + 2k) of them; equality and hashing
-    ignore it."""
+    so far, never past max(SERIES_BELOW, s + 2k) of them; `_pivots[b]` holds the
+    `_squares` pivots of the Hankel form that `coefficient` reads for n - s = b mod 2,
+    once built.  Equality and hashing ignore both."""
 
     num: tuple[int, ...]
     den: tuple[int, ...]
     _kept: list[int] = dataclasses.field(default_factory=list, init=False, repr=False,
                                          compare=False)
+    _pivots: dict[int, list[tuple[list[int], int]]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.den or self.den[0] != 1:
@@ -85,12 +90,16 @@ class RationalPart:
         c_(j-i) for every j >= s + k.  If den = 1 + d x^k and n >= s, c_n =
         c_(s+r) (-d)^j with (j, r) = divmod(n - s, k) (never below s, where the
         power would be a float).  Below SERIES_BELOW (or s + 2) c_n is read off
-        the series: on the k = 4 parts of `gf_N` and `gf_M` that is level with the
-        Hankel form at n = 88.  From there x^a -> c_(s+a) vanishes on multiples
-        of the monic reversed denominator P (Fiduccia, SIAM J. Comput. 1985), so
-        with n - s = 2h + b, h >= 1, and r = x^h mod P (`_powmod`), c_n =
-        sum_(i,j<k) r_i r_j c_(s+b+i+j); s >= 1 keeps the initial terms in the series.
-        Every regime reads the kept prefix; for k >= 1 none reads past c_(s+2k-1) or c_87.
+        the series.  From there x^a -> c_(s+a) vanishes on multiples of the monic
+        reversed denominator P (Fiduccia, SIAM J. Comput. 1985), so with n - s =
+        2h + b, h >= 1, and r = x^h mod P (`_powmod`), c_n = r^T H r, H_ij =
+        c_(s+b+i+j), i, j < k: the sum of squares of `_squares`, whose pivots the
+        part keeps per b.  s >= 1 keeps the initial terms in the series.  On the k = 4
+        parts of `gf_N` and `gf_M`, a series read on a fresh part is level with a
+        Hankel read on a part that keeps its pivots near n = 60, and cheaper through
+        n = 120 than a first Hankel read, which builds them; below SERIES_BELOW every
+        later read is a lookup in the kept prefix.  Every regime reads that prefix;
+        for k >= 1 none reads past c_(s+2k-1) or c_87.
         """
         if n < 1:
             raise ValueError(f"coefficient index must be at least 1, got {n}")
@@ -104,8 +113,39 @@ class RationalPart:
         h, b = divmod(n - s, 2)
         x = ([0, 1] + [0] * k)[:k]  # x mod P: k = 1 is one tap, and mod 1 all is 0
         r = _powmod(x, h, _mulmod, (self.den[::-1], 0))
-        initial = self._terms(s + b + 2 * k - 2)[k + s + b:k + s + b + 2 * k - 1]
-        return sum(ri * sum(rj * c for rj, c in zip(r, initial[i:])) for i, ri in enumerate(r))
+        pivots = self._pivots.get(b)
+        if pivots is None:
+            initial = self._terms(s + b + 2 * k - 2)[k + s + b:]
+            pivots = self._pivots[b] = _squares([initial[i:i + k] for i in range(k)])
+        form = 0
+        for hv, d in reversed(pivots):
+            y = sum(map(mul, hv, r))
+            form = (y * y + form) // d
+        return form
+
+
+def _squares(form: list[list[int]]) -> list[tuple[list[int], int]]:
+    """Pivots (hv_0, d_0), (hv_1, d_1), ... with x^T H x = ((hv_0 . x)^2 + ((hv_1 . x)^2
+    + ...) / d_1) / d_0 for every integer vector x, H = `form` a symmetric integer matrix:
+    Lagrange's reduction to a sum of squares, kept in integers.  Each step takes v = e_i
+    with H_ii != 0, or else e_i + e_j with H_ij != 0, hv = H v and d = v^T hv != 0, and
+    goes on with d H - hv hv^T, which has v in its kernel besides H's, so there are rank H
+    steps; every division, run from the last pivot back, is exact."""
+    pivots = []
+    while True:
+        i = next((i for i, row in enumerate(form) if row[i]), None)
+        if i is not None:
+            hv, d = form[i], form[i][i]
+        else:
+            pair = next(((i, j) for i, row in enumerate(form) for j in range(i) if row[j]),
+                        None)
+            if pair is None:
+                return pivots
+            i, j = pair
+            hv = [u + w for u, w in zip(form[i], form[j])]
+            d = 2 * form[i][j]
+        pivots.append((hv, d))
+        form = [[d * h - u * w for h, w in zip(row, hv)] for row, u in zip(form, hv)]
 
 
 @dataclasses.dataclass(frozen=True)

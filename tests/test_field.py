@@ -1,5 +1,6 @@
 """Field construction, arithmetic, generators, indices, classes and traces."""
 
+import inspect
 import random
 import time
 from collections import Counter
@@ -7,6 +8,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import Phase, given, settings, strategies as st
 
 from diagquartic import cli, counting
 from diagquartic import field as field_module
@@ -23,6 +26,7 @@ from diagquartic.errors import (
     ZeroHasNoIndexError,
 )
 from diagquartic.field import (
+    MILLER_RABIN_BOUND,
     Field,
     GeneratorData,
     _gmul,
@@ -33,6 +37,7 @@ from diagquartic.field import (
     find_generator,
     index_of,
     is_irreducible,
+    is_prime,
     log_table,
     minimal_irreducible,
     quartic_class,
@@ -121,6 +126,46 @@ class TestConstruction:
     def test_rejects_malformed_input(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def strong_probable_prime(n, b):
+    """n passes the Miller-Rabin round to base b: b^d = 1 or b^(d 2^j) = -1 mod n for
+    some j < r, n - 1 = d 2^r with d odd."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return pow(b, d, n) == 1 or any(pow(b, d * 2**j, n) == n - 1 for j in range(r))
+
+
+class TestIsPrime:
+    def test_matches_sympy_below_10_5(self):
+        assert [n for n in range(10**5) if is_prime(n) != sympy.isprime(n)] == []
+
+    @pytest.mark.parametrize("p", [5, 13, 1048573])
+    def test_every_ell_the_gauss_periods_try(self, p):
+        # expsums walks ell = 1 mod 2p down from 2^31 until it has three primes
+        ell, tried = (2**31 - 2) // (2 * p) * (2 * p) + 1, []
+        while sum(map(sympy.isprime, tried)) < 3:
+            tried.append(ell)
+            ell -= 2 * p
+        assert [is_prime(ell) for ell in tried] == [sympy.isprime(ell) for ell in tried]
+
+    def test_strong_pseudoprimes_below_the_bound(self):
+        # the least strong pseudoprimes to 2; to 2, 3; and to 2, 3, 5
+        for n in (2047, 1373653, 25326001):
+            assert not is_prime(n) and not sympy.isprime(n)
+        rng = random.Random(7)
+        sample = [rng.randrange(MILLER_RABIN_BOUND) for _ in range(3000)]
+        assert [is_prime(n) for n in sample] == [sympy.isprime(n) for n in sample]
+        assert is_prime(MILLER_RABIN_BOUND - 2) == sympy.isprime(MILLER_RABIN_BOUND - 2)
+
+    def test_bound_is_a_strong_pseudoprime_to_2_3_5_7(self):
+        n = MILLER_RABIN_BOUND
+        assert not sympy.isprime(n)
+        assert all(strong_probable_prime(n, b) for b in (2, 3, 5, 7))
+        for bad in (n, n + 1, 2**32):
+            with pytest.raises(ValueError):
+                is_prime(bad)
 
 
 class TestIrreducibility:
@@ -280,6 +325,56 @@ class TestPowmod:
             for n in range(1, 65):
                 assert _powmod(a, n, _gmul, p) == (u % p, v % p), (a, n)
                 u, v = u * a[0] - v * a[1], u * a[1] + v * a[0]
+
+
+@st.composite
+def signed_vectors(draw):
+    """Four coefficients: zeros, mixed signs, up to 10^4 bits each."""
+    def coefficient():
+        bits = draw(st.integers(0, 10**4))
+        return draw(st.one_of(st.just(0), st.integers(-(2**bits), 2**bits)))
+    return [coefficient() for _ in range(4)]
+
+
+# monic quartics, constant term first: the gf denominators reversed, and random ones
+QUARTICS = st.one_of(st.sampled_from([(205, 40, 10, 0, 1), (-7203, -2744, -294, 0, 1)]),
+                     st.tuples(*[st.integers(-10**6, 10**6)] * 4, st.just(1)))
+
+
+def check_square_against_schoolbook(a, f):
+    # `a` twice is the Toom square; an equal list takes the schoolbook product
+    ring = (f, 0)
+    assert _mulmod(a, a, ring) == _mulmod(a, list(a), ring), (a, f)
+
+
+def square_property(**options):
+    return settings(derandomize=True, deadline=None, max_examples=300, **options)(
+        given(signed_vectors(), QUARTICS)(check_square_against_schoolbook))
+
+
+test_toom_square_matches_the_schoolbook_product = square_property()
+
+
+class TestToomSquare:
+    def test_edge_vectors(self):
+        big = 2**10**4 - 1
+        for a in ([0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [big, -big, big, -big],
+                  [-big, 0, 0, big], [0, big, -1, 0]):
+            check_square_against_schoolbook(a, (205, 40, 10, 0, 1))
+            assert field_module._toom_square(a) == [
+                sum(a[i] * a[j - i] for i in range(4) if 0 <= j - i < 4) for j in range(7)]
+
+    @pytest.mark.parametrize("right, wrong", [("// 120", "// 60"), ("60 * c6", "64 * c6"),
+                                              ("81 * c4", "80 * c4"), ("5 * c5", "4 * c5"),
+                                              ("9 * a2", "8 * a2"), (">> 2", ">> 1")])
+    def test_a_wrong_interpolation_constant_is_caught(self, monkeypatch, right, wrong):
+        source = inspect.getsource(field_module._toom_square)
+        assert source.count(right) == 1
+        namespace = {}
+        exec(source.replace(right, wrong), namespace)
+        monkeypatch.setattr(field_module, "_toom_square", namespace["_toom_square"])
+        with pytest.raises(AssertionError):  # found, not shrunk
+            square_property(database=None, phases=[Phase.generate])()
 
 
 class TestGenerator:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import sympy
 
 from diagquartic import cyclotomy
 from diagquartic.counting import count_M, count_N
@@ -17,6 +18,7 @@ from diagquartic.genfunc import (
     RationalPart,
     _class_gf,
     _class_part,
+    _squares,
     denominator,
     gf_M,
     gf_N,
@@ -250,6 +252,91 @@ class TestKeptPrefix:
         read.coefficient(SERIES_BELOW - 1)
         assert kept_terms(read) > kept_terms(fresh) == 0
         assert read == fresh and hash(read) == hash(fresh)
+
+
+def hankel(part, b):
+    """H_ij = c_(s+b+i+j), i, j < k, from the literal series."""
+    k = len(part.den) - 1
+    s = max(1, len(part.num) - k)
+    c = [0] + literal_series(part.num, part.den, s + b + 2 * k)
+    return [[c[s + b + i + j] for j in range(k)] for i in range(k)]
+
+
+def past_the_series(part):
+    """n past SERIES_BELOW with both parities of n - s, near it and far from it."""
+    s = max(1, len(part.num) - len(part.den) + 1)
+    low = max(s + 2, SERIES_BELOW)
+    return [low, low + 1, 3 * low, 3 * low + 1]
+
+
+class TestSumOfSquares:
+    """The Hankel form r^T H r of `coefficient` as `_squares`' sum of squares."""
+
+    @staticmethod
+    def form(pivots, x):
+        value = 0
+        for hv, d in reversed(pivots):
+            y = sum(h * xi for h, xi in zip(hv, x))
+            assert (y * y + value) % d == 0
+            value = (y * y + value) // d
+        return value
+
+    def check_part(self, part):
+        top = max(past_the_series(part))
+        expected = literal_series(part.num, part.den, top)
+        for n in past_the_series(part):
+            assert part.coefficient(n) == expected[n - 1] == part.series(n)[-1], (part, n)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_random_symmetric_forms(self, k):
+        # small entries make zero diagonals, and zero pivots after a step, common
+        rng = random.Random(k)
+        for _ in range(200):
+            H = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1):
+                    H[i][j] = H[j][i] = rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)])
+            pivots = _squares(H)
+            assert len(pivots) == sympy.Matrix(H).rank()
+            for _ in range(5):
+                x = [rng.randint(-10**30, 10**30) for _ in range(k)]
+                assert self.form(pivots, x) == sum(
+                    x[i] * H[i][j] * x[j] for i in range(k) for j in range(k))
+
+    def test_every_class_of_49_has_rank_2(self):
+        fd = field_data(7, 2)
+        reps = [fd.gen.g ** l for l in range(4)]
+        gfs = ([gf_N(fd.field, fd.gen, fd.dec, c) for c in [fd.field.zero()] + reps]
+               + [gf_M(fd.field, fd.gen, fd.dec, y) for y in reps[1:]])
+        for gf in gfs:
+            part = gf.parts[1]
+            self.check_part(part)
+            assert sorted(part._pivots) == [0, 1]
+            for b, pivots in part._pivots.items():
+                assert len(pivots) == 2 == sympy.Matrix(hankel(part, b)).rank()
+
+    def test_zero_diagonal(self):
+        # c_1 .. c_5 = 0, 1, 0, -2, 0: for b = 0 the diagonal of H is zero and the first
+        # pivot is e_i + e_j
+        part = RationalPart(num=(0, 0, 1, 1), den=(1, 1, 2, 2))
+        H = hankel(part, 0)
+        assert [H[i][i] for i in range(3)] == [0, 0, 0] and any(map(any, H))
+        self.check_part(part)
+        hv, d = part._pivots[0][0]
+        assert d == 2 and hv == [1, 1, -2]
+
+    def test_all_zero_part(self):
+        part = RationalPart(num=(0, 0, 0, 0, 0), den=(1, 0, 10, 40, 205))
+        self.check_part(part)
+        assert part._pivots == {0: [], 1: []}
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_random_parts(self, k):
+        rng = random.Random(100 + k)
+        for _ in range(12):
+            den = (1,) + tuple(rng.choice([0, rng.randint(-30, 30)]) for _ in range(k))
+            num = tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, k + 3)))
+            self.check_part(RationalPart(num=num, den=den))
 
 
 class TestSharedGeneratingFunctions:
