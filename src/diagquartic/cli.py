@@ -15,9 +15,9 @@ recurrence at every c and M_n(y) = N_{n-1}(0) + (q-1) N_{n-1}(-y) off the series
 yield rows, the inputs and each method's values; all but the (i, j)_4 (the class check too)
 compare exact arrays, a row only where they differ.  `--expsums` adds two exact checks per
 q = 1 mod 4 field off the Gauss periods mod three primes: each T_(g^l) is a root of the
-reversed denominator mod each prime, and N_n(c) joined by CRT is the oracle's.  One runner
-times each check and files its first row as JSON; with the `fields` it lists (p, m, q,
-modulus, g, s, t) it reproduces.
+reversed denominator mod each prime, and N_n(c), joined by CRT in one series per class,
+is the oracle's.  One runner times each check and files its first row as JSON; with the
+`fields` it lists (p, m, q, modulus, g, s, t) it reproduces.
 Each subcommand prints one JSON payload, indented with `--json`: elements as
 canonical integer encodings, counts as decimal strings so JSON consumers never
 overflow; counts that may pass MAX_COUNT_DIGITS digits, or a series
@@ -306,11 +306,12 @@ def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bo
                                                  "l": range(4)}, {
                            "residue": np.array(expsums.verify_gauss_sum_roots(table, dec)),
                            "zero": np.zeros((len(table.rows), 4), dtype=np.int64)})))
-            # N_n(c) at one c per class, g^l: -1 lies in C_0 or C_2, so -c meets every class
+            # one series N_1..N_n(c) per class, at c = g^l: -1 lies in C_0 or C_2, so -c
+            # meets every class
             ns = range(1, min(nmax, expsums.reconstruct_max_n(q)) + 1)
             _run_check(checks, f"{tag} exponential sums", ("expsum", "oracle"),
                        _differing_rows(lambda: ({"c": range(1, q), "n": ns}, {"expsum": np.array(
-                           [[expsums.reconstruct_N(n, c, table) for n in ns] for c in reps],
+                           [expsums.reconstruct_series(len(ns), c, table) for c in reps],
                            dtype=object)[cls[1:]], "oracle": hists[:len(ns), 1:].T})))
     _run_check(checks, f"{tag} twisted counts", ("series", "oracle", "relation"),
                _differing_rows(lambda: _twisted_arrays(fld, gen, dec, cyc, reps, series, hists)))

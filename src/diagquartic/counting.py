@@ -13,7 +13,7 @@ Four of the five routes, cross-checked by `verify` and the tests:
 * a (d+1)-state recurrence on the cyclotomic numbers (i, j)_d (`count_via_cyclotomy`,
   on the matrices A_l of `cyclotomy.transfer_matrices`).
 
-The fifth, exponential sums, is `expsums.reconstruct_N`.  The tests hold the
+The fifth, exponential sums, is `expsums.reconstruct_series`.  The tests hold the
 oracle to a literal q^n enumeration.  `_closed_small` and `cyclotomy._transfer_matrices`
 are pure in q, s, t and the (i, j)_d, so the tests also run them on polynomials.
 """

@@ -4,7 +4,9 @@ For a prime ell with p | ell - 1 and w of order p in F_ell, psi(x) = w^Tr(x) is 
 character of F_q with values in F_ell: the sum over a of psi(a*b) is q [b = 0] there too,
 and q is a unit.  So, with the Gauss periods eta_l = sum over x in C_l of psi(x) and
 T_{g^l} = 1 + 4 eta_l, q N_n(c) = q^n + sum over l of T_{g^l}^n eta_(l + ind(-c)) (mod ell)
-for c != 0, and `reconstruct_N` joins these residues by CRT: no rounding, no tolerance.
+for c != 0, and `reconstruct_series` joins these residues by CRT: no rounding, no
+tolerance.  It gives N_1(c) .. N_nmax(c) from one class read and, per prime, one product
+per n and summand; `reconstruct_N` reads the last entry.
 
 `build_table` reads Tr(x) from `field.trace_table`, which it calls directly, at the
 encodings of each class, which `CyclotomicClasses` reads off `field.log_table`.  For each of
@@ -72,7 +74,7 @@ def verify_gauss_sum_roots(table: GaussSumTable, dec: QuarticDecomposition) -> l
 
 
 def reconstruct_max_n(q: int) -> int:
-    """The largest n with q^(n-1) < 2^50, the last n `reconstruct_N` admits.
+    """The largest n with q^(n-1) < 2^50, the last n `reconstruct_series` admits.
 
     The bound keeps the route's coverage and its cost: N_n(c) < q^n < 2^50 q <= 2^70
     there, and the three primes of a table, each above 2^30, join past 2^90, so a count
@@ -84,29 +86,48 @@ def reconstruct_max_n(q: int) -> int:
     return n
 
 
-def reconstruct_N(n: int, c: Element, table: GaussSumTable) -> int:
-    """N_n(c) = (q^n + sum over l of T_{g^l}^n eta_(l + ind(-c))) / q, exactly.
+def reconstruct_series(nmax: int, c: Element, table: GaussSumTable) -> list[int]:
+    """N_1(c) .. N_nmax(c), N_n(c) = (q^n + sum over l of T_{g^l}^n eta_(l + ind(-c))) / q.
 
     x -> -x*c maps C_l onto C_(l + ind(-c)), so lambda_l(c) = sum over x in C_l
-    of psi(-x*c) is the Gauss period eta_(l + ind(-c)), one class read per call.
-    The count lies in [0, q^n), so the residues mod the table's primes, joined by
-    CRT until their product passes q^n, give it.
+    of psi(-x*c) is the Gauss period eta_(l + ind(-c)), one class read per series.
+    Each count lies in [0, q^n), so its residues mod the table's primes, joined by
+    CRT until their product passes q^n, give it: a prime joins at every n from the
+    first with q^n at least the product of the earlier primes.  Per prime, q^n and
+    the four T^n step on by one product per n, and one inverse serves every n.
     """
     if c.is_zero():
         raise ValueError("reconstruction is stated for c != 0")
     q = table.gen.field.q
-    nmax = reconstruct_max_n(q)
-    if not 1 <= n <= nmax:
-        raise ValueError(f"n = {n} outside 1..{nmax}; past {nmax}, q^(n-1) >= 2^50 "
+    # q^(n-1) >= 2^50 for every n > 50, so no large power is taken
+    if not 1 <= nmax <= 50 or q ** (nmax - 1) >= 2 ** 50:
+        top = reconstruct_max_n(q)
+        raise ValueError(f"n = {nmax} outside 1..{top}; past {top}, q^(n-1) >= 2^50 "
                          f"and the table's primes may not join past q^n")
-    shift, bound = quartic_class(-c, table.gen), q ** n
-    value, modulus = 0, 1
+    # -1 = g^((q-1)/2), so ind(-c) = ind(c) + (q-1)/2
+    shift = (quartic_class(c, table.gen) + (q - 1) // 2) % 4
+    counts, modulus = [0] * nmax, 1
     for ell, *eta in table.rows.tolist():
-        if modulus > bound:
+        if modulus > q ** nmax:
             break
-        total = pow(q, n, ell) + sum(pow(1 + 4 * eta[l], n, ell) * eta[(l + shift) % 4]
-                                     for l in range(4))
-        residue = total * pow(q, -1, ell) % ell
-        value += modulus * ((residue - value) * pow(modulus, -1, ell) % ell)
+        start = 1
+        while q ** start < modulus:
+            start += 1
+        t0, t1, t2, t3 = [1 + 4 * e for e in eta]
+        # the summands of q N_n(c) mod ell, q^n and T_{g^l}^n eta_(l + ind(-c)), at n = 0
+        u, (u0, u1, u2, u3) = 1, eta[shift:] + eta[:shift]
+        # N_n(c) = counts + modulus * x, where q (counts + modulus * x) = the sum mod ell
+        inverse = pow(q * modulus, -1, ell)
+        for n in range(1, nmax + 1):
+            u, u0, u1, u2, u3 = (u * q % ell, u0 * t0 % ell, u1 * t1 % ell, u2 * t2 % ell,
+                                 u3 * t3 % ell)
+            if n >= start:
+                counts[n - 1] += modulus * ((u + u0 + u1 + u2 + u3 - q * counts[n - 1])
+                                            * inverse % ell)
         modulus *= ell
-    return value
+    return counts
+
+
+def reconstruct_N(n: int, c: Element, table: GaussSumTable) -> int:
+    """N_n(c), the last entry of `reconstruct_series`."""
+    return reconstruct_series(n, c, table)[-1]

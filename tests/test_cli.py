@@ -900,14 +900,51 @@ class TestVerifyCommand:
         assert (counts["c"], counts["n"]) == (1, 1)
         assert counts["expsum"] != counts["oracle"] == "4"
 
+    @pytest.mark.parametrize("p, joins", [(29, 7), (13, None)], ids=["q=29", "q=13"])
+    def test_a_mutant_period_of_the_second_prime(self, capsys, monkeypatch, p, joins):
+        # eta_0 + 1 mod the second prime, which N_n(c) joins from the first n with q^n at
+        # least the first prime: n = 7 on F_29, and no n <= 8 on F_13
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        fld = Field(p, 1)
+        gen = find_generator(fld)
+        rows = expsums.build_table(fld, gen).rows.copy()
+        rows[1, 1] = (rows[1, 1] + 1) % rows[1, 0]
+        field_module._TABLES["periods", gen.g] = rows
+        assert min((n for n in range(1, 9) if p ** n >= rows[0, 0]), default=None) == joins
+        code, out = run(capsys, "verify", "--p", str(p), "--nmax", "8", "--expsums", "--json")
+        assert code == 1
+        failed = {c["name"]: json.loads(c["detail"]) for c in json.loads(out)["checks"]
+                  if c["status"] == "FAIL"}
+        roots = failed.pop(f"q={p} Gauss sums are roots")
+        assert (roots["ell"], roots["l"], roots["zero"]) == (int(rows[1, 0]), 0, "0")
+        assert roots["residue"] != "0"
+        if joins is not None:
+            counts = failed.pop(f"q={p} exponential sums")
+            assert (counts["c"], counts["n"]) == (1, joins)
+            assert counts["expsum"] != counts["oracle"]
+        assert failed == {}
+
+    def test_one_class_read_per_expsum_series(self, capsys, monkeypatch):
+        # one series per class representative g^l: 4 class reads, not one per (c, n)
+        calls = []
+
+        def counted(x, gen):
+            calls.append(x)
+            return quartic_class(x, gen)
+        monkeypatch.setattr(expsums, "quartic_class", counted)
+        code, _ = run(capsys, "verify", "--p", "29", "--nmax", "8", "--expsums")
+        assert code == 0
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("l", range(4))
     def test_expsums_meet_every_class_of_minus_c(self, capsys, monkeypatch, l):
-        # reconstruct_N reads c through the class of -c only
-        reconstruct_N = expsums.reconstruct_N
+        # reconstruct_series reads c through the class of -c only
+        reconstruct_series = expsums.reconstruct_series
 
-        def off_by_one_on_class(n, c, table):
-            return reconstruct_N(n, c, table) + (quartic_class(-c, table.gen) == l)
-        monkeypatch.setattr(expsums, "reconstruct_N", off_by_one_on_class)
+        def off_by_one_on_class(nmax, c, table):
+            off = quartic_class(-c, table.gen) == l
+            return [count + off for count in reconstruct_series(nmax, c, table)]
+        monkeypatch.setattr(expsums, "reconstruct_series", off_by_one_on_class)
         code, out = run(capsys, "verify", "--p", "29", "--nmax", "5", "--expsums", "--json")
         assert code == 1
         failed = [c["name"] for c in json.loads(out)["checks"] if c["status"] == "FAIL"]
@@ -916,7 +953,7 @@ class TestVerifyCommand:
     def test_error_in_one_check_fails_that_check_only(self, capsys, monkeypatch):
         def not_integral(*args):
             raise NonIntegralError("injected")
-        monkeypatch.setattr(expsums, "reconstruct_N", not_integral)
+        monkeypatch.setattr(expsums, "reconstruct_series", not_integral)
         code, out = run(capsys, "verify", "--p", "13", "--nmax", "5", "--expsums", "--json")
         assert code == 1
         checks = json.loads(out)["checks"]

@@ -16,6 +16,7 @@ from diagquartic.expsums import (
     build_table,
     reconstruct_max_n,
     reconstruct_N,
+    reconstruct_series,
     verify_gauss_sum_roots,
 )
 from diagquartic.field import Field, find_generator, index_of, quartic_class, trace
@@ -191,19 +192,28 @@ class TestReconstruction:
                              ids=["q=5", "q=13", "q=29", "q=49", "q=121", "q=65537", "q=3^12",
                                   "q=1048573"])
     def test_exact_up_to_the_precision_bound(self, p, m):
-        # one c per class, at every n the route admits
+        # one c per class, at every n the route admits; on F_65537 the third prime
+        # joins at n = 4
         fld = Field(p, m)
         gen = find_generator(fld)
         table = build_table(fld, gen)
         nmax = reconstruct_max_n(fld.q)
         assert fld.q ** (nmax - 1) < 2**50 <= fld.q ** nmax
         for c in (gen.g ** l for l in range(4)):
-            for n in range(1, nmax + 1):
-                assert reconstruct_N(n, c, table) == count_N(c, n, fld, gen)
+            counts = [count_N(c, n, fld, gen) for n in range(1, nmax + 1)]
+            assert reconstruct_series(nmax, c, table) == counts
+            assert [reconstruct_N(n, c, table) for n in range(1, nmax + 1)] == counts
         # refused before any work: a table without periods would fail otherwise
         empty = dataclasses.replace(table, rows=None)
-        with pytest.raises(ValueError, match="2\\^50"):
-            reconstruct_N(nmax + 1, fld.one(), empty)
+        for past in (nmax + 1, 10**9):
+            with pytest.raises(ValueError, match="2\\^50"):
+                reconstruct_N(past, fld.one(), empty)
+            with pytest.raises(ValueError, match="2\\^50"):
+                reconstruct_series(past, fld.one(), empty)
+        with pytest.raises(ValueError):
+            reconstruct_series(0, fld.one(), empty)
+        with pytest.raises(ValueError):
+            reconstruct_series(nmax, fld.zero(), empty)
 
     def test_a_mutant_period_changes_every_count(self, monkeypatch):
         # eta_0 + 1 mod the first prime, which every reconstruction reads
