@@ -254,13 +254,13 @@ def _twisted_arrays(fld, gen, dec, cyc, reps, series, hists) -> tuple[dict, dict
     not a fourth power) of the classes `cyc`: from `count_M`, from the oracle by
     splitting off x_n, and M_n(y) = N_(n-1)(0) + (q-1) N_(n-1)(-y) read off `series`
     (at c = 0, then `reps`).  The nonzero x_n^4 run d times over C_0, so the split-off
-    is N_(n-1)(0) + d * (sum of N_(n-1) over C_j), j = cls[-y] (`minus`)."""
+    is N_(n-1)(0) + d * (sum of N_(n-1) where cls == j), j = cls[-y] (`minus`)."""
     import numpy as np
     q, n, d, cls = fld.q, len(hists), len(reps), cyc.class_of
     h, ys = hists[n - 2], np.flatnonzero(cls > 0)
     minus, prev = cls[_negatives(fld, ys)], [counts[n - 2] for counts in series]
     twisted = [None] + [counting.count_M(y, n, fld, gen, dec) for y in reps[1:]]
-    split = [h[0] + d * h[coset].sum() for coset in cyc.classes]
+    split = [h[0] + d * h[cls == l].sum() for l in range(d)]
     relation = [prev[0] + (q - 1) * v for v in prev[1:]]
     return {"y": ys.tolist(), "n": [n]}, {
         m: np.array(by_class, dtype=object)[at, None] for m, by_class, at in (

@@ -11,7 +11,7 @@ A_l (`transfer_matrices`, which `counting.count_via_cyclotomy` also reads), by
 reduction to ordinary cyclotomic numbers, and (for equal indices, k = 4) in closed form.
 The (i, j)_k and the A_l are built once per (g, k) and kept, read-only, in
 `field._stored` (kinds "cyclo" and "transfer"); `field.check_bytes` charges the class
-arrays, the (i, j)_k and the A_l's object build before each is allocated.
+array, the (i, j)_k and the A_l's object build before each is allocated.
 """
 
 from __future__ import annotations
@@ -67,20 +67,18 @@ def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecompositio
 
 class CyclotomicClasses:
     """The k cyclotomic classes C_i = {g^(i + k*u)} of F_q^*, read off `log_table`:
-    `class_of[x]` is ind_g(x) mod k for every encoding x (-1 at 0), and
-    `classes[i]` holds the encodings of C_i in the order g^i, g^(i+k), ..."""
+    `class_of[x]` is ind_g(x) mod k for every encoding x (-1 at 0), so C_i is the
+    encodings where `class_of == i`."""
 
     def __init__(self, fld: Field, gen: GeneratorData, k: int):
         import numpy as np
         q = fld.q
         if k < 1 or (q - 1) % k != 0:
             raise BadOrderError(f"k = {k} is not a positive divisor of q - 1 = {q - 1}")
-        check_bytes(f"each class array of F_{q}", 8 * q)  # class_of and the antilog
+        check_bytes(f"the class array of F_{q}", 8 * q)
         log = log_table(fld, gen)
-        self.class_of = np.where(log < 0, -1, log % k)
-        antilog = np.empty(q - 1, dtype=np.int64)
-        antilog[log[1:]] = np.arange(1, q)
-        self.classes = [antilog[i::k] for i in range(k)]
+        self.class_of = log % k
+        self.class_of[0] = -1  # 0, the one encoding with no log
 
 
 def cyclotomic_matrix(k: int, fld: Field, gen: GeneratorData) -> np.ndarray:

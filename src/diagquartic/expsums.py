@@ -9,12 +9,12 @@ tolerance.  It gives N_1(c) .. N_nmax(c) from one class read and, per prime, one
 per n and summand; `reconstruct_N` reads the last entry.
 
 `build_table` reads Tr(x) from `field.trace_table`, which it calls directly, at the
-encodings of each class, which `CyclotomicClasses` reads off `field.log_table`.  For each of
-the three largest such primes below 2^31 (so w^i * w^j stays in int64), which
-`field.is_prime` finds, it gathers psi through w^0 .. w^(p-1) and sums it over each
-class.  Only the rows (ell, eta_0 .. eta_3) are kept: one 3 x 5 int64 array, built once
-per generator, read-only, in `field._stored` (kind "periods"); the trace table is not
-stored.
+encodings of each class C_l, those where `CyclotomicClasses.class_of` (read off
+`field.log_table`) is l, then releases both whole-field arrays.  For each of the three
+largest such primes below 2^31 (so w^i * w^j stays in int64), which `field.is_prime`
+finds, it gathers psi through w^0 .. w^(p-1) and sums it over each class.  Only the rows
+(ell, eta_0 .. eta_3) are kept: one 3 x 5 int64 array, built once per generator,
+read-only, in `field._stored` (kind "periods"); the trace table is not stored.
 """
 
 from __future__ import annotations
@@ -51,7 +51,9 @@ def build_table(fld: Field, gen: GeneratorData) -> GaussSumTable:
 def _periods(fld: Field, gen: GeneratorData) -> np.ndarray:
     import numpy as np
     p, trace = fld.p, trace_table(fld)
-    traces = [trace[cls] for cls in CyclotomicClasses(fld, gen, 4).classes]
+    class_of = CyclotomicClasses(fld, gen, 4).class_of
+    traces = [trace[class_of == l] for l in range(4)]
+    del trace, class_of  # the prime loop holds only the traces of the four classes
     rows, ell = [], (2**31 - 2) // (2 * p) * (2 * p) + 1
     while len(rows) < 3:
         if is_prime(ell):

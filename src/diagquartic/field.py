@@ -8,7 +8,7 @@ One product serves two rings: `_mulmod`, two length-m coefficient vectors times
 each other mod a monic f, over F_p (f the modulus) or over Z (genfunc's reversed
 denominator).  Its squares over Z at m = 4, those of genfunc's x^h mod a quartic, are
 Toom-Cook squares (`_toom_square`, 7 big-integer squares in place of 10 products); every
-other product is the schoolbook one.  `Element` products call it;
+other product, `Element` squares too, is the schoolbook one.  `Element` products call it;
 `_powmod`, the field kernel's square-and-multiply loop, runs it for powers, for
 `is_irreducible` (Rabin's test in F_p[x]/(f) itself) and for genfunc's x^h mod P, and
 runs `_gmul` in F_p[i], each with its ring as one argument.  Residues mod p keep the
@@ -65,7 +65,7 @@ BUILD_CACHE_SIZE = 64
 
 def check_bytes(what: str, nbytes: int) -> None:
     """Raise TooLargeError unless `what`, nbytes bytes, fits ORACLE_TABLE_BYTES_GUARD (read
-    at call time), before it is allocated: the digit array, the log table, the class arrays,
+    at call time), before it is allocated: the digit array, the log table, the class array,
     the (i, j)_k and the A_l's object build (`cyclotomy`), and the oracle's histograms and
     q x q addition table (`counting.check_convolution_cost`: q <= 5792)."""
     if nbytes > ORACLE_TABLE_BYTES_GUARD:
@@ -150,28 +150,20 @@ def _mulmod(a, b, ring: tuple[tuple[int, ...], int]):
     """a*b mod (f, p) = ring, f monic with its constant term first, p the
     characteristic (a tuple of residues back) or 0 for exact integers (a list back),
     reduced from the top term down.  An exact-integer square (b is a) of length 4,
-    genfunc's x^h mod its quartic, is `_toom_square`; any other product is the
-    schoolbook one over the nonzero digits of b, a square taking each cross term once
-    (over F_p the Toom divisions by 3 and 5 are not invertible for every p, and small
-    residues gain nothing)."""
+    genfunc's x^h mod its quartic, is `_toom_square`; any other product, a square
+    too, is the schoolbook one over the nonzero digits of b (over F_p the Toom
+    divisions by 3 and 5 are not invertible for every p, and small residues gain
+    nothing)."""
     f, p = ring
     m = len(a)
     if a is b and not p and m == 4:
         prod = _toom_square(a)
     else:
         prod = [0] * (2 * m - 1)
-        if a is b:
-            for i, ai in enumerate(a):
-                if ai:
-                    prod[2 * i] += ai * ai
-                    ai += ai  # a_i a_j, i < j, stands for itself and a_j a_i
-                    for j in range(i + 1, m):
-                        prod[i + j] += ai * a[j]
-        else:
-            for j, bj in enumerate(b):
-                if bj:
-                    for i, ai in enumerate(a, j):
-                        prod[i] += ai * bj
+        for j, bj in enumerate(b):
+            if bj:
+                for i, ai in enumerate(a, j):
+                    prod[i] += ai * bj
     low = f[:m]
     for k in range(2 * m - 2, m - 1, -1):
         lead = prod[k] % p if p else prod[k]

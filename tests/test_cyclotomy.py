@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from diagquartic import counting
+from diagquartic import expsums
 from diagquartic import field as field_module
 from diagquartic.cyclotomy import (
     CyclotomicClasses,
@@ -329,3 +331,44 @@ class TestCyclotomicMatrix:
         monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 1151)
         with pytest.raises(TooLargeError):
             cyclotomic_matrix(12, fd.field, fd.gen)
+
+
+class TestClassMemory:
+    """What the class array and the Gauss periods' build hold on F_65537, beside the
+    stored log table; numpy reports its buffers to tracemalloc."""
+
+    @staticmethod
+    def _traced(build):
+        """(bytes still held, peak) over build(), whose result lives until both are read."""
+        tracemalloc.start()
+        try:
+            built = build()
+            traced = tracemalloc.get_traced_memory()
+            del built
+            return traced
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture
+    def fd(self, monkeypatch):
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        small = field_data(13, 1)  # numpy's first-use allocations stay out of the peaks
+        expsums._periods(small.field, small.gen)
+        fld = Field(65537, 1)
+        gen = find_generator(fld)
+        field_module.log_table(fld, gen)
+        return fld, gen
+
+    def test_classes_hold_one_q_array(self, fd):
+        # class_of alone, 8 bytes an entry, plus 1 KiB for the object and the array
+        # header (about 400 bytes); an antilog beside it held 16q
+        fld, gen = fd
+        held, peak = self._traced(lambda: CyclotomicClasses(fld, gen, 4))
+        assert held <= 8 * fld.q + 1024
+        assert peak <= 8 * fld.q + 1024  # log % k, then 0 marked in place
+
+    def test_periods_build_peaks_at_three_q_arrays_and_a_mask(self, fd):
+        # the trace table, class_of, the four classes' traces (8q together) and one
+        # q-byte mask: 25q; the antilog's build peaked at 32q
+        fld, gen = fd
+        assert self._traced(lambda: expsums._periods(fld, gen))[1] < 26 * fld.q
