@@ -76,7 +76,7 @@ def _field_and_generator(p: int, m: int, generator: int | None,
     fld = Field(p, m, modulus=modulus)
     gen = find_generator(fld, override=generator)
     if fld.q % 4 == 1:
-        gen.decomposition  # a failed search raises here, before the build is kept
+        gen.decomposition  # a failed certificate raises here, before the build is kept
     return fld, gen
 
 

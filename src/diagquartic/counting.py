@@ -41,9 +41,12 @@ ORACLE_COST_GUARD = 10**9
 def power_profile(fld: Field) -> np.ndarray:
     """Histogram of x -> x^4 over F_q by encoding, checked against the d-th power residue
     rule, d = gcd(4, q - 1): the digit array squared once, x^2 = sum_i x_i (x alpha^i),
-    POWER_PROFILE_ROWS rows at a time, into the encodings of x^2, read twice for x^4."""
+    POWER_PROFILE_ROWS rows at a time, into the encodings of x^2, read twice for x^4.  One
+    charge: the digits (8qm) beside the squares (8q), or the squares, gather and counts."""
     import numpy as np
-    d, digits, p, q = gcd(4, fld.q - 1), _digits(fld), fld.p, fld.q
+    d, p, q = gcd(4, fld.q - 1), fld.p, fld.q
+    check_bytes(f"the digits and squares of F_{q}", 8 * q * max(fld.m + 1, 3))
+    digits = _digits(fld)
     shifts = [_times_matrix(fld.element([0] * i + [1])) for i in range(fld.m)]
     weights = _weights(fld)
     square = np.empty(q, dtype=np.int64)

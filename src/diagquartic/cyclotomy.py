@@ -2,8 +2,8 @@
 
 Order-4 numbers come in two flavors: exact enumeration over the classes (all
 k^2 numbers (i, j)_k at once, `cyclotomic_matrix`), and Gauss's closed form
-driven by the decomposition q = s^2 + 4t^2 (Berndt, Evans & Williams, *Gauss
-and Jacobi Sums*, 1998, ch. 2): the 16 numbers (i, j)_4 take five values A-E,
+driven by q = s^2 + 4t^2 (by Euclid and a power in Z[i]; Berndt, Evans & Williams,
+*Gauss and Jacobi Sums*, 1998, ch. 2): the 16 numbers (i, j)_4 take five values A-E,
 laid out by rows i = 0..3 as ABCD, BDEE, CECE, DEEB for q = 1 mod 8 (f even)
 and ABCD, EEDB, AEAE, EDBE for q = 5 mod 8 (f odd).
 Dimension-n numbers [i_1, ..., i_n]_k come exactly from the class transfer matrices
@@ -20,24 +20,27 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import BadOrderError, InvariantError, NonIntegralError, WrongResidueClassError
-from .field import Field, GeneratorData, _stored, check_bytes, check_field, log_table
+from .field import (Field, GeneratorData, _mulmod, _powmod, _stored, check_bytes, check_field,
+                    log_table)
 
 
 @dataclass(frozen=True)
 class QuarticDecomposition:
-    """The normalized (s, t) with q = s^2 + 4t^2 and s = 1 mod 4.
-
-    For p = 1 mod 4 the sign of t is pinned by 2t = s*zeta mod p, where zeta =
-    g^(3(q-1)/4) = class_roots[3] lies in F_p, encoded as its residue; for p = 3 mod 4
-    the pair is ((-p)^(m/2), 0).  Both s and t therefore depend on the chosen generator
-    only through the sign of t.
-    """
+    """The (s, t) with q = s^2 + 4t^2, s = 1 mod 4 and, for p = 1 mod 4, s != 0 and
+    2t = s*zeta mod p, zeta = g^(3(q-1)/4) = class_roots[3] in F_p: s + 2ti is the m-th power
+    of a prime of Z[i] over p.  For p = 3 mod 4 the pair is ((-p)^(m/2), 0).  Both depend on
+    the chosen generator only through the sign of t."""
 
     s: int
     t: int
 
 
 def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecomposition:
+    """(s, t) in two steps, no search: Euclid on (p, zeta), zeta = class_roots[3], to the first
+    remainder below sqrt(p) gives p = a^2 + b^2, a odd (Hermite-Serret, or Cornacchia; Cohen,
+    *A Course in Computational Algebraic Number Theory*, 1.5); then s + 2ti = (a + bi)^m, or
+    its conjugate, in Z[i] (Hasse-Davenport; Berndt, Evans & Williams, *Gauss and Jacobi
+    Sums*).  The four conditions that pin (s, t) are checked before the return."""
     check_field(fld, gen.g)
     q, p, m = fld.q, fld.p, fld.m
     if q % 4 != 1:
@@ -49,20 +52,16 @@ def quartic_decomposition(fld: Field, gen: GeneratorData) -> QuarticDecompositio
     zeta = gen.class_roots[3]
     if zeta >= p or (zeta * zeta + 1) % p != 0:
         raise InvariantError(f"zeta = {zeta} is no square root of -1 in F_{p}")
-    candidates = []
-    for s in range(-isqrt(q), isqrt(q) + 1):
-        if s % 4 != 1 or s % p == 0:
-            continue
-        rest = q - s * s  # >= 0, and 0 mod 4: s is odd and q = 1 mod 4
-        tt = isqrt(rest // 4)
-        if 4 * tt * tt != rest:
-            continue
-        for t in {tt, -tt}:
-            if (2 * t - s * zeta) % p == 0:
-                candidates.append(QuarticDecomposition(s=s, t=t))
-    if len(candidates) != 1:
-        raise InvariantError(f"expected unique (s, t) for q = {q}, got {candidates}")
-    return candidates[0]
+    a, b = p, zeta
+    while b * b > p:
+        a, b = b, a % b
+    c = isqrt(p - b * b)
+    a, b = (b, c) if b % 2 else (c, b)
+    s, v = _powmod([a if a % 4 == 1 else -a, b], m, _mulmod, ((1, 0, 1), 0))  # in Z[i]
+    t = v // 2 if (v - s * zeta) % p == 0 else -v // 2
+    if s % 4 != 1 or s % p == 0 or s * s + 4 * t * t != q or (2 * t - s * zeta) % p:
+        raise InvariantError(f"(s, t) = ({s}, {t}) is not the one pair for q = {q}, zeta = {zeta}")
+    return QuarticDecomposition(s=s, t=t)
 
 
 class CyclotomicClasses:

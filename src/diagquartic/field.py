@@ -291,10 +291,6 @@ class Field:
     def one(self) -> Element:
         return Element(self, (1,) + (0,) * (self.m - 1))
 
-    def elements(self):
-        """All q elements, in encoding order."""
-        return (self.from_int(i) for i in range(self.q))
-
 
 @dataclass(frozen=True)
 class Element:
@@ -369,7 +365,7 @@ class GeneratorData:
     @cached_property
     def decomposition(self) -> QuarticDecomposition:
         """(s, t) by `cyclotomy.quartic_decomposition`, found on first read; a failed
-        search keeps nothing and raises again on the next read."""
+        certificate keeps nothing and raises again on the next read."""
         from .cyclotomy import quartic_decomposition  # cyclotomy imports this module
         return quartic_decomposition(self.field, self)
 

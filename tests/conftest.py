@@ -1,6 +1,7 @@
 """Shared fixtures: test fields, cached oracle histograms and literal checks."""
 
 import itertools
+from math import isqrt
 
 import pytest
 
@@ -48,6 +49,28 @@ class FieldData:
 
     def oracle_M(self, y, n):
         return split_off_count(self.field, self.histograms, y, n)
+
+
+def elements(fld):
+    """All q elements of `fld`, in encoding order, one `Element` each."""
+    return (fld.from_int(i) for i in range(fld.q))
+
+
+def literal_decompositions(q, p, zeta=None):
+    """Every (s, t) with q = s^2 + 4t^2 and s = 1 mod 4, by trying each s in
+    [-sqrt(q), sqrt(q)]; given zeta, a square root of -1 mod p, only those with
+    s != 0 and 2t = s*zeta mod p."""
+    found = []
+    for s in range(-isqrt(q), isqrt(q) + 1):
+        if s % 4 != 1 or (zeta is not None and s % p == 0):
+            continue
+        rest = q - s * s  # >= 0, and 0 mod 4: s is odd and q = 1 mod 4
+        tt = isqrt(rest // 4)
+        if 4 * tt * tt != rest:
+            continue
+        found += [(s, t) for t in sorted({tt, -tt})
+                  if zeta is None or (2 * t - s * zeta) % p == 0]
+    return found
 
 
 def split_off_count(fld, histograms, y, n):
@@ -126,7 +149,7 @@ def literal_histogram(coeffs):
     """For each c (by encoding), the zeros of a_1 x_1^4 + ... + a_n x_n^4 = c, by
     literal enumeration of the q^n points, each form summed term by term."""
     fld = coeffs[0].field
-    terms = [[a * x**4 for x in fld.elements()] for a in coeffs]
+    terms = [[a * x**4 for x in elements(fld)] for a in coeffs]
     hist = [0] * fld.q
     for point in itertools.product(*terms):
         total = fld.zero()
@@ -159,14 +182,14 @@ def literal_gauss_sum(u, omega, ell):
     """T_u = sum over v of psi(u * v^4) mod ell, by direct O(q) summation."""
     if u.is_zero():
         raise ValueError("T_u is defined for u != 0")
-    return sum(literal_character(u * v**4, omega, ell) for v in u.field.elements()) % ell
+    return sum(literal_character(u * v**4, omega, ell) for v in elements(u.field)) % ell
 
 
 def literal_orthogonality_residuals(fld, omega, ell):
     """sum_x psi(x*y) - q [y = 0] mod ell for each y (all should be 0)."""
     residuals = []
-    for y in fld.elements():
-        total = sum(literal_character(x * y, omega, ell) for x in fld.elements())
+    for y in elements(fld):
+        total = sum(literal_character(x * y, omega, ell) for x in elements(fld))
         residuals.append((total - (fld.q if y.is_zero() else 0)) % ell)
     return residuals
 

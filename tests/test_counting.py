@@ -35,7 +35,7 @@ from diagquartic.errors import (
 
 from diagquartic.field import Field, find_generator, quartic_class
 
-from conftest import field_data, literal_histogram
+from conftest import elements, field_data, literal_histogram
 
 
 class TestPowerProfile:
@@ -51,7 +51,7 @@ class TestPowerProfile:
     def test_matches_the_literal_histogram(self, p, m):
         fld = Field(p, m)
         literal = [0] * fld.q
-        for x in fld.elements():
+        for x in elements(fld):
             literal[(x ** 4).encode()] += 1
         assert power_profile(fld).tolist() == literal
 
@@ -78,6 +78,19 @@ class TestPowerProfile:
         # the digits, the squares, their gather and the histogram, 8 bytes an entry
         fld = Field(65537, 1)
         assert self._build_peak(fld) < 4 * fld.q * 8
+
+    @pytest.mark.parametrize("p, m", [(65537, 1), (3, 10)])
+    def test_working_memory_stays_within_the_charge(self, monkeypatch, p, m):
+        # the one charge, 8q max(m + 1, 3) bytes, bounds the peak but for the row blocks:
+        # at most 5 POWER_PROFILE_ROWS x m int64 arrays at once.  The digit array alone,
+        # 8q and 80q here, falls short of the peaks, 24.0q and 106q
+        charges = []
+        monkeypatch.setattr(counting, "check_bytes", lambda what, nbytes: charges.append(nbytes))
+        fld = Field(p, m)
+        peak = self._build_peak(fld)
+        charge = 8 * fld.q * max(m + 1, 3)
+        assert charges[-1] == charge
+        assert charge <= peak < charge + 5 * 8 * counting.POWER_PROFILE_ROWS * m
 
     def test_q13_quartics(self):
         fd = field_data(13, 1)
@@ -121,7 +134,7 @@ class TestPowerProfile:
         # ind_g(c) is even exactly on the squares; for q = 3 mod 4 the class is
         # ind_g(c) mod 2, so class 0 is the squares (the test `gf_N` makes)
         fd = any_field
-        squares = {(x * x).encode() for x in fd.field.elements() if not x.is_zero()}
+        squares = {(x * x).encode() for x in elements(fd.field) if not x.is_zero()}
         for code in range(1, fd.q):
             cls = quartic_class(fd.field.from_int(code), fd.gen)
             is_square = cls == 0 if fd.q % 4 == 3 else cls % 2 == 0
@@ -153,7 +166,7 @@ class TestOracle:
         for p, m, n in [(13, 1, 3), (3, 2, 3), (7, 1, 2), (7, 2, 2), (3, 3, 2), (5, 3, 2)]:
             fd = field_data(p, m)
             d = 4 if fd.q % 4 == 1 else 2
-            by_class = {quartic_class(x, fd.gen): x for x in list(fd.field.elements())[1:]}
+            by_class = {quartic_class(x, fd.gen): x for x in list(elements(fd.field))[1:]}
             coeffs = [by_class[d - 1 - k] for k in range(n)]
             assert oracle_histogram(fd.field, coeffs) == literal_histogram(coeffs), (fd.q, n)
 
@@ -220,8 +233,8 @@ class TestOracle:
         assert found == ["field._powmod"]
 
     def test_package_has_two_product_kernels(self):
-        # every `_powmod` call passes `_mulmod` (F_p[x]/(f) and Z[x]/(P)) or `_gmul`
-        # (F_p[i]) as its product, so a third product kernel fails here
+        # every `_powmod` call passes `_mulmod` (F_p[x]/(f), Z[x]/(P) and Z[i] = Z[x]/(x^2 + 1))
+        # or `_gmul` (F_p[i]) as its product, so a third product kernel fails here
         src = Path(__file__).resolve().parents[1] / "src" / "diagquartic"
         calls = [(f"{path.stem}:{call.lineno}", getattr(call.args[2], "id", None))
                  for path in sorted(src.glob("*.py"))

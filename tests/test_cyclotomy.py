@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from diagquartic import counting
+from diagquartic import counting, cyclotomy
 from diagquartic import expsums
 from diagquartic import field as field_module
 from diagquartic.cyclotomy import (
@@ -24,9 +24,9 @@ from diagquartic.cyclotomy import (
 )
 from diagquartic.errors import (BadOrderError, InvariantError, NonIntegralError, TooLargeError,
                                 WrongResidueClassError)
-from diagquartic.field import Field, GeneratorData, find_generator
+from diagquartic.field import Field, GeneratorData, find_generator, is_prime
 
-from conftest import field_data, literal_classes, literal_cyclo_dim
+from conftest import field_data, literal_classes, literal_cyclo_dim, literal_decompositions
 
 
 def literal_cyclo_dim4(i1, i2, i3, i4, k, fld, gen):
@@ -88,6 +88,39 @@ class TestQuarticDecomposition:
         liar = GeneratorData(g=gen.g, class_roots=gen.class_roots[:3] + (1,))
         with pytest.raises(InvariantError):
             quartic_decomposition(fld, liar)
+
+    def test_equals_the_search_on_every_small_field(self):
+        # every prime p = 1 mod 4 below 2*10^4, and every tower q = 1 mod 4 up to 2^20 with
+        # p < 2^10, p = 1 or 3 mod 4; for p = 1 mod 4 under g and under g^-1, whose
+        # zeta is -zeta, so t changes sign
+        fields = [(p, 1) for p in range(5, 2 * 10**4, 4) if is_prime(p)]
+        fields += [(p, m) for p in range(3, 2**10, 2) if is_prime(p)
+                   for m in range(2, 20) if p**m <= 2**20 and p**m % 4 == 1]
+        for p, m in fields:
+            fld = Field(p, m)
+            gens = [find_generator(fld)]
+            if p % 4 == 1:
+                gens.append(find_generator(fld, override=(gens[0].g ** (fld.q - 2)).encode()))
+            decs = [quartic_decomposition(fld, gen) for gen in gens]
+            for gen, dec in zip(gens, decs):
+                zeta = gen.class_roots[3] if p % 4 == 1 else None
+                assert literal_decompositions(fld.q, p, zeta) == [(dec.s, dec.t)], (p, m)
+            assert [dec.t for dec in decs] == [decs[0].t, -decs[0].t][:len(decs)], (p, m)
+
+    # each mutant breaks one of the four conditions; a wrong 2t = s*zeta breaks the norm
+    # too, since u^2 + v^2 = 0 mod p forces v = +-u*zeta
+    @pytest.mark.parametrize("p, m, mutate", [
+        (13, 1, lambda u, v, p: [u + 4 * p, v]),
+        (13, 1, lambda u, v, p: [u, v + 2]),
+        (13, 1, lambda u, v, p: [-u, -v]),
+        (13, 2, lambda u, v, p: [p, 0]),
+    ], ids=["norm", "sign-relation", "s-mod-4", "p-divides-s"])
+    def test_a_wrong_power_fails_the_certificate(self, monkeypatch, p, m, mutate):
+        power = cyclotomy._powmod
+        monkeypatch.setattr(cyclotomy, "_powmod", lambda *args: mutate(*power(*args), p))
+        fld = Field(p, m)
+        with pytest.raises(InvariantError, match="is not the one pair"):
+            quartic_decomposition(fld, find_generator(fld))
 
 
 # (i, j)_4 by enumeration and by Gauss's letter layout: the symmetry tests run on
