@@ -25,7 +25,7 @@ MAX_SERIES_DIGITS, are refused up front.
 Calls in one process share one Field and generator per (p, m, --generator, --modulus),
 the last BUILD_CACHE_SIZE of them, with the (s, t) the generator keeps, the generating
 functions `genfunc` keeps per class, and the per-generator tables of `field._stored`
-(the log table, the (i, j)_k, the A_l, the Gauss periods).
+(the log table, the (i, j)_k, the Gauss periods).
 `field`, `series` and plain `count` never load numpy; `cyclotomic`, `count --all-methods`
 and `verify` read whole-field tables and load it on first use.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
@@ -56,7 +56,8 @@ from .errors import (
     TooLargeError,
     WrongResidueClassError,
 )
-from .field import BUILD_CACHE_SIZE, Field, _negatives, find_generator, quartic_class
+from .field import (BUILD_CACHE_SIZE, Field, _negatives, check_bytes, find_generator,
+                    quartic_class)
 
 DEFAULT_VERIFY_FIELDS = [(5, 1), (3, 2), (13, 1), (17, 1), (5, 2),
                          (29, 1), (7, 1), (11, 1)]
@@ -270,6 +271,10 @@ def _twisted_arrays(fld, gen, dec, cyc, reps, series, hists) -> tuple[dict, dict
 def _verify_field(fld, gen, dec, nmax: int, checks: list[dict], with_expsums: bool) -> None:
     import numpy as np
     q, tag = fld.q, f"q={fld.q}"
+    # the rows kept below, each entry a pointer and an int up to q^nmax; the oracle's
+    # guard runs first, so that q^nmax is small when it is formed
+    counting.check_convolution_cost(fld, nmax)
+    check_bytes(f"{nmax} x {q} oracle rows", nmax * q * (8 + sys.getsizeof(q ** nmax)))
     hists = np.array(list(counting.oracle_histograms(fld, [fld.one()] * nmax)), dtype=object)
     reps = [gen.g ** l for l in range(len(gen.class_roots))]
     cyc = CyclotomicClasses(fld, gen, len(reps))

@@ -9,9 +9,10 @@ and ABCD, EEDB, AEAE, EDBE for q = 5 mod 8 (f odd).
 Dimension-n numbers [i_1, ..., i_n]_k come exactly from the class transfer matrices
 A_l (`transfer_matrices`, which `counting.count_via_cyclotomy` also reads), by
 reduction to ordinary cyclotomic numbers, and (for equal indices, k = 4) in closed form.
-The (i, j)_k and the A_l are built once per (g, k) and kept, read-only, in
-`field._stored` (kinds "cyclo" and "transfer"); `field.check_bytes` charges the class
-array, the (i, j)_k and the A_l's object build before each is allocated.
+The (i, j)_k are built once per (g, k) and kept, read-only, in `field._stored` (kind
+"cyclo"); the A_l are built from them as Python ints where they are read, only for the
+classes asked, and kept nowhere.  `field.check_bytes` charges the class array, the
+(i, j)_k and the A_l's object build before each is allocated.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def cyclotomic_number_quartic(i: int, j: int, dec: QuarticDecomposition, q: int)
     return _exact_div(num, 16, f"(i={i}, j={j})_4")
 
 
-def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
-    """The A_l from the d x d cyclotomic numbers cyc[i][j] = (i, j)_d, with -1 in C_h.
+def _transfer_matrices(cyc, q, h: int, ls) -> np.ndarray:
+    """A_l for each class l in ls (read mod d), from the d x d cyclotomic numbers
+    cyc[i][j] = (i, j)_d, with -1 in C_h.
 
     A_l - I adds d summands over C_l (a x^4, a in C_l, for d = gcd(4, q - 1)) to the counts
     (N(0), N(C_0), ..., N(C_(d-1))): N'(0) = N(0) + (q - 1) N(C_(l+h)), N'(C_j) = N(C_j) +
@@ -144,29 +146,31 @@ def _transfer_matrices(cyc, q, h: int) -> np.ndarray:
     import numpy as np
     d = len(cyc)
     return np.array([[[1] + [(q - 1) * (k == (l + h) % d) for k in range(d)]]
-                     + [[d * (j == l)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
+                     + [[d * (j == l % d)] + [(j == k) + d * cyc[(l - j + h) % d][(k - j) % d]
                                           for k in range(d)] for j in range(d)]
-                     for l in range(d)], dtype=object)
+                     for l in ls], dtype=object)
 
 
-def transfer_matrices(fld: Field, gen: GeneratorData, k: int) -> np.ndarray:
-    """A_0 .. A_(k-1) as one read-only k x (k+1) x (k+1) int64 array (entries <= q),
-    built by `_transfer_matrices` from the field's (i, j)_k in O(q) and stored per (g, k)."""
-    import numpy as np
-    check_bytes(f"the object build of {k} transfer matrices", 36 * k * (k + 1) ** 2)
-    check_field(fld, gen.g)
-    return _stored(("transfer", gen.g, k), lambda: _transfer_matrices(
-        cyclotomic_matrix(k, fld, gen).tolist(), fld.q, (fld.q - 1) // 2 % k).astype(np.int64))
+def transfer_matrices(fld: Field, gen: GeneratorData, k: int, ls) -> np.ndarray:
+    """A_l for each l in ls, as a len(ls) x (k+1) x (k+1) array of Python ints, built by
+    `_transfer_matrices` from the field's stored (i, j)_k on each call and kept nowhere."""
+    check_bytes(f"the object build of {len(ls)} transfer matrices", 36 * len(ls) * (k + 1) ** 2)
+    return _transfer_matrices(cyclotomic_matrix(k, fld, gen).tolist(), fld.q,
+                              (fld.q - 1) // 2 % k, ls)
 
 
 def cyclo_dim_enum(indices: list[int], k: int, fld: Field, gen: GeneratorData) -> int:
     """[i_1, ..., i_n]_k: tuples from C_{i_1} x ... x C_{i_n} summing to 1, read as
     (B_(i_n) ... B_(i_1) e_0)[1] (1 lies in C_0), where B_l = (A_l - I)/k, exact, adds
-    one summand from C_l.  O(q) once, then n exact (k + 1)-square int64-by-object products."""
+    one summand from C_l.  O(q) once, then the A_l of the distinct classes, then n
+    exact (k + 1)-square products on Python ints."""
     import numpy as np
     if not indices:
         raise ValueError("at least one index required")
-    steps = transfer_matrices(fld, gen, k)
+    if k < 1:  # before the indices are read mod k
+        raise BadOrderError(f"k = {k} is not a positive divisor of q - 1 = {fld.q - 1}")
+    ls = sorted({i % k for i in indices})
+    steps = dict(zip(ls, transfer_matrices(fld, gen, k, ls)))
     state = np.array([1] + [0] * k, dtype=object)
     for i in indices:
         state = (steps[i % k] @ state - state) // k

@@ -4,13 +4,14 @@ Elements are coefficient vectors over Z/p in the basis 1, x, ..., x^{m-1}.
 Every element has a canonical integer encoding sum(c_i * p^i), a bijection
 onto [0, q-1], used in all I/O.
 
-One product serves two rings: `_mulmod`, two length-m coefficient vectors times
+One product serves three rings: `_mulmod`, two length-m coefficient vectors times
 each other mod a monic f, over F_p (f the modulus) or over Z (genfunc's reversed
-denominator).  Its squares over Z at m = 4, those of genfunc's x^h mod a quartic, are
-Toom-Cook squares (`_toom_square`, 7 big-integer squares in place of 10 products); every
-other product, `Element` squares too, is the schoolbook one.  `Element` products call it;
-`_powmod`, the field kernel's square-and-multiply loop, runs it for powers, for
-`is_irreducible` (Rabin's test in F_p[x]/(f) itself) and for genfunc's x^h mod P, and
+denominator, or f = x^2 + 1 for Z[i]).  Its squares over Z at m = 4, those of genfunc's
+x^h mod a quartic, are Toom-Cook squares (`_toom_square`, 7 big-integer squares in place
+of 10 products); every other product, `Element` squares too, is the schoolbook one.
+`Element` products call it; `_powmod`, the field kernel's square-and-multiply loop, runs
+it for powers, for `is_irreducible` (Rabin's test in F_p[x]/(f) itself), for genfunc's
+x^h mod P and for the power (a + bi)^m in Z[i] of `cyclotomy.quartic_decomposition`, and
 runs `_gmul` in F_p[i], each with its ring as one argument.  Residues mod p keep the
 builtin `pow`, and `is_prime` is a deterministic Miller-Rabin test.
 
@@ -28,7 +29,7 @@ never one `Element` per encoding: `log_table` holds ind_g(x) for every x, built 
 generator, and is what `index_of` and the cyclotomic classes read.  Each whole-field array
 is charged to one byte guard (`check_bytes`) before it is allocated; the log table, the
 oracle's addition table and histogram of x^4, and the tables `cyclotomy` and `expsums` build
-once per generator (the (i, j)_k, the A_l, the Gauss periods) share one store (`_stored`)
+once per generator (the (i, j)_k, the Gauss periods) share one store (`_stored`)
 held to it together, counting every byte (no dtype object); the oldest tables leave it
 first, whatever their kind, and STORE_COUNTS counts each kind's hits, builds and evictions.
 These jobs, here and in the other modules, are numpy's only users, and each imports it in
@@ -66,8 +67,9 @@ BUILD_CACHE_SIZE = 64
 def check_bytes(what: str, nbytes: int) -> None:
     """Raise TooLargeError unless `what`, nbytes bytes, fits ORACLE_TABLE_BYTES_GUARD (read
     at call time), before it is allocated: the digit array, the log table, the class array,
-    the (i, j)_k and the A_l's object build (`cyclotomy`), and the oracle's histograms and
-    q x q addition table (`counting.check_convolution_cost`: q <= 5792)."""
+    the (i, j)_k and each build of the A_l asked for (`cyclotomy`), the oracle rows that
+    `verify` keeps (`cli`), and the oracle's histograms and q x q addition table
+    (`counting.check_convolution_cost`: q <= 5792)."""
     if nbytes > ORACLE_TABLE_BYTES_GUARD:
         raise TooLargeError(f"{what} would take {nbytes} bytes, past guard "
                             f"{ORACLE_TABLE_BYTES_GUARD}")
@@ -576,8 +578,9 @@ def _times_matrix(a: Element) -> np.ndarray:
                     dtype=np.int64)
 
 
-# ("add" | "power", fld), ("log" | "periods", g) or ("cyclo" | "transfer", g, k) -> table,
-# oldest first
+# ("add" | "power", fld), ("log" | "periods", g) or ("cyclo", g, k) -> table, oldest first;
+# the only kinds passed to `_stored`; tests/test_source_policy.py checks the calls against
+# this list
 _TABLES: dict[tuple, np.ndarray] = {}
 # (kind, "hits" | "builds" | "evictions") -> count over the process's life, kind = key[0]
 STORE_COUNTS: Counter[tuple[str, str]] = Counter()

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -430,14 +431,15 @@ class TestBuildCache:
         code, first = run(capsys, *argv)
         assert code == 0
         counts = Counter(field_module.STORE_COUNTS)
-        assert all(counts[kind, "builds"] == 1 for kind in ("cyclo", "transfer", "periods"))
+        assert all(counts[kind, "builds"] == 1 for kind in ("cyclo", "periods"))
         assert _hits_and_misses() == (0, 1)
         code, second = run(capsys, *argv)
         assert code == 0
         assert _hits_and_misses() == (1, 1)
-        # the A_l and the Gauss periods are read once more, and no table of any kind is built
+        # the (i, j)_4 that A_0 is built from and the Gauss periods are read once more, and
+        # no table of any kind is built
         new = field_module.STORE_COUNTS - counts
-        assert (new["transfer", "hits"], new["periods", "hits"]) == (1, 1)
+        assert (new["cyclo", "hits"], new["periods", "hits"]) == (1, 1)
         assert [key for key in new if key[1] != "hits"] == []
         assert _without_seconds(second) == _without_seconds(first)
 
@@ -454,7 +456,7 @@ class TestBuildCache:
         counts = field_module.STORE_COUNTS
         built = {kind for kind, event in counts if event == "builds"}
         assert sorted(kind for kind in built if not counts[kind, "hits"]) == []
-        assert built == {"add", "power", "log", "cyclo", "transfer", "periods"}
+        assert built == {"add", "power", "log", "cyclo", "periods"}
 
     def test_overrides_get_their_own_entries(self, capsys, monkeypatch):
         monkeypatch.setattr(field_module, "_TABLES", {})
@@ -467,7 +469,7 @@ class TestBuildCache:
         assert _hits_and_misses() == (0, 3)
         assert outputs() == first
         assert _hits_and_misses() == (3, 3)
-        assert [key[1] for key in field_module._TABLES if key[0] == "transfer"] == [
+        assert [key[1] for key in field_module._TABLES if key[0] == "cyclo"] == [
             cli._field_and_generator(13, 1, *override)[1].g
             for override in [(None, None), (6, None), (None, (3, 1))]]
         cli._field_and_generator.cache_clear()
@@ -535,7 +537,7 @@ class TestBuildCache:
         assert run(capsys, "count", *field, "--c", "5", "--n", "4", "--all-methods")[0] == 0
         assert run(capsys, "verify", *field, "--expsums")[0] == 0
         kinds = {key[0]: table.dtype for key, table in field_module._TABLES.items()}
-        assert {"add", "cyclo", "transfer", "periods"} <= set(kinds)
+        assert {"add", "cyclo", "periods"} <= set(kinds)
         assert not any(dtype.hasobject for dtype in kinds.values()), kinds
 
 
@@ -961,6 +963,34 @@ class TestVerifyCommand:
         failed = [c for c in checks if c["status"] == "FAIL"]
         assert [c["name"] for c in failed] == ["q=13 exponential sums"]
         assert failed[0]["detail"] == "NonIntegralError: injected"
+
+    def test_kept_oracle_rows_stay_within_their_charge(self, capsys, monkeypatch):
+        # verify keeps the oracle's nmax x q counts as one object array; each entry is
+        # charged a pointer and the int of the largest count, 8 + sys.getsizeof(q^nmax)
+        # bytes.  On F_1021 at nmax 8 the rows hold about 0.31 MB of a 0.36 MB charge;
+        # the counts' payload alone, n*q*n*bits(q)/8, is 0.08 MB
+        monkeypatch.setattr(field_module, "_TABLES", {})
+        fld, nmax = Field(1021, 1), 8
+        counting.oracle_histogram(fld, [fld.one()] * 2)  # the tables stored first
+        charges = []
+
+        def recorded(what, nbytes):
+            charges.append((what, nbytes))
+            return field_module.check_bytes(what, nbytes)
+        monkeypatch.setattr(cli, "check_bytes", recorded)
+        assert run(capsys, "verify", "--p", "1021", "--nmax", str(nmax))[0] == 0
+        charge = nmax * fld.q * (8 + sys.getsizeof(fld.q ** nmax))
+        assert charges == [(f"{nmax} x {fld.q} oracle rows", charge)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = np.array(list(counting.oracle_histograms(fld, [fld.one()] * nmax)),
+                            dtype=object)  # as verify keeps them
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (nmax, fld.q)
+        assert charge // 2 < held <= charge
 
 
 class TestDifferingRows:

@@ -435,7 +435,8 @@ class TestCyclotomicRoute:
         den = (genfunc.denominator(q, quartic_decomposition(fld, gen).s) if q % 4 == 1
                else (1, 0, q))
         expected = [a - q * b for a, b in zip(den + (0,), (0,) + den)]
-        for l, step in enumerate(transfer_matrices(fld, gen, len(gen.class_roots))):
+        d = len(gen.class_roots)
+        for l, step in enumerate(transfer_matrices(fld, gen, d, range(d))):
             # det(t I - A) = t^(d+1) + c_1 t^d + ... read high to low is det(I - x A)
             # read low to high
             assert sympy.Matrix(step.tolist()).charpoly().all_coeffs() == expected, (q, l)
@@ -447,8 +448,8 @@ class TestCyclotomicRoute:
         # = c at c = 0 and at every c of each class C_j, for every class vector
         # (l_1, ..., l_n) of length 2 and 3
         fd = field_data(p, m)
-        steps = transfer_matrices(fd.field, fd.gen, len(fd.gen.class_roots))
-        d = len(steps)
+        d = len(fd.gen.class_roots)
+        steps = transfer_matrices(fd.field, fd.gen, d, range(d))
         cls = [None] + [quartic_class(fd.field.from_int(code), fd.gen)
                         for code in range(1, fd.q)]
         for ls in itertools.chain(itertools.product(range(d), repeat=2),

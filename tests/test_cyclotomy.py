@@ -228,10 +228,27 @@ class TestDimensionN:
         assert cyclo_dim_enum([0, 1], 4, fld, gen) == cyclo_dim2(0, 1, 4, fld, gen)
 
     def test_guard_before_transfer_matrices(self):
-        # k = 5800 would need k (k + 1)^2 = 2 * 10^11 matrix entries
+        # k = 5800: one A_l holds (k + 1)^2 = 3.4 * 10^7 Python ints, charged 1.2 GB
         fld = Field(5801, 1)
         with pytest.raises(TooLargeError):
             cyclo_dim_enum([0], 5800, fld, find_generator(fld))
+
+    @pytest.mark.parametrize("i1, i2", [(0, 26), (1, 52), (3, 145), (0, 1), (7, 7)])
+    def test_order_200_builds_the_classes_asked_only(self, i1, i2):
+        # f = 2 on F_401, so the literal count reads the four pairs of C_i1 x C_i2.  All
+        # 200 A_l would be charged 36 * 200 * 201^2 bytes, 291 MB, past the guard; the
+        # one or two asked are charged 1.45 MB each
+        fld = Field(401, 1)
+        gen = find_generator(fld)
+        assert (cyclo_dim_enum([i1, i2], 200, fld, gen)
+                == literal_cyclo_dim([i1, i2], 200, gen)
+                == cyclo_dim2(i1, i2, 200, fld, gen))
+
+    @pytest.mark.parametrize("k", [0, -4, 5])
+    def test_bad_order_rejected(self, k):
+        fd = field_data(13, 1)
+        with pytest.raises(BadOrderError):
+            cyclo_dim_enum([0, 1], k, fd.field, fd.gen)
 
     def test_no_indices_rejected(self):
         fd = field_data(5, 1)

@@ -835,63 +835,73 @@ class TestTableStore:
         assert all(not t.flags.writeable for t in field_module._TABLES.values())
 
     def test_class_tables_share_the_budget_and_are_counted(self, monkeypatch):
-        # at k = 4: a log table or a histogram of x^4 takes 8q bytes, the (i, j)_4 128,
-        # the Gauss periods mod three primes 3 * 5 int64 entries, 120 bytes, and the A_l
-        # 4 * 5 * 5, 800 bytes.  The A_l's object build is charged 36 * 4 * 5^2 = 3,600
-        # bytes, so the budget is 4,032: the tables of F_13 are small beside it, the
-        # histogram of F_389 (3,112 bytes) and the log table of F_397 (3,176) fill most of it.
+        # at k = 4: a log table or a histogram of x^4 takes 8q bytes, the (i, j)_4 128 and
+        # the Gauss periods mod three primes 3 * 5 int64 entries, 120 bytes.  The A_l are
+        # stored nowhere, but their object build is charged 36 * 4 * 5^2 = 3,600 bytes, so
+        # the budget is 3,600: the tables of F_13 are small beside it, the histogram of
+        # F_389 (3,112 bytes) and the log table of F_397 (3,176) fill most of it.
         # The histogram's build is charged 24q = 9,336 bytes, so it runs under that guard
         monkeypatch.setattr(field_module, "_TABLES", {})
         monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
-        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 4032)
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 3600)
         f13, f389, f397 = Field(13, 1), Field(389, 1), Field(397, 1)
         gens = {fld: find_generator(fld) for fld in (f13, f389, f397)}
         reads = {"cyclo": lambda fld: cyclotomic_matrix(4, fld, gens[fld]),
-                 "transfer": lambda fld: transfer_matrices(fld, gens[fld], 4),
+                 "A_l": lambda fld: transfer_matrices(fld, gens[fld], 4, range(4)),
                  "periods": lambda fld: build_table(fld, gens[fld]),
                  "power": lambda fld: counting.oracle_histogram(fld, [fld.one()])}
 
         def touch(kind, fld):
             reads[kind](fld)
             store = field_module._TABLES
-            assert sum(t.nbytes for t in store.values()) <= 4032
+            assert sum(t.nbytes for t in store.values()) <= 3600
             assert not any(t.flags.writeable for t in store.values())
             return [(key[0], (key[1] if key[0] in ("power", "add")
                               else key[1].field).q) for key in store]
         touch("cyclo", f13)
         monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 24 * 389)
         touch("power", f389)
-        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 4032)
+        monkeypatch.setattr(field_module, "ORACLE_TABLE_BYTES_GUARD", 3600)
         assert touch("periods", f13) == [("log", 13), ("cyclo", 13), ("power", 389),
                                          ("periods", 13)]
-        # 4,264 bytes: the two oldest go, the log table and the (i, j)_4 it served
-        assert touch("transfer", f13) == [("power", 389), ("periods", 13), ("transfer", 13)]
-        assert touch("cyclo", f397) == [("log", 397), ("cyclo", 397)]
+        # the A_l read the (i, j)_4 and add nothing to the store
+        assert touch("A_l", f13) == [("log", 13), ("cyclo", 13), ("power", 389),
+                                     ("periods", 13)]
+        # 6,640 bytes with the log table of F_397: the three oldest go
+        assert touch("cyclo", f397) == [("periods", 13), ("log", 397), ("cyclo", 397)]
         # a hit neither builds nor moves its table
-        assert touch("cyclo", f397) == [("log", 397), ("cyclo", 397)]
+        assert touch("cyclo", f397) == [("periods", 13), ("log", 397), ("cyclo", 397)]
         assert field_module.STORE_COUNTS == {
             ("log", "hits"): 1, ("log", "builds"): 2, ("log", "evictions"): 1,
             ("cyclo", "hits"): 2, ("cyclo", "builds"): 2, ("cyclo", "evictions"): 1,
             ("power", "builds"): 1, ("power", "evictions"): 1,
-            ("periods", "builds"): 1, ("periods", "evictions"): 1,
-            ("transfer", "builds"): 1, ("transfer", "evictions"): 1}
-        # the A_l built on F_389, with its (i, j)_4 and log table, evict three tables
-        assert touch("transfer", f389) == [("cyclo", 389), ("transfer", 389)]
-        with pytest.raises(ValueError):
-            transfer_matrices(f389, gens[f389], 4)[0, 0, 0] = 2
+            ("periods", "builds"): 1}
+        # the A_l built on F_389 build its (i, j)_4 and log table, which evict two tables
+        assert touch("A_l", f389) == [("cyclo", 397), ("log", 389), ("cyclo", 389)]
+        # each call builds its own A_l: a write to one copy leaves the next call's
+        steps = transfer_matrices(f389, gens[f389], 4, range(4))
+        steps[0, 0, 0] = 2
+        assert transfer_matrices(f389, gens[f389], 4, range(4))[0, 0, 0] == 1
 
-    def test_transfer_matrices_are_int64(self, monkeypatch):
+    def test_transfer_matrices_are_exact_ints_for_the_classes_asked(self, monkeypatch):
+        # the classes asked, in their order, each entry a Python int; nothing is stored
+        # beyond the log table and the (i, j)_4 they are read off
         monkeypatch.setattr(field_module, "_TABLES", {})
         f13 = Field(13, 1)
-        steps = transfer_matrices(f13, find_generator(f13), 4)
-        assert (steps.dtype, steps.nbytes) == (np.int64, 800)
+        gen = find_generator(f13)
+        steps = transfer_matrices(f13, gen, 4, [2, 0])
+        assert (steps.dtype, steps.shape) == (object, (2, 5, 5))
+        assert all(type(x) is int for x in steps.flat)
+        every = transfer_matrices(f13, gen, 4, range(4))
+        assert steps.tolist() == every[[2, 0]].tolist()
+        assert [key[0] for key in field_module._TABLES] == ["log", "cyclo"]
 
     def test_object_tables_are_refused(self, monkeypatch):
         # the byte guard reads nbytes, which counts an object array's pointers only
         monkeypatch.setattr(field_module, "_TABLES", {})
         monkeypatch.setattr(field_module, "STORE_COUNTS", Counter())
         with pytest.raises(InvariantError):
-            field_module._stored(("transfer", "ints"), lambda: np.array([2**80], dtype=object))
+            field_module._stored(("cyclo", "ints"), lambda: np.array([2**80], dtype=object))
         assert field_module._TABLES == {} and field_module.STORE_COUNTS == {}
 
 
@@ -900,7 +910,7 @@ WHOLE_FIELD_BUILDS = {
     "oracle": lambda fld, gen: next(counting.oracle_histograms(fld, [fld.one()] * 2)),
     "power-profile": lambda fld, gen: counting.power_profile(fld),
     "cyclotomic-matrix": lambda fld, gen: cyclotomic_matrix(4, fld, gen),
-    "transfer-matrices": lambda fld, gen: transfer_matrices(fld, gen, 4),
+    "transfer-matrices": lambda fld, gen: transfer_matrices(fld, gen, 4, range(4)),
     "log-table": log_table,
     "classes": lambda fld, gen: CyclotomicClasses(fld, gen, 4),
     "gauss-periods": build_table,

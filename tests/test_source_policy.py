@@ -12,10 +12,13 @@ read in the importing module, so each function has one binding that callers, pat
 tracers share.  No guard imported by value: a module-level `*_GUARD` name is read where it
 is defined, so patching that one binding moves every check that reads it.  No float or
 complex constant and no `cmath` import: counts are exact integers, and so is every route
-that checks them.
+that checks them.  One list of store kinds: the kinds the package passes to
+`field._stored` are the ones named in the comment above `field._TABLES`, each key a
+literal tuple, so a kind is not added or dropped without that list.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -139,6 +142,47 @@ def _offences(path: Path):
     found += _unread_private_imports(tree)
     found += _guards_imported(tree)
     return [f"{path.name}:{line}: {what}" for line, what in sorted(found)]
+
+
+def _store_kinds(tree: ast.AST) -> set:
+    """The kind, key[0], of each `_stored` call's key, or None where the key is not a
+    tuple that starts with a string literal."""
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "_stored":
+            key = node.args[0] if node.args else None
+            first = key.elts[0] if isinstance(key, ast.Tuple) and key.elts else None
+            kinds.add(first.value if isinstance(first, ast.Constant)
+                      and isinstance(first.value, str) else None)
+    return kinds
+
+
+def _listed_kinds(source: str) -> set:
+    """The quoted names in the comment lines just above `_TABLES`."""
+    lines = source.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("_TABLES"))
+    comment = []
+    while at and lines[at - 1].startswith("#"):
+        at -= 1
+        comment.append(lines[at])
+    return set(re.findall(r'"(\w+)"', " ".join(comment)))
+
+
+def test_store_kinds_are_the_listed_ones():
+    used = set().union(*(_store_kinds(ast.parse(path.read_text())) for path in MODULES))
+    field_source = next(path for path in MODULES if path.name == "field.py").read_text()
+    assert used == _listed_kinds(field_source)
+
+
+def test_the_store_rule_sees_a_kind_off_the_list():
+    source = ('# ("add", fld) or ("gone", g) -> table\n'
+              '_TABLES = {}\n'
+              'def f(fld, key):\n'
+              '    _stored(("add", fld), None)\n'
+              '    _stored(("new", fld), None)\n'
+              '    return field._stored(key, None)\n')
+    assert _listed_kinds(source) == {"add", "gone"}
+    assert _store_kinds(ast.parse(source)) == {"add", "new", None}
 
 
 def test_every_module_is_read():

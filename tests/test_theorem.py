@@ -91,9 +91,9 @@ def symbolic(r, letters=_QUARTIC_LETTERS):
     """(q, s, t, h, A) for q = r mod 8: the ring's q, s and t, the class of -1 and
     the transfer matrices built from Gauss's numbers."""
     if r % 4 == 3:
-        return Q2, 0, 0, 1, _transfer_matrices(gauss_order_2(Q2), Q2, 1)
+        return Q2, 0, 0, 1, _transfer_matrices(gauss_order_2(Q2), Q2, 1, range(2))
     q, h = S**2 + 4 * T**2, (0 if r == 1 else 2)
-    return q, S, T, h, _transfer_matrices(gauss_order_4(letters, r), q, h)
+    return q, S, T, h, _transfer_matrices(gauss_order_4(letters, r), q, h, range(4))
 
 
 def annihilator_residues(r, letters=_QUARTIC_LETTERS):
