@@ -2,11 +2,12 @@
 
 Subcommands: field, cyclotomic, count, series, verify.
 `count` prints N_n(c) or M_n(y) as one coefficient of the generating function: a
-part with a one-tap denominator 1 + d x^k as one power, any other from the short
-series below genfunc.SERIES_BELOW and from there by a Hankel form, taken as a sum of
-squares, after O(log n) polynomial squares.  `--all-methods` also runs every
-checking route that covers the count (cyclotomy on every count, the oracle within
-its guard), reports each route's value and seconds, and exits 1 unless they agree.
+term a part keeps, else from the short series below genfunc.SERIES_BELOW, and from
+there, for a part with a one-tap denominator 1 + d x^k, as one power, for any other by
+a Hankel form, taken as a sum of squares, after O(log n) polynomial squares.
+`--all-methods` also runs every checking route that covers the count (cyclotomy on
+every count, the oracle within its guard), reports each route's value and seconds,
+and exits 1 unless they agree.
 `series` lists the first n coefficients.  `verify` reads the class of ind_g mod 4 of every
 element off the log table, checks `quartic_class` against it at every element, builds one
 series and closed form per class, and checks them at every c and y against one oracle pass
@@ -28,6 +29,8 @@ functions `genfunc` keeps per class, and the per-generator tables of `field._sto
 (the log table, the (i, j)_k, the Gauss periods).
 `field`, `series` and plain `count` never load numpy; `cyclotomic`, `count --all-methods`
 and `verify` read whole-field tables and load it on first use.
+A call runs one parser, the named subcommand's own; when anything is left over, or no
+subcommand comes first, the full parser runs and reports the error as it alone would.
 Exit codes: 0 pass, 1 verification/agreement failure, 2 usage or input error,
 3 internal error (`InvariantError`).
 """
@@ -423,9 +426,25 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)` at the cost of one parse: the named subcommand's own
+    parser, run on the rest as _PARSER runs it.  When anything is left over, or argv[0]
+    names no subcommand, _PARSER parses again and reports it as it does alone."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subs = next(action.choices for action in _PARSER._actions
+                if isinstance(action, argparse._SubParsersAction))
+    sub = subs.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit

@@ -455,7 +455,11 @@ def _resultant(A: list, B: list, p: int):
     - deg R) Res(B, R), R = A mod B, down to Res(A, b) = b^(deg A).  Coefficients
     are residues mod p, or pairs (u, v) for u + v i in F_p[i]; constant term first,
     top term nonzero.  A is consumed.  Each division lowers deg B, so there are at
-    most min(deg A, deg B) of them."""
+    most min(deg A, deg B) of them.  A constant B, as every element of F_p is, is
+    b^(deg A) at once, one power before the ring is chosen."""
+    if len(B) == 1:
+        b = B[0]
+        return _gpow(b, len(A) - 1, p) if type(b) is tuple else pow(b, len(A) - 1, p)
     rem, mul, power, acc, minus_one = (
         (_rem_gaussian, _gmul, _gpow, (1, 0), (-1, 0)) if type(A[0]) is tuple
         else (_rem_residues, lambda x, y, p: x * y % p, pow, 1, -1))
@@ -500,7 +504,8 @@ def quartic_class(x: Element, gen: GeneratorData) -> int:
     2 otherwise (ibid., ch. 2).  For x = a(alpha), the norm N_e(x) = prod_(j < m/e)
     a(alpha^(p^(ej))) is Res(f_e, a) (ibid., ch. 1), f_e the factor of the modulus
     over F_(p^e) with those roots: the modulus for e = 1; for e = 2 `_norm_factor`
-    over F_p[i], i = class_roots[1], kept on the generator.  Euclid takes m/e divisions.
+    over F_p[i], i = class_roots[1], kept on the generator.  Euclid takes at most m/e
+    divisions, and none for x in F_p.
     """
     fld = x.field
     if gen.field != fld:

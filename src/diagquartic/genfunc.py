@@ -3,16 +3,17 @@
 A generating function is stored as a sum of rational parts, each a pair of
 integer coefficient vectors (ascending powers, denominator constant term 1).
 `series(n)` runs the denominator recurrence over its nonzero taps and lists
-all n coefficients.  `coefficient(n)` reads one in one of three regimes, all in
-exact integers: a part with a one-tap denominator 1 + d x^k (the geometric
-x/(1 - qx), and the q = 3 mod 4 correction 1 + qx^2) is one power; below
-SERIES_BELOW it reads the series; from there it takes Fiduccia's method: x^h mod P,
-P the monic reversed denominator, by `_powmod` in O(log n) squares of
-`field._mulmod` over Z (Toom-Cook squares for the quartics), then a Hankel form,
-taken as a sum of at most k squares (`_squares`).  Each part keeps the prefix of
-its series that calls have read, up to max(SERIES_BELOW, s + 2k) terms (k = deg den,
-s = max(1, len(num) - k)): every regime reads its terms there, and a longer series
-runs on a copy.  It also keeps the pivots of its Hankel form, one list per parity.
+all n coefficients.  `coefficient(n)` reads one in exact integers: a term the part
+keeps is returned before any regime test; below SERIES_BELOW every part runs its
+series on, one-tap parts included; from there a part with a one-tap denominator
+1 + d x^k (the geometric x/(1 - qx), and the q = 3 mod 4 correction 1 + qx^2) is one
+power, and any other takes Fiduccia's method: x^h mod P, P the monic reversed
+denominator, by `_powmod` in O(log n) squares of `field._mulmod` over Z (Toom-Cook
+squares for the quartics), then a Hankel form, taken as a sum of at most k squares
+(`_squares`).  Each part, one-tap parts too, keeps the prefix of its series that calls
+have read, up to max(SERIES_BELOW, s + 2k) terms (k = deg den, s = max(1, len(num) -
+k)): every regime reads its terms there, and a longer series runs on a copy.  It also
+keeps the pivots of its Hankel form, one list per parity.
 `gf_N` and `gf_M` take (s, t) from `dec`, or when it is None from the generator
 (`GeneratorData.decomposition`, found once per generator), and return one shared
 generating function per (q, s, t, q mod 8, class, twisted) from `_class_gf`, a
@@ -84,13 +85,14 @@ class RationalPart:
         return self._terms(count)[k + 1:k + 1 + max(count, 0)]
 
     def coefficient(self, n: int) -> int:
-        """Coefficient c_n of x^n, n >= 1, in exact integers, in three regimes.
+        """Coefficient c_n of x^n, n >= 1, in exact integers: a kept term, else in
+        one of three regimes.
 
-        With k = deg den and s = max(1, len(num) - k), c_j = -sum_i den[i]
-        c_(j-i) for every j >= s + k.  If den = 1 + d x^k and n >= s, c_n =
-        c_(s+r) (-d)^j with (j, r) = divmod(n - s, k) (never below s, where the
-        power would be a float).  Below SERIES_BELOW (or s + 2) c_n is read off
-        the series.  From there x^a -> c_(s+a) vanishes on multiples of the monic
+        A term the part keeps is returned before any regime test.  With k = deg den
+        and s = max(1, len(num) - k), c_j = -sum_i den[i] c_(j-i) for every j >= s
+        + k.  Below SERIES_BELOW (or s + 2) c_n is read off the series, for every
+        part.  From there, if den = 1 + d x^k, c_n = c_(s+r) (-d)^j with (j, r) =
+        divmod(n - s, k).  Otherwise x^a -> c_(s+a) vanishes on multiples of the monic
         reversed denominator P (Fiduccia, SIAM J. Comput. 1985), so with n - s =
         2h + b, h >= 1, and r = x^h mod P (`_powmod`), c_n = r^T H r, H_ij =
         c_(s+b+i+j), i, j < k: the sum of squares of `_squares`, whose pivots the
@@ -98,18 +100,20 @@ class RationalPart:
         parts of `gf_N` and `gf_M`, a series read on a fresh part is level with a
         Hankel read on a part that keeps its pivots near n = 60, and cheaper through
         n = 120 than a first Hankel read, which builds them; below SERIES_BELOW every
-        later read is a lookup in the kept prefix.  Every regime reads that prefix;
-        for k >= 1 none reads past c_(s+2k-1) or c_87.
+        later read, on any part, is a lookup in the kept prefix.  Every regime reads
+        that prefix; for k >= 1 none reads past c_(s+2k-1) or c_87.
         """
         if n < 1:
             raise ValueError(f"coefficient index must be at least 1, got {n}")
         k = len(self.den) - 1
+        if k + n < len(self._kept):
+            return self._kept[k + n]
         s = max(1, len(self.num) - k)
-        if k and not any(self.den[1:k]) and n >= s:
-            j, r = divmod(n - s, k)
-            return self._terms(s + r)[k + s + r] * (-self.den[k]) ** j
         if n < max(s + 2, SERIES_BELOW):
             return self._terms(n)[k + n]
+        if k and not any(self.den[1:k]):
+            j, r = divmod(n - s, k)
+            return self._terms(s + r)[k + s + r] * (-self.den[k]) ** j
         h, b = divmod(n - s, 2)
         x = ([0, 1] + [0] * k)[:k]  # x mod P: k = 1 is one tap, and mod 1 all is 0
         r = _powmod(x, h, _mulmod, (self.den[::-1], 0))
@@ -156,7 +160,10 @@ class RationalGF:
 
     def coefficient(self, n: int) -> int:
         """Coefficient of x^n, n >= 1: the sum of the parts' coefficients."""
-        return sum(part.coefficient(n) for part in self.parts)
+        total = 0
+        for part in self.parts:
+            total += part.coefficient(n)
+        return total
 
     def series(self, count: int) -> list[int]:
         total = [0] * count

@@ -399,6 +399,36 @@ class TestDispatch:
         monkeypatch.setattr(cli, "build_parser", _injected_defect)
         assert run(capsys, "field", "--p", "13")[0] == 0
 
+    def test_a_valid_call_runs_one_parser(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli._PARSER, "parse_known_args", _injected_defect)
+        code, out = run(capsys, "count", "--p", "13", "--c", "1", "--n", "2", "--all-methods")
+        assert (code, json.loads(out)["count"]) == (0, "8")
+
+    # usage errors at each level, help, and argv that the subcommand's parser alone
+    # would accept in part: extras after a valid command, "--", "--p=13", "--all"
+    ARGV = [(), ("-h",), ("bogus",), ("count", "-h"),
+            ("count", "--p", "13", "--c", "one", "--n", "2"),
+            ("count", "--p", "13", "--c", "1", "--n", "0"),
+            ("count", "--p", "13", "--c", "1", "--y", "2", "--n", "2"),
+            ("count", "--p", "13", "--c", "1", "--n", "2", "extra"),
+            ("count", "--p", "13", "--c", "1", "--n", "2", "--", "extra"),
+            ("count", "--", "--p", "13"), ("--", "field", "--p", "13"),
+            ("count", "--p=13", "--c", "1", "--n", "3"),
+            ("count", "--p", "13", "--c", "1", "--n", "3", "--all"),
+            ("field", "--p", "13", "--json"), ("series", "--p", "7", "--y", "3")]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, _without_seconds(out) if out.startswith("{") else out, err
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_dispatch_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        fast = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse", cli._PARSER.parse_args)
+        assert fast == self.outcome(capsys, argv)
+
     def test_handler_is_looked_up_at_call_time(self, capsys, monkeypatch):
         # the benchmark tracer rebinds cli.cmd_count and cli.cmd_verify after import
         calls = []

@@ -546,6 +546,23 @@ class TestQuarticClass:
         assert builds == ([gen.class_roots] if e == 2 else [])
         assert ("norm_factor" in vars(gen)) == (e == 2)
 
+    @pytest.mark.parametrize("p, m", [(3, 4), (5, 3), (7, 2)])
+    def test_prime_subfield_takes_one_power(self, monkeypatch, p, m):
+        # c in F_p^*, codes 1 .. p - 1, is a constant: its norm is c^(m/e), with no
+        # division, on the e = 1 (5^3) and e = 2 (3^4, 7^2) paths
+        fld = Field(p, m)
+        d = gcd(4, fld.q - 1)
+        gens = _both_generators(fld)
+        logs = [log_table(fld, gen) for gen in gens]
+
+        def division(*args):
+            raise AssertionError("a constant took a Euclid step")
+        for rem in ("_rem_residues", "_rem_gaussian"):
+            monkeypatch.setattr(field_module, rem, division)
+        for gen, log in zip(gens, logs):
+            assert [quartic_class(fld.from_int(c), gen) for c in range(1, p)] \
+                == [int(ind) % d for ind in log[1:p]], gen.g
+
     @pytest.mark.parametrize("p, m", [(3, 4), (7, 2)])
     def test_each_generator_builds_its_own_factor(self, monkeypatch, p, m):
         # e = 2 on one field: the default generator and its inverse, the override

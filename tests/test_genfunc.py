@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from diagquartic import cyclotomy
+from diagquartic import cyclotomy, genfunc
 from diagquartic.counting import count_M, count_N
 from diagquartic.cyclotomy import QuarticDecomposition, quartic_decomposition
 from diagquartic.errors import BadDenominatorError, InvariantError, QuarticYError
@@ -252,6 +252,53 @@ class TestKeptPrefix:
         read.coefficient(SERIES_BELOW - 1)
         assert kept_terms(read) > kept_terms(fresh) == 0
         assert read == fresh and hash(read) == hash(fresh)
+
+
+class TestWarmRead:
+    @pytest.mark.parametrize("p", [65537, 65521, 65519])
+    def test_repeat_count_is_a_lookup(self, monkeypatch, p):
+        # after one read below SERIES_BELOW, a repeat count runs no recurrence and no
+        # x^h mod P, on every part of every class
+        fld = Field(p, 1)
+        gen = find_generator(fld)
+        reps = [gen.g ** l for l in range(len(gen.class_roots))]
+        ns = (1, 2, 5, 16, SERIES_BELOW - 1)
+
+        def counts():
+            return ([count_N(c, n, fld, gen) for c in [fld.zero()] + reps for n in ns]
+                    + [count_M(y, n + 1, fld, gen) for y in reps[1:] for n in ns])
+        first, calls, terms = counts(), [], RationalPart._terms
+
+        def extended(part, count):
+            calls.append(("_terms", count))
+            return terms(part, count)
+
+        def powered(*args):
+            calls.append(("_powmod", args[1]))
+            return _powmod(*args)
+        monkeypatch.setattr(RationalPart, "_terms", extended)
+        monkeypatch.setattr(genfunc, "_powmod", powered)
+        assert (counts(), calls) == (first, [])
+
+    @pytest.mark.parametrize("p", [7, 13, 65521])
+    def test_every_part_reads_its_series_below_the_threshold(self, p):
+        # one-tap parts too: F_7's correction part over 1 + 7x^2 and every geometric
+        # part keep their series, which a fresh part read from the top fills at once
+        fld = Field(p, 1)
+        gen = find_generator(fld)
+        reps = [gen.g ** l for l in range(len(gen.class_roots))]
+        gfs = ([gf_N(fld, gen, None, c) for c in [fld.zero()] + reps]
+               + [gf_M(fld, gen, None, y) for y in reps[1:]])
+        parts = [part for gf in gfs for part in gf.parts]
+        if p == 7:
+            assert (1, 0, 7) in {part.den for part in parts}
+        top = SERIES_BELOW - 1
+        for part in parts:
+            fresh = RationalPart(num=part.num, den=part.den)
+            values = [fresh.coefficient(n) for n in range(top, 0, -1)][::-1]
+            assert values == [part.series(n)[-1] for n in range(1, top + 1)], part
+            assert [part.coefficient(n) for n in range(1, top + 1)] == values, part
+            assert kept_terms(fresh) == top
 
 
 def hankel(part, b):
